@@ -9,14 +9,7 @@ with classifier, modality, and selection/demographics experiment grids.
 """
 
 from .dataio import Dataset, IngestError, load_dataset, write_metrics, write_predictions
-from .evaluate import (
-    EvalReport,
-    ExperimentConfig,
-    run_classifier_comparison,
-    run_lopo,
-    run_modality_ablation,
-    run_selection_ablation,
-)
+from .evaluate import GRIDS, EvalReport, ExperimentConfig, run_grid, run_lopo
 from .features import FeatureWindow, extract_all, extract_features
 from .metrics import f2_from_counts, f2_score
 from .model import FEATURE_NAMES, EmaRecord, HourlySample, Patient, Signal, canonical_feature_names
@@ -32,6 +25,7 @@ __all__ = [
     "ExperimentConfig",
     "FEATURE_NAMES",
     "FeatureWindow",
+    "GRIDS",
     "HourlySample",
     "IngestError",
     "Patient",
@@ -49,10 +43,8 @@ __all__ = [
     "f2_score",
     "generate",
     "load_dataset",
-    "run_classifier_comparison",
+    "run_grid",
     "run_lopo",
-    "run_modality_ablation",
-    "run_selection_ablation",
     "write_metrics",
     "write_predictions",
 ]

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .metrics import f2_from_counts
@@ -50,8 +48,6 @@ def balanced_bootstrap(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 class CategoricalNBModel:
     class_log_prior: np.ndarray  # (2,)
     feature_log_likelihood: np.ndarray  # (n_features, n_categories, 2)
-    alpha: float
-    n_categories: int
 
 
 def nb_fit(X: np.ndarray, y: np.ndarray, alpha: float = 1.0, n_categories: int = 15) -> CategoricalNBModel:
@@ -76,7 +72,7 @@ def nb_fit(X: np.ndarray, y: np.ndarray, alpha: float = 1.0, n_categories: int =
         for f in range(n_features):
             counts = np.bincount(rows[:, f], minlength=n_categories).astype(float)
             log_lik[f, :, c] = np.log(counts + alpha) - denom
-    return CategoricalNBModel(log_prior, log_lik, alpha, n_categories)
+    return CategoricalNBModel(log_prior, log_lik)
 
 
 def nb_joint_log_likelihood(model: CategoricalNBModel, X: np.ndarray) -> np.ndarray:
@@ -94,11 +90,6 @@ def nb_predict_many(model: CategoricalNBModel, X: np.ndarray) -> tuple[np.ndarra
     with np.errstate(over="ignore"):
         scores = 1.0 / (1.0 + np.exp(jll[:, 0] - jll[:, 1]))
     return labels, scores
-
-
-def nb_predict(model: CategoricalNBModel, x: np.ndarray) -> tuple[int, float]:
-    labels, scores = nb_predict_many(model, np.asarray(x)[None, :])
-    return int(labels[0]), float(scores[0])
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +180,6 @@ def _tree_scores(node: _TreeNode, X: np.ndarray, idx: np.ndarray, out: np.ndarra
 @dataclass
 class BalancedRandomForestModel:
     trees: list[_TreeNode]
-    tree_count: int
-    seed: int | np.random.SeedSequence
     decision_threshold: float = 0.5
 
 
@@ -211,7 +200,7 @@ def brf_fit(
         rng = np.random.default_rng(child)
         idx = balanced_bootstrap(y, rng)
         grown.append(_grow_tree(X[idx], y[idx], rng, mtry))
-    return BalancedRandomForestModel(grown, trees, seed, decision_threshold)
+    return BalancedRandomForestModel(grown, decision_threshold)
 
 
 def brf_scores(model: BalancedRandomForestModel, X: np.ndarray) -> np.ndarray:
@@ -227,11 +216,6 @@ def brf_scores(model: BalancedRandomForestModel, X: np.ndarray) -> np.ndarray:
 def brf_predict_many(model: BalancedRandomForestModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scores = brf_scores(model, X)
     return (scores >= model.decision_threshold).astype(np.int64), scores
-
-
-def brf_predict(model: BalancedRandomForestModel, x: np.ndarray) -> tuple[int, float]:
-    labels, scores = brf_predict_many(model, np.asarray(x)[None, :])
-    return int(labels[0]), float(scores[0])
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +236,6 @@ class _Stump:
 @dataclass
 class EasyEnsembleModel:
     bags: list[list[tuple[float, _Stump]]]
-    bag_count: int
-    rounds: int
-    seed: int | np.random.SeedSequence
     decision_threshold: float = 0.5
 
 
@@ -322,7 +303,7 @@ def ee_fit(
             w = w * np.exp(-alpha * yb * stump.predict(Xb))
             w /= w.sum()
         fitted.append(chain)
-    return EasyEnsembleModel(fitted, bags, rounds, seed, decision_threshold)
+    return EasyEnsembleModel(fitted, decision_threshold)
 
 
 def ee_scores(model: EasyEnsembleModel, X: np.ndarray) -> np.ndarray:
@@ -344,11 +325,6 @@ def ee_scores(model: EasyEnsembleModel, X: np.ndarray) -> np.ndarray:
 def ee_predict_many(model: EasyEnsembleModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scores = ee_scores(model, X)
     return (scores >= model.decision_threshold).astype(np.int64), scores
-
-
-def ee_predict(model: EasyEnsembleModel, x: np.ndarray) -> tuple[int, float]:
-    labels, scores = ee_predict_many(model, np.asarray(x)[None, :])
-    return int(labels[0]), float(scores[0])
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +349,6 @@ class _IsolationNode:
 class IsolationForestModel:
     trees: list[_IsolationNode]
     sample_size: int
-    tree_count: int
-    seed: int | np.random.SeedSequence
     threshold: float = 0.5
 
 
@@ -426,8 +400,10 @@ def iforest_fit(
 ) -> IsolationForestModel:
     """Isolation trees over the feature matrix; labels only set the threshold.
 
-    The decision threshold is calibrated so the flagged fraction of training
-    rows equals the training relapse prevalence.
+    The threshold is the k-th largest training score, k = round(prevalence * n),
+    and every row scoring at or above it is flagged. Category codes make
+    equal scores common, so ties at that cut can flag more than k training
+    rows. With k = 0 the threshold is infinite and nothing is flagged.
     """
     X = np.asarray(X, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
@@ -439,7 +415,7 @@ def iforest_fit(
         rng = np.random.default_rng(child)
         idx = rng.choice(n, size=psi, replace=False)
         grown.append(_grow_isolation_tree(X, idx, 0, limit, rng))
-    model = IsolationForestModel(grown, psi, trees, seed)
+    model = IsolationForestModel(grown, psi)
 
     train_scores = iforest_scores(model, X)
     flagged = int(round(float(y.mean()) * n)) if n else 0
@@ -463,39 +439,14 @@ def iforest_scores(model: IsolationForestModel, X: np.ndarray) -> np.ndarray:
     return np.exp2(-paths.mean(axis=0) / denom)
 
 
-def iforest_score(model: IsolationForestModel, x: np.ndarray) -> float:
-    return float(iforest_scores(model, np.asarray(x)[None, :])[0])
-
-
-def iforest_predict_many(
-    model: IsolationForestModel, X: np.ndarray, threshold: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def iforest_predict_many(model: IsolationForestModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scores = iforest_scores(model, X)
-    cut = model.threshold if threshold is None else threshold
-    return (scores >= cut).astype(np.int64), scores
-
-
-def iforest_predict(model: IsolationForestModel, x: np.ndarray, threshold: float | None = None) -> int:
-    labels, _ = iforest_predict_many(model, np.asarray(x)[None, :], threshold)
-    return int(labels[0])
+    return (scores >= model.threshold).astype(np.int64), scores
 
 
 # ---------------------------------------------------------------------------
 # Random baseline
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RandomBaselineConfig:
-    relapse_ratio: float
-    runs: int = 1000
-    seed: int | np.random.SeedSequence = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.relapse_ratio <= 1.0:
-            raise ValueError("relapse_ratio must be in [0, 1]")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -510,22 +461,16 @@ class BaselineResult:
     fp: float
     fn: float
     tn: float
-    runs: int
-
-
-def random_baseline(config: RandomBaselineConfig, test_labels: Sequence[int]) -> BaselineResult:
-    """Mean and std of (precision, recall, f2) over independent random runs,
-    each predicting relapse per window with the training prevalence."""
-    labels = np.asarray(test_labels, dtype=np.int64)
-    rng = np.random.default_rng(_seed_sequence(config.seed))
-    ratios = np.full(labels.size, config.relapse_ratio)
-    return baseline_over_runs(labels, ratios, config.runs, rng)
 
 
 def baseline_over_runs(
     labels: np.ndarray, ratios: np.ndarray, runs: int, rng: np.random.Generator
 ) -> BaselineResult:
-    """Shared core: per-window relapse probabilities may differ (one per fold)."""
+    """Mean and std of (precision, recall, f2) over independent random runs.
+
+    Each run predicts relapse for window i with probability ratios[i] (the
+    training prevalence of that window's fold).
+    """
     draws = rng.random((runs, labels.size))
     preds = draws < ratios
     pos = labels == 1
@@ -548,5 +493,4 @@ def baseline_over_runs(
         fp=float(fp.mean()),
         fn=float(fn.mean()),
         tn=float(tn.mean()),
-        runs=runs,
     )

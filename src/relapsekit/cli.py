@@ -11,7 +11,6 @@ experiment grids. One `--seed` flag controls all randomness. Exit codes:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -27,15 +26,7 @@ from .dataio import (
     write_metrics,
     write_predictions,
 )
-from .evaluate import (
-    CLASSIFIER_KINDS,
-    EvalReport,
-    ExperimentConfig,
-    run_classifier_comparison,
-    run_lopo,
-    run_modality_ablation,
-    run_selection_ablation,
-)
+from .evaluate import CLASSIFIER_KINDS, GRIDS, EvalReport, ExperimentConfig, run_grid, run_lopo
 from .features import all_window_candidates, extract_all
 from .model import SIGNALS, Signal
 from .synth import ProdromalSpec, SynthConfig, generate
@@ -90,7 +81,7 @@ def _run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threads",
         type=int,
-        default=os.cpu_count() or 1,
+        default=1,
         help="fold-level parallelism; results are independent of this",
     )
 
@@ -141,12 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--predictions", type=Path, default=Path("predictions.csv"), help="per-window predictions output"
     )
 
-    for name, help_text in [
-        ("compare-classifiers", "run every classifier plus the random baseline"),
-        ("ablate-modality", "run one arm per signal modality plus EMA"),
-        ("ablate-selection", "toggle feature selection and demographics"),
-    ]:
-        p_exp = sub.add_parser(name, help=help_text, formatter_class=fmt)
+    for name, grid in GRIDS.items():
+        p_exp = sub.add_parser(name, help=grid.help, formatter_class=fmt)
         _data_flags(p_exp)
         _windowing_flags(p_exp)
         _pipeline_flags(p_exp)
@@ -280,15 +267,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace, command: str) -> int:
+def _cmd_experiment(args: argparse.Namespace) -> int:
     dataset = _load(args)
-    config = _experiment_config(args)
-    runner = {
-        "compare-classifiers": run_classifier_comparison,
-        "ablate-modality": run_modality_ablation,
-        "ablate-selection": run_selection_ablation,
-    }[command]
-    reports = runner(dataset, config, threads=args.threads)
+    reports = run_grid(args.command, dataset, _experiment_config(args), threads=args.threads)
     write_metrics(reports, args.metrics)
     if args.predictions_dir is not None:
         args.predictions_dir.mkdir(parents=True, exist_ok=True)
@@ -312,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_features(args)
         if args.command == "evaluate":
             return _cmd_evaluate(args)
-        return _cmd_experiment(args, args.command)
+        return _cmd_experiment(args)
     except (IngestError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

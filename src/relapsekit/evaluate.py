@@ -1,4 +1,4 @@
-"""Leave-one-patient-out evaluation and the three experiment grids.
+"""Leave-one-patient-out evaluation and the experiment grids.
 
 Every fold holds out all windows of one patient, fits the binning model,
 the age-matched feature selection, and the classifier on the remaining
@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
-from typing import Sequence
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,44 +101,26 @@ class EvalReport:
     metric_std: dict | None = None
 
     def to_dict(self) -> dict:
-        doc = {
-            "experiment": self.experiment,
-            "arm": self.arm,
-            "classifier": self.classifier,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f2": self.f2,
-            "config": self.config,
-            "seed": self.seed,
-            "folds": [
-                {
-                    "patient_id": f.patient_id,
-                    "tp": f.tp,
-                    "fp": f.fp,
-                    "fn": f.fn,
-                    "tn": f.tn,
-                    "train_windows": f.train_windows,
-                    "train_relapse_windows": f.train_relapse_windows,
-                    "selected": list(f.selected) if f.selected is not None else None,
-                    "selected_scores": list(f.selected_scores)
-                    if f.selected_scores is not None
-                    else None,
-                    "warning": f.warning,
-                }
-                for f in self.folds
-            ],
-        }
-        if self.metric_std is not None:
-            doc["metric_std"] = self.metric_std
+        """Every field but `rows`; `metric_std` only when set."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
+        doc["folds"] = [asdict(f) for f in self.folds]
+        if self.metric_std is None:
+            del doc["metric_std"]
         return doc
 
 
-def _config_echo(config: ExperimentConfig) -> dict:
-    return asdict(config)
+# Fit keyword arguments per classifier kind, from the arm config and fold seed.
+FIT_KWARGS: dict[str, Callable[[ExperimentConfig, np.random.SeedSequence], dict[str, Any]]] = {
+    "nb": lambda c, seed: {"alpha": c.nb_alpha, "n_categories": c.bins},
+    "brf": lambda c, seed: {"trees": c.brf_trees, "seed": seed, "decision_threshold": c.decision_threshold},
+    "ee": lambda c, seed: {
+        "bags": c.ee_bags,
+        "rounds": c.ee_rounds,
+        "seed": seed,
+        "decision_threshold": c.decision_threshold,
+    },
+    "iforest": lambda c, seed: {"trees": c.iforest_trees, "subsample": c.iforest_subsample, "seed": seed},
+}
 
 
 def _fit_and_predict(
@@ -149,30 +131,10 @@ def _fit_and_predict(
     seed: np.random.SeedSequence,
 ) -> tuple[np.ndarray, np.ndarray]:
     kind = config.classifier
-    if kind == "nb":
-        model = clf.nb_fit(Xtr, ytr, alpha=config.nb_alpha, n_categories=config.bins)
-        return clf.nb_predict_many(model, Xte)
-    if kind == "brf":
-        model = clf.brf_fit(
-            Xtr, ytr, trees=config.brf_trees, seed=seed, decision_threshold=config.decision_threshold
-        )
-        return clf.brf_predict_many(model, Xte)
-    if kind == "ee":
-        model = clf.ee_fit(
-            Xtr,
-            ytr,
-            bags=config.ee_bags,
-            rounds=config.ee_rounds,
-            seed=seed,
-            decision_threshold=config.decision_threshold,
-        )
-        return clf.ee_predict_many(model, Xte)
-    if kind == "iforest":
-        model = clf.iforest_fit(
-            Xtr, ytr, trees=config.iforest_trees, subsample=config.iforest_subsample, seed=seed
-        )
-        return clf.iforest_predict_many(model, Xte)
-    raise ValueError(f"unknown classifier {kind!r}")
+    # Resolved on the module at call time, so wrappers installed on
+    # `classifiers.<kind>_fit` / `_predict_many` see every call.
+    model = getattr(clf, f"{kind}_fit")(Xtr, ytr, **FIT_KWARGS[kind](config, seed))
+    return getattr(clf, f"{kind}_predict_many")(model, Xte)
 
 
 def _confusion(labels: np.ndarray, predicted: np.ndarray) -> tuple[int, int, int, int]:
@@ -305,7 +267,7 @@ def run_lopo(
         recall=recall,
         f2=f2,
         folds=folds,
-        config=_config_echo(config),
+        config=asdict(config),
         seed=config.seed,
     )
 
@@ -361,7 +323,7 @@ def _run_random_baseline(
         recall=result.recall,
         f2=result.f2,
         folds=folds,
-        config=_config_echo(config),
+        config=asdict(config),
         seed=config.seed,
         metric_std={
             "precision": result.precision_std,
@@ -371,66 +333,58 @@ def _run_random_baseline(
     )
 
 
-def run_classifier_comparison(
-    dataset: Dataset, base_config: ExperimentConfig, threads: int = 1
-) -> list[EvalReport]:
-    """All five classifier arms on an identical pipeline; one report each."""
-    windows = extract_all(dataset, base_config.windowing)
-    return [
-        run_lopo(
-            dataset,
-            replace(base_config, classifier=kind),
-            threads=threads,
-            experiment="compare-classifiers",
-            arm=kind,
-            windows=windows,
-        )
-        for kind in CLASSIFIER_KINDS
-    ]
+class Grid(NamedTuple):
+    """One experiment grid: named arms as ExperimentConfig overrides."""
+
+    help: str
+    arms: tuple[tuple[str, dict[str, Any]], ...]
+    ranked: bool = False  # reports sorted by F2, best first
 
 
-def run_modality_ablation(
-    dataset: Dataset, base_config: ExperimentConfig, threads: int = 1
+GRIDS: dict[str, Grid] = {
+    "compare-classifiers": Grid(
+        "run every classifier plus the random baseline",
+        tuple((kind, {"classifier": kind}) for kind in CLASSIFIER_KINDS),
+    ),
+    "ablate-modality": Grid(
+        "run one arm per signal modality plus EMA",
+        tuple(
+            (modality, {"modality": modality, "include_demographics": True})
+            for modality in [s.value for s in SIGNALS] + ["ema"]
+        ),
+        ranked=True,
+    ),
+    "ablate-selection": Grid(
+        "toggle feature selection and demographics",
+        (
+            ("selection_with_demographics", {"selection": True, "include_demographics": True}),
+            ("no_feature_selection", {"selection": False, "include_demographics": True}),
+            ("no_demographics", {"selection": True, "include_demographics": False}),
+        ),
+    ),
+}
+
+
+def run_grid(
+    experiment: str, dataset: Dataset, base_config: ExperimentConfig, threads: int = 1
 ) -> list[EvalReport]:
-    """One arm per signal plus an EMA arm, demographics always included,
-    sorted by F2 descending."""
+    """Every arm of GRIDS[experiment] over one shared feature extraction."""
+    grid = GRIDS[experiment]
     windows = extract_all(dataset, base_config.windowing)
     reports = [
         run_lopo(
             dataset,
-            replace(base_config, modality=modality, include_demographics=True),
+            replace(base_config, **overrides),
             threads=threads,
-            experiment="ablate-modality",
-            arm=modality,
+            experiment=experiment,
+            arm=arm,
             windows=windows,
         )
-        for modality in [s.value for s in SIGNALS] + ["ema"]
+        for arm, overrides in grid.arms
     ]
-    reports.sort(key=lambda r: -r.f2)
+    if grid.ranked:
+        reports.sort(key=lambda r: -r.f2)
     return reports
-
-
-def run_selection_ablation(
-    dataset: Dataset, base_config: ExperimentConfig, threads: int = 1
-) -> list[EvalReport]:
-    """Feature selection on/off and demographics in/out of the candidate set."""
-    windows = extract_all(dataset, base_config.windowing)
-    arms = [
-        ("selection_with_demographics", True, True),
-        ("no_feature_selection", False, True),
-        ("no_demographics", True, False),
-    ]
-    return [
-        run_lopo(
-            dataset,
-            replace(base_config, selection=selection, include_demographics=demographics),
-            threads=threads,
-            experiment="ablate-selection",
-            arm=name,
-            windows=windows,
-        )
-        for name, selection, demographics in arms
-    ]
 
 
 __all__ = [
@@ -438,11 +392,10 @@ __all__ = [
     "EvalReport",
     "ExperimentConfig",
     "FoldReport",
+    "GRIDS",
     "PredictionRow",
     "f2_from_counts",
     "f2_score",
-    "run_classifier_comparison",
+    "run_grid",
     "run_lopo",
-    "run_modality_ablation",
-    "run_selection_ablation",
 ]

@@ -18,11 +18,11 @@ import pytest
 from conftest import day, make_constant_dataset, make_patient
 from relapsekit.cli import main
 from relapsekit.dataio import load_dataset
-from relapsekit.evaluate import ExperimentConfig, run_classifier_comparison, run_lopo
+from relapsekit.evaluate import ExperimentConfig, run_grid, run_lopo
 from relapsekit.features import extract_all
 from relapsekit.metrics import f2_from_counts, f2_score
 from relapsekit.model import FEATURE_INDEX, SIGNALS, canonical_feature_names
-from relapsekit.classifiers import nb_fit, nb_predict
+from relapsekit.classifiers import nb_fit, nb_predict_many
 from relapsekit.synth import ProdromalSpec, SynthConfig, generate
 from relapsekit.templates import (
     DailyTemplate,
@@ -98,7 +98,7 @@ def test_criterion_2_nb_oracle_equivalence():
         model = nb_fit(X, y, alpha=1.0, n_categories=15)
         queries = np.vstack([X[: min(10, n)], rng.integers(0, 15, size=(10, m))])
         for q in queries:
-            got, _ = nb_predict(model, q)
+            (got,), _ = nb_predict_many(model, q[None, :])
             want = nb_oracle_label(X.tolist(), y.tolist(), q.tolist(), alpha=1.0, k=15)
             assert got == want
             checked += 1
@@ -342,7 +342,7 @@ def test_criterion_9_real_dataset_bands():
     assert 2386 * 0.85 <= total <= 2386 * 1.15
     assert 19 <= relapse <= 27
 
-    reports = run_classifier_comparison(ds, ExperimentConfig(seed=0), threads=os.cpu_count() or 1)
+    reports = run_grid("compare-classifiers", ds, ExperimentConfig(seed=0), threads=os.cpu_count() or 1)
     by_arm = {r.arm: r for r in reports}
     nb = by_arm["nb"]
     baseline = by_arm["random"]

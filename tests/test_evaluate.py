@@ -8,10 +8,8 @@ from relapsekit.evaluate import (
     ExperimentConfig,
     f2_from_counts,
     f2_score,
-    run_classifier_comparison,
+    run_grid,
     run_lopo,
-    run_modality_ablation,
-    run_selection_ablation,
 )
 from relapsekit.synth import SynthConfig, generate
 
@@ -158,20 +156,20 @@ def test_random_baseline_report_shape(cohort):
 
 
 def test_classifier_comparison_has_five_rows(cohort):
-    reports = run_classifier_comparison(cohort, BASE)
+    reports = run_grid("compare-classifiers", cohort, BASE)
     assert [r.arm for r in reports] == ["nb", "brf", "ee", "iforest", "random"]
     assert all(r.experiment == "compare-classifiers" for r in reports)
 
 
 def test_all_classifiers_at_least_their_baseline_on_separable_cohort(cohort):
-    reports = run_classifier_comparison(cohort, BASE)
+    reports = run_grid("compare-classifiers", cohort, BASE)
     by_arm = {r.arm: r for r in reports}
     for arm in ("nb", "brf", "ee", "iforest"):
         assert by_arm[arm].f2 >= by_arm["random"].f2
 
 
 def test_modality_ablation_shape_and_ranking(cohort):
-    reports = run_modality_ablation(cohort, BASE)
+    reports = run_grid("ablate-modality", cohort, BASE)
     assert len(reports) == 7
     f2s = [r.f2 for r in reports]
     assert f2s == sorted(f2s, reverse=True)
@@ -189,7 +187,7 @@ def test_modality_arm_candidate_counts(cohort):
 
 
 def test_selection_ablation_arms(cohort):
-    reports = run_selection_ablation(cohort, BASE)
+    reports = run_grid("ablate-selection", cohort, BASE)
     assert [r.arm for r in reports] == [
         "selection_with_demographics",
         "no_feature_selection",
