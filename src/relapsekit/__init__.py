@@ -12,7 +12,7 @@ from .dataio import Dataset, IngestError, load_dataset, write_metrics, write_pre
 from .evaluate import GRIDS, EvalReport, ExperimentConfig, run_grid, run_lopo
 from .features import FeatureWindow, extract_all, extract_features
 from .metrics import f2_from_counts, f2_score
-from .model import FEATURE_NAMES, EmaRecord, HourlySample, Patient, Signal, canonical_feature_names
+from .model import FEATURE_NAMES, EmaRecord, Patient, Signal, canonical_feature_names
 from .synth import ProdromalSpec, RhythmSpec, SynthConfig, generate
 from .windowing import WindowSpec, WindowingConfig, enumerate_windows
 
@@ -26,7 +26,6 @@ __all__ = [
     "FEATURE_NAMES",
     "FeatureWindow",
     "GRIDS",
-    "HourlySample",
     "IngestError",
     "Patient",
     "ProdromalSpec",

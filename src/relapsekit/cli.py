@@ -172,7 +172,9 @@ def _load(args: argparse.Namespace):
     for path in (sensors, ema, patients, relapses):
         if not path.exists():
             raise ValueError(f"input file not found: {path}")
-    return load_dataset(sensors, ema, patients, relapses)
+    dataset = load_dataset(sensors, ema, patients, relapses)
+    print(f"ingest_excluded={len(dataset.ingest_exclusions)}")
+    return dataset
 
 
 def _windowing_config(args: argparse.Namespace) -> WindowingConfig:

@@ -9,9 +9,11 @@ Input files are UTF-8 CSV with a header row and ISO-8601 dates:
 
 Validation failures raise IngestError naming the file and line. Rows that
 are valid but fall outside an explicitly declared observation span are
-excluded, never silently: each exclusion is recorded with a reason code.
-All writers are deterministic — the same in-memory object always produces
-byte-identical files.
+excluded as they are read, never silently: each exclusion is recorded, in
+file order, with a reason code. Sensor rows are averaged per
+(patient, date, signal, hour) into one dense `(days, 6, 24)` array per
+patient (`Dataset.sensors`). All writers are deterministic — the same
+in-memory object always produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import date as Date
+from datetime import timedelta
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .model import EMA_ITEM_COUNT, FEATURE_NAMES, EmaRecord, Patient, Signal
+from .model import EMA_ITEM_COUNT, FEATURE_NAMES, SIGNALS, EmaRecord, Patient
 from .templates import HOURS_PER_DAY
 from .windowing import WindowSpec
 
@@ -70,13 +73,15 @@ class IngestExclusion:
 class Dataset:
     """The validated in-memory cohort.
 
-    `hourly` maps (patient_id, signal) to per-date 24-slot arrays of hourly
-    means (NaN where no samples), i.e. duplicate rows are already averaged.
-    Treat instances as immutable.
+    `sensors` maps each patient_id to one `(days, 6, 24)` float array of
+    hourly means: day 0 is the patient's observation_start, signals are in
+    `SIGNALS` order, and NaN marks an hour with no samples, so an all-NaN day
+    is a day without data. Duplicate rows are already averaged. Treat
+    instances as immutable.
     """
 
     patients: tuple[Patient, ...]
-    hourly: dict[tuple[str, Signal], dict[Date, np.ndarray]]
+    sensors: dict[str, np.ndarray]
     ema: dict[str, dict[Date, EmaRecord]]
     ingest_exclusions: tuple[IngestExclusion, ...] = field(default_factory=tuple)
 
@@ -88,13 +93,9 @@ class Dataset:
 
     def sensor_dates(self, patient_id: str) -> set[Date]:
         """Dates on which the patient has at least one hourly sample of any signal."""
-        dates: set[Date] = set()
-        for signal in Signal:
-            dates.update(self.hourly.get((patient_id, signal), {}))
-        return dates
-
-    def hourly_values(self, patient_id: str, signal: Signal, date: Date) -> np.ndarray | None:
-        return self.hourly.get((patient_id, signal), {}).get(date)
+        start = self.patient(patient_id).observation_start
+        has_data = ~np.isnan(self.sensors[patient_id]).all(axis=(1, 2))
+        return {start + timedelta(days=d) for d in np.flatnonzero(has_data).tolist()}
 
     def ema_records(self, patient_id: str) -> dict[Date, EmaRecord]:
         return self.ema.get(patient_id, {})
@@ -112,13 +113,10 @@ def load_dataset(
     date over that patient's sensor and EMA rows.
     """
     raw_patients = _read_patients(Path(patients_path))
-    known = set(raw_patients)
-
-    sums, counts, sensor_rows, sensor_dates = _read_sensors(Path(sensors_path), known)
-    ema_rows = _read_ema(Path(ema_path), known)
-    relapses = _read_relapses(Path(relapses_path), known)
-
     exclusions: list[IngestExclusion] = []
+    sensor_days = _read_sensors(Path(sensors_path), raw_patients, exclusions)
+    ema = _read_ema(Path(ema_path), raw_patients, exclusions)
+    relapses = _read_relapses(Path(relapses_path), set(raw_patients))
 
     # Resolve spans: explicit where declared, otherwise inferred from data.
     spans: dict[str, tuple[Date, Date]] = {}
@@ -126,7 +124,7 @@ def load_dataset(
         if raw.span is not None:
             spans[pid] = raw.span
             continue
-        dates = set(sensor_dates.get(pid, ())) | {d for d, _, _ in ema_rows.get(pid, ())}
+        dates = set(sensor_days.get(pid, ())) | set(ema.get(pid, ()))
         if not dates:
             raise IngestError(
                 str(patients_path),
@@ -134,30 +132,6 @@ def load_dataset(
                 f"patient {pid} has no observation span and no data rows to infer one",
             )
         spans[pid] = (min(dates), max(dates))
-
-    # Fold sensor accumulators into per-day hourly mean arrays, dropping rows
-    # outside an explicitly declared span (with a logged reason).
-    hourly: dict[tuple[str, Signal], dict[Date, np.ndarray]] = {}
-    for (pid, signal, date), total in sums.items():
-        start, end = spans[pid]
-        if not start <= date <= end:
-            for line in sensor_rows[(pid, signal, date)]:
-                exclusions.append(IngestExclusion(str(sensors_path), line, EXCLUDED_OUTSIDE_SPAN))
-            continue
-        cnt = counts[(pid, signal, date)]
-        values = np.full(HOURS_PER_DAY, np.nan)
-        present = cnt > 0
-        values[present] = total[present] / cnt[present]
-        hourly.setdefault((pid, signal), {})[date] = values
-
-    ema: dict[str, dict[Date, EmaRecord]] = {}
-    for pid, records in ema_rows.items():
-        start, end = spans[pid]
-        for date, items, line in records:
-            if not start <= date <= end:
-                exclusions.append(IngestExclusion(str(ema_path), line, EXCLUDED_OUTSIDE_SPAN))
-                continue
-            ema.setdefault(pid, {})[date] = EmaRecord(pid, date, items)
 
     patients = []
     for pid in sorted(raw_patients):
@@ -185,10 +159,19 @@ def load_dataset(
 
     return Dataset(
         patients=tuple(patients),
-        hourly=hourly,
+        sensors={pid: _hourly_means(sensor_days.get(pid, {}), *spans[pid]) for pid in sorted(spans)},
         ema=ema,
         ingest_exclusions=tuple(exclusions),
     )
+
+
+def _hourly_means(days: dict[Date, np.ndarray], start: Date, end: Date) -> np.ndarray:
+    """Lay per-day `(2, 6, 24)` sums/counts on the span's day axis and divide."""
+    acc = np.zeros(((end - start).days + 1, 2, len(SIGNALS), HOURS_PER_DAY))
+    for date, day_acc in days.items():
+        acc[(date - start).days] = day_acc
+    with np.errstate(invalid="ignore"):  # 0/0 -> NaN: no samples in that hour
+        return acc[:, 0] / acc[:, 1]
 
 
 @dataclass
@@ -203,6 +186,11 @@ def _open_rows(path: Path) -> Iterable[tuple[int, list[str]]]:
     with path.open(newline="", encoding="utf-8") as handle:
         for line_no, row in enumerate(csv.reader(handle), start=1):
             yield line_no, row
+
+
+def _outside_span(raw: _RawPatient, date: Date) -> bool:
+    """True for a date outside a declared span; inferred spans exclude nothing."""
+    return raw.span is not None and not raw.span[0] <= date <= raw.span[1]
 
 
 def _check_header(path: Path, row: list[str], expected: list[str]) -> None:
@@ -260,12 +248,12 @@ def _read_patients(path: Path) -> dict[str, _RawPatient]:
     return patients
 
 
-def _read_sensors(path: Path, known: set[str]) -> tuple[dict, dict, dict, dict[str, set[Date]]]:
-    sums: dict[tuple[str, Signal, Date], np.ndarray] = {}
-    counts: dict[tuple[str, Signal, Date], np.ndarray] = {}
-    row_lines: dict[tuple[str, Signal, Date], list[int]] = {}
-    dates_by_patient: dict[str, set[Date]] = {}
-    signal_names = {s.value for s in Signal}
+def _read_sensors(
+    path: Path, patients: dict[str, _RawPatient], exclusions: list[IngestExclusion]
+) -> dict[str, dict[Date, np.ndarray]]:
+    """Per patient and date, a `(2, 6, 24)` array of hourly sums and counts."""
+    days: dict[str, dict[Date, np.ndarray]] = {}
+    signal_index = {s.value: i for i, s in enumerate(SIGNALS)}
 
     for line_no, row in _open_rows(path):
         if line_no == 1:
@@ -276,7 +264,7 @@ def _read_sensors(path: Path, known: set[str]) -> tuple[dict, dict, dict, dict[s
         if len(row) != 5:
             raise IngestError(str(path), line_no, f"expected 5 fields, got {len(row)}")
         pid, date_text, hour_text, signal_text, value_text = row
-        if pid not in known:
+        if pid not in patients:
             raise IngestError(str(path), line_no, f"unknown patient_id {pid}")
         date = _parse_date(path, line_no, date_text)
         try:
@@ -285,7 +273,7 @@ def _read_sensors(path: Path, known: set[str]) -> tuple[dict, dict, dict, dict[s
             raise IngestError(str(path), line_no, f"non-integer hour {hour_text!r}") from exc
         if not 0 <= hour <= HOURS_PER_DAY - 1:
             raise IngestError(str(path), line_no, f"hour out of range: {hour}")
-        if signal_text not in signal_names:
+        if signal_text not in signal_index:
             raise IngestError(str(path), line_no, f"unknown signal name {signal_text!r}")
         try:
             value = float(value_text)
@@ -293,22 +281,25 @@ def _read_sensors(path: Path, known: set[str]) -> tuple[dict, dict, dict, dict[s
             raise IngestError(str(path), line_no, f"non-numeric value {value_text!r}") from exc
         if not math.isfinite(value) or value < 0:
             raise IngestError(str(path), line_no, f"value must be finite and >= 0, got {value_text}")
+        if _outside_span(patients[pid], date):
+            exclusions.append(IngestExclusion(str(path), line_no, EXCLUDED_OUTSIDE_SPAN))
+            continue
 
-        key = (pid, Signal(signal_text), date)
-        if key not in sums:
-            sums[key] = np.zeros(HOURS_PER_DAY)
-            counts[key] = np.zeros(HOURS_PER_DAY)
-            row_lines[key] = []
-        sums[key][hour] += value
-        counts[key][hour] += 1
-        row_lines[key].append(line_no)
-        dates_by_patient.setdefault(pid, set()).add(date)
+        by_date = days.setdefault(pid, {})
+        acc = by_date.get(date)
+        if acc is None:
+            acc = by_date[date] = np.zeros((2, len(SIGNALS), HOURS_PER_DAY))
+        si = signal_index[signal_text]
+        acc[0, si, hour] += value
+        acc[1, si, hour] += 1
 
-    return sums, counts, row_lines, dates_by_patient
+    return days
 
 
-def _read_ema(path: Path, known: set[str]) -> dict[str, list[tuple[Date, tuple[int, ...], int]]]:
-    records: dict[str, list[tuple[Date, tuple[int, ...], int]]] = {}
+def _read_ema(
+    path: Path, patients: dict[str, _RawPatient], exclusions: list[IngestExclusion]
+) -> dict[str, dict[Date, EmaRecord]]:
+    records: dict[str, dict[Date, EmaRecord]] = {}
     seen: set[tuple[str, Date]] = set()
     for line_no, row in _open_rows(path):
         if line_no == 1:
@@ -321,7 +312,7 @@ def _read_ema(path: Path, known: set[str]) -> dict[str, list[tuple[Date, tuple[i
                 str(path), line_no, f"expected {2 + EMA_ITEM_COUNT} fields, got {len(row)}"
             )
         pid = row[0]
-        if pid not in known:
+        if pid not in patients:
             raise IngestError(str(path), line_no, f"unknown patient_id {pid}")
         date = _parse_date(path, line_no, row[1])
         items = []
@@ -338,7 +329,10 @@ def _read_ema(path: Path, known: set[str]) -> dict[str, list[tuple[Date, tuple[i
         if (pid, date) in seen:
             raise IngestError(str(path), line_no, f"duplicate EMA record for {pid} on {date}")
         seen.add((pid, date))
-        records.setdefault(pid, []).append((date, tuple(items), line_no))
+        if _outside_span(patients[pid], date):
+            exclusions.append(IngestExclusion(str(path), line_no, EXCLUDED_OUTSIDE_SPAN))
+            continue
+        records.setdefault(pid, {})[date] = EmaRecord(pid, date, tuple(items))
     return records
 
 
@@ -400,21 +394,16 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
     with paths["sensors"].open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_SENSOR_HEADER)
+        signal_names = [s.value for s in SIGNALS]
         for p in sorted(dataset.patients, key=lambda p: p.patient_id):
-            by_signal = {
-                signal: dataset.hourly.get((p.patient_id, signal), {}) for signal in Signal
-            }
-            all_dates = sorted({d for days in by_signal.values() for d in days})
-            for date in all_dates:
-                for signal in Signal:
-                    values = by_signal[signal].get(date)
-                    if values is None:
-                        continue
-                    for hour in range(HOURS_PER_DAY):
-                        if not np.isnan(values[hour]):
-                            writer.writerow(
-                                [p.patient_id, date.isoformat(), hour, signal.value, _fmt(values[hour])]
-                            )
+            cube = dataset.sensors[p.patient_id]
+            dates = [(p.observation_start + timedelta(days=d)).isoformat() for d in range(len(cube))]
+            present = ~np.isnan(cube)
+            # argwhere walks C order, i.e. (date, signal, hour): the file order.
+            writer.writerows(
+                [p.patient_id, dates[d], hour, signal_names[si], _fmt(value)]
+                for (d, si, hour), value in zip(np.argwhere(present).tolist(), cube[present].tolist())
+            )
 
     with paths["ema"].open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")

@@ -24,11 +24,11 @@ from .model import (
     FEATURES_PER_SIGNAL,
     SIGNALS,
     TEMPLATE_FEATURE_COUNT,
+    Patient,
     Signal,
 )
 from .templates import (
     DAYTIME_HOURS,
-    DailyTemplate,
     WindowTemplates,
     compute_window_templates,
     daily_average_stats,
@@ -57,26 +57,19 @@ class FeatureWindow:
         return self.spec.label
 
 
-def daily_templates_for(
-    dataset: Dataset, patient_id: str, signal: Signal, start: Date, days: int
-) -> list[DailyTemplate]:
-    """Daily templates for the days in [start, start + days) that have data."""
-    by_date = dataset.hourly.get((patient_id, signal), {})
-    out = []
-    for offset in range(days):
-        date = start + timedelta(days=offset)
-        values = by_date.get(date)
-        if values is not None:
-            out.append(DailyTemplate(patient_id, date, signal, values))
-    return out
+def _sensor_days(dataset: Dataset, patient: Patient, signal_index: int, start: Date, days: int) -> np.ndarray:
+    """The `(n, 24)` daily templates of one signal for [start, start + days)
+    within the observation span; days without data are all-missing rows."""
+    offset = (start - patient.observation_start).days
+    lo, hi = max(offset, 0), max(offset + days, 0)
+    return dataset.sensors[patient.patient_id][lo:hi, signal_index]
 
 
 def window_templates_for(
     dataset: Dataset, patient_id: str, signal: Signal, start: Date, days: int
 ) -> WindowTemplates:
-    return compute_window_templates(
-        daily_templates_for(dataset, patient_id, signal, start, days), signal
-    )
+    patient = dataset.patient(patient_id)
+    return compute_window_templates(_sensor_days(dataset, patient, SIGNALS.index(signal), start, days))
 
 
 def extract_features(
@@ -95,8 +88,8 @@ def extract_features(
     values = np.full(FEATURE_COUNT, np.nan)
 
     for si, signal in enumerate(SIGNALS):
-        daily = daily_templates_for(dataset, window.patient_id, signal, window.feature_start, window_days)
-        wt = compute_window_templates(daily, signal)
+        daily = _sensor_days(dataset, patient, si, window.feature_start, window_days)
+        wt = compute_window_templates(daily)
         base = si * FEATURES_PER_SIGNAL
         values[base : base + 6] = mdt_stats(wt.mdt)
         values[base + 6] = ddt_mean(wt.ddt)

@@ -7,7 +7,6 @@ defined here. All types are immutable value objects.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from datetime import date as Date
 from enum import Enum
@@ -103,23 +102,6 @@ def feature_indices_for_modality(modality: str, include_demographics: bool) -> t
     if include_demographics:
         indices.extend(demographic_feature_indices())
     return tuple(indices)
-
-
-@dataclass(frozen=True)
-class HourlySample:
-    """One hourly average of one signal for one patient-day."""
-
-    patient_id: str
-    date: Date
-    hour: int
-    signal: Signal
-    value: float
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.hour <= 23:
-            raise ValueError(f"hour must be in [0, 23], got {self.hour}")
-        if not math.isfinite(self.value) or self.value < 0:
-            raise ValueError(f"value must be finite and >= 0, got {self.value}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .dataio import Dataset, write_dataset
-from .model import EMA_ITEM_COUNT, EmaRecord, Patient, Signal
+from .model import EMA_ITEM_COUNT, SIGNALS, EmaRecord, Patient, Signal
 from .templates import HOURS_PER_DAY
 
 
@@ -106,7 +106,7 @@ def generate(config: SynthConfig, out_dir: str | Path | None = None) -> Dataset:
     )
     width = len(str(max(n, 1)))
     patients: list[Patient] = []
-    hourly: dict[tuple[str, Signal], dict[Date, np.ndarray]] = {}
+    sensors: dict[str, np.ndarray] = {}
     ema: dict[str, dict[Date, EmaRecord]] = {}
 
     days = config.days_per_patient
@@ -129,7 +129,8 @@ def generate(config: SynthConfig, out_dir: str | Path | None = None) -> Dataset:
             onset = max(relapse_day - config.prodrome.onset_days, 0)
             prodromal[onset:relapse_day] = True
 
-        for signal in Signal:
+        cube = np.empty((days, len(SIGNALS), HOURS_PER_DAY))
+        for si, signal in enumerate(SIGNALS):
             spec = config.rhythms[signal]
             curve = _rhythm_curve(spec)
             shifted_curve = _rhythm_curve(spec, config.prodrome.peak_shift_hours)
@@ -142,13 +143,8 @@ def generate(config: SynthConfig, out_dir: str | Path | None = None) -> Dataset:
                 values = values + rng.normal(0.0, spec.noise_std, size=(days, HOURS_PER_DAY))
             values = np.clip(values, 0.0, None)
             present = rng.random((days, HOURS_PER_DAY)) >= config.missing_rate
-
-            by_date = {}
-            for d in range(days):
-                if present[d].any():
-                    row = np.where(present[d], values[d], np.nan)
-                    by_date[start + timedelta(days=d)] = row
-            hourly[(pid, signal)] = by_date
+            cube[:, si] = np.where(present, values, np.nan)
+        sensors[pid] = cube
 
         responded = rng.random(days) < config.ema_per_week / 7.0
         base_p = 0.25
@@ -173,7 +169,7 @@ def generate(config: SynthConfig, out_dir: str | Path | None = None) -> Dataset:
             )
         )
 
-    dataset = Dataset(patients=tuple(patients), hourly=hourly, ema=ema)
+    dataset = Dataset(patients=tuple(patients), sensors=sensors, ema=ema)
     if out_dir is not None:
         write_dataset(dataset, out_dir)
     return dataset

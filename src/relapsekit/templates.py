@@ -1,22 +1,20 @@
 """Daily 24-point signal templates and their window-level aggregates.
 
 A daily template holds the hourly averages of one signal for one
-patient-day. Over a feature window the daily templates are aggregated
-hour-by-hour into a mean template, a deviation template, and a maximum
-template, from which all rhythm statistics derive. Missing hours stay
-missing (NaN) throughout; statistics use present slots only.
+patient-day: one `(24,)` row of a patient's `(days, 6, 24)` sensor array
+(see `Dataset.sensors`). Over a feature window the daily templates, an
+`(n, 24)` array, are aggregated hour-by-hour into a mean template, a
+deviation template, and a maximum template, from which all rhythm
+statistics derive. Missing hours stay missing (NaN) throughout; statistics
+use present slots only, so an all-missing day contributes nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date as Date
-from typing import Iterable, Sequence
 
 import numpy as np
-
-from .model import HourlySample, Signal
 
 HOURS_PER_DAY = 24
 
@@ -25,98 +23,41 @@ DAYTIME_HOURS = (9, 21)
 
 
 @dataclass(frozen=True)
-class DailyTemplate:
-    """Hourly averages of one signal for one patient-day; NaN = no samples."""
-
-    patient_id: str
-    date: Date
-    signal: Signal
-    hours: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.hours.shape != (HOURS_PER_DAY,):
-            raise ValueError(f"template needs {HOURS_PER_DAY} slots, got {self.hours.shape}")
-
-
-@dataclass(frozen=True)
 class WindowTemplates:
     """Per-hour mean / deviation / maximum templates over one feature window."""
 
-    signal: Signal
     mdt: np.ndarray
     ddt: np.ndarray
     mxdt: np.ndarray
     days_present: int
 
 
-def build_daily_template(
-    samples: Iterable[HourlySample],
-    *,
-    patient_id: str | None = None,
-    date: Date | None = None,
-    signal: Signal | None = None,
-) -> DailyTemplate:
-    """Average hourly samples of one patient-day-signal into a 24-slot template.
-
-    All samples must share the same key; key arguments are only required when
-    `samples` is empty (a known day with no recordings).
-    """
-    samples = list(samples)
-    if samples:
-        first = samples[0]
-        patient_id, date, signal = first.patient_id, first.date, first.signal
-        for s in samples[1:]:
-            if (s.patient_id, s.date, s.signal) != (patient_id, date, signal):
-                raise ValueError(
-                    f"mixed sample keys: ({s.patient_id}, {s.date}, {s.signal.value}) vs "
-                    f"({patient_id}, {date}, {signal.value})"
-                )
-    elif patient_id is None or date is None or signal is None:
-        raise ValueError("empty input requires explicit patient_id, date, and signal")
-
-    totals = np.zeros(HOURS_PER_DAY)
-    counts = np.zeros(HOURS_PER_DAY)
-    for s in samples:
-        totals[s.hour] += s.value
-        counts[s.hour] += 1
-    hours = np.full(HOURS_PER_DAY, np.nan)
-    present = counts > 0
-    hours[present] = totals[present] / counts[present]
-    return DailyTemplate(patient_id=patient_id, date=date, signal=signal, hours=hours)
-
-
-def compute_window_templates(
-    daily_templates: Sequence[DailyTemplate], signal: Signal
-) -> WindowTemplates:
-    """Aggregate a window's daily templates hour-by-hour.
+def compute_window_templates(days: np.ndarray) -> WindowTemplates:
+    """Aggregate a window's `(n, 24)` daily templates hour-by-hour.
 
     Per hour, over the days where that hour is present: mean, population
-    standard deviation, and maximum. A slot is missing iff no contributing
-    day has it. Empty input yields all-missing templates.
+    standard deviation, and maximum. A slot is missing iff no day has it.
+    No days yields all-missing templates.
     """
-    for t in daily_templates:
-        if t.signal != signal:
-            raise ValueError(f"template signal {t.signal.value} does not match {signal.value}")
-    if not daily_templates:
+    if len(days) == 0:
         empty = np.full(HOURS_PER_DAY, np.nan)
-        return WindowTemplates(signal, empty.copy(), empty.copy(), empty.copy(), 0)
+        return WindowTemplates(empty.copy(), empty.copy(), empty.copy(), 0)
 
-    stack = np.stack([t.hours for t in daily_templates])
-    present = ~np.isnan(stack)
+    present = ~np.isnan(days)
     counts = present.sum(axis=0)
-    filled = np.where(present, stack, 0.0)
+    filled = np.where(present, days, 0.0)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         mdt = np.where(counts > 0, filled.sum(axis=0) / counts, np.nan)
-        centered_sq = np.where(present, (stack - mdt) ** 2, 0.0)
+        centered_sq = np.where(present, (days - mdt) ** 2, 0.0)
         ddt = np.where(counts > 0, np.sqrt(centered_sq.sum(axis=0) / counts), np.nan)
-    mxdt = np.where(counts > 0, np.where(present, stack, -np.inf).max(axis=0), np.nan)
+    mxdt = np.where(counts > 0, np.where(present, days, -np.inf).max(axis=0), np.nan)
     # Hourly means can overshoot the hourly max by float rounding; clamp so
     # the mxdt >= mdt invariant holds exactly.
     mdt = np.where(counts > 0, np.minimum(mdt, mxdt), np.nan)
 
     days_present = int(present.any(axis=1).sum())
-    return WindowTemplates(signal, mdt, ddt, mxdt, days_present)
+    return WindowTemplates(mdt, ddt, mxdt, days_present)
 
 
 def mdt_stats(template: np.ndarray) -> np.ndarray:
@@ -192,15 +133,15 @@ def template_distance(
     return float((diff**2).sum())
 
 
-def daily_average_stats(daily_templates: Sequence[DailyTemplate]) -> tuple[float, float]:
-    """Mean and population std of the per-day signal averages.
+def daily_average_stats(days: np.ndarray) -> tuple[float, float]:
+    """Mean and population std of the per-day averages of `(n, 24)` templates.
 
     A day's average is the mean of its present slots; days with no samples
     are skipped. Returns (NaN, NaN) when no day has data.
     """
     averages = []
-    for t in daily_templates:
-        values = t.hours[~np.isnan(t.hours)]
+    for row in days:
+        values = row[~np.isnan(row)]
         if values.size:
             averages.append(values.mean())
     if not averages:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from relapsekit.dataio import Dataset
-from relapsekit.model import EmaRecord, Patient, Signal
+from relapsekit.model import SIGNALS, EmaRecord, Patient
 
 BASE_DATE = Date(2021, 1, 4)
 
@@ -17,10 +17,6 @@ BASE_DATE = Date(2021, 1, 4)
 def day(k: int) -> Date:
     """k days after the common fixture start date."""
     return BASE_DATE + timedelta(days=k)
-
-
-def constant_hourly(n_days: int, value: float, start: Date = BASE_DATE) -> dict[Date, np.ndarray]:
-    return {start + timedelta(days=d): np.full(24, float(value)) for d in range(n_days)}
 
 
 def make_patient(
@@ -48,19 +44,18 @@ def make_constant_dataset(
     ema_every_day: bool = True,
 ) -> Dataset:
     """Every signal constant at `value` for every hour of every observed day."""
-    hourly: dict[tuple[str, Signal], dict[Date, np.ndarray]] = {}
+    sensors: dict[str, np.ndarray] = {}
     ema: dict[str, dict[Date, EmaRecord]] = {}
     for p in patients:
         n_days = (p.observation_end - p.observation_start).days + 1
-        for signal in Signal:
-            hourly[(p.patient_id, signal)] = constant_hourly(n_days, value, p.observation_start)
+        sensors[p.patient_id] = np.full((n_days, len(SIGNALS), 24), float(value))
         records = {}
         if ema_every_day:
             for d in range(n_days):
                 when = p.observation_start + timedelta(days=d)
                 records[when] = EmaRecord(p.patient_id, when, ema_items)
         ema[p.patient_id] = records
-    return Dataset(patients=tuple(patients), hourly=hourly, ema=ema)
+    return Dataset(patients=tuple(patients), sensors=sensors, ema=ema)
 
 
 @pytest.fixture

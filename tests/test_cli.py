@@ -129,7 +129,7 @@ def test_evaluate_stdout_key_value_lines(cohort_dir, tmp_path, capsys):
     )
     lines = capsys.readouterr().out.strip().splitlines()
     keys = [line.split("=")[0] for line in lines]
-    for expected in ("classifier", "windows", "tp", "precision", "recall", "f2"):
+    for expected in ("ingest_excluded", "classifier", "windows", "tp", "precision", "recall", "f2"):
         assert expected in keys
 
 
@@ -209,3 +209,36 @@ def test_parser_enumerates_all_subcommands():
     text = parser.format_help()
     for name in ("synth", "features", "evaluate", "compare-classifiers", "ablate-modality", "ablate-selection"):
         assert name in text
+
+
+def test_ingest_exclusions_are_counted_on_stdout(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "patients.csv").write_text(
+        "patient_id,age,education_years,observation_start,observation_end\n"
+        "pa,40,10,2021-01-04,2021-01-31\n"
+    )
+    (data / "sensors.csv").write_text(
+        "patient_id,date,hour,signal,value\n"
+        "pa,2021-01-04,3,call_duration,1\n"
+        "pa,2021-02-10,3,call_duration,1\n"  # after the declared span
+    )
+    (data / "ema.csv").write_text(
+        "patient_id,date," + ",".join(f"item_{i}" for i in range(1, 11)) + "\n"
+        "pa,2021-01-03,0,0,0,0,0,0,0,0,0,0\n"  # before the declared span
+        "pa,2021-01-05,0,0,0,0,0,0,0,0,0,0\n"
+    )
+    (data / "relapses.csv").write_text("patient_id,relapse_date\n")
+    code = main(
+        [
+            "features",
+            "--data",
+            str(data),
+            "--out",
+            str(tmp_path / "f.csv"),
+            "--exclusions",
+            str(tmp_path / "x.csv"),
+        ]
+    )
+    assert code == 0
+    assert "ingest_excluded=2" in capsys.readouterr().out.splitlines()

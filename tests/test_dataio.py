@@ -15,13 +15,14 @@ from relapsekit.dataio import (
     write_predictions,
 )
 from relapsekit.evaluate import EvalReport, PredictionRow
-from relapsekit.model import Signal
+from relapsekit.model import SIGNALS, EmaRecord, Signal
 from relapsekit.windowing import WindowingConfig, window_at
 
 SENSOR_HEADER = "patient_id,date,hour,signal,value\n"
 EMA_HEADER = "patient_id,date," + ",".join(f"item_{i}" for i in range(1, 11)) + "\n"
 PATIENT_HEADER = "patient_id,age,education_years\n"
 RELAPSE_HEADER = "patient_id,relapse_date\n"
+CALL = SIGNALS.index(Signal.CALL_DURATION)
 
 
 def write_fixture(
@@ -60,7 +61,8 @@ def test_well_formed_fixture_roundtrip(tmp_path):
     pa = ds.patient("pa")
     assert pa.observation_start == Date(2021, 1, 4)
     assert pa.observation_end == Date(2021, 1, 13)  # inferred from data
-    values = ds.hourly_values("pa", Signal.CALL_DURATION, Date(2021, 1, 4))
+    values = ds.sensors["pa"][0, CALL]
+    assert ds.sensors["pa"].shape == (10, 6, 24)
     assert values[8] == 1.5 and values[9] == 1.5 and np.isnan(values[0])
     assert ds.ema_records("pa")[Date(2021, 1, 5)].items == (0, 1, 2, 3, 0, 1, 2, 3, 0, 1)
 
@@ -68,7 +70,7 @@ def test_well_formed_fixture_roundtrip(tmp_path):
 def test_duplicate_sensor_rows_mean_aggregated(tmp_path):
     sensors = "pa,2021-01-04,3,call_duration,2\npa,2021-01-04,3,call_duration,4\n"
     ds = load(write_fixture(tmp_path, sensors=sensors, patients="pa,40,10\n"))
-    assert ds.hourly_values("pa", Signal.CALL_DURATION, Date(2021, 1, 4))[3] == 3.0
+    assert ds.sensors["pa"][0, CALL, 3] == 3.0
 
 
 @pytest.mark.parametrize(
@@ -152,7 +154,7 @@ def test_explicit_span_rows_outside_are_excluded_not_dropped_silently(tmp_path):
         patient_header="patient_id,age,education_years,observation_start,observation_end\n",
     )
     ds = load(paths)
-    assert ds.hourly_values("pa", Signal.CALL_DURATION, Date(2021, 2, 10)) is None
+    assert ds.sensors["pa"].shape == (28, 6, 24)  # the declared span, nothing beyond it
     assert ds.ema_records("pa") == {}
     reasons = {(e.file.split("/")[-1], e.line, e.reason) for e in ds.ingest_exclusions}
     assert ("sensors.csv", 3, "outside_observation_span") in reasons
@@ -173,26 +175,19 @@ def test_bad_demographics_reported_with_patients_line(tmp_path):
 
 def test_write_dataset_roundtrip_is_lossless(tmp_path):
     patient = make_patient(pid="pa", n_days=5, relapse_days=(3,))
-    hourly = {
-        (
-            "pa",
-            Signal.CALL_DURATION,
-        ): {day(0): np.where(np.arange(24) == 3, 1.125, np.nan), day(2): np.full(24, 0.1)}
-    }
-    from relapsekit.model import EmaRecord
-
+    sensors = np.full((5, 6, 24), np.nan)
+    sensors[0, CALL, 3] = 1.125
+    sensors[2, CALL] = 0.1
     ds = Dataset(
         patients=(patient,),
-        hourly=hourly,
+        sensors={"pa": sensors},
         ema={"pa": {day(1): EmaRecord("pa", day(1), (0, 1, 2, 3, 0, 1, 2, 3, 0, 1))}},
     )
     paths = write_dataset(ds, tmp_path / "out")
     again = load_dataset(paths["sensors"], paths["ema"], paths["patients"], paths["relapses"])
 
     assert again.patients == ds.patients
-    for key, days in ds.hourly.items():
-        for d, values in days.items():
-            np.testing.assert_array_equal(again.hourly_values(key[0], key[1], d), values)
+    np.testing.assert_array_equal(again.sensors["pa"], sensors)
     assert again.ema_records("pa") == ds.ema_records("pa")
 
 

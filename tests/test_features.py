@@ -10,6 +10,7 @@ from relapsekit.features import extract_all, extract_features
 from relapsekit.model import (
     FEATURE_INDEX,
     FEATURE_NAMES,
+    SIGNALS,
     EmaRecord,
     Signal,
     signal_feature_indices,
@@ -115,7 +116,7 @@ def test_extract_all_window_count_and_order():
 
 
 def test_extract_all_empty_dataset():
-    ds = Dataset(patients=(), hourly={}, ema={})
+    ds = Dataset(patients=(), sensors={}, ema={})
     assert extract_all(ds, CONFIG) == []
 
 
@@ -140,14 +141,12 @@ def shift_dataset(ds: Dataset, days: int) -> Dataset:
         )
         for p in ds.patients
     )
-    hourly = {
-        key: {d + delta: v for d, v in days_map.items()} for key, days_map in ds.hourly.items()
-    }
     ema = {
         pid: {d + delta: EmaRecord(pid, d + delta, r.items) for d, r in records.items()}
         for pid, records in ds.ema.items()
     }
-    return Dataset(patients=patients, hourly=hourly, ema=ema)
+    # Day 0 of each sensor array is the (shifted) observation start.
+    return Dataset(patients=patients, sensors=ds.sensors, ema=ema)
 
 
 def test_date_shift_leaves_feature_values_identical(rng):
@@ -163,31 +162,25 @@ def test_date_shift_leaves_feature_values_identical(rng):
 
 def varied_dataset(rng, pid: str = "p1", n_days: int = 50) -> Dataset:
     patient = make_patient(pid=pid, n_days=n_days)
-    hourly = {}
-    for signal in Signal:
-        by_date = {}
+    sensors = np.empty((n_days, len(SIGNALS), 24))
+    for si in range(len(SIGNALS)):
         for d in range(n_days):
-            values = rng.gamma(2.0, 2.0, size=24)
-            values[rng.random(24) < 0.2] = np.nan
-            if not np.isnan(values).all():
-                by_date[day(d)] = values
-        hourly[(pid, signal)] = by_date
+            sensors[d, si] = rng.gamma(2.0, 2.0, size=24)
+            sensors[d, si, rng.random(24) < 0.2] = np.nan
     ema = {
         pid: {
             day(d): EmaRecord(pid, day(d), tuple(int(v) for v in rng.integers(0, 4, size=10)))
             for d in range(0, n_days, 3)
         }
     }
-    return Dataset(patients=(patient,), hourly=hourly, ema=ema)
+    return Dataset(patients=(patient,), sensors={pid: sensors}, ema=ema)
 
 
 def test_scaling_one_signal_only_touches_its_non_distance_features(rng):
     ds = varied_dataset(rng)
-    scaled_hourly = dict(ds.hourly)
-    scaled_hourly[("p1", Signal.SOUND_LEVEL)] = {
-        d: v * 4.0 for d, v in ds.hourly[("p1", Signal.SOUND_LEVEL)].items()
-    }
-    scaled = Dataset(patients=ds.patients, hourly=scaled_hourly, ema=ds.ema)
+    scaled_sensors = ds.sensors["p1"].copy()
+    scaled_sensors[:, SIGNALS.index(Signal.SOUND_LEVEL)] *= 4.0
+    scaled = Dataset(patients=ds.patients, sensors={"p1": scaled_sensors}, ema=ds.ema)
 
     a = extract_all(ds, CONFIG)
     b = extract_all(scaled, CONFIG)
@@ -211,9 +204,7 @@ def test_extract_features_prev_window_with_no_data_leaves_distances_missing():
     ds = make_constant_dataset([patient])
     # Second window starts day 7; its previous window spans days 0..27. Wipe
     # one signal there so that signal's previous templates are all-missing.
-    ds.hourly[("p1", Signal.LIGHT_LEVEL)] = {
-        d: v for d, v in ds.hourly[("p1", Signal.LIGHT_LEVEL)].items() if d >= day(28)
-    }
+    ds.sensors["p1"][:28, SIGNALS.index(Signal.LIGHT_LEVEL)] = np.nan
     spec = window_at("p1", day(7), (), CONFIG)
     from relapsekit.features import window_templates_for
 

@@ -11,9 +11,7 @@ from relapsekit.model import (
     SIGNALS,
     TEMPLATE_FEATURE_COUNT,
     EmaRecord,
-    HourlySample,
     Patient,
-    Signal,
     canonical_feature_names,
     demographic_feature_indices,
     ema_feature_indices,
@@ -83,16 +81,6 @@ def test_ema_and_demographic_indices():
 )
 def test_modality_candidate_counts(modality, with_demo, expected):
     assert len(feature_indices_for_modality(modality, with_demo)) == expected
-
-
-def test_hourly_sample_bounds():
-    HourlySample("p", Date(2021, 1, 1), 23, Signal.CALL_DURATION, 0.0)
-    with pytest.raises(ValueError):
-        HourlySample("p", Date(2021, 1, 1), 24, Signal.CALL_DURATION, 1.0)
-    with pytest.raises(ValueError):
-        HourlySample("p", Date(2021, 1, 1), 5, Signal.CALL_DURATION, -1.0)
-    with pytest.raises(ValueError):
-        HourlySample("p", Date(2021, 1, 1), 5, Signal.CALL_DURATION, float("nan"))
 
 
 def test_ema_record_validation():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relapsekit.dataio import load_dataset
-from relapsekit.model import Signal
+from relapsekit.model import SIGNALS, Signal
 from relapsekit.synth import DEFAULT_RHYTHMS, ProdromalSpec, RhythmSpec, SynthConfig, generate
 from relapsekit.templates import HOURS_PER_DAY
 
@@ -44,9 +44,9 @@ def test_roundtrip_matches_generated_dataset(tmp_path):
         tmp_path / "sensors.csv", tmp_path / "ema.csv", tmp_path / "patients.csv", tmp_path / "relapses.csv"
     )
     assert again.patients == ds.patients
-    for key, days in ds.hourly.items():
-        for date, values in days.items():
-            np.testing.assert_array_equal(again.hourly_values(key[0], key[1], date), values)
+    assert again.sensors.keys() == ds.sensors.keys()
+    for pid, sensors in ds.sensors.items():
+        np.testing.assert_array_equal(again.sensors[pid], sensors)
 
 
 def test_relapse_fraction_and_middle_placement():
@@ -63,9 +63,8 @@ def test_sample_count_tracks_missing_rate():
     config = small_config(patient_count=3, days_per_patient=40, missing_rate=0.25)
     ds = generate(config)
     for p in ds.patients:
-        for signal in Signal:
-            days_map = ds.hourly[(p.patient_id, signal)]
-            present = sum(int((~np.isnan(v)).sum()) for v in days_map.values())
+        for si in range(len(SIGNALS)):
+            present = int((~np.isnan(ds.sensors[p.patient_id][:, si])).sum())
             total = 40 * HOURS_PER_DAY
             expected = total * 0.75
             sigma = (total * 0.25 * 0.75) ** 0.5
@@ -89,9 +88,9 @@ def test_zero_noise_zero_missing_reproduces_base_rhythm_exactly():
     ds = generate(config)
     from relapsekit.synth import _rhythm_curve
 
-    for signal in Signal:
+    for si, signal in enumerate(SIGNALS):
         curve = _rhythm_curve(rhythms[signal])
-        for values in ds.hourly[("p1", signal)].values():
+        for values in ds.sensors["p1"][:, si]:
             np.testing.assert_array_equal(values, curve)
 
 
@@ -129,11 +128,12 @@ def test_null_magnitude_keeps_prodromal_days_unshifted():
     # same seed, same draws: only the injected shift differs
     relapse_pid = next(p.patient_id for p in ds_base.patients if p.relapse_dates)
     changed = 0
+    base_sensors, null_sensors = ds_base.sensors[relapse_pid], ds_null.sensors[relapse_pid]
     for signal in (Signal.CALL_DURATION, Signal.LIGHT_LEVEL):
-        for date, values in ds_base.hourly[(relapse_pid, signal)].items():
-            other = ds_null.hourly[(relapse_pid, signal)][date]
+        si = SIGNALS.index(signal)
+        for values, other in zip(base_sensors[:, si], null_sensors[:, si]):
             if not np.array_equal(values, other, equal_nan=True):
                 changed += 1
     assert changed > 0  # call_duration prodromal days moved
-    for date, values in ds_base.hourly[(relapse_pid, Signal.LIGHT_LEVEL)].items():
-        np.testing.assert_array_equal(values, ds_null.hourly[(relapse_pid, Signal.LIGHT_LEVEL)][date])
+    light = SIGNALS.index(Signal.LIGHT_LEVEL)
+    np.testing.assert_array_equal(base_sensors[:, light], null_sensors[:, light])

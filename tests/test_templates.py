@@ -5,11 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import day
-from relapsekit.model import HourlySample, Signal
 from relapsekit.templates import (
-    DailyTemplate,
-    build_daily_template,
     compute_window_templates,
     daily_average_stats,
     ddt_mean,
@@ -19,16 +15,6 @@ from relapsekit.templates import (
     template_distance,
 )
 
-CALL = Signal.CALL_DURATION
-
-
-def template_of(present: dict[int, float], d: int = 0) -> DailyTemplate:
-    hours = np.full(24, np.nan)
-    for h, v in present.items():
-        hours[h] = v
-    return DailyTemplate("p1", day(d), CALL, hours)
-
-
 def hours_array(present: dict[int, float]) -> np.ndarray:
     hours = np.full(24, np.nan)
     for h, v in present.items():
@@ -36,51 +22,12 @@ def hours_array(present: dict[int, float]) -> np.ndarray:
     return hours
 
 
-# -- build_daily_template ----------------------------------------------------
-
-
-def test_single_sample_fills_one_slot():
-    t = build_daily_template([HourlySample("p1", day(0), 3, CALL, 5.0)])
-    assert t.hours[3] == 5.0
-    assert np.isnan(np.delete(t.hours, 3)).all()
-
-
-def test_duplicate_hours_are_averaged():
-    t = build_daily_template(
-        [
-            HourlySample("p1", day(0), 3, CALL, 2.0),
-            HourlySample("p1", day(0), 3, CALL, 4.0),
-        ]
-    )
-    assert t.hours[3] == 3.0
-
-
-def test_empty_input_for_known_day_is_all_missing():
-    t = build_daily_template([], patient_id="p1", date=day(0), signal=CALL)
-    assert np.isnan(t.hours).all()
-
-
-def test_empty_input_without_key_rejected():
-    with pytest.raises(ValueError):
-        build_daily_template([])
-
-
-def test_mixed_keys_rejected():
-    with pytest.raises(ValueError, match="mixed"):
-        build_daily_template(
-            [
-                HourlySample("p1", day(0), 3, CALL, 2.0),
-                HourlySample("p1", day(1), 3, CALL, 4.0),
-            ]
-        )
-
-
 # -- compute_window_templates ------------------------------------------------
 
 
 def test_two_day_aggregates_match_hand_computation():
     # hour 3 values {2, 4}: mean 3, population std 1, max 4
-    wt = compute_window_templates([template_of({3: 2.0}), template_of({3: 4.0}, d=1)], CALL)
+    wt = compute_window_templates(np.array([hours_array({3: 2.0}), hours_array({3: 4.0})]))
     assert wt.mdt[3] == 3.0
     assert wt.ddt[3] == 1.0
     assert wt.mxdt[3] == 4.0
@@ -89,21 +36,16 @@ def test_two_day_aggregates_match_hand_computation():
 
 
 def test_single_day_window_has_zero_deviation():
-    wt = compute_window_templates([template_of({3: 2.0, 9: 7.0})], CALL)
+    wt = compute_window_templates(np.array([hours_array({3: 2.0, 9: 7.0})]))
     present = ~np.isnan(wt.ddt)
     assert (wt.ddt[present] == 0.0).all()
     assert np.array_equal(wt.mxdt[present], wt.mdt[present])
 
 
 def test_empty_window_is_all_missing():
-    wt = compute_window_templates([], CALL)
+    wt = compute_window_templates(np.empty((0, 24)))
     assert np.isnan(wt.mdt).all() and np.isnan(wt.ddt).all() and np.isnan(wt.mxdt).all()
     assert wt.days_present == 0
-
-
-def test_window_templates_reject_other_signal():
-    with pytest.raises(ValueError):
-        compute_window_templates([template_of({3: 1.0})], Signal.SOUND_LEVEL)
 
 
 # -- mdt_stats ----------------------------------------------------------------
@@ -208,31 +150,31 @@ def test_distance_invalid_range_rejected():
 
 
 def test_daily_average_stats_examples():
-    two = [template_of({0: 2.0}), template_of({0: 4.0}, d=1)]
+    two = np.array([hours_array({0: 2.0}), hours_array({0: 4.0})])
     assert daily_average_stats(two) == (3.0, 1.0)
 
-    one = [template_of({0: 2.0, 5: 4.0})]
+    one = np.array([hours_array({0: 2.0, 5: 4.0}), hours_array({})])  # a day without data is skipped
     assert daily_average_stats(one) == (3.0, 0.0)
 
-    mean, std = daily_average_stats([])
-    assert math.isnan(mean) and math.isnan(std)
+    for no_data in (np.empty((0, 24)), np.full((3, 24), np.nan)):
+        mean, std = daily_average_stats(no_data)
+        assert math.isnan(mean) and math.isnan(std)
 
 
 # -- randomized property suite -------------------------------------------------
 
 
-def random_window(rng: np.random.Generator, n_days: int | None = None) -> list[DailyTemplate]:
+def random_window(rng: np.random.Generator, n_days: int | None = None) -> np.ndarray:
     n_days = int(rng.integers(0, 29)) if n_days is None else n_days
-    out = []
+    out = np.empty((n_days, 24))
     for d in range(n_days):
-        hours = rng.gamma(2.0, 2.0, size=24)
-        hours[rng.random(24) < rng.uniform(0.0, 0.6)] = np.nan
-        out.append(DailyTemplate("p1", day(d), CALL, hours))
+        out[d] = rng.gamma(2.0, 2.0, size=24)
+        out[d, rng.random(24) < rng.uniform(0.0, 0.6)] = np.nan
     return out
 
 
-def check_window_invariants(daily: list[DailyTemplate]) -> None:
-    wt = compute_window_templates(daily, CALL)
+def check_window_invariants(daily: np.ndarray) -> None:
+    wt = compute_window_templates(daily)
     both = ~np.isnan(wt.mdt)
     assert np.array_equal(both, ~np.isnan(wt.ddt))
     assert np.array_equal(both, ~np.isnan(wt.mxdt))
@@ -255,7 +197,7 @@ def test_randomized_window_invariants(rng):
 
 def test_distance_symmetry_and_zero_iff_equal(rng):
     for _ in range(200):
-        a = normalize_template(random_window(rng, 5)[0].hours if rng.random() < 0.5 else rng.gamma(2, 2, 24))
+        a = normalize_template(random_window(rng, 5)[0] if rng.random() < 0.5 else rng.gamma(2, 2, 24))
         b = normalize_template(rng.gamma(2.0, 2.0, size=24))
         d_ab = template_distance(a, b)
         d_ba = template_distance(b, a)
@@ -273,10 +215,10 @@ def test_statistics_invariant_under_reordering(rng):
     # Reordering permutes float summation order, so compare at 1e-12 rather
     # than bit-for-bit; the pipeline itself always passes date-ordered days.
     daily = random_window(rng, 10)
-    shuffled = list(daily)
+    shuffled = daily.copy()
     rng.shuffle(shuffled)
-    a = compute_window_templates(daily, CALL)
-    b = compute_window_templates(shuffled, CALL)
+    a = compute_window_templates(daily)
+    b = compute_window_templates(shuffled)
     np.testing.assert_allclose(a.mdt, b.mdt, rtol=1e-12, equal_nan=True)
     np.testing.assert_allclose(a.ddt, b.ddt, rtol=1e-12, atol=1e-12, equal_nan=True)
     np.testing.assert_array_equal(a.mxdt, b.mxdt)
@@ -286,14 +228,9 @@ def test_statistics_invariant_under_reordering(rng):
 def test_scaling_samples_scales_aggregates_but_not_normalized(rng):
     for _ in range(50):
         daily = random_window(rng, 8)
-        if not daily:
-            continue
         c = float(rng.uniform(0.1, 10.0))
-        scaled = [
-            DailyTemplate(t.patient_id, t.date, t.signal, t.hours * c) for t in daily
-        ]
-        a = compute_window_templates(daily, CALL)
-        b = compute_window_templates(scaled, CALL)
+        a = compute_window_templates(daily)
+        b = compute_window_templates(daily * c)
         np.testing.assert_allclose(b.mdt, a.mdt * c, rtol=1e-9, equal_nan=True)
         np.testing.assert_allclose(b.ddt, a.ddt * c, rtol=1e-9, atol=1e-12, equal_nan=True)
         np.testing.assert_allclose(b.mxdt, a.mxdt * c, rtol=1e-9, equal_nan=True)
