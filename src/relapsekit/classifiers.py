@@ -6,6 +6,11 @@ baseline. Category codes come from monotone binning of real features, so
 the tree learners treat them as ordinals and split on thresholds. All
 randomness flows from one explicit seed, split deterministically per
 tree / bag / run, so results reproduce bit-for-bit across platforms.
+
+Every tree is one `_Tree` of flat node arrays, walked by one traversal,
+and every split search scans the cuts of `_cuts`. Balanced-forest leaves
+hold the class-1 fraction, EasyEnsemble stumps are 3-node trees with
+leaves of +1/-1, and isolation leaves hold the expected path length.
 """
 
 from __future__ import annotations
@@ -93,54 +98,94 @@ def nb_predict_many(model: CategoricalNBModel, X: np.ndarray) -> tuple[np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# CART trees on ordinal category codes (shared by the balanced forest)
+# One tree core: flat node arrays, one traversal, one cut search
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _TreeNode:
-    prob: float = 0.0
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_TreeNode | None" = None
-    right: "_TreeNode | None" = None
+@dataclass(frozen=True)
+class _Tree:
+    """Flat binary tree; node 0 is the root.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    A row goes left iff `x[feature] <= threshold`. A leaf has `left == -1`
+    and its `value` is the tree's output for every row that reaches it.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def from_nodes(cls, nodes: list[list]) -> _Tree:
+        """From `[feature, threshold, left, right, value]` rows in node order."""
+        return cls(*(np.array(column) for column in zip(*nodes)))
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Leaf value per row; every row not yet at a leaf moves one level per step."""
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        live = np.flatnonzero(self.left[node] >= 0)
+        while live.size:
+            at = node[live]
+            goes_left = X[live, self.feature[at]] <= self.threshold[at]
+            node[live] = np.where(goes_left, self.left[at], self.right[at])
+            live = live[self.left[node[live]] >= 0]
+        return self.value[node]
 
 
-def _best_threshold(values: np.ndarray, labels: np.ndarray) -> tuple[float, float] | None:
-    """Lowest weighted Gini impurity split of one feature; None if unsplittable."""
+def _new_node(nodes: list[list], value: float) -> int:
+    """Append a leaf holding `value` and return its index; a split fills in the rest."""
+    nodes.append([0, 0.0, -1, -1, value])
+    return len(nodes) - 1
+
+
+def _cuts(values: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Every cut of one feature, in ascending threshold order.
+
+    There is one cut after each run of equal values, and the last one sends
+    every row left. Returns each cut's left-row count, its threshold (midway
+    to the next distinct value; the maximum for the last cut) and, for each
+    weight array, the sum of its entries left of the cut.
+    """
     order = np.argsort(values, kind="stable")
     vs = values[order]
-    ys = labels[order]
-    boundaries = np.flatnonzero(vs[:-1] < vs[1:])
-    if boundaries.size == 0:
-        return None
-    n = vs.size
-    cum_pos = np.cumsum(ys)
-    n_left = boundaries + 1.0
-    pos_left = cum_pos[boundaries].astype(float)
+    ends = np.append(np.flatnonzero(vs[:-1] < vs[1:]), vs.size - 1)
+    thresholds = np.append((vs[ends[:-1]] + vs[ends[:-1] + 1]) / 2.0, vs[-1])
+    return ends + 1, thresholds, [np.cumsum(w[order])[ends] for w in weights]
+
+
+# ---------------------------------------------------------------------------
+# Balanced Random Forest: CART trees on ordinal category codes
+# ---------------------------------------------------------------------------
+
+
+def _best_threshold(values: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """(Gini impurity, threshold) of the lowest weighted Gini impurity split of
+    one non-constant feature."""
+    n_left, thresholds, (pos_left,) = _cuts(values, labels)
+    n = values.size
+    total_pos = pos_left[-1]
+    n_left, pos_left = n_left[:-1].astype(float), pos_left[:-1].astype(float)
     n_right = n - n_left
-    pos_right = cum_pos[-1] - pos_left
+    pos_right = total_pos - pos_left
     p_left = pos_left / n_left
     p_right = pos_right / n_right
     gini = (n_left * 2 * p_left * (1 - p_left) + n_right * 2 * p_right * (1 - p_right)) / n
     best = int(np.argmin(gini))
-    cut = boundaries[best]
-    return float(gini[best]), float((vs[cut] + vs[cut + 1]) / 2.0)
+    return float(gini[best]), float(thresholds[best])
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator, mtry: int) -> _TreeNode:
-    """CART with Gini impurity, grown until pure or unsplittable.
+def _grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator, mtry: int, nodes: list[list]) -> list[list]:
+    """CART with Gini impurity, grown until pure or unsplittable; leaves hold
+    the class-1 fraction. Appends the subtree, root first, to `nodes`.
 
     `mtry` features are inspected per split; constant features do not count
     against the budget, and the search keeps going past it until at least
     one valid split has been seen (so separable data always ends pure).
     """
+    at = _new_node(nodes, float(y.mean()))
     if y.size < 2 or y.min() == y.max():
-        return _TreeNode(prob=float(y.mean()))
+        return nodes
     best: tuple[float, float, int] | None = None  # (gini, threshold, feature)
     informative = 0
     for f in rng.permutation(X.shape[1]):
@@ -149,37 +194,23 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator, mtry: int
             continue
         informative += 1
         found = _best_threshold(column, y)
-        if found is not None and (best is None or found[0] < best[0]):
+        if best is None or found[0] < best[0]:
             best = (found[0], found[1], int(f))
-        if informative >= mtry and best is not None:
+        if informative >= mtry:
             break
     if best is None:
-        return _TreeNode(prob=float(y.mean()))
+        return nodes
     _, threshold, feature = best
     mask = X[:, feature] <= threshold
-    node = _TreeNode(feature=feature, threshold=threshold)
-    node.left = _grow_tree(X[mask], y[mask], rng, mtry)
-    node.right = _grow_tree(X[~mask], y[~mask], rng, mtry)
-    return node
-
-
-def _tree_scores(node: _TreeNode, X: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
-    if node.is_leaf:
-        out[idx] = node.prob
-        return
-    mask = X[idx, node.feature] <= node.threshold
-    _tree_scores(node.left, X, idx[mask], out)
-    _tree_scores(node.right, X, idx[~mask], out)
-
-
-# ---------------------------------------------------------------------------
-# Balanced Random Forest
-# ---------------------------------------------------------------------------
+    nodes[at][:3] = feature, threshold, len(nodes)
+    _grow_tree(X[mask], y[mask], rng, mtry, nodes)
+    nodes[at][3] = len(nodes)
+    return _grow_tree(X[~mask], y[~mask], rng, mtry, nodes)
 
 
 @dataclass
 class BalancedRandomForestModel:
-    trees: list[_TreeNode]
+    trees: list[_Tree]
     decision_threshold: float = 0.5
 
 
@@ -195,26 +226,21 @@ def brf_fit(
     y = np.asarray(y, dtype=np.int64)
     _check_two_classes(y)
     mtry = math.ceil(math.sqrt(X.shape[1]))
-    grown: list[_TreeNode] = []
+    grown: list[_Tree] = []
     for child in _seed_sequence(seed).spawn(trees):
         rng = np.random.default_rng(child)
         idx = balanced_bootstrap(y, rng)
-        grown.append(_grow_tree(X[idx], y[idx], rng, mtry))
+        grown.append(_Tree.from_nodes(_grow_tree(X[idx], y[idx], rng, mtry, [])))
     return BalancedRandomForestModel(grown, decision_threshold)
 
 
-def brf_scores(model: BalancedRandomForestModel, X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.int64))
-    total = np.zeros(X.shape[0])
-    scratch = np.empty(X.shape[0])
-    for tree in model.trees:
-        _tree_scores(tree, X, np.arange(X.shape[0]), scratch)
-        total += scratch
-    return total / len(model.trees)
-
-
 def brf_predict_many(model: BalancedRandomForestModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    scores = brf_scores(model, X)
+    """Labels and scores; a row's score is its mean leaf value over the trees."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.int64))
+    scores = np.zeros(X.shape[0])
+    for tree in model.trees:
+        scores += tree.predict(X)
+    scores /= len(model.trees)
     return (scores >= model.decision_threshold).astype(np.int64), scores
 
 
@@ -223,48 +249,40 @@ def brf_predict_many(model: BalancedRandomForestModel, X: np.ndarray) -> tuple[n
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Stump:
-    feature: int
-    threshold: float
-    left_sign: int  # prediction in {-1, +1} for value <= threshold; flipped on the right
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.where(X[:, self.feature] <= self.threshold, self.left_sign, -self.left_sign)
-
-
 @dataclass
 class EasyEnsembleModel:
-    bags: list[list[tuple[float, _Stump]]]
+    bags: list[list[tuple[float, _Tree]]]  # per bag: (alpha, stump) boosting chain
     decision_threshold: float = 0.5
 
 
-def _best_stump(X: np.ndarray, y_pm: np.ndarray, w: np.ndarray) -> tuple[_Stump, float]:
-    """Minimum weighted-error decision stump over all features and cuts."""
+def _stump(feature: int, threshold: float, left_sign: int) -> _Tree:
+    """A depth-1 tree: `left_sign` for value <= threshold, `-left_sign` above it."""
+    return _Tree.from_nodes(
+        [[feature, threshold, 1, 2, 0.0], [0, 0.0, -1, -1, left_sign], [0, 0.0, -1, -1, -left_sign]]
+    )
+
+
+def _best_stump(X: np.ndarray, y_pm: np.ndarray, w: np.ndarray) -> tuple[_Tree, float]:
+    """Minimum weighted-error decision stump over all features and cuts.
+
+    The first minimum in (feature, cut, left sign +1 then -1) order wins.
+    """
     best_err = math.inf
-    best: _Stump | None = None
+    best: tuple[int, float, int] | None = None  # (feature, threshold, left_sign)
     total_pos = float(w[y_pm == 1].sum())
     total = float(w.sum())
+    pos_w = np.where(y_pm == 1, w, 0.0)
+    neg_w = np.where(y_pm == -1, w, 0.0)
     for f in range(X.shape[1]):
-        order = np.argsort(X[:, f], kind="stable")
-        vs = X[order, f]
-        ws = w[order]
-        ys = y_pm[order]
-        # Cut after each run of equal values; the last cut sends every row left.
-        cuts = np.append(np.flatnonzero(vs[:-1] < vs[1:]), vs.size - 1)
-        pos_pref = np.cumsum(np.where(ys == 1, ws, 0.0))[cuts]
-        neg_pref = np.cumsum(np.where(ys == -1, ws, 0.0))[cuts]
+        _, thresholds, (pos_left, neg_left) = _cuts(X[:, f], pos_w, neg_w)
         # left_sign = +1 misclassifies: negatives on the left, positives on the right
-        err_plus = neg_pref + (total_pos - pos_pref)
-        err_minus = total - err_plus
-        for k, cut in enumerate(cuts):
-            threshold = float(vs[cut]) if cut == vs.size - 1 else float((vs[cut] + vs[cut + 1]) / 2.0)
-            for sign, err in ((1, float(err_plus[k])), (-1, float(err_minus[k]))):
-                if err < best_err:
-                    best_err = err
-                    best = _Stump(feature=f, threshold=threshold, left_sign=sign)
-    assert best is not None
-    return best, best_err
+        err_plus = neg_left + (total_pos - pos_left)
+        errs = np.column_stack((err_plus, total - err_plus)).ravel()
+        k = int(np.argmin(errs))
+        if errs[k] < best_err:
+            best_err = float(errs[k])
+            best = (f, float(thresholds[k // 2]), 1 - 2 * (k % 2))
+    return _stump(*best), best_err
 
 
 def ee_fit(
@@ -283,14 +301,14 @@ def ee_fit(
     X = np.asarray(X, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     _check_two_classes(y)
-    fitted: list[list[tuple[float, _Stump]]] = []
+    fitted: list[list[tuple[float, _Tree]]] = []
     for child in _seed_sequence(seed).spawn(bags):
         rng = np.random.default_rng(child)
         idx = balanced_bootstrap(y, rng)
         Xb = X[idx]
         yb = np.where(y[idx] == 1, 1, -1)
         w = np.full(idx.size, 1.0 / idx.size)
-        chain: list[tuple[float, _Stump]] = []
+        chain: list[tuple[float, _Tree]] = []
         for _ in range(rounds):
             stump, err = _best_stump(Xb, yb, w)
             if err <= 0.0:
@@ -306,8 +324,9 @@ def ee_fit(
     return EasyEnsembleModel(fitted, decision_threshold)
 
 
-def ee_scores(model: EasyEnsembleModel, X: np.ndarray) -> np.ndarray:
-    """Mean over bags of the weighted-vote margin, mapped from [-1, 1] to [0, 1]."""
+def ee_predict_many(model: EasyEnsembleModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and scores; a row's score is the mean over bags of the
+    weighted-vote margin, mapped from [-1, 1] to [0, 1]."""
     X = np.atleast_2d(np.asarray(X, dtype=np.int64))
     bag_scores = np.zeros((len(model.bags), X.shape[0]))
     for b, chain in enumerate(model.bags):
@@ -319,11 +338,7 @@ def ee_scores(model: EasyEnsembleModel, X: np.ndarray) -> np.ndarray:
         for alpha, stump in chain:
             vote += alpha * stump.predict(X)
         bag_scores[b] = (vote / alpha_total + 1.0) / 2.0
-    return bag_scores.mean(axis=0)
-
-
-def ee_predict_many(model: EasyEnsembleModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    scores = ee_scores(model, X)
+    scores = bag_scores.mean(axis=0)
     return (scores >= model.decision_threshold).astype(np.int64), scores
 
 
@@ -333,21 +348,8 @@ def ee_predict_many(model: EasyEnsembleModel, X: np.ndarray) -> tuple[np.ndarray
 
 
 @dataclass
-class _IsolationNode:
-    size: int = 0
-    feature: int = -1
-    split: float = 0.0
-    left: "_IsolationNode | None" = None
-    right: "_IsolationNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-@dataclass
 class IsolationForestModel:
-    trees: list[_IsolationNode]
+    trees: list[_Tree]
     sample_size: int
     threshold: float = 0.5
 
@@ -362,33 +364,34 @@ def average_path_length(n: int) -> float:
 
 
 def _grow_isolation_tree(
-    X: np.ndarray, idx: np.ndarray, depth: int, limit: int, rng: np.random.Generator
-) -> _IsolationNode:
-    if depth >= limit or idx.size <= 1:
-        return _IsolationNode(size=idx.size)
-    candidates = [f for f in range(X.shape[1]) if X[idx, f].min() < X[idx, f].max()]
-    if not candidates:
-        return _IsolationNode(size=idx.size)
-    feature = candidates[rng.integers(len(candidates))]
-    lo = float(X[idx, feature].min())
-    hi = float(X[idx, feature].max())
+    rows: np.ndarray, depth: int, limit: int, rng: np.random.Generator, nodes: list[list]
+) -> list[list]:
+    """Random splits until depth `limit` or until the rows cannot be split;
+    a leaf holds its depth plus the expected path length of its rows.
+    Appends the subtree, root first, to `nodes`.
+
+    A row goes left iff its value is below the drawn split s. The node stores
+    nextafter(s, -inf), the largest float below s, so the tree's shared
+    `<=` rule gives the same side for every value.
+    """
+    at = _new_node(nodes, depth + average_path_length(rows.shape[0]))
+    if depth >= limit or rows.shape[0] <= 1:
+        return nodes
+    lows, highs = rows.min(axis=0), rows.max(axis=0)
+    candidates = np.flatnonzero(lows < highs)
+    if candidates.size == 0:
+        return nodes
+    feature = int(candidates[rng.integers(candidates.size)])
+    lo, hi = float(lows[feature]), float(highs[feature])
     split = rng.uniform(lo, hi)
     while split <= lo:  # guard the measure-zero draw that would empty one side
         split = rng.uniform(lo, hi)
-    mask = X[idx, feature] < split
-    node = _IsolationNode(feature=feature, split=split)
-    node.left = _grow_isolation_tree(X, idx[mask], depth + 1, limit, rng)
-    node.right = _grow_isolation_tree(X, idx[~mask], depth + 1, limit, rng)
-    return node
-
-
-def _isolation_paths(node: _IsolationNode, X: np.ndarray, idx: np.ndarray, depth: int, out: np.ndarray) -> None:
-    if node.is_leaf:
-        out[idx] = depth + average_path_length(node.size)
-        return
-    mask = X[idx, node.feature] < node.split
-    _isolation_paths(node.left, X, idx[mask], depth + 1, out)
-    _isolation_paths(node.right, X, idx[~mask], depth + 1, out)
+    threshold = float(np.nextafter(split, -np.inf))
+    mask = rows[:, feature] <= threshold
+    nodes[at][:3] = feature, threshold, len(nodes)
+    _grow_isolation_tree(rows[mask], depth + 1, limit, rng, nodes)
+    nodes[at][3] = len(nodes)
+    return _grow_isolation_tree(rows[~mask], depth + 1, limit, rng, nodes)
 
 
 def iforest_fit(
@@ -410,32 +413,23 @@ def iforest_fit(
     n = X.shape[0]
     psi = min(subsample, n)
     limit = math.ceil(math.log2(max(psi, 2)))
-    grown: list[_IsolationNode] = []
+    grown: list[_Tree] = []
     for child in _seed_sequence(seed).spawn(trees):
         rng = np.random.default_rng(child)
         idx = rng.choice(n, size=psi, replace=False)
-        grown.append(_grow_isolation_tree(X, idx, 0, limit, rng))
+        grown.append(_Tree.from_nodes(_grow_isolation_tree(X[idx], 0, limit, rng, [])))
     model = IsolationForestModel(grown, psi)
 
     train_scores = iforest_scores(model, X)
     flagged = int(round(float(y.mean()) * n)) if n else 0
-    if flagged <= 0:
-        model.threshold = math.inf
-    else:
-        model.threshold = float(np.sort(train_scores)[::-1][flagged - 1])
+    model.threshold = float(np.sort(train_scores)[::-1][flagged - 1]) if flagged > 0 else math.inf
     return model
 
 
 def iforest_scores(model: IsolationForestModel, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.int64))
-    paths = np.zeros((len(model.trees), X.shape[0]))
-    scratch = np.empty(X.shape[0])
-    for t, tree in enumerate(model.trees):
-        _isolation_paths(tree, X, np.arange(X.shape[0]), 0, scratch)
-        paths[t] = scratch
-    denom = average_path_length(model.sample_size)
-    if denom <= 0.0:
-        denom = 1.0
+    paths = np.array([tree.predict(X) for tree in model.trees])
+    denom = average_path_length(model.sample_size) or 1.0
     return np.exp2(-paths.mean(axis=0) / denom)
 
 

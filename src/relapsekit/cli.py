@@ -258,8 +258,8 @@ def _cmd_features(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    dataset = _load(args)
     config = _experiment_config(args, classifier=args.classifier)
+    dataset = _load(args)
     report = run_lopo(dataset, config, threads=args.threads)
     write_metrics(report, args.metrics)
     write_predictions(report, args.predictions)
@@ -270,8 +270,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    dataset = _load(args)
-    reports = run_grid(args.command, dataset, _experiment_config(args), threads=args.threads)
+    config = _experiment_config(args)
+    reports = run_grid(args.command, _load(args), config, threads=args.threads)
     write_metrics(reports, args.metrics)
     if args.predictions_dir is not None:
         args.predictions_dir.mkdir(parents=True, exist_ok=True)

@@ -84,12 +84,13 @@ class Dataset:
     sensors: dict[str, np.ndarray]
     ema: dict[str, dict[Date, EmaRecord]]
     ingest_exclusions: tuple[IngestExclusion, ...] = field(default_factory=tuple)
+    _by_id: dict[str, Patient] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._by_id = {p.patient_id: p for p in self.patients}
 
     def patient(self, patient_id: str) -> Patient:
-        for p in self.patients:
-            if p.patient_id == patient_id:
-                return p
-        raise KeyError(patient_id)
+        return self._by_id[patient_id]
 
     def sensor_dates(self, patient_id: str) -> set[Date]:
         """Dates on which the patient has at least one hourly sample of any signal."""

@@ -58,6 +58,10 @@ class ExperimentConfig:
         valid_modalities = {"all", "ema"} | {s.value for s in SIGNALS}
         if self.modality not in valid_modalities:
             raise ValueError(f"unknown modality {self.modality!r}")
+        for name in ("bins", "selection_pool", "selection_top", "nb_alpha", "brf_trees", "ee_bags",
+                     "ee_rounds", "iforest_trees", "iforest_subsample", "baseline_runs"):
+            if not getattr(self, name) > 0:  # every count, and the Naive Bayes smoothing
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)

@@ -75,13 +75,15 @@ def window_templates_for(
 def extract_features(
     window: WindowSpec,
     dataset: Dataset,
-    prev_window_templates: Mapping[Signal, WindowTemplates] | None,
+    templates: Mapping[Signal, WindowTemplates],
+    prev_templates: Mapping[Signal, WindowTemplates] | None,
 ) -> FeatureWindow:
     """Build one window's feature vector.
 
-    `prev_window_templates` holds the aggregates of the window one stride
-    earlier; pass None for a patient's first window, which leaves the three
-    distance features missing.
+    `templates` holds the window's own aggregates per signal and
+    `prev_templates` those of the window one stride earlier; pass None for
+    a patient's first window, which leaves the three distance features
+    missing.
     """
     patient = dataset.patient(window.patient_id)
     window_days = (window.feature_end - window.feature_start).days + 1
@@ -89,14 +91,13 @@ def extract_features(
 
     for si, signal in enumerate(SIGNALS):
         daily = _sensor_days(dataset, patient, si, window.feature_start, window_days)
-        wt = compute_window_templates(daily)
+        wt = templates[signal]
         base = si * FEATURES_PER_SIGNAL
         values[base : base + 6] = mdt_stats(wt.mdt)
         values[base + 6] = ddt_mean(wt.ddt)
         values[base + 7] = max_abs_diff(wt.mdt, wt.mxdt)
-        if prev_window_templates is not None:
-            prev = prev_window_templates[signal]
-            prev_mdt_norm = normalize_template(prev.mdt)
+        if prev_templates is not None:
+            prev_mdt_norm = normalize_template(prev_templates[signal].mdt)
             curr_mdt_norm = normalize_template(wt.mdt)
             curr_mxdt_norm = normalize_template(wt.mxdt)
             values[base + 8] = template_distance(curr_mdt_norm, prev_mdt_norm)
@@ -132,17 +133,16 @@ def extract_all(dataset: Dataset, config: WindowingConfig) -> list[FeatureWindow
     for patient in sorted(dataset.patients, key=lambda p: p.patient_id):
         coverage = dataset.sensor_dates(patient.patient_id)
         candidates = enumerate_windows(patient, patient.relapse_dates, coverage, config)
+        built: dict[Date, dict[Signal, WindowTemplates]] = {}  # by window start, each built once
         for spec in evaluable_windows(candidates):
             prev_start = spec.feature_start - timedelta(days=config.stride_days)
-            prev_templates = None
-            if prev_start >= patient.observation_start:
-                prev_templates = {
-                    signal: window_templates_for(
-                        dataset, patient.patient_id, signal, prev_start, config.window_days
-                    )
-                    for signal in SIGNALS
-                }
-            out.append(extract_features(spec, dataset, prev_templates))
+            for start in (spec.feature_start, prev_start):
+                if start >= patient.observation_start and start not in built:
+                    built[start] = {
+                        signal: window_templates_for(dataset, patient.patient_id, signal, start, config.window_days)
+                        for signal in SIGNALS
+                    }
+            out.append(extract_features(spec, dataset, built[spec.feature_start], built.get(prev_start)))
     return out
 
 

@@ -242,3 +242,27 @@ def test_ingest_exclusions_are_counted_on_stdout(tmp_path, capsys):
     )
     assert code == 0
     assert "ingest_excluded=2" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--brf-trees", "0", "brf_trees"),
+        ("--iforest-trees", "0", "iforest_trees"),
+        ("--ee-bags", "0", "ee_bags"),
+        ("--ee-rounds", "0", "ee_rounds"),
+        ("--iforest-subsample", "0", "iforest_subsample"),
+        ("--baseline-runs", "0", "baseline_runs"),
+        ("--bins", "0", "bins"),
+        ("--selection-n", "0", "selection_pool"),
+        ("--selection-m", "0", "selection_top"),
+        ("--nb-alpha", "0", "nb_alpha"),
+        ("--nb-alpha", "-1.5", "nb_alpha"),
+    ],
+)
+def test_non_positive_counts_exit_1_naming_the_field(cohort_dir, tmp_path, capsys, flag, value, field):
+    metrics, predictions = tmp_path / "m.json", tmp_path / "p.csv"
+    argv = ["--data", str(cohort_dir), flag, value, "--metrics", str(metrics), "--predictions", str(predictions)]
+    assert main(["evaluate", *argv]) == 1
+    assert f"{field} must be positive" in capsys.readouterr().err
+    assert not metrics.exists() and not predictions.exists()

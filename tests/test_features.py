@@ -209,7 +209,8 @@ def test_extract_features_prev_window_with_no_data_leaves_distances_missing():
     from relapsekit.features import window_templates_for
 
     prev = {s: window_templates_for(ds, "p1", s, day(0), CONFIG.window_days) for s in Signal}
-    fw = extract_features(spec, ds, prev)
+    templates = {s: window_templates_for(ds, "p1", s, day(7), CONFIG.window_days) for s in Signal}
+    fw = extract_features(spec, ds, templates, prev)
     assert np.isnan(feature(fw, "light_level_dist_mdt"))
     assert np.isnan(feature(fw, "light_level_dist_mxdt"))
     assert not np.isnan(feature(fw, "light_level_mdt_mean"))  # days 28..34 still there
