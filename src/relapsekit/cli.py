@@ -26,7 +26,7 @@ from .dataio import (
     write_metrics,
     write_predictions,
 )
-from .evaluate import CLASSIFIER_KINDS, GRIDS, EvalReport, ExperimentConfig, run_grid, run_lopo
+from .evaluate import CLASSIFIER_KINDS, GRIDS, EvalReport, ExperimentConfig, check_threads, run_grid, run_lopo
 from .features import all_window_candidates, extract_all
 from .model import SIGNALS, Signal
 from .synth import ProdromalSpec, SynthConfig, generate
@@ -259,6 +259,7 @@ def _cmd_features(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _experiment_config(args, classifier=args.classifier)
+    check_threads(args.threads)
     dataset = _load(args)
     report = run_lopo(dataset, config, threads=args.threads)
     write_metrics(report, args.metrics)
@@ -271,6 +272,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     config = _experiment_config(args)
+    check_threads(args.threads)
     reports = run_grid(args.command, _load(args), config, threads=args.threads)
     write_metrics(reports, args.metrics)
     if args.predictions_dir is not None:

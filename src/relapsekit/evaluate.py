@@ -6,6 +6,14 @@ patients only, then predicts the held-out patient's windows sequentially.
 Confusion counts are pooled over folds (micro-averaged) before computing
 precision, recall, and F2. Reports are deterministic given (dataset,
 config, seed) and independent of the thread count used for fold execution.
+
+A fold's binning model depends only on its training windows and `bins`,
+and its selection subsample only on them and `selection_pool`; no grid arm
+changes those. `run_grid` therefore hands every arm one fold cache, so each
+fold fits its bins and draws its subsample once per grid, not once per arm.
+The cache holds only those two small objects (about 14 KB a fold). The
+float and binned training matrices are rebuilt per arm: cached for every
+fold they would cost megabytes of peak memory for a few milliseconds.
 """
 
 from __future__ import annotations
@@ -149,12 +157,25 @@ def _confusion(labels: np.ndarray, predicted: np.ndarray) -> tuple[int, int, int
     return tp, fp, fn, tn
 
 
+def check_threads(threads: int) -> None:
+    """Reject a fold thread count below one."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+
+
+def _cached(cache: dict, key: tuple, make: Callable[[], Any]) -> Any:
+    if key not in cache:
+        cache[key] = make()
+    return cache[key]
+
+
 def _run_fold(
     config: ExperimentConfig,
     train: list[FeatureWindow],
     test: list[FeatureWindow],
     test_age: float,
     fold_seed: np.random.SeedSequence,
+    fold_cache: dict,
 ) -> tuple[list[PredictionRow], FoldReport]:
     patient_id = test[0].spec.patient_id
     ytr = np.array([w.label for w in train], dtype=np.int64)
@@ -173,10 +194,18 @@ def _run_fold(
         scores = np.full(yte.size, float(ytr.mean()) if ytr.size else 0.0)
     else:
         train_matrix = np.stack([w.values for w in train])
-        bins = fit_bins(train_matrix, n_bins=config.bins)
+        # Keyed by the held-out patient and the one setting each depends on;
+        # `fit_bins` and friends resolve on this module at call time.
+        bins = _cached(
+            fold_cache, ("bins", patient_id, config.bins), lambda: fit_bins(train_matrix, n_bins=config.bins)
+        )
         candidates = feature_indices_for_modality(config.modality, config.include_demographics)
         if config.selection:
-            subsample = build_selection_subsample(train, test_age, config.selection_pool)
+            subsample = _cached(
+                fold_cache,
+                ("subsample", patient_id, config.selection_pool),
+                lambda: build_selection_subsample(train, test_age, config.selection_pool),
+            )
             selection = select_features(subsample, bins, config.selection_top, candidates)
             chosen = selection.selected
             selected_names = selection.selected_names
@@ -214,12 +243,18 @@ def run_lopo(
     experiment: str = "evaluate",
     arm: str | None = None,
     windows: Sequence[FeatureWindow] | None = None,
+    fold_cache: dict | None = None,
 ) -> EvalReport:
     """Leave-one-patient-out evaluation of one experiment arm.
 
     `windows` may carry precomputed feature windows (matching
-    config.windowing) to share extraction across arms.
+    config.windowing) to share extraction across arms. `fold_cache` shares
+    each fold's binning model and selection subsample across arms; pass the
+    same dict only to runs over the same dataset and windows.
     """
+    check_threads(threads)
+    if fold_cache is None:
+        fold_cache = {}
     if windows is None:
         windows = extract_all(dataset, config.windowing)
     windows = list(windows)
@@ -240,7 +275,7 @@ def run_lopo(
     def fold(i: int) -> tuple[list[PredictionRow], FoldReport]:
         pid = fold_ids[i]
         train = [w for w in windows if w.spec.patient_id != pid]
-        return _run_fold(config, train, by_patient[pid], ages[pid], seeds[i])
+        return _run_fold(config, train, by_patient[pid], ages[pid], seeds[i], fold_cache)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -372,9 +407,12 @@ GRIDS: dict[str, Grid] = {
 def run_grid(
     experiment: str, dataset: Dataset, base_config: ExperimentConfig, threads: int = 1
 ) -> list[EvalReport]:
-    """Every arm of GRIDS[experiment] over one shared feature extraction."""
+    """Every arm of GRIDS[experiment] over one shared feature extraction
+    and one fold cache (each fold's bins and selection subsample)."""
+    check_threads(threads)
     grid = GRIDS[experiment]
     windows = extract_all(dataset, base_config.windowing)
+    fold_cache: dict = {}
     reports = [
         run_lopo(
             dataset,
@@ -383,6 +421,7 @@ def run_grid(
             experiment=experiment,
             arm=arm,
             windows=windows,
+            fold_cache=fold_cache,
         )
         for arm, overrides in grid.arms
     ]
@@ -398,6 +437,7 @@ __all__ = [
     "FoldReport",
     "GRIDS",
     "PredictionRow",
+    "check_threads",
     "f2_from_counts",
     "f2_score",
     "run_grid",

@@ -78,6 +78,8 @@ class SynthConfig:
             raise ValueError("ema_per_week must be in [0, 7]")
         if self.prodrome.magnitude < 0:
             raise ValueError("prodromal magnitude must be >= 0")
+        if self.prodrome.onset_days < 0:
+            raise ValueError("prodromal onset_days must be >= 0")
 
 
 def _circular_hour_distance(hours: np.ndarray, peak: float) -> np.ndarray:

@@ -6,6 +6,14 @@ statistic ever leaks into the transform. Feature selection ranks candidate
 features by plug-in mutual information with the label, computed on an
 age-matched training subsample: all relapse windows plus the non-relapse
 windows of the patients closest in age to the held-out patient.
+
+Neither `fit_bins` nor `build_selection_subsample` depends on anything but
+the training fold and its own count (`n_bins`, `n_nonrelapse`), so LOPO
+fits each once per fold and shares it across experiment arms (see
+`evaluate.run_grid`). `mutual_information_columns` scores every candidate
+column in one pass; its sums run in the same order as a per-column table
+over the present levels, so each score is bit-identical to scoring the
+column alone.
 """
 
 from __future__ import annotations
@@ -106,6 +114,37 @@ def apply_bins(model: BinningModel, vectors) -> np.ndarray:
     return cats[0] if single else cats
 
 
+def mutual_information_columns(codes: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Plug-in mutual information (nats) of each column of `codes` with `labels`.
+
+    `codes` is an (n, columns) matrix of level codes in {0..levels-1} and
+    `labels` n label codes in {0..classes-1}. One joint count table covers
+    every column; a level absent from a column adds only zeros to it. Each
+    sum adds the same terms in the same order as numpy does on a table of
+    that column's present levels alone, so the scores are bit-identical to
+    scoring each column by itself: the label marginal row by row (or
+    pairwise over the present levels when there is a single class), and
+    each column's nonzero terms as one contiguous vector.
+    """
+    n, n_cols = codes.shape
+    n_levels = int(codes.max()) + 1
+    n_labels = int(labels.max()) + 1
+    cells = (np.arange(n_cols) * n_levels + codes) * n_labels + labels[:, None]
+    joint = np.bincount(cells.ravel(), minlength=n_cols * n_levels * n_labels) / n
+    joint = joint.reshape(n_cols, n_levels, n_labels)
+    px = joint.sum(axis=2)
+    if n_labels == 1:
+        py = np.array([[col[col > 0].sum()] for col in joint[:, :, 0]])
+    else:
+        py = joint.cumsum(axis=1)[:, -1]
+    nz = joint > 0
+    p = joint[nz]
+    terms = p * np.log(p / (px[:, :, None] * py[:, None, :])[nz])
+    ends = np.cumsum(nz.sum(axis=(1, 2)))[:-1]
+    mi = np.array([column.sum() for column in np.split(terms, ends)])
+    return np.maximum(mi, 0.0)
+
+
 def mutual_information(x: np.ndarray, y: np.ndarray) -> float:
     """Plug-in mutual information (nats) between two discrete columns."""
     x = np.asarray(x)
@@ -114,18 +153,9 @@ def mutual_information(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.size == 0:
         raise ValueError("mutual information needs at least one observation")
-    n = x.size
     _, xi = np.unique(x, return_inverse=True)
     _, yi = np.unique(y, return_inverse=True)
-    joint = np.zeros((xi.max() + 1, yi.max() + 1))
-    np.add.at(joint, (xi, yi), 1.0)
-    joint /= n
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    nz = joint > 0
-    outer = np.outer(px, py)
-    mi = float((joint[nz] * np.log(joint[nz] / outer[nz])).sum())
-    return max(mi, 0.0)
+    return float(mutual_information_columns(xi[:, None], yi)[0])
 
 
 def build_selection_subsample(
@@ -171,7 +201,7 @@ def select_features(
     candidates = list(candidates)
 
     scores = np.full(matrix.shape[1], np.nan)
-    for f in candidates:
-        scores[f] = mutual_information(matrix[:, f], labels)
+    if candidates:
+        scores[candidates] = mutual_information_columns(matrix[:, candidates], labels)
     ranked = sorted(candidates, key=lambda f: (-scores[f], f))
     return SelectionModel(selected=tuple(ranked[:top]), scores=scores)

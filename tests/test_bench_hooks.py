@@ -2,12 +2,17 @@
 
 `bench/tracing.py` replaces public functions of `relapsekit` by attribute
 name. Renaming one in `src/` breaks the traced benchmark run; this test
-breaks with it.
+breaks with it. So does a grid that stops calling `run_lopo` once per arm,
+or stops calling the per-fold transform functions through `evaluate`'s
+namespace.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+
+from relapsekit.evaluate import ExperimentConfig, run_grid
+from relapsekit.synth import SynthConfig, generate
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -27,3 +32,23 @@ def test_tracer_restore_puts_back_every_patched_attribute(monkeypatch):
         tracer.restore()
     for module, attr, original in patched:
         assert getattr(module, attr) is original, f"{module.__name__}.{attr}"
+
+
+def test_tracer_sees_one_lopo_per_arm_and_one_bin_fit_per_fold(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+
+    cohort = generate(SynthConfig(patient_count=4, days_per_patient=80, seed=2))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        reports = run_grid("ablate-modality", cohort, ExperimentConfig(seed=1))
+    finally:
+        tracer.restore()
+    names = [s["name"] for s in tracer.spans]
+    fitted_folds = sum(f.warning is None for f in reports[0].folds)
+    assert fitted_folds > 0
+    assert names.count("evaluate.run_lopo") == len(reports) == 7
+    assert names.count("transform.fit_bins") == fitted_folds
+    assert names.count("transform.build_selection_subsample") == fitted_folds
+    assert names.count("transform.select_features") == fitted_folds * len(reports)

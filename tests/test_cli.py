@@ -266,3 +266,21 @@ def test_non_positive_counts_exit_1_naming_the_field(cohort_dir, tmp_path, capsy
     assert main(["evaluate", *argv]) == 1
     assert f"{field} must be positive" in capsys.readouterr().err
     assert not metrics.exists() and not predictions.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ablate-modality"])
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_thread_count_below_one_exits_1_before_loading(cohort_dir, tmp_path, capsys, command, threads):
+    metrics = tmp_path / "m.json"
+    assert main([command, "--data", str(cohort_dir), "--threads", threads, "--metrics", str(metrics)]) == 1
+    out, err = capsys.readouterr()
+    assert "threads must be >= 1" in err
+    assert "ingest_excluded=" not in out
+    assert not metrics.exists()
+
+
+def test_synth_negative_onset_days_exits_1_naming_the_field(tmp_path, capsys):
+    out = tmp_path / "cohort"
+    assert main(["synth", "--patients", "2", "--days", "40", "--onset-days", "-3", "--out", str(out)]) == 1
+    assert "onset_days must be >= 0" in capsys.readouterr().err
+    assert not out.exists()

@@ -133,6 +133,14 @@ def test_thread_count_does_not_change_results(cohort):
     assert a.to_dict() == b.to_dict()
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_thread_count_below_one_rejected(cohort, threads):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        run_lopo(cohort, BASE, threads=threads)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        run_grid("ablate-selection", cohort, BASE, threads=threads)
+
+
 # -- experiments ----------------------------------------------------------------
 
 

@@ -1,0 +1,93 @@
+"""Per-fold sharing across grid arms: a shared fold's bins and selection
+subsample change no arm's result and never see the held-out patient."""
+
+from __future__ import annotations
+
+import sys
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from relapsekit import evaluate
+from relapsekit.evaluate import GRIDS, ExperimentConfig, run_grid, run_lopo
+from relapsekit.features import FeatureWindow, extract_all
+from relapsekit.synth import SynthConfig, generate
+
+# Small forests: sharing is per fold, whatever the classifier's size.
+BASE = ExperimentConfig(seed=3, brf_trees=5, ee_bags=3, ee_rounds=2, iforest_trees=5, baseline_runs=20)
+
+
+@pytest.fixture(scope="module")
+def cohort():
+    return generate(SynthConfig(patient_count=6, days_per_patient=90, seed=4))
+
+
+@pytest.fixture(scope="module")
+def standalone(cohort):
+    """Each arm of each grid run on its own, with its own extraction and cache."""
+    return {
+        (name, arm): run_lopo(cohort, replace(BASE, **overrides), experiment=name, arm=arm)
+        for name, grid in GRIDS.items()
+        for arm, overrides in grid.arms
+    }
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("experiment", sorted(GRIDS))
+def test_every_grid_arm_equals_its_standalone_run(cohort, standalone, experiment, threads, monkeypatch):
+    fits = []  # list.append is atomic; a counter's += would race
+    fit_bins = evaluate.fit_bins
+    monkeypatch.setattr(evaluate, "fit_bins", lambda *a, **k: fits.append(1) or fit_bins(*a, **k))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a check-then-fill race would show
+    try:
+        reports = run_grid(experiment, cohort, BASE, threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(r.arm for r in reports) == sorted(arm for arm, _ in GRIDS[experiment].arms)
+    for report in reports:
+        alone = standalone[(experiment, report.arm)]
+        assert report.to_dict() == alone.to_dict()
+        assert report.rows == alone.rows
+    fitted = {f.patient_id for r in reports if r.classifier != "random" for f in r.folds if f.warning is None}
+    assert len(fits) == len(fitted) > 0
+
+
+def poison(windows: list[FeatureWindow], patient_id: str) -> list[FeatureWindow]:
+    """That patient's feature values (age included) replaced by huge alternating values."""
+    extreme = np.where(np.arange(windows[0].values.size) % 2, -1e12, 1e12)
+    return [replace(w, values=extreme.copy()) if w.spec.patient_id == patient_id else w for w in windows]
+
+
+def grid_folds(dataset, experiment: str, windows: list[FeatureWindow]) -> dict[str, dict]:
+    """run_grid over given windows: every arm's folds by patient, one shared fold cache."""
+    fold_cache: dict = {}
+    out = {}
+    for arm, overrides in GRIDS[experiment].arms:
+        report = run_lopo(dataset, replace(BASE, **overrides), windows=windows, fold_cache=fold_cache)
+        out[arm] = {f.patient_id: f for f in report.folds}
+    return out
+
+
+@pytest.mark.parametrize("experiment", sorted(GRIDS))
+def test_poisoned_patient_cannot_reach_its_own_folds_selection(cohort, experiment):
+    clean = extract_all(cohort, BASE.windowing)
+    patient_ids = sorted({w.spec.patient_id for w in clean})
+    # Not the first fold, so a cache entry that ignored the held-out patient
+    # would hand this fold bins fitted with the poisoned values.
+    target = patient_ids[-1]
+    before = grid_folds(cohort, experiment, clean)
+    after = grid_folds(cohort, experiment, poison(clean, target))
+    assert any(before[arm][target].selected for arm in before)
+    others_moved = False
+    for arm in before:
+        assert after[arm][target].selected == before[arm][target].selected
+        assert after[arm][target].selected_scores == before[arm][target].selected_scores
+        others_moved |= any(
+            after[arm][pid].selected_scores != before[arm][pid].selected_scores
+            for pid in patient_ids
+            if pid != target
+        )
+    # The poison does reach the other folds' selection.
+    assert others_moved

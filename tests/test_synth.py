@@ -113,6 +113,8 @@ def test_invalid_configs_rejected():
         SynthConfig(patient_count=0)
     with pytest.raises(ValueError):
         small_config(prodrome=ProdromalSpec(magnitude=-1.0))
+    with pytest.raises(ValueError, match="onset_days"):
+        small_config(prodrome=ProdromalSpec(onset_days=-3))
 
 
 def test_null_magnitude_keeps_prodromal_days_unshifted():
