@@ -7,10 +7,16 @@ the tree learners treat them as ordinals and split on thresholds. All
 randomness flows from one explicit seed, split deterministically per
 tree / bag / run, so results reproduce bit-for-bit across platforms.
 
-Every tree is one `_Tree` of flat node arrays, walked by one traversal,
-and every split search scans the cuts of `_cuts`. Balanced-forest leaves
-hold the class-1 fraction, EasyEnsemble stumps are 3-node trees with
-leaves of +1/-1, and isolation leaves hold the expected path length.
+Every forest is one `_Forest`: flat node arrays shared by its trees, with
+one root per tree, walked by one traversal over (tree, row) pairs, and
+every split search scans the cuts of `_cuts`. Balanced-forest leaves hold
+the class-1 fraction, an EasyEnsemble stump is a one-tree forest of 3
+nodes with leaves of +1/-1, and isolation leaves hold the expected path
+length. Forests score each distinct row once and copy its leaf values to
+the equal rows. The isolation trees of one fit grow in lockstep, one node
+per tree per step, each on its subsample's distinct rows and each drawing
+from its own Generator in its own preorder, so every draw is the one a
+tree-at-a-time recursive grower makes.
 """
 
 from __future__ import annotations
@@ -103,8 +109,8 @@ def nb_predict_many(model: CategoricalNBModel, X: np.ndarray) -> tuple[np.ndarra
 
 
 @dataclass(frozen=True)
-class _Tree:
-    """Flat binary tree; node 0 is the root.
+class _Forest:
+    """Flat binary trees in shared node arrays; tree t's root is `roots[t]`.
 
     A row goes left iff `x[feature] <= threshold`. A leaf has `left == -1`
     and its `value` is the tree's output for every row that reaches it.
@@ -115,22 +121,33 @@ class _Tree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
+    roots: np.ndarray
 
     @classmethod
-    def from_nodes(cls, nodes: list[list]) -> _Tree:
-        """From `[feature, threshold, left, right, value]` rows in node order."""
-        return cls(*(np.array(column) for column in zip(*nodes)))
+    def from_nodes(cls, nodes: list[list], roots: list[int]) -> _Forest:
+        """From `[feature, threshold, left, right, value]` rows in node order
+        and the node index of each tree's root."""
+        return cls(*(np.array(column) for column in zip(*nodes)), np.array(roots, dtype=np.intp))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Leaf value per row; every row not yet at a leaf moves one level per step."""
-        node = np.zeros(X.shape[0], dtype=np.intp)
+        """(trees, rows) leaf values; every (tree, row) pair not yet at a leaf
+        moves one level per step."""
+        n = X.shape[0]
+        node = self.roots.repeat(n)  # pair t * n + i is (tree t, row i)
         live = np.flatnonzero(self.left[node] >= 0)
         while live.size:
             at = node[live]
-            goes_left = X[live, self.feature[at]] <= self.threshold[at]
+            goes_left = X[live % n, self.feature[at]] <= self.threshold[at]
             node[live] = np.where(goes_left, self.left[at], self.right[at])
             live = live[self.left[node[live]] >= 0]
-        return self.value[node]
+        return self.value[node].reshape(self.roots.size, n)
+
+
+def _leaf_values(forest: _Forest, X: np.ndarray) -> np.ndarray:
+    """C-contiguous (trees, rows) leaf values of `forest`, walking each
+    distinct row once. Equal rows reach equal leaves, so this is exact."""
+    distinct, inverse = np.unique(X, axis=0, return_inverse=True)
+    return np.take(forest.predict(distinct), inverse, axis=1)
 
 
 def _new_node(nodes: list[list], value: float) -> int:
@@ -210,7 +227,7 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator, mtry: int
 
 @dataclass
 class BalancedRandomForestModel:
-    trees: list[_Tree]
+    forest: _Forest
     decision_threshold: float = 0.5
 
 
@@ -226,21 +243,24 @@ def brf_fit(
     y = np.asarray(y, dtype=np.int64)
     _check_two_classes(y)
     mtry = math.ceil(math.sqrt(X.shape[1]))
-    grown: list[_Tree] = []
+    nodes: list[list] = []
+    roots: list[int] = []
     for child in _seed_sequence(seed).spawn(trees):
         rng = np.random.default_rng(child)
         idx = balanced_bootstrap(y, rng)
-        grown.append(_Tree.from_nodes(_grow_tree(X[idx], y[idx], rng, mtry, [])))
-    return BalancedRandomForestModel(grown, decision_threshold)
+        roots.append(len(nodes))
+        _grow_tree(X[idx], y[idx], rng, mtry, nodes)
+    return BalancedRandomForestModel(_Forest.from_nodes(nodes, roots), decision_threshold)
 
 
 def brf_predict_many(model: BalancedRandomForestModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and scores; a row's score is its mean leaf value over the trees."""
+    """Labels and scores; a row's score is its mean leaf value over the trees.
+
+    The leaf values are summed tree by tree (`cumsum`), never pairwise, so
+    a score does not depend on how many rows are scored together.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.int64))
-    scores = np.zeros(X.shape[0])
-    for tree in model.trees:
-        scores += tree.predict(X)
-    scores /= len(model.trees)
+    scores = _leaf_values(model.forest, X).cumsum(axis=0)[-1] / model.forest.roots.size
     return (scores >= model.decision_threshold).astype(np.int64), scores
 
 
@@ -251,18 +271,18 @@ def brf_predict_many(model: BalancedRandomForestModel, X: np.ndarray) -> tuple[n
 
 @dataclass
 class EasyEnsembleModel:
-    bags: list[list[tuple[float, _Tree]]]  # per bag: (alpha, stump) boosting chain
+    bags: list[list[tuple[float, _Forest]]]  # per bag: (alpha, one-tree stump) boosting chain
     decision_threshold: float = 0.5
 
 
-def _stump(feature: int, threshold: float, left_sign: int) -> _Tree:
+def _stump(feature: int, threshold: float, left_sign: int) -> _Forest:
     """A depth-1 tree: `left_sign` for value <= threshold, `-left_sign` above it."""
-    return _Tree.from_nodes(
-        [[feature, threshold, 1, 2, 0.0], [0, 0.0, -1, -1, left_sign], [0, 0.0, -1, -1, -left_sign]]
+    return _Forest.from_nodes(
+        [[feature, threshold, 1, 2, 0.0], [0, 0.0, -1, -1, left_sign], [0, 0.0, -1, -1, -left_sign]], [0]
     )
 
 
-def _best_stump(X: np.ndarray, y_pm: np.ndarray, w: np.ndarray) -> tuple[_Tree, float]:
+def _best_stump(X: np.ndarray, y_pm: np.ndarray, w: np.ndarray) -> tuple[_Forest, float]:
     """Minimum weighted-error decision stump over all features and cuts.
 
     The first minimum in (feature, cut, left sign +1 then -1) order wins.
@@ -301,14 +321,14 @@ def ee_fit(
     X = np.asarray(X, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     _check_two_classes(y)
-    fitted: list[list[tuple[float, _Tree]]] = []
+    fitted: list[list[tuple[float, _Forest]]] = []
     for child in _seed_sequence(seed).spawn(bags):
         rng = np.random.default_rng(child)
         idx = balanced_bootstrap(y, rng)
         Xb = X[idx]
         yb = np.where(y[idx] == 1, 1, -1)
         w = np.full(idx.size, 1.0 / idx.size)
-        chain: list[tuple[float, _Tree]] = []
+        chain: list[tuple[float, _Forest]] = []
         for _ in range(rounds):
             stump, err = _best_stump(Xb, yb, w)
             if err <= 0.0:
@@ -318,7 +338,7 @@ def ee_fit(
                 break
             alpha = 0.5 * math.log((1.0 - err) / err)
             chain.append((alpha, stump))
-            w = w * np.exp(-alpha * yb * stump.predict(Xb))
+            w = w * np.exp(-alpha * yb * stump.predict(Xb)[0])
             w /= w.sum()
         fitted.append(chain)
     return EasyEnsembleModel(fitted, decision_threshold)
@@ -336,7 +356,7 @@ def ee_predict_many(model: EasyEnsembleModel, X: np.ndarray) -> tuple[np.ndarray
             continue
         vote = np.zeros(X.shape[0])
         for alpha, stump in chain:
-            vote += alpha * stump.predict(X)
+            vote += alpha * stump.predict(X)[0]
         bag_scores[b] = (vote / alpha_total + 1.0) / 2.0
     scores = bag_scores.mean(axis=0)
     return (scores >= model.decision_threshold).astype(np.int64), scores
@@ -349,7 +369,7 @@ def ee_predict_many(model: EasyEnsembleModel, X: np.ndarray) -> tuple[np.ndarray
 
 @dataclass
 class IsolationForestModel:
-    trees: list[_Tree]
+    forest: _Forest
     sample_size: int
     threshold: float = 0.5
 
@@ -363,35 +383,110 @@ def average_path_length(n: int) -> float:
     return 2.0 * (math.log(n - 1) + EULER_GAMMA) - 2.0 * (n - 1) / n
 
 
-def _grow_isolation_tree(
-    rows: np.ndarray, depth: int, limit: int, rng: np.random.Generator, nodes: list[list]
-) -> list[list]:
-    """Random splits until depth `limit` or until the rows cannot be split;
-    a leaf holds its depth plus the expected path length of its rows.
-    Appends the subtree, root first, to `nodes`.
+def _grow_isolation_forest(rows: np.ndarray, picks: np.ndarray, limit: int, rngs: list[np.random.Generator]) -> _Forest:
+    """Isolation trees over `rows`, tree t grown on the rows `picks[t]` with `rngs[t]`.
 
-    A row goes left iff its value is below the drawn split s. The node stores
-    nextafter(s, -inf), the largest float below s, so the tree's shared
-    `<=` rule gives the same side for every value.
+    Every tree visits its nodes in preorder through its own stack, and all
+    trees take one step together. A node at depth `limit`, or holding at
+    most one row, is a leaf; so is a node whose rows are all equal. Any
+    other node draws a feature among its non-constant ones (`integers`),
+    then a split s in (lo, hi) of that feature (`uniform`, redrawn in the
+    measure-zero case s == lo); a row goes left iff its value is below s.
+    The node stores nextafter(s, -inf), the largest float below s, so the
+    forest's shared `<=` rule gives the same side for every value. Each
+    tree thus makes the same draws in the same order as a recursive
+    preorder grower. A leaf holds its depth plus the expected path length
+    of its rows.
+
+    A tree holds its subsample's distinct rows with their multiplicities:
+    min, max and masks see the same values, and a node's row count is the
+    sum of its multiplicities. The rows of every node are one contiguous
+    run of the shared buffer `buf`, and a split partitions its run in place.
     """
-    at = _new_node(nodes, depth + average_path_length(rows.shape[0]))
-    if depth >= limit or rows.shape[0] <= 1:
-        return nodes
-    lows, highs = rows.min(axis=0), rows.max(axis=0)
-    candidates = np.flatnonzero(lows < highs)
-    if candidates.size == 0:
-        return nodes
-    feature = int(candidates[rng.integers(candidates.size)])
-    lo, hi = float(lows[feature]), float(highs[feature])
-    split = rng.uniform(lo, hi)
-    while split <= lo:  # guard the measure-zero draw that would empty one side
-        split = rng.uniform(lo, hi)
-    threshold = float(np.nextafter(split, -np.inf))
-    mask = rows[:, feature] <= threshold
-    nodes[at][:3] = feature, threshold, len(nodes)
-    _grow_isolation_tree(rows[mask], depth + 1, limit, rng, nodes)
-    nodes[at][3] = len(nodes)
-    return _grow_isolation_tree(rows[~mask], depth + 1, limit, rng, nodes)
+    n_trees, psi = picks.shape
+    n_rows = rows.shape[0]
+    keys, mult = np.unique((np.arange(n_trees)[:, None] * n_rows + picks).ravel(), return_counts=True)
+    buf = keys % n_rows
+    capacity = n_trees + 2 * keys.size  # a tree on k distinct rows has at most 2k - 1 nodes
+    feature = np.zeros(capacity, dtype=np.int64)
+    threshold = np.zeros(capacity)
+    left = np.full(capacity, -1, dtype=np.intp)
+    right = np.full(capacity, -1, dtype=np.intp)
+    value = np.zeros(capacity)
+    start = np.zeros(capacity, dtype=np.intp)
+    stop = np.zeros(capacity, dtype=np.intp)
+    depth = np.zeros(capacity, dtype=np.int64)
+    count = np.zeros(capacity, dtype=np.int64)
+
+    roots = np.arange(n_trees)
+    start[roots] = np.searchsorted(keys, roots * n_rows)
+    stop[roots] = np.searchsorted(keys, (roots + 1) * n_rows)
+    count[roots] = psi
+    size = n_trees
+    stack = np.zeros((n_trees, limit + 2), dtype=np.intp)  # pending right siblings, then the next node
+    stack[:, 0] = roots
+    height = np.ones(n_trees, dtype=np.intp)
+    path_length = np.array([average_path_length(k) for k in range(psi + 1)])
+
+    while (live := np.flatnonzero(height)).size:
+        height[live] -= 1
+        at = stack[live, height[live]]
+        value[at] = depth[at] + path_length[count[at]]
+        grow = (depth[at] < limit) & (count[at] > 1)
+        live, at = live[grow], at[grow]
+        if not at.size:
+            continue
+
+        # The rows of every growing node, gathered run after run.
+        lengths = stop[at] - start[at]
+        offsets = np.cumsum(lengths) - lengths
+        pos = np.repeat(start[at] - offsets, lengths) + np.arange(lengths.sum())
+        values = rows[buf[pos]]
+        lows = np.minimum.reduceat(values, offsets, axis=0)
+        highs = np.maximum.reduceat(values, offsets, axis=0)
+        candidates = lows < highs
+        n_candidates = candidates.sum(axis=1)
+        splits = np.flatnonzero(n_candidates)
+        if not splits.size:
+            continue
+
+        drawn = [rngs[t].integers(k) for t, k in zip(live[splits].tolist(), n_candidates[splits].tolist())]
+        chosen = (candidates[splits].cumsum(axis=1) > np.array(drawn)[:, None]).argmax(axis=1)
+        lo = lows[splits, chosen].astype(float).tolist()
+        hi = highs[splits, chosen].astype(float).tolist()
+        cuts = []
+        for t, a, b in zip(live[splits].tolist(), lo, hi):
+            cut = rngs[t].uniform(a, b)
+            while cut <= a:  # guard the measure-zero draw that would empty one side
+                cut = rngs[t].uniform(a, b)
+            cuts.append(cut)
+
+        # Partition each splitting run, left rows first; other runs stay put.
+        node_feature = np.zeros(at.size, dtype=np.int64)
+        node_threshold = np.full(at.size, np.inf)
+        node_feature[splits] = chosen
+        node_threshold[splits] = np.nextafter(np.array(cuts), -np.inf)
+        run = np.repeat(np.arange(at.size), lengths)
+        goes_left = values[np.arange(pos.size), node_feature[run]] <= node_threshold[run]
+        order = np.lexsort((~goes_left, run))
+        left_rows = np.add.reduceat(goes_left.astype(np.intp), offsets)[splits]
+        left_count = np.add.reduceat(mult[pos] * goes_left, offsets)[splits]
+        buf[pos], mult[pos] = buf[pos[order]], mult[pos[order]]
+
+        parents, trees = at[splits], live[splits]
+        kids = size + 2 * np.arange(splits.size)
+        size += 2 * splits.size
+        feature[parents], threshold[parents] = chosen, node_threshold[splits]
+        left[parents], right[parents] = kids, kids + 1
+        start[kids], stop[kids] = start[parents], start[parents] + left_rows
+        start[kids + 1], stop[kids + 1] = stop[kids], stop[parents]
+        count[kids], count[kids + 1] = left_count, count[parents] - left_count
+        depth[kids] = depth[kids + 1] = depth[parents] + 1
+        stack[trees, height[trees]] = kids + 1
+        stack[trees, height[trees] + 1] = kids
+        height[trees] += 2
+
+    return _Forest(feature[:size], threshold[:size], left[:size], right[:size], value[:size], roots)
 
 
 def iforest_fit(
@@ -403,6 +498,12 @@ def iforest_fit(
 ) -> IsolationForestModel:
     """Isolation trees over the feature matrix; labels only set the threshold.
 
+    Tree t draws its subsample and every split from its own Generator, in
+    the order a recursive preorder grower would. All trees grow in
+    lockstep on their subsamples' distinct rows (`_grow_isolation_forest`),
+    and scoring walks each distinct row once and copies its path to every
+    equal row, so both are exact, not approximations.
+
     The threshold is the k-th largest training score, k = round(prevalence * n),
     and every row scoring at or above it is flagged. Category codes make
     equal scores common, so ties at that cut can flag more than k training
@@ -413,12 +514,10 @@ def iforest_fit(
     n = X.shape[0]
     psi = min(subsample, n)
     limit = math.ceil(math.log2(max(psi, 2)))
-    grown: list[_Tree] = []
-    for child in _seed_sequence(seed).spawn(trees):
-        rng = np.random.default_rng(child)
-        idx = rng.choice(n, size=psi, replace=False)
-        grown.append(_Tree.from_nodes(_grow_isolation_tree(X[idx], 0, limit, rng, [])))
-    model = IsolationForestModel(grown, psi)
+    rngs = [np.random.default_rng(child) for child in _seed_sequence(seed).spawn(trees)]
+    picks = np.array([rng.choice(n, size=psi, replace=False) for rng in rngs], dtype=np.intp).reshape(trees, psi)
+    distinct, inverse = np.unique(X, axis=0, return_inverse=True)
+    model = IsolationForestModel(_grow_isolation_forest(distinct, inverse[picks], limit, rngs), psi)
 
     train_scores = iforest_scores(model, X)
     flagged = int(round(float(y.mean()) * n)) if n else 0
@@ -427,8 +526,11 @@ def iforest_fit(
 
 
 def iforest_scores(model: IsolationForestModel, X: np.ndarray) -> np.ndarray:
+    """2^(-mean path / c(psi)) per row. The mean is taken over the trees of a
+    C-contiguous (trees, rows) matrix, the layout numpy reduces in one fixed
+    order for a given row count."""
     X = np.atleast_2d(np.asarray(X, dtype=np.int64))
-    paths = np.array([tree.predict(X) for tree in model.trees])
+    paths = _leaf_values(model.forest, X)
     denom = average_path_length(model.sample_size) or 1.0
     return np.exp2(-paths.mean(axis=0) / denom)
 

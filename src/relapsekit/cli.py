@@ -27,7 +27,7 @@ from .dataio import (
     write_predictions,
 )
 from .evaluate import CLASSIFIER_KINDS, GRIDS, EvalReport, ExperimentConfig, check_threads, run_grid, run_lopo
-from .features import all_window_candidates, extract_all
+from .features import extract_cohort
 from .model import SIGNALS, Signal
 from .synth import ProdromalSpec, SynthConfig, generate
 from .windowing import WindowingConfig
@@ -246,8 +246,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_features(args: argparse.Namespace) -> int:
     dataset = _load(args)
     config = _windowing_config(args)
-    feature_windows = extract_all(dataset, config)
-    candidates = all_window_candidates(dataset, config)
+    feature_windows, candidates = extract_cohort(dataset, config)
     write_feature_matrix(feature_windows, args.out)
     write_exclusions(candidates, args.exclusions)
     print(f"windows={len(feature_windows)}")

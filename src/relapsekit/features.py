@@ -122,19 +122,22 @@ def extract_features(
     return FeatureWindow(spec=window, values=values)
 
 
-def extract_all(dataset: Dataset, config: WindowingConfig) -> list[FeatureWindow]:
-    """Feature windows for every evaluable window of every patient.
+def extract_cohort(dataset: Dataset, config: WindowingConfig) -> tuple[list[FeatureWindow], list[WindowSpec]]:
+    """Feature windows for every evaluable window of every patient, and
+    every candidate window (evaluable and excluded), each enumerated once.
 
-    Output is ordered by (patient_id, window_start). The previous window for
-    the distance features is the one exactly one stride earlier, whether or
-    not that window itself was evaluable; a first window has none.
+    Both lists are ordered by (patient_id, window_start). The previous
+    window for the distance features is the one exactly one stride earlier,
+    whether or not that window itself was evaluable; a first window has none.
     """
     out: list[FeatureWindow] = []
+    candidates: list[WindowSpec] = []
     for patient in sorted(dataset.patients, key=lambda p: p.patient_id):
         coverage = dataset.sensor_dates(patient.patient_id)
-        candidates = enumerate_windows(patient, patient.relapse_dates, coverage, config)
+        own = enumerate_windows(patient, patient.relapse_dates, coverage, config)
+        candidates.extend(own)
         built: dict[Date, dict[Signal, WindowTemplates]] = {}  # by window start, each built once
-        for spec in evaluable_windows(candidates):
+        for spec in evaluable_windows(own):
             prev_start = spec.feature_start - timedelta(days=config.stride_days)
             for start in (spec.feature_start, prev_start):
                 if start >= patient.observation_start and start not in built:
@@ -143,14 +146,9 @@ def extract_all(dataset: Dataset, config: WindowingConfig) -> list[FeatureWindow
                         for signal in SIGNALS
                     }
             out.append(extract_features(spec, dataset, built[spec.feature_start], built.get(prev_start)))
-    return out
+    return out, candidates
 
 
-def all_window_candidates(dataset: Dataset, config: WindowingConfig) -> list[WindowSpec]:
-    """Every candidate window (evaluable and excluded) across the cohort."""
-    out: list[WindowSpec] = []
-    for patient in sorted(dataset.patients, key=lambda p: p.patient_id):
-        coverage = dataset.sensor_dates(patient.patient_id)
-        out.extend(enumerate_windows(patient, patient.relapse_dates, coverage, config))
-    return out
-
+def extract_all(dataset: Dataset, config: WindowingConfig) -> list[FeatureWindow]:
+    """The feature windows of `extract_cohort`."""
+    return extract_cohort(dataset, config)[0]

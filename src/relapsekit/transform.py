@@ -122,21 +122,20 @@ def mutual_information_columns(codes: np.ndarray, labels: np.ndarray) -> np.ndar
     every column; a level absent from a column adds only zeros to it. Each
     sum adds the same terms in the same order as numpy does on a table of
     that column's present levels alone, so the scores are bit-identical to
-    scoring each column by itself: the label marginal row by row (or
-    pairwise over the present levels when there is a single class), and
-    each column's nonzero terms as one contiguous vector.
+    scoring each column by itself: the label marginal row by row, and each
+    column's nonzero terms as one contiguous vector. A single label class
+    carries no information, so every column then scores exactly 0.
     """
     n, n_cols = codes.shape
+    if labels.min() == labels.max():
+        return np.zeros(n_cols)
     n_levels = int(codes.max()) + 1
     n_labels = int(labels.max()) + 1
     cells = (np.arange(n_cols) * n_levels + codes) * n_labels + labels[:, None]
     joint = np.bincount(cells.ravel(), minlength=n_cols * n_levels * n_labels) / n
     joint = joint.reshape(n_cols, n_levels, n_labels)
     px = joint.sum(axis=2)
-    if n_labels == 1:
-        py = np.array([[col[col > 0].sum()] for col in joint[:, :, 0]])
-    else:
-        py = joint.cumsum(axis=1)[:, -1]
+    py = joint.cumsum(axis=1)[:, -1]
     nz = joint > 0
     p = joint[nz]
     terms = p * np.log(p / (px[:, :, None] * py[:, None, :])[nz])

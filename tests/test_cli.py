@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import relapsekit.features
 from relapsekit.cli import build_parser, main
+from relapsekit.windowing import enumerate_windows
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +147,22 @@ def test_features_dump(cohort_dir, tmp_path, capsys):
     assert len(header) == 103
     assert header[:3] == ["patient_id", "window_start", "label"]
     assert exclusions.read_text().splitlines()[0] == "patient_id,window_start,reason"
+
+
+def test_features_enumerates_each_patients_windows_once(cohort_dir, tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(patient, *args):
+        calls.append(patient.patient_id)
+        return enumerate_windows(patient, *args)
+
+    monkeypatch.setattr(relapsekit.features, "enumerate_windows", counted)
+    argv = ["features", "--data", str(cohort_dir), "--out", str(tmp_path / "f.csv")]
+    assert main([*argv, "--exclusions", str(tmp_path / "x.csv")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert sorted(calls) == calls and len(set(calls)) == len(calls) == 8
+    excluded = len((tmp_path / "x.csv").read_text().splitlines()) - 1
+    assert f"excluded={excluded}" in out
 
 
 def test_no_selection_flag_reproduces_table_shape(cohort_dir, tmp_path, capsys):

@@ -1,8 +1,15 @@
-"""Edge cohorts: a signal with no rows at all, and a patient too short for any window."""
+"""Edge cohorts: a signal with no rows at all, a patient too short for any
+window, a single relapsing patient, and a relapse past the data of an
+inferred span."""
 
 from __future__ import annotations
 
+import csv
+import logging
 import shutil
+from datetime import date as Date
+from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 
@@ -87,3 +94,59 @@ def test_patient_shorter_than_window_plus_horizon_changes_no_output(tmp_path):
         outputs.append((metrics.read_bytes(), predictions.read_bytes()))
     assert len(load_dir(extended).patients) == 7
     assert outputs[0] == outputs[1]
+
+
+def test_single_relapse_patient_trains_its_own_fold_single_class_and_is_byte_stable(tmp_path, caplog):
+    data = tmp_path / "data"
+    synth = ["synth", "--patients", "5", "--days", "120", "--relapse-fraction", "0.2", "--seed", "3"]
+    assert main([*synth, "--out", str(data)]) == 0
+    relapsing = {row[0] for row in csv.reader((data / "relapses.csv").read_text().splitlines()[1:])}
+    assert len(relapsing) == 1
+    (pid,) = relapsing
+
+    runs = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        out.mkdir()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="relapsekit.evaluate"):
+            common = ["--data", str(data), "--seed", "9", "--threads", "1"]
+            assert main(["evaluate", *common, "--metrics", str(out / "e.json"), "--predictions", str(out / "e.csv")]) == 0
+            argv = ["compare-classifiers", *common, "--metrics", str(out / "c.json")]
+            assert main([*argv, "--predictions-dir", str(out / "c")]) == 0
+        warned = {record.getMessage() for record in caplog.records}
+        assert warned == {f"fold {pid}: training windows are single-class; predicting majority"}
+        runs.append({path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()})
+
+    assert len(runs[0]) == 8  # evaluate: metrics, predictions; compare: metrics, five prediction files
+    assert runs[0] == runs[1]
+    labelled = [row for row in csv.DictReader(runs[0][Path("e.csv")].decode().splitlines()) if row["label"] == "1"]
+    assert labelled and {row["patient_id"] for row in labelled} == {pid}
+
+
+def test_relapse_after_last_data_row_of_an_inferred_span_names_its_line(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--patients", "3", "--days", "60", "--seed", "4", "--out", str(data)]) == 0
+    # Drop the declared spans, so each is inferred from the patient's rows.
+    patients = [row[:3] for row in csv.reader((data / "patients.csv").read_text().splitlines())]
+    (data / "patients.csv").write_text("".join(",".join(row) + "\n" for row in patients))
+    pid = patients[1][0]
+    last = max(
+        Date.fromisoformat(row[1])
+        for name in ("sensors.csv", "ema.csv")
+        for row in csv.reader((data / name).read_text().splitlines()[1:])
+        if row[0] == pid
+    )
+    relapses = (data / "relapses.csv").read_text()
+    late = last + timedelta(days=1)
+    (data / "relapses.csv").write_text(relapses + f"{pid},{late.isoformat()}\n")
+    line = len(relapses.splitlines()) + 1
+
+    errors = []
+    for run in ("first", "second"):
+        argv = ["evaluate", "--data", str(data), "--metrics", str(tmp_path / run / "m.json")]
+        assert main(argv) == 1
+        errors.append(capsys.readouterr().err)
+        assert not (tmp_path / run).exists()
+    expected = f"error: {data / 'relapses.csv'}:{line}: relapse date {late} outside observation span\n"
+    assert errors == [expected, expected]

@@ -1,5 +1,8 @@
 """Property tests: the column-wise mutual-information core equals, bit for
-bit, the per-column table computation it replaced (kept here as the oracle)."""
+bit, the per-column table computation it replaced (kept here as the oracle).
+
+With a single label class the information is exactly 0, not a rounding
+residue of the table sums."""
 
 from __future__ import annotations
 
@@ -13,8 +16,11 @@ SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 def scalar_mi(x: np.ndarray, y: np.ndarray) -> float:
-    """One column's plug-in MI from a table of its present levels only."""
+    """One column's plug-in MI from a table of its present levels only; 0
+    when `y` has a single class."""
     n = x.size
+    if np.unique(y).size == 1:
+        return 0.0
     _, xi = np.unique(x, return_inverse=True)
     _, yi = np.unique(y, return_inverse=True)
     joint = np.zeros((xi.max() + 1, yi.max() + 1))
@@ -64,3 +70,12 @@ def test_mi_equals_per_column_table_exactly(case):
     assert mutual_information_columns(codes, labels).tolist() == want
     # The public one-column call, on level values that np.unique must rank.
     assert [mutual_information(codes[:, f] * 10 - 7, labels) for f in range(codes.shape[1])] == want
+
+
+@SETTINGS
+@given(code_matrices(), st.integers(-3, 3))
+def test_single_class_labels_score_exactly_zero(case, label):
+    codes, _ = case
+    labels = np.full(codes.shape[0], label)
+    assert mutual_information_columns(codes, np.maximum(labels, 0)).tolist() == [0.0] * codes.shape[1]
+    assert [mutual_information(codes[:, f], labels) for f in range(codes.shape[1])] == [0.0] * codes.shape[1]

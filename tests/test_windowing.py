@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import day, make_patient
 from relapsekit.windowing import (
     EXCLUDED_COOLOFF,
@@ -133,3 +136,63 @@ def test_exclusion_helpers_partition():
     patient = make_patient(n_days=120, relapse_days=(70,))
     windows = enumerate_windows(patient, patient.relapse_dates, full_coverage(120), FULL)
     assert len(evaluable_windows(windows)) + len(excluded_windows(windows)) == len(windows)
+
+
+def oracle_windows(n_days, relapse_days, covered_days, config):
+    """Every candidate as (start, feature end, predict start, predict end,
+    label, exclusion) in fixture day numbers, walking the calendar a day at
+    a time. A relapse-labelled candidate cools every later start before its
+    prediction end plus `cooloff_days`."""
+    out, cooled = [], set()
+    for start in range(0, n_days, config.stride_days):
+        feature = list(range(start, start + config.window_days))
+        predict = list(range(feature[-1] + 1, feature[-1] + 1 + config.horizon_days))
+        if predict[-1] >= n_days:
+            break
+        label = RELAPSE if any(d in relapse_days for d in predict) else NON_RELAPSE
+        exclusion = None
+        if start in cooled:
+            exclusion = EXCLUDED_COOLOFF
+        elif sum(d in covered_days for d in feature) < config.min_days_with_data:
+            exclusion = EXCLUDED_INSUFFICIENT_DATA
+        out.append((start, feature[-1], predict[0], predict[-1], label, exclusion))
+        if label == RELAPSE and config.cooloff_days > 0:
+            cooled.update(range(start + 1, predict[-1] + config.cooloff_days))
+    return out
+
+
+@st.composite
+def windowing_cases(draw):
+    n_days = draw(st.integers(1, 80))
+    window = draw(st.integers(1, 12))
+    config = WindowingConfig(
+        window_days=window,
+        horizon_days=draw(st.integers(1, 6)),
+        stride_days=draw(st.integers(1, 8)),
+        cooloff_days=draw(st.integers(0, 20)),
+        min_days_with_data=draw(st.integers(0, window + 1)),
+    )
+    days = st.integers(0, n_days - 1)
+    relapse_days = tuple(sorted(draw(st.sets(days, max_size=4))))
+    covered_days = draw(st.sets(st.integers(-5, n_days + 5), max_size=n_days + 10))
+    return n_days, relapse_days, covered_days, config
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(windowing_cases())
+def test_enumerate_windows_matches_day_by_day_oracle(case):
+    n_days, relapse_days, covered_days, config = case
+    patient = make_patient(n_days=n_days, relapse_days=relapse_days)
+    windows = enumerate_windows(patient, patient.relapse_dates, {day(k) for k in covered_days}, config)
+    got = [
+        (
+            (w.feature_start - day(0)).days,
+            (w.feature_end - day(0)).days,
+            (w.predict_start - day(0)).days,
+            (w.predict_end - day(0)).days,
+            w.label,
+            w.exclusion,
+        )
+        for w in windows
+    ]
+    assert got == oracle_windows(n_days, set(relapse_days), covered_days, config)
