@@ -14,18 +14,41 @@ file order, with a reason code. Sensor rows are averaged per
 (patient, date, signal, hour) into one dense `(days, 6, 24)` array per
 patient (`Dataset.sensors`). All writers are deterministic — the same
 in-memory object always produces byte-identical files.
+
+sensors.csv, by far the largest file, is read column-wise in blocks of
+`SENSOR_BLOCK_BYTES`, each cut at its last newline and split with
+`str.split`. A file holding a quote, CR or NUL byte (which change how
+`csv.reader` splits rows) or a line longer than csv's field limit takes its
+rows from `csv.reader` instead, in blocks of rows, so every file splits into
+exactly the rows `csv.reader` gives. Blocks are small on purpose: a block's
+row lists, columns and index arrays are all alive at once. With 1 MiB
+blocks, reading the benchmark cohorts' sensors.csv alone peaked at 52-62 MB
+of RSS, above the 44-45 MB of a whole benchmark run with 64 KiB blocks, and
+read more slowly.
+
+Each distinct date, hour and signal string is parsed once, with the same
+calls a row-by-row reader makes, so every form accepted there is accepted
+here. The rows' sums and counts go into a growable slab of `(2, 6, 24)` day
+accumulators with `np.add.at`, which adds in file order into the running
+array, so every hourly sum is the one a row-by-row `+=` gives. A per-block
+`np.bincount` added to the slab would not be: it sums one cell's rows of a
+block before adding them to that cell's rows from earlier blocks. A block
+with any invalid field is walked again row by row through
+`_check_sensor_row`, which raises the IngestError of its first bad row.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
 from datetime import date as Date
 from datetime import timedelta
+from itertools import islice, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -249,52 +272,183 @@ def _read_patients(path: Path) -> dict[str, _RawPatient]:
     return patients
 
 
+SENSOR_BLOCK_BYTES = 1 << 16
+_SIGNAL_INDEX = {s.value: i for i, s in enumerate(SIGNALS)}
+_DAY_CELLS = len(SIGNALS) * HOURS_PER_DAY  # one (6, 24) plane of a day accumulator
+
+
 def _read_sensors(
     path: Path, patients: dict[str, _RawPatient], exclusions: list[IngestExclusion]
 ) -> dict[str, dict[Date, np.ndarray]]:
     """Per patient and date, a `(2, 6, 24)` array of hourly sums and counts."""
-    days: dict[str, dict[Date, np.ndarray]] = {}
-    signal_index = {s.value: i for i, s in enumerate(SIGNALS)}
-
-    for line_no, row in _open_rows(path):
+    sums = _SensorSums(path, patients)
+    line_no = 1
+    for rows in _sensor_blocks(path):
         if line_no == 1:
-            _check_header(path, row, _SENSOR_HEADER)
-            continue
-        if not row:
-            continue
-        if len(row) != 5:
-            raise IngestError(str(path), line_no, f"expected 5 fields, got {len(row)}")
-        pid, date_text, hour_text, signal_text, value_text = row
-        if pid not in patients:
-            raise IngestError(str(path), line_no, f"unknown patient_id {pid}")
-        date = _parse_date(path, line_no, date_text)
-        try:
-            hour = int(hour_text)
-        except ValueError as exc:
-            raise IngestError(str(path), line_no, f"non-integer hour {hour_text!r}") from exc
-        if not 0 <= hour <= HOURS_PER_DAY - 1:
-            raise IngestError(str(path), line_no, f"hour out of range: {hour}")
-        if signal_text not in signal_index:
-            raise IngestError(str(path), line_no, f"unknown signal name {signal_text!r}")
-        try:
-            value = float(value_text)
-        except ValueError as exc:
-            raise IngestError(str(path), line_no, f"non-numeric value {value_text!r}") from exc
-        if not math.isfinite(value) or value < 0:
-            raise IngestError(str(path), line_no, f"value must be finite and >= 0, got {value_text}")
-        if _outside_span(patients[pid], date):
-            exclusions.append(IngestExclusion(str(path), line_no, EXCLUDED_OUTSIDE_SPAN))
-            continue
+            _check_header(path, rows[0], _SENSOR_HEADER)
+            rows, line_no = rows[1:], 2
+        sums.add(rows, line_no, exclusions)
+        line_no += len(rows)
+    return sums.days()
 
-        by_date = days.setdefault(pid, {})
-        acc = by_date.get(date)
-        if acc is None:
-            acc = by_date[date] = np.zeros((2, len(SIGNALS), HOURS_PER_DAY))
-        si = signal_index[signal_text]
-        acc[0, si, hour] += value
-        acc[1, si, hour] += 1
 
-    return days
+def _sensor_blocks(path: Path) -> Iterator[list[list[str]]]:
+    """The rows of sensors.csv as `csv.reader` gives them, a block at a time."""
+    if _needs_csv_reader(path):
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            while rows := list(islice(reader, max(SENSOR_BLOCK_BYTES // 64, 1))):
+                yield rows
+        return
+    with path.open("rb") as handle:
+        tail = b""
+        while block := handle.read(SENSOR_BLOCK_BYTES):
+            block = tail + block
+            cut = block.rfind(b"\n") + 1
+            tail = block[cut:]
+            if cut:
+                lines = block[:cut].decode("utf-8").split("\n")
+                lines.pop()
+                if "" in lines:  # a blank line is the empty row [], as csv.reader gives it
+                    yield [line.split(",") if line else [] for line in lines]
+                else:
+                    yield list(map(str.split, lines, repeat(",")))
+        if tail:
+            yield [tail.decode("utf-8").split(",")]
+
+
+def _needs_csv_reader(path: Path) -> bool:
+    """True if splitting lines at newlines and fields at commas could give
+    other rows than `csv.reader`: the file holds a quote, CR or NUL byte, or
+    a line longer than csv's field limit (which csv rejects)."""
+    limit = csv.field_size_limit()
+    if limit < SENSOR_BLOCK_BYTES:
+        return True
+    run = 0  # bytes since the last newline
+    with path.open("rb") as handle:
+        while block := handle.read(SENSOR_BLOCK_BYTES):
+            if b'"' in block or b"\r" in block or b"\0" in block:
+                return True
+            first = block.find(b"\n")
+            if first < 0:
+                run += len(block)
+            elif run + first > limit:
+                return True
+            else:
+                run = len(block) - block.rfind(b"\n") - 1
+    return run > limit
+
+
+class _SensorSums:
+    """Hourly sums and counts of sensors.csv rows, one `(2, 6, 24)` day
+    accumulator per (patient, date) in a slab that grows as days appear."""
+
+    def __init__(self, path: Path, patients: dict[str, _RawPatient]) -> None:
+        self.path = path
+        self.patients = patients
+        self.dates: dict[str, Date] = {}  # parsed once per distinct string
+        self.hours: dict[str, int] = {}
+        self.slot_of_day: dict[tuple[str, Date], int] = {}
+        self.slab = np.zeros((64, 2, len(SIGNALS), HOURS_PER_DAY))
+
+    def add(self, rows: list[list[str]], first_line: int, exclusions: list[IngestExclusion]) -> None:
+        """Add one block of rows, the first on csv row `first_line`."""
+        line_nos = np.arange(first_line, first_line + len(rows))
+        if [] in rows:  # blank rows count for line numbers only
+            kept = [i for i, row in enumerate(rows) if row]
+            rows, line_nos = [rows[i] for i in kept], line_nos[kept]
+        if not rows:
+            return
+        columns = self._columns(rows)
+        if columns is None:
+            for line_no, row in zip(line_nos.tolist(), rows):
+                _check_sensor_row(self.path, line_no, row, self.patients)
+            raise AssertionError(f"{self.path}: block at line {first_line} failed in bulk but not row by row")
+        slots, cells, values = columns
+        outside = slots < 0
+        exclusions.extend(
+            IngestExclusion(str(self.path), line_no, EXCLUDED_OUTSIDE_SPAN)
+            for line_no in line_nos[outside].tolist()
+        )
+        if len(self.slot_of_day) > len(self.slab):
+            grown = np.zeros((max(2 * len(self.slab), len(self.slot_of_day)), *self.slab.shape[1:]))
+            grown[: len(self.slab)] = self.slab
+            self.slab = grown
+        inside = ~outside
+        at = slots[inside] * (2 * _DAY_CELLS) + cells[inside]
+        flat = self.slab.reshape(-1)
+        np.add.at(flat, at, values[inside])
+        np.add.at(flat, at + _DAY_CELLS, 1.0)
+
+    def _columns(self, rows: list[list[str]]) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Each row's day slot (-1 outside the span), `signal * 24 + hour`
+        cell and value; None if any row fails `_check_sensor_row`."""
+        if set(map(len, rows)) != {5}:
+            return None
+        pids, date_texts, hour_texts, signal_texts, value_texts = zip(*rows)
+        if not self.patients.keys() >= set(pids) or not _SIGNAL_INDEX.keys() >= set(signal_texts):
+            return None
+        try:
+            for text in set(date_texts).difference(self.dates):
+                self.dates[text] = Date.fromisoformat(text)
+            for text in set(hour_texts).difference(self.hours):
+                hour = int(text)
+                if not 0 <= hour <= HOURS_PER_DAY - 1:
+                    return None
+                self.hours[text] = hour
+            values = np.fromiter(map(float, value_texts), float, len(rows))
+        except ValueError:
+            return None
+        if not (np.isfinite(values) & (values >= 0)).all():
+            return None
+
+        # Rows of one (patient, date) mostly come in runs: resolve each run's slot once.
+        pid_col, date_col = np.array(pids, dtype=object), np.array(date_texts, dtype=object)
+        run_start = np.ones(len(rows), dtype=bool)
+        run_start[1:] = (pid_col[1:] != pid_col[:-1]) | (date_col[1:] != date_col[:-1])
+        starts = np.flatnonzero(run_start)
+        run_slots = [self._slot(pids[i], self.dates[date_texts[i]]) for i in starts.tolist()]
+        slots = np.repeat(np.array(run_slots, dtype=np.intp), np.diff(starts, append=len(rows)))
+        signals = np.fromiter(map(_SIGNAL_INDEX.__getitem__, signal_texts), np.intp, len(rows))
+        hours = np.fromiter(map(self.hours.__getitem__, hour_texts), np.intp, len(rows))
+        return slots, signals * HOURS_PER_DAY + hours, values
+
+    def _slot(self, pid: str, date: Date) -> int:
+        """The day accumulator of a row, or -1 for a date outside the declared span."""
+        if _outside_span(self.patients[pid], date):
+            return -1
+        return self.slot_of_day.setdefault((pid, date), len(self.slot_of_day))
+
+    def days(self) -> dict[str, dict[Date, np.ndarray]]:
+        """Per patient and date, its accumulator (a view into the slab)."""
+        out: dict[str, dict[Date, np.ndarray]] = {}
+        for (pid, date), slot in self.slot_of_day.items():
+            out.setdefault(pid, {})[date] = self.slab[slot]
+        return out
+
+
+def _check_sensor_row(path: Path, line_no: int, row: list[str], patients: dict[str, _RawPatient]) -> None:
+    """Raise the IngestError of one non-blank sensors.csv row, if it has one."""
+    if len(row) != 5:
+        raise IngestError(str(path), line_no, f"expected 5 fields, got {len(row)}")
+    pid, date_text, hour_text, signal_text, value_text = row
+    if pid not in patients:
+        raise IngestError(str(path), line_no, f"unknown patient_id {pid}")
+    _parse_date(path, line_no, date_text)
+    try:
+        hour = int(hour_text)
+    except ValueError as exc:
+        raise IngestError(str(path), line_no, f"non-integer hour {hour_text!r}") from exc
+    if not 0 <= hour <= HOURS_PER_DAY - 1:
+        raise IngestError(str(path), line_no, f"hour out of range: {hour}")
+    if signal_text not in _SIGNAL_INDEX:
+        raise IngestError(str(path), line_no, f"unknown signal name {signal_text!r}")
+    try:
+        value = float(value_text)
+    except ValueError as exc:
+        raise IngestError(str(path), line_no, f"non-numeric value {value_text!r}") from exc
+    if not math.isfinite(value) or value < 0:
+        raise IngestError(str(path), line_no, f"value must be finite and >= 0, got {value_text}")
 
 
 def _read_ema(
@@ -367,6 +521,13 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _csv_field(text: str) -> str:
+    """`text` as `csv.writer` writes it in a row of several fields."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow([text, ""])
+    return line.getvalue()[:-2]
+
+
 def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
     """Emit the four interchange files for a dataset; returns their paths."""
     out = Path(out_dir)
@@ -393,18 +554,19 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
             )
 
     with paths["sensors"].open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_SENSOR_HEADER)
-        signal_names = [s.value for s in SIGNALS]
+        csv.writer(handle, lineterminator="\n").writerow(_SENSOR_HEADER)
+        cells = [f",{hour},{s.value}," for s in SIGNALS for hour in range(HOURS_PER_DAY)]
         for p in sorted(dataset.patients, key=lambda p: p.patient_id):
             cube = dataset.sensors[p.patient_id]
-            dates = [(p.observation_start + timedelta(days=d)).isoformat() for d in range(len(cube))]
             present = ~np.isnan(cube)
-            # argwhere walks C order, i.e. (date, signal, hour): the file order.
-            writer.writerows(
-                [p.patient_id, dates[d], hour, signal_names[si], _fmt(value)]
-                for (d, si, hour), value in zip(np.argwhere(present).tolist(), cube[present].tolist())
-            )
+            if not present.any():
+                continue
+            pid = _csv_field(p.patient_id)
+            days = [f"{pid},{(p.observation_start + timedelta(days=d)).isoformat()}" for d in range(len(cube))]
+            # Flat C order is (date, signal, hour): the file order.
+            day, cell = np.divmod(np.flatnonzero(present), len(cells))
+            prefixes = map(str.__add__, map(days.__getitem__, day.tolist()), map(cells.__getitem__, cell.tolist()))
+            handle.write("\n".join(map(str.__add__, prefixes, map(repr, cube[present].tolist()))) + "\n")
 
     with paths["ema"].open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")

@@ -11,9 +11,11 @@ A fold's binning model depends only on its training windows and `bins`,
 and its selection subsample only on them and `selection_pool`; no grid arm
 changes those. `run_grid` therefore hands every arm one fold cache, so each
 fold fits its bins and draws its subsample once per grid, not once per arm.
-The cache holds only those two small objects (about 14 KB a fold). The
-float and binned training matrices are rebuilt per arm: cached for every
-fold they would cost megabytes of peak memory for a few milliseconds.
+The cache holds only those two small objects (about 14 KB a fold), plus a
+mark per fold whose single-class warning was logged, so a grid logs it once
+per fold. The float and binned training matrices are rebuilt per arm:
+cached for every fold they would cost megabytes of peak memory for a few
+milliseconds.
 """
 
 from __future__ import annotations
@@ -189,7 +191,9 @@ def _run_fold(
         # No second class to learn from: fall back to majority prediction.
         majority = int(np.bincount(ytr, minlength=2).argmax())
         warning = "single_class_training"
-        logger.warning("fold %s: training windows are single-class; predicting majority", patient_id)
+        if ("warned", patient_id) not in fold_cache:
+            fold_cache[("warned", patient_id)] = True
+            logger.warning("fold %s: training windows are single-class; predicting majority", patient_id)
         predicted = np.full(yte.size, majority, dtype=np.int64)
         scores = np.full(yte.size, float(ytr.mean()) if ytr.size else 0.0)
     else:

@@ -30,8 +30,9 @@ from .model import (
 from .templates import (
     DAYTIME_HOURS,
     WindowTemplates,
+    average_stats,
     compute_window_templates,
-    daily_average_stats,
+    daily_averages,
     ddt_mean,
     max_abs_diff,
     mdt_stats,
@@ -57,19 +58,19 @@ class FeatureWindow:
         return self.spec.label
 
 
-def _sensor_days(dataset: Dataset, patient: Patient, signal_index: int, start: Date, days: int) -> np.ndarray:
-    """The `(n, 24)` daily templates of one signal for [start, start + days)
-    within the observation span; days without data are all-missing rows."""
+def _day_rows(patient: Patient, start: Date, days: int) -> slice:
+    """The rows of [start, start + days) within the patient's day axis."""
     offset = (start - patient.observation_start).days
-    lo, hi = max(offset, 0), max(offset + days, 0)
-    return dataset.sensors[patient.patient_id][lo:hi, signal_index]
+    return slice(max(offset, 0), max(offset + days, 0))
 
 
 def window_templates_for(
     dataset: Dataset, patient_id: str, signal: Signal, start: Date, days: int
 ) -> WindowTemplates:
-    patient = dataset.patient(patient_id)
-    return compute_window_templates(_sensor_days(dataset, patient, SIGNALS.index(signal), start, days))
+    """The window's aggregates of one signal's `(n, 24)` daily templates;
+    days without data are all-missing rows."""
+    rows = _day_rows(dataset.patient(patient_id), start, days)
+    return compute_window_templates(dataset.sensors[patient_id][rows, SIGNALS.index(signal)])
 
 
 def extract_features(
@@ -77,20 +78,22 @@ def extract_features(
     dataset: Dataset,
     templates: Mapping[Signal, WindowTemplates],
     prev_templates: Mapping[Signal, WindowTemplates] | None,
+    averages: np.ndarray,
 ) -> FeatureWindow:
     """Build one window's feature vector.
 
     `templates` holds the window's own aggregates per signal and
     `prev_templates` those of the window one stride earlier; pass None for
     a patient's first window, which leaves the three distance features
-    missing.
+    missing. `averages` is the patient's `(days, 6)` array of daily
+    averages, `daily_averages(dataset.sensors[patient_id])`.
     """
     patient = dataset.patient(window.patient_id)
     window_days = (window.feature_end - window.feature_start).days + 1
+    window_averages = averages[_day_rows(patient, window.feature_start, window_days)]
     values = np.full(FEATURE_COUNT, np.nan)
 
     for si, signal in enumerate(SIGNALS):
-        daily = _sensor_days(dataset, patient, si, window.feature_start, window_days)
         wt = templates[signal]
         base = si * FEATURES_PER_SIGNAL
         values[base : base + 6] = mdt_stats(wt.mdt)
@@ -103,7 +106,7 @@ def extract_features(
             values[base + 8] = template_distance(curr_mdt_norm, prev_mdt_norm)
             values[base + 9] = template_distance(curr_mdt_norm, prev_mdt_norm, *DAYTIME_HOURS)
             values[base + 10] = template_distance(curr_mxdt_norm, prev_mdt_norm)
-        values[base + 11], values[base + 12] = daily_average_stats(daily)
+        values[base + 11], values[base + 12] = average_stats(window_averages[:, si])
 
     records = dataset.ema_records(window.patient_id)
     answers: list[tuple[int, ...]] = [
@@ -136,6 +139,7 @@ def extract_cohort(dataset: Dataset, config: WindowingConfig) -> tuple[list[Feat
         coverage = dataset.sensor_dates(patient.patient_id)
         own = enumerate_windows(patient, patient.relapse_dates, coverage, config)
         candidates.extend(own)
+        averages = daily_averages(dataset.sensors[patient.patient_id])
         built: dict[Date, dict[Signal, WindowTemplates]] = {}  # by window start, each built once
         for spec in evaluable_windows(own):
             prev_start = spec.feature_start - timedelta(days=config.stride_days)
@@ -145,7 +149,8 @@ def extract_cohort(dataset: Dataset, config: WindowingConfig) -> tuple[list[Feat
                         signal: window_templates_for(dataset, patient.patient_id, signal, start, config.window_days)
                         for signal in SIGNALS
                     }
-            out.append(extract_features(spec, dataset, built[spec.feature_start], built.get(prev_start)))
+            prev = built.get(prev_start)
+            out.append(extract_features(spec, dataset, built[spec.feature_start], prev, averages))
     return out, candidates
 
 

@@ -133,18 +133,27 @@ def template_distance(
     return float((diff**2).sum())
 
 
-def daily_average_stats(days: np.ndarray) -> tuple[float, float]:
-    """Mean and population std of the per-day averages of `(n, 24)` templates.
+def daily_averages(days: np.ndarray) -> np.ndarray:
+    """Each day's average over its present slots, for `(..., 24)` templates;
+    NaN for a day without samples.
 
-    A day's average is the mean of its present slots; days with no samples
-    are skipped. Returns (NaN, NaN) when no day has data.
+    Days are grouped by their count of present slots and each group's present
+    values are packed to the front of a `(days, count)` array, so every
+    average is the same `.mean()` a single day's present values give.
     """
-    averages = []
-    for row in days:
-        values = row[~np.isnan(row)]
-        if values.size:
-            averages.append(values.mean())
-    if not averages:
+    flat = days.reshape(-1, HOURS_PER_DAY)
+    present = ~np.isnan(flat)
+    counts = present.sum(axis=1)
+    out = np.full(len(flat), np.nan)
+    for count in np.unique(counts[counts > 0]).tolist():
+        group = np.flatnonzero(counts == count)
+        out[group] = flat[group][present[group]].reshape(-1, count).mean(axis=1)
+    return out.reshape(days.shape[:-1])
+
+
+def average_stats(averages: np.ndarray) -> tuple[float, float]:
+    """Mean and population std of the non-NaN day averages; (NaN, NaN) if none."""
+    values = averages[~np.isnan(averages)]
+    if not values.size:
         return float("nan"), float("nan")
-    arr = np.array(averages)
-    return float(arr.mean()), float(arr.std())
+    return float(values.mean()), float(values.std())

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 from datetime import date as Date
 
 import numpy as np
@@ -189,6 +191,30 @@ def test_write_dataset_roundtrip_is_lossless(tmp_path):
     assert again.patients == ds.patients
     np.testing.assert_array_equal(again.sensors["pa"], sensors)
     assert again.ema_records("pa") == ds.ema_records("pa")
+
+
+def test_sensor_writer_formats_rows_as_csv_writer_does(tmp_path):
+    # Ids that csv.writer must quote, and one patient without any sample.
+    ids = ["p,1", 'p"2', "p\n3", "p4"]
+    sensors = {pid: np.full((2, 6, 24), np.nan) for pid in ids}
+    sensors["p,1"][0, CALL, 3] = 1.125
+    sensors["p,1"][1, 0, 0] = 0.1
+    sensors['p"2'][1, 5, 23] = 2.5e-8
+    sensors["p\n3"][0, CALL, 3] = 7.0
+    ds = Dataset(patients=tuple(make_patient(pid=pid, n_days=2) for pid in ids), sensors=sensors, ema={})
+    paths = write_dataset(ds, tmp_path)
+
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["patient_id", "date", "hour", "signal", "value"])
+    for pid in sorted(ids):
+        present = ~np.isnan(sensors[pid])
+        for (d, si, hour), value in zip(np.argwhere(present).tolist(), sensors[pid][present].tolist()):
+            writer.writerow([pid, day(d).isoformat(), hour, SIGNALS[si].value, repr(value)])
+    assert paths["sensors"].read_bytes() == expected.getvalue().encode("utf-8")
+    again = load_dataset(paths["sensors"], paths["ema"], paths["patients"], paths["relapses"])
+    for pid in ids:
+        np.testing.assert_array_equal(again.sensors[pid], sensors[pid])
 
 
 def make_report(rows) -> EvalReport:

@@ -104,18 +104,21 @@ def test_single_relapse_patient_trains_its_own_fold_single_class_and_is_byte_sta
     assert len(relapsing) == 1
     (pid,) = relapsing
 
+    warning = f"fold {pid}: training windows are single-class; predicting majority"
+    common = ["--data", str(data), "--seed", "9", "--threads", "1"]
     runs = []
     for run in ("first", "second"):
         out = tmp_path / run
         out.mkdir()
-        caplog.clear()
         with caplog.at_level(logging.WARNING, logger="relapsekit.evaluate"):
-            common = ["--data", str(data), "--seed", "9", "--threads", "1"]
-            assert main(["evaluate", *common, "--metrics", str(out / "e.json"), "--predictions", str(out / "e.csv")]) == 0
+            caplog.clear()
+            argv = ["evaluate", *common, "--metrics", str(out / "e.json")]
+            assert main([*argv, "--predictions", str(out / "e.csv")]) == 0
+            assert [record.getMessage() for record in caplog.records] == [warning]
+            caplog.clear()
             argv = ["compare-classifiers", *common, "--metrics", str(out / "c.json")]
             assert main([*argv, "--predictions-dir", str(out / "c")]) == 0
-        warned = {record.getMessage() for record in caplog.records}
-        assert warned == {f"fold {pid}: training windows are single-class; predicting majority"}
+            assert [record.getMessage() for record in caplog.records] == [warning]  # once per fold, not per arm
         runs.append({path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()})
 
     assert len(runs[0]) == 8  # evaluate: metrics, predictions; compare: metrics, five prediction files

@@ -207,10 +207,11 @@ def test_extract_features_prev_window_with_no_data_leaves_distances_missing():
     ds.sensors["p1"][:28, SIGNALS.index(Signal.LIGHT_LEVEL)] = np.nan
     spec = window_at("p1", day(7), (), CONFIG)
     from relapsekit.features import window_templates_for
+    from relapsekit.templates import daily_averages
 
     prev = {s: window_templates_for(ds, "p1", s, day(0), CONFIG.window_days) for s in Signal}
     templates = {s: window_templates_for(ds, "p1", s, day(7), CONFIG.window_days) for s in Signal}
-    fw = extract_features(spec, ds, templates, prev)
+    fw = extract_features(spec, ds, templates, prev, daily_averages(ds.sensors["p1"]))
     assert np.isnan(feature(fw, "light_level_dist_mdt"))
     assert np.isnan(feature(fw, "light_level_dist_mxdt"))
     assert not np.isnan(feature(fw, "light_level_mdt_mean"))  # days 28..34 still there

@@ -1,0 +1,234 @@
+"""The block reader of sensors.csv against the row-by-row reader it replaced.
+
+`oracle_read_sensors` is that reader, kept as the reference: one
+`csv.reader` row at a time, one `+=` per row. With the block size cut to
+64 bytes, a (patient, date, signal, hour) cell's rows fall in different
+blocks, and every sum and count, every exclusion and every error message
+must still be the oracle's.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+from datetime import date as Date
+from datetime import timedelta
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from relapsekit import dataio
+from relapsekit.dataio import (
+    EXCLUDED_OUTSIDE_SPAN,
+    IngestError,
+    IngestExclusion,
+    _check_header,
+    _open_rows,
+    _outside_span,
+    _parse_date,
+    _RawPatient,
+)
+from relapsekit.model import SIGNALS
+from relapsekit.templates import HOURS_PER_DAY
+
+HEADER = "patient_id,date,hour,signal,value"
+FIRST_DAY = Date(2021, 1, 2)
+# "pa" declares 2021-01-04..2021-01-08, so rows drawn from 2021-01-02..10
+# fall on both sides of it; "pb" and "p,c" have spans inferred from data.
+PATIENTS = {
+    "pa": _RawPatient(40, 10, (Date(2021, 1, 4), Date(2021, 1, 8)), 2),
+    "pb": _RawPatient(50, 12, None, 3),
+    "p,c": _RawPatient(60, 8, None, 4),
+}
+
+
+def oracle_read_sensors(
+    path: Path, patients: dict[str, _RawPatient], exclusions: list[IngestExclusion]
+) -> dict[str, dict[Date, np.ndarray]]:
+    """Per patient and date, a `(2, 6, 24)` array of hourly sums and counts."""
+    days: dict[str, dict[Date, np.ndarray]] = {}
+    signal_index = {s.value: i for i, s in enumerate(SIGNALS)}
+
+    for line_no, row in _open_rows(path):
+        if line_no == 1:
+            _check_header(path, row, dataio._SENSOR_HEADER)
+            continue
+        if not row:
+            continue
+        if len(row) != 5:
+            raise IngestError(str(path), line_no, f"expected 5 fields, got {len(row)}")
+        pid, date_text, hour_text, signal_text, value_text = row
+        if pid not in patients:
+            raise IngestError(str(path), line_no, f"unknown patient_id {pid}")
+        date = _parse_date(path, line_no, date_text)
+        try:
+            hour = int(hour_text)
+        except ValueError as exc:
+            raise IngestError(str(path), line_no, f"non-integer hour {hour_text!r}") from exc
+        if not 0 <= hour <= HOURS_PER_DAY - 1:
+            raise IngestError(str(path), line_no, f"hour out of range: {hour}")
+        if signal_text not in signal_index:
+            raise IngestError(str(path), line_no, f"unknown signal name {signal_text!r}")
+        try:
+            value = float(value_text)
+        except ValueError as exc:
+            raise IngestError(str(path), line_no, f"non-numeric value {value_text!r}") from exc
+        if not math.isfinite(value) or value < 0:
+            raise IngestError(str(path), line_no, f"value must be finite and >= 0, got {value_text}")
+        if _outside_span(patients[pid], date):
+            exclusions.append(IngestExclusion(str(path), line_no, EXCLUDED_OUTSIDE_SPAN))
+            continue
+
+        by_date = days.setdefault(pid, {})
+        acc = by_date.get(date)
+        if acc is None:
+            acc = by_date[date] = np.zeros((2, len(SIGNALS), HOURS_PER_DAY))
+        si = signal_index[signal_text]
+        acc[0, si, hour] += value
+        acc[1, si, hour] += 1
+
+    return days
+
+
+def read_both(path: Path, block_bytes: int = 64) -> list[tuple]:
+    """What the oracle and the block reader each return or raise."""
+    outcomes = []
+    with mock.patch.object(dataio, "SENSOR_BLOCK_BYTES", block_bytes):
+        for reader in (oracle_read_sensors, dataio._read_sensors):
+            exclusions: list[IngestExclusion] = []
+            try:
+                days = reader(path, PATIENTS, exclusions)
+            except (IngestError, csv.Error) as exc:
+                outcomes.append(("raised", type(exc), str(exc)))
+            else:
+                sums = {pid: {d: acc.tolist() for d, acc in by_date.items()} for pid, by_date in days.items()}
+                outcomes.append((sums, exclusions))
+    return outcomes
+
+
+# Values whose sums depend on the order they are added in.
+VALUES = st.one_of(
+    st.sampled_from([0.1, 0.2, 0.3, 1e16, 1.0, 2.5e-8, 0.0]),
+    st.floats(0.0, 1e6, allow_subnormal=False),
+)
+
+
+@st.composite
+def sensor_rows(draw, pids: list[str]) -> list[str]:
+    """The five fields of one valid row, in the odd forms `Date.fromisoformat`,
+    `int` and `float` also accept; few cells, so cells repeat."""
+    pid = draw(st.sampled_from(pids))
+    date = (FIRST_DAY + timedelta(days=draw(st.integers(0, 8)))).isoformat()
+    hour = draw(st.integers(0, 3))
+    value = draw(VALUES)
+    return [
+        pid,
+        draw(st.sampled_from([date, date.replace("-", "")])),
+        draw(st.sampled_from([str(hour), f" {hour}", f"0_{hour}"])),
+        draw(st.sampled_from(["call_duration", "light_level"])),
+        draw(st.sampled_from([repr(value), f" {value!r}", "1_0"])),
+    ]
+
+
+@st.composite
+def sensor_files(draw) -> str:
+    """A sensors.csv text. Some files quote a patient id that holds a comma,
+    end lines in CRLF or lack the final newline; most have blank lines."""
+    quoted = draw(st.booleans())
+    pids = ["pa", "pb", "p,c"] if quoted else ["pa", "pb"]
+    rows = draw(st.lists(sensor_rows(pids), max_size=60))
+    for i in range(1, len(rows)):
+        if draw(st.booleans()):  # the previous row's cell again, with its own value
+            rows[i][:4] = rows[i - 1][:4]
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    lines = [HEADER] + [",".join(f'"{f}"' if "," in f else f for f in row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    text = newline.join(lines)
+    if draw(st.booleans()):
+        text += newline
+    return text
+
+
+def write(tmp_path_factory, text: str) -> Path:
+    path = tmp_path_factory.mktemp("sensors") / "sensors.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+# With 64-byte blocks, 0.1 is read in one block and 0.2, 0.3 in the next:
+# file order gives (0.1 + 0.2) + 0.3, summing the second block first gives
+# 0.1 + (0.2 + 0.3), one ulp less.
+SPLIT_CELL = HEADER + "".join(f"\npb,20210105,1,light_level,{v}" for v in ("0.1", "0.2", "0.3")) + "\n"
+
+
+@SETTINGS
+@example(text=SPLIT_CELL)
+@given(text=sensor_files())
+def test_block_reader_equals_row_by_row_reader(tmp_path_factory, text):
+    oracle, blocks = read_both(write(tmp_path_factory, text))
+    assert oracle[0] != "raised"
+    assert blocks == oracle
+
+
+# One invalid row of each kind the reader rejects, as (fields, message fragment).
+BAD_ROWS = [
+    (["pa", "2021-01-04", "24", "call_duration", "1"], "hour out of range"),
+    (["pa", "2021-01-04", "3", "step_count", "1"], "unknown signal"),
+    (["pa", "2021-01-04", "3", "call_duration", "-1"], "finite and >= 0"),
+    (["pa", "2021-01-04", "3", "call_duration", "nan"], "finite and >= 0"),
+    (["px", "2021-01-04", "3", "call_duration", "1"], "unknown patient_id"),
+    (["pa", "2021-13-04", "3", "call_duration", "1"], "invalid date"),
+    (["pa", "2021-01-04", "3.0", "call_duration", "1"], "non-integer hour"),
+    (["pa", "2021-01-04", "3", "call_duration", "1,5"], "expected 5 fields"),
+    (["pa", "2021-01-04", "3", "call_duration", "x"], "non-numeric value"),
+]
+
+
+@SETTINGS
+@given(rows=st.lists(sensor_rows(["pa", "pb"]), min_size=1, max_size=40), data=st.data())
+def test_one_bad_row_raises_the_row_by_row_message(tmp_path_factory, rows, data):
+    at = data.draw(st.integers(0, len(rows) - 1))
+    bad, fragment = data.draw(st.sampled_from(BAD_ROWS))
+    rows[at] = bad
+    text = "\n".join([HEADER] + [",".join(row) for row in rows]) + "\n"
+    oracle, blocks = read_both(write(tmp_path_factory, text))
+    assert oracle[0] == "raised" and fragment in oracle[2] and f"sensors.csv:{at + 2}:" in oracle[2]
+    assert blocks == oracle
+
+
+@pytest.mark.parametrize("text", ["", HEADER, HEADER + "\n", HEADER + "\n\n", "\n" + HEADER + "\n"])
+def test_empty_and_header_only_files_read_as_row_by_row(tmp_path_factory, text):
+    oracle, blocks = read_both(write(tmp_path_factory, text))
+    assert blocks == oracle
+
+
+def test_zero_byte_sensor_file_loads_with_no_rows(tmp_path):
+    (tmp_path / "sensors.csv").write_bytes(b"")
+    (tmp_path / "ema.csv").write_text("patient_id,date," + ",".join(f"item_{i}" for i in range(1, 11)) + "\n")
+    (tmp_path / "patients.csv").write_text(
+        "patient_id,age,education_years,observation_start,observation_end\npa,40,10,2021-01-04,2021-01-10\n"
+    )
+    (tmp_path / "relapses.csv").write_text("patient_id,relapse_date\n")
+    ds = dataio.load_dataset(*(tmp_path / name for name in ("sensors.csv", "ema.csv", "patients.csv", "relapses.csv")))
+    assert ds.sensors["pa"].shape == (7, 6, 24) and np.isnan(ds.sensors["pa"]).all()
+    assert ds.ingest_exclusions == ()
+
+
+def test_line_over_the_csv_field_limit_raises_as_row_by_row(tmp_path_factory):
+    # csv.reader rejects a field longer than its limit; a field of exactly
+    # the limit is read.
+    limit = csv.field_size_limit()
+    for width in (limit - 1, limit + 1):
+        value = "0" * (width - 3) + "1.5"
+        text = f"{HEADER}\npa,2021-01-04,3,call_duration,1\npb,2021-01-04,3,call_duration,{value}\n"
+        oracle, blocks = read_both(write(tmp_path_factory, text), block_bytes=1 << 16)
+        assert (oracle[0] == "raised") == (width > limit)
+        assert blocks == oracle

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from relapsekit.templates import (
+    average_stats,
     compute_window_templates,
-    daily_average_stats,
+    daily_averages,
     ddt_mean,
     max_abs_diff,
     mdt_stats,
@@ -146,19 +150,65 @@ def test_distance_invalid_range_rejected():
         template_distance(np.ones(24), np.ones(24), 5, 3)
 
 
-# -- daily_average_stats ----------------------------------------------------------
+# -- daily averages ---------------------------------------------------------------
+
+
+def daily_average_stats(days: np.ndarray) -> tuple[float, float]:
+    """Oracle: the per-day loop that extraction ran in every window before
+    `daily_averages` computed each patient's day averages once."""
+    averages = []
+    for row in days:
+        values = row[~np.isnan(row)]
+        if values.size:
+            averages.append(values.mean())
+    if not averages:
+        return float("nan"), float("nan")
+    arr = np.array(averages)
+    return float(arr.mean()), float(arr.std())
 
 
 def test_daily_average_stats_examples():
     two = np.array([hours_array({0: 2.0}), hours_array({0: 4.0})])
-    assert daily_average_stats(two) == (3.0, 1.0)
+    assert average_stats(daily_averages(two)) == (3.0, 1.0)
 
     one = np.array([hours_array({0: 2.0, 5: 4.0}), hours_array({})])  # a day without data is skipped
-    assert daily_average_stats(one) == (3.0, 0.0)
+    assert average_stats(daily_averages(one)) == (3.0, 0.0)
 
     for no_data in (np.empty((0, 24)), np.full((3, 24), np.nan)):
-        mean, std = daily_average_stats(no_data)
+        mean, std = average_stats(daily_averages(no_data))
         assert math.isnan(mean) and math.isnan(std)
+
+
+@st.composite
+def sensor_cubes(draw) -> np.ndarray:
+    """A `(days, 6, 24)` array with a drawn missing rate from 0 to 100%, plus
+    an all-missing and a single-hour day-signal row when there is room."""
+    n_days = draw(st.integers(0, 40))
+    shape = (n_days, 6, 24)
+    values = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1e6, allow_subnormal=False)))
+    draws = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+    cube = np.where(draws < draw(st.floats(0.0, 1.0)), np.nan, values)
+    if n_days:
+        cube[draw(st.integers(0, n_days - 1)), draw(st.integers(0, 5))] = np.nan
+        d, s = draw(st.integers(0, n_days - 1)), draw(st.integers(0, 5))
+        cube[d, s] = np.nan
+        cube[d, s, draw(st.integers(0, 23))] = draw(st.floats(0.0, 1e6))
+    return cube
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cube=sensor_cubes(), data=st.data())
+def test_daily_averages_equal_each_rows_own_mean_bit_for_bit(cube, data):
+    averages = daily_averages(cube)
+    assert averages.shape == cube.shape[:2]
+    for (d, s), average in np.ndenumerate(averages):
+        values = cube[d, s][~np.isnan(cube[d, s])]
+        assert average == values.mean() if values.size else np.isnan(average)
+    lo = data.draw(st.integers(0, len(cube)))
+    hi = data.draw(st.integers(lo, len(cube)))
+    for s in range(6):
+        got, want = average_stats(averages[lo:hi, s]), daily_average_stats(cube[lo:hi, s])
+        assert got == want or (np.isnan(got).all() and np.isnan(want).all())
 
 
 # -- randomized property suite -------------------------------------------------
