@@ -7,16 +7,19 @@ the tree learners treat them as ordinals and split on thresholds. All
 randomness flows from one explicit seed, split deterministically per
 tree / bag / run, so results reproduce bit-for-bit across platforms.
 
-Every forest is one `_Forest`: flat node arrays shared by its trees, with
-one root per tree, walked by one traversal over (tree, row) pairs, and
-every split search scans the cuts of `_cuts`. Balanced-forest leaves hold
-the class-1 fraction, an EasyEnsemble stump is a one-tree forest of 3
-nodes with leaves of +1/-1, and isolation leaves hold the expected path
-length. Forests score each distinct row once and copy its leaf values to
-the equal rows. The isolation trees of one fit grow in lockstep, one node
-per tree per step, each on its subsample's distinct rows and each drawing
-from its own Generator in its own preorder, so every draw is the one a
-tree-at-a-time recursive grower makes.
+Both forests are one `_Forest`: flat node arrays shared by its trees, with
+one root per tree, walked by one traversal over (tree, row) pairs.
+Balanced-forest leaves hold the class-1 fraction and isolation leaves hold
+the expected path length. Forests score each distinct row once and copy
+its leaf values to the equal rows. The isolation trees of one fit grow in
+lockstep, one node per tree per step, each on its subsample's distinct
+rows and each drawing from its own Generator in its own preorder, so every
+draw is the one a tree-at-a-time recursive grower makes.
+
+EasyEnsemble keeps no trees: its model is four `(bags, rounds)` arrays of
+stumps (alpha, feature, threshold, sign). All bags boost in lockstep over
+columns sorted once, with the same sums in the same order as a bag at a
+time, so the chains are exactly the per-bag ones.
 """
 
 from __future__ import annotations
@@ -43,11 +46,13 @@ def _check_two_classes(y: np.ndarray) -> None:
 
 def balanced_bootstrap(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Indices of a class-balanced bootstrap: k rows with replacement from each
-    class, k = minority class count."""
+    class, positives first, k = minority class count. The draws, and the
+    Generator's state after them, are those of `rng.choice(rows, size=k)`
+    per class; calling `integers` directly skips `choice`'s argument checks."""
     pos = np.flatnonzero(y == 1)
     neg = np.flatnonzero(y == 0)
     k = min(pos.size, neg.size)
-    return np.concatenate([rng.choice(pos, size=k, replace=True), rng.choice(neg, size=k, replace=True)])
+    return np.concatenate([pos[rng.integers(pos.size, size=k)], neg[rng.integers(neg.size, size=k)]])
 
 
 # ---------------------------------------------------------------------------
@@ -271,38 +276,60 @@ def brf_predict_many(model: BalancedRandomForestModel, X: np.ndarray) -> tuple[n
 
 @dataclass
 class EasyEnsembleModel:
-    bags: list[list[tuple[float, _Forest]]]  # per bag: (alpha, one-tree stump) boosting chain
+    """Boosting chains as `(bags, rounds)` arrays. Round r of bag b is the
+    stump voting `sign` for `x[feature] <= threshold` and `-sign` above it,
+    with weight `alpha`. A chain that ended early is padded with alpha 0
+    and sign 0."""
+
+    alpha: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    sign: np.ndarray
     decision_threshold: float = 0.5
 
 
-def _stump(feature: int, threshold: float, left_sign: int) -> _Forest:
-    """A depth-1 tree: `left_sign` for value <= threshold, `-left_sign` above it."""
-    return _Forest.from_nodes(
-        [[feature, threshold, 1, 2, 0.0], [0, 0.0, -1, -1, left_sign], [0, 0.0, -1, -1, -left_sign]], [0]
-    )
+def _sort_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every (bag, feature) column of `rows` (bags, rows, features), sorted once.
 
-
-def _best_stump(X: np.ndarray, y_pm: np.ndarray, w: np.ndarray) -> tuple[_Forest, float]:
-    """Minimum weighted-error decision stump over all features and cuts.
-
-    The first minimum in (feature, cut, left sign +1 then -1) order wins.
+    Returns the `(bags, features, rows)` columns, each column's stable sort
+    order, a mask of the sorted positions followed by an equal value (no cut
+    after them), and the threshold of the cut after each position: midway to
+    the next distinct value, or the maximum after the last position.
     """
-    best_err = math.inf
-    best: tuple[int, float, int] | None = None  # (feature, threshold, left_sign)
-    total_pos = float(w[y_pm == 1].sum())
-    total = float(w.sum())
-    pos_w = np.where(y_pm == 1, w, 0.0)
-    neg_w = np.where(y_pm == -1, w, 0.0)
-    for f in range(X.shape[1]):
-        _, thresholds, (pos_left, neg_left) = _cuts(X[:, f], pos_w, neg_w)
-        # left_sign = +1 misclassifies: negatives on the left, positives on the right
-        err_plus = neg_left + (total_pos - pos_left)
-        errs = np.column_stack((err_plus, total - err_plus)).ravel()
-        k = int(np.argmin(errs))
-        if errs[k] < best_err:
-            best_err = float(errs[k])
-            best = (f, float(thresholds[k // 2]), 1 - 2 * (k % 2))
-    return _stump(*best), best_err
+    columns = rows.transpose(0, 2, 1)
+    order = np.argsort(columns, axis=2, kind="stable")
+    values = np.take_along_axis(columns, order, axis=2)
+    inside_run = np.zeros(values.shape, dtype=bool)
+    inside_run[..., :-1] = values[..., :-1] == values[..., 1:]
+    cuts = np.concatenate([(values[..., :-1] + values[..., 1:]) / 2.0, values[..., -1:]], axis=2)
+    return columns, order, inside_run, cuts
+
+
+def _best_stumps(
+    order: np.ndarray, inside_run: np.ndarray, cuts: np.ndarray, w: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Minimum weighted-error decision stump of each bag, as
+    (error, feature, threshold, left sign) arrays.
+
+    The bags' sorted columns come from `_sort_columns`, `w` holds their
+    (bags, rows) weights, and each bag's first k rows are its positives.
+    Every cut's weight left of it is a `cumsum` along the sorted order, and
+    one flat `argmin` per bag picks the first minimum in (feature, cut,
+    left sign +1 then -1) order.
+    """
+    w_sorted = np.take_along_axis(w[:, None, :], order, axis=2)
+    positive = order < k
+    pos_left = np.where(positive, w_sorted, 0.0).cumsum(axis=2)
+    neg_left = np.where(positive, 0.0, w_sorted).cumsum(axis=2)
+    # left sign +1 misclassifies the negatives on the left and the positives on the right
+    err_plus = neg_left + (w[:, :k].sum(axis=1)[:, None, None] - pos_left)
+    errs = np.stack((err_plus, w.sum(axis=1)[:, None, None] - err_plus), axis=3)
+    errs[inside_run] = np.inf
+    errs = errs.reshape(w.shape[0], -1)
+    best = errs.argmin(axis=1)
+    feature, at, minus = np.unravel_index(best, inside_run.shape[1:] + (2,))
+    bags = np.arange(w.shape[0])
+    return errs[bags, best], feature, cuts[bags, feature, at], 1 - 2 * minus
 
 
 def ee_fit(
@@ -313,51 +340,67 @@ def ee_fit(
     seed: int | np.random.SeedSequence = 0,
     decision_threshold: float = 0.5,
 ) -> EasyEnsembleModel:
-    """Adaptive-boosting chains of depth-1 trees, one chain per balanced bag.
+    """Adaptive-boosting chains of decision stumps, one chain per balanced bag.
 
-    A round with zero weighted error keeps that stump and ends the chain; a
-    round no better than chance ends the chain without it.
+    Each round keeps the bag's minimum weighted-error stump. A round with
+    zero weighted error keeps that stump and ends the chain; a round no
+    better than chance ends the chain without it.
+
+    Bag b draws its bootstrap from its own Generator, positives first. All
+    bags are boosted in lockstep over columns sorted once (`_sort_columns`,
+    `_best_stumps`), with the same sums, in the same order, as a bag at a
+    time.
     """
     X = np.asarray(X, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     _check_two_classes(y)
-    fitted: list[list[tuple[float, _Forest]]] = []
-    for child in _seed_sequence(seed).spawn(bags):
-        rng = np.random.default_rng(child)
-        idx = balanced_bootstrap(y, rng)
-        Xb = X[idx]
-        yb = np.where(y[idx] == 1, 1, -1)
-        w = np.full(idx.size, 1.0 / idx.size)
-        chain: list[tuple[float, _Forest]] = []
-        for _ in range(rounds):
-            stump, err = _best_stump(Xb, yb, w)
-            if err <= 0.0:
-                chain.append((1.0, stump))
-                break
-            if err >= 0.5:
-                break
-            alpha = 0.5 * math.log((1.0 - err) / err)
-            chain.append((alpha, stump))
-            w = w * np.exp(-alpha * yb * stump.predict(Xb)[0])
-            w /= w.sum()
-        fitted.append(chain)
-    return EasyEnsembleModel(fitted, decision_threshold)
+    if bags < 1 or rounds < 1:
+        raise ValueError("bags and rounds must be at least 1")
+    idx = np.array([balanced_bootstrap(y, np.random.default_rng(child)) for child in _seed_sequence(seed).spawn(bags)])
+    n = idx.shape[1]
+    k = n // 2
+    y_pm = np.repeat([1, -1], k)
+    columns, order, inside_run, cuts = _sort_columns(X[idx])
+
+    alpha = np.zeros((bags, rounds))
+    feature = np.zeros((bags, rounds), dtype=np.int64)
+    threshold = np.zeros((bags, rounds))
+    sign = np.zeros((bags, rounds), dtype=np.int64)
+    live = np.arange(bags)
+    w = np.full((bags, n), 1.0 / n)  # the live bags' weights
+    for r in range(rounds):
+        if not live.size:
+            break
+        err, f, thr, left_sign = _best_stumps(order[live], inside_run[live], cuts[live], w, k)
+        kept = err < 0.5
+        chain = live[kept]
+        alpha[chain, r] = [1.0 if e <= 0.0 else 0.5 * math.log((1.0 - e) / e) for e in err[kept].tolist()]
+        feature[chain, r], threshold[chain, r], sign[chain, r] = f[kept], thr[kept], left_sign[kept]
+
+        going = kept & (err > 0.0)
+        live = live[going]
+        left = columns[live, f[going]] <= thr[going, None]
+        margin = y_pm * np.where(left, left_sign[going, None], -left_sign[going, None])
+        w = w[going] * np.exp(-alpha[live, r, None] * margin)
+        w /= w.sum(axis=1, keepdims=True)
+    return EasyEnsembleModel(alpha, feature, threshold, sign, decision_threshold)
 
 
 def ee_predict_many(model: EasyEnsembleModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Labels and scores; a row's score is the mean over bags of the
-    weighted-vote margin, mapped from [-1, 1] to [0, 1]."""
+    weighted-vote margin, mapped from [-1, 1] to [0, 1]. A bag with an
+    empty chain scores 0.5.
+
+    Votes and alphas are added round by round (`cumsum`), so a bag's margin
+    does not depend on how many rows are scored together.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.int64))
-    bag_scores = np.zeros((len(model.bags), X.shape[0]))
-    for b, chain in enumerate(model.bags):
-        alpha_total = sum(alpha for alpha, _ in chain)
-        if alpha_total <= 0.0:
-            bag_scores[b] = 0.5
-            continue
-        vote = np.zeros(X.shape[0])
-        for alpha, stump in chain:
-            vote += alpha * stump.predict(X)[0]
-        bag_scores[b] = (vote / alpha_total + 1.0) / 2.0
+    left = X.T[model.feature] <= model.threshold[:, :, None]  # (bags, rounds, rows)
+    sign = model.sign[:, :, None]
+    vote = (model.alpha[:, :, None] * np.where(left, sign, -sign)).cumsum(axis=1)[:, -1]
+    alpha_total = model.alpha.cumsum(axis=1)[:, -1:]
+    chained = alpha_total > 0.0
+    bag_scores = np.where(chained, (vote / np.where(chained, alpha_total, 1.0) + 1.0) / 2.0, 0.5)
     scores = bag_scores.mean(axis=0)
     return (scores >= model.decision_threshold).astype(np.int64), scores
 

@@ -190,12 +190,14 @@ def load_dataset(
 
 
 def _hourly_means(days: dict[Date, np.ndarray], start: Date, end: Date) -> np.ndarray:
-    """Lay per-day `(2, 6, 24)` sums/counts on the span's day axis and divide."""
-    acc = np.zeros(((end - start).days + 1, 2, len(SIGNALS), HOURS_PER_DAY))
-    for date, day_acc in days.items():
-        acc[(date - start).days] = day_acc
+    """Divide each day's `(2, 6, 24)` sums by its counts straight into its
+    row of the span's `(days, 6, 24)` hourly means. An hour with no samples
+    is 0/0, NaN, and so is every hour of a day without rows."""
     with np.errstate(invalid="ignore"):  # 0/0 -> NaN: no samples in that hour
-        return acc[:, 0] / acc[:, 1]
+        means = np.full(((end - start).days + 1, len(SIGNALS), HOURS_PER_DAY), np.divide(0.0, 0.0))
+        for date, (sums, counts) in days.items():
+            np.divide(sums, counts, out=means[(date - start).days])
+    return means
 
 
 @dataclass

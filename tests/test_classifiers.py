@@ -124,6 +124,20 @@ def test_balanced_bootstrap_sizes(rng):
     assert (y[idx] == 1).sum() == 3 and (y[idx] == 0).sum() == 3
 
 
+@pytest.mark.parametrize("positives, negatives", [(1, 1), (1, 9), (3, 17), (9, 112), (40, 33), (300, 5000)])
+def test_balanced_bootstrap_draws_what_two_choice_calls_draw(positives, negatives):
+    y = np.array([1] * positives + [0] * negatives)
+    np.random.default_rng(positives).shuffle(y)
+    k = min(positives, negatives)
+    for seed in range(5):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        idx = balanced_bootstrap(y, rng)
+        expected = np.concatenate([reference.choice(np.flatnonzero(y == c), size=k, replace=True) for c in (1, 0)])
+        assert idx.dtype == expected.dtype and idx.tolist() == expected.tolist()
+        # the Generator is left where the choice calls leave it, for the draws that follow
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
 # -- Balanced Random Forest -----------------------------------------------------------
 
 
@@ -161,7 +175,8 @@ def test_ee_perfect_stump_scores_one_on_relapse_rows(rng):
     X, y = separable_toy(rng)
     model = ee_fit(X, y, bags=11, rounds=10, seed=2)
     # every chain stops after its first (perfect) stump
-    assert all(len(chain) == 1 for chain in model.bags)
+    assert ((model.alpha != 0).sum(axis=1) == 1).all()
+    assert (model.alpha[:, 0] == 1.0).all()
     labels, scores = ee_predict_many(model, X)
     np.testing.assert_array_equal(labels, y)
     assert (scores[y == 1] == 1.0).all()
@@ -172,8 +187,25 @@ def test_ee_single_bag_single_round_is_one_stump(rng):
     X = rng.integers(0, 15, size=(30, 4))
     y = np.array([0, 1] * 15)
     model = ee_fit(X, y, bags=1, rounds=1, seed=9)
-    assert len(model.bags) == 1
-    assert len(model.bags[0]) <= 1
+    for array in (model.alpha, model.feature, model.threshold, model.sign):
+        assert array.shape == (1, 1)
+
+
+def test_ee_constant_features_give_empty_chains_scoring_half():
+    X = np.full((6, 3), 7)
+    y = np.array([0, 1, 0, 1, 0, 0])
+    model = ee_fit(X, y, bags=5, rounds=4, seed=1)
+    # bags of 2 + 2 rows weigh 1/4 each, so every stump errs exactly 0.5 and no chain keeps one
+    assert (model.alpha == 0).all() and (model.sign == 0).all()
+    labels, scores = ee_predict_many(model, np.array([[7, 7, 7], [0, 9, 14]]))
+    assert scores.tolist() == [0.5, 0.5]
+    assert labels.tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("bags, rounds", [(0, 10), (101, 0)])
+def test_ee_needs_a_bag_and_a_round(bags, rounds):
+    with pytest.raises(ValueError, match="at least 1"):
+        ee_fit(np.arange(4)[:, None], np.array([0, 1, 0, 1]), bags=bags, rounds=rounds)
 
 
 def test_ee_determinism(rng):

@@ -5,6 +5,10 @@ stumps, every sign) in (feature, cut, sign) order, where the first strict
 minimum wins. Weights are whole numbers, so every weighted sum is exact in
 either order of addition and ties compare equal on both sides.
 
+The lockstep EasyEnsemble is checked against a bag-at-a-time fit whose
+stump search scans each feature's cuts with `_cuts`, and against scoring
+every bag's chain with a running vote.
+
 The lockstep isolation forest is checked against a recursive grower that
 splits one tree's full subsample at a time, and against scoring every
 requested row through every tree.
@@ -20,13 +24,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from relapsekit.classifiers import (
-    _best_stump,
+    _best_stumps,
     _best_threshold,
+    _cuts,
     _seed_sequence,
+    _sort_columns,
     average_path_length,
+    balanced_bootstrap,
     brf_fit,
     brf_predict_many,
     ee_fit,
+    ee_predict_many,
     iforest_fit,
     iforest_scores,
 )
@@ -41,6 +49,14 @@ def coded_matrices(draw, min_rows=2, max_rows=24, max_features=4):
     f = draw(st.integers(1, max_features))
     top = draw(st.sampled_from([1, 2, 3, 14]))
     return draw(hnp.arrays(np.int64, (n, f), elements=st.integers(0, top)))
+
+
+@st.composite
+def coded_bags(draw, max_bags=4, max_rows=12, max_features=4):
+    """A (bags, n, f) stack of code matrices with small level ranges."""
+    shape = (draw(st.integers(1, max_bags)), draw(st.integers(1, max_rows)), draw(st.integers(1, max_features)))
+    top = draw(st.sampled_from([1, 2, 3, 14]))
+    return draw(hnp.arrays(np.int64, shape, elements=st.integers(0, top)))
 
 
 def oracle_cuts(column):
@@ -60,6 +76,76 @@ def oracle_stump(X, y_pm, w):
                 if err < best_err:
                     best_err, best = err, (f, threshold, sign)
     return best, best_err
+
+
+def oracle_best_stump(X, y_pm, w):
+    """One bag's stump search: each feature's cuts from `_cuts`, the first
+    minimum in (feature, cut, left sign +1 then -1) order."""
+    best_err, best = math.inf, None
+    total_pos = float(w[y_pm == 1].sum())
+    total = float(w.sum())
+    pos_w = np.where(y_pm == 1, w, 0.0)
+    neg_w = np.where(y_pm == -1, w, 0.0)
+    for f in range(X.shape[1]):
+        _, thresholds, (pos_left, neg_left) = _cuts(X[:, f], pos_w, neg_w)
+        err_plus = neg_left + (total_pos - pos_left)
+        errs = np.column_stack((err_plus, total - err_plus)).ravel()
+        k = int(np.argmin(errs))
+        if errs[k] < best_err:
+            best_err = float(errs[k])
+            best = (f, float(thresholds[k // 2]), 1 - 2 * (k % 2))
+    return best, best_err
+
+
+def oracle_ee_fit(X, y, bags, rounds, seed):
+    """A bag at a time: per bag, its chain of (alpha, feature, threshold, left sign)."""
+    chains = []
+    for child in _seed_sequence(seed).spawn(bags):
+        idx = balanced_bootstrap(y, np.random.default_rng(child))
+        Xb = X[idx]
+        yb = np.where(y[idx] == 1, 1, -1)
+        w = np.full(idx.size, 1.0 / idx.size)
+        chain = []
+        for _ in range(rounds):
+            (feature, threshold, sign), err = oracle_best_stump(Xb, yb, w)
+            if err <= 0.0:
+                chain.append((1.0, feature, threshold, sign))
+                break
+            if err >= 0.5:
+                break
+            alpha = 0.5 * math.log((1.0 - err) / err)
+            chain.append((alpha, feature, threshold, sign))
+            w = w * np.exp(-alpha * yb * np.where(Xb[:, feature] <= threshold, sign, -sign))
+            w /= w.sum()
+        chains.append(chain)
+    return chains
+
+
+def oracle_ee_scores(chains, X):
+    """Each bag's running vote, stump by stump, then the mean over a
+    C-contiguous (bags, rows) matrix."""
+    bag_scores = np.zeros((len(chains), X.shape[0]))
+    for b, chain in enumerate(chains):
+        alpha_total = sum(alpha for alpha, *_ in chain)
+        if alpha_total <= 0.0:
+            bag_scores[b] = 0.5
+            continue
+        vote = np.zeros(X.shape[0])
+        for alpha, feature, threshold, sign in chain:
+            vote += alpha * np.where(X[:, feature] <= threshold, sign, -sign)
+        bag_scores[b] = (vote / alpha_total + 1.0) / 2.0
+    return bag_scores.mean(axis=0)
+
+
+def padded(chains, rounds):
+    """The chains as (bags, rounds) alpha, feature, threshold and sign arrays,
+    padded with zeros."""
+    arrays = [np.zeros((len(chains), rounds), dtype=dtype) for dtype in (float, np.int64, float, np.int64)]
+    for b, chain in enumerate(chains):
+        for r, stump in enumerate(chain):
+            for array, value in zip(arrays, stump):
+                array[b, r] = value
+    return arrays
 
 
 def oracle_threshold(column, labels):
@@ -151,22 +237,69 @@ def oracle_iforest_scores(grown, psi, X):
 
 
 @SETTINGS
-@given(X=coded_matrices(), data=st.data())
-def test_best_stump_matches_scan_of_every_cut_and_sign(X, data):
-    n = X.shape[0]
-    y_pm = np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+@given(bags=coded_bags(), data=st.data())
+def test_best_stump_matches_scan_of_every_cut_and_sign(bags, data):
+    n_bags, n = bags.shape[:2]
+    k = data.draw(st.integers(0, n))  # each bag's first k rows are its positives
+    y_pm = np.repeat([1, -1], [k, n - k])
     equal = data.draw(st.booleans())
-    w = np.ones(n) if equal else np.array(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), float)
-    stump, err = _best_stump(X, y_pm, w)
-    (feature, threshold, sign), expected_err = oracle_stump(X, y_pm, w)
-    assert (int(stump.feature[0]), float(stump.threshold[0]), stump.value[1], stump.value[2]) == (
-        feature,
-        threshold,
-        sign,
-        -sign,
-    )
-    assert err == expected_err
-    np.testing.assert_array_equal(stump.predict(X)[0], np.where(X[:, feature] <= threshold, sign, -sign))
+    w = np.ones((n_bags, n)) if equal else data.draw(hnp.arrays(np.int64, (n_bags, n), elements=st.integers(1, 4)))
+    _, order, inside_run, cuts = _sort_columns(bags)
+    err, feature, threshold, sign = _best_stumps(order, inside_run, cuts, w.astype(float), k)
+    for b in range(n_bags):
+        expected, expected_err = oracle_stump(bags[b], y_pm, w[b])
+        assert (int(feature[b]), float(threshold[b]), int(sign[b])) == expected
+        assert err[b] == expected_err
+
+
+@st.composite
+def boosting_cases(draw):
+    """Training codes with both classes, where one column may be constant,
+    every column constant, or one column a copy of the label; bag and round
+    counts; a seed's entropy and spawn key; and queries: fresh rows, copies
+    of training rows and one row alone."""
+    X = draw(coded_matrices(min_rows=2, max_rows=40))
+    n, f = X.shape
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2)) + [0, 1])
+    y = y[draw(st.permutations(range(n)))]
+    column = draw(st.integers(0, f - 1))
+    shape = draw(st.sampled_from(["codes", "constant column", "constant", "label"]))
+    if shape == "constant column":
+        X[:, column] = draw(st.integers(0, 14))
+    elif shape == "constant":
+        X[:] = draw(st.integers(0, 14))
+    elif shape == "label":
+        X[:, column] = y * draw(st.integers(1, 14))
+    bags = draw(st.sampled_from([9, 1, 2, 31]))
+    rounds = draw(st.sampled_from([10, 1, 2]))
+    entropy = draw(st.integers(0, 2**32 - 1))
+    key = tuple(draw(st.lists(st.integers(0, 9), max_size=2)))
+    fresh = draw(hnp.arrays(np.int64, (draw(st.integers(1, 6)), f), elements=st.integers(0, 14)))
+    return X, y, bags, rounds, entropy, key, [np.vstack([fresh, X[: draw(st.integers(0, n))]]), fresh[:1]]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(boosting_cases())
+# every chain ends on a perfect stump (alpha 1.0)
+@example((np.array([[0, 3], [2, 3], [0, 3], [2, 3]]), np.array([0, 1, 0, 1]), 9, 10, 5, (), [np.array([[1, 3]])]))
+# every stump errs 0.5: every chain is empty and every bag scores 0.5
+@example((np.full((3, 2), 5), np.array([0, 1, 0]), 2, 3, 0, (1,), [np.array([[5, 0]])]))
+# the second bag's chain ends on an error of 0.5 after two stumps
+@example((np.array([[0], [2], [0], [2], [2], [2], [1]]), np.array([0, 1, 1, 0, 1, 0, 1]), 3, 10, 0, (), []))
+# np.log would give a different alpha here than math.log
+@example((np.array([[0, 3, 2, 3, 2, 1, 1, 2, 1, 1, 1]]).T, np.array([0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 1]), 1, 10, 28, (), []))
+# one bag, one round, tied levels
+@example((np.array([[2, 0], [2, 1], [1, 1], [2, 0], [1, 0]]), np.array([1, 0, 0, 1, 0]), 1, 1, 7, (0, 2), []))
+def test_ee_matches_bag_at_a_time_fit(case):
+    X, y, bags, rounds, entropy, key, queries = case
+    # spawn() advances a SeedSequence, so each fit gets a fresh, equal one
+    model = ee_fit(X, y, bags=bags, rounds=rounds, seed=np.random.SeedSequence(entropy, spawn_key=key))
+    chains = oracle_ee_fit(X, y, bags, rounds, np.random.SeedSequence(entropy, spawn_key=key))
+    for got, expected in zip((model.alpha, model.feature, model.threshold, model.sign), padded(chains, rounds)):
+        assert got.dtype == expected.dtype
+        assert got.tolist() == expected.tolist()
+    for Q in [X, *queries]:
+        assert ee_predict_many(model, Q)[1].tolist() == oracle_ee_scores(chains, Q).tolist()
 
 
 @SETTINGS
@@ -184,12 +317,7 @@ def test_best_threshold_matches_scan_of_every_cut(X, data):
 def test_tree_predict_matches_scalar_walk(X, queries, seed):
     y = np.arange(X.shape[0]) % 2
     Q = np.resize(queries, (queries.shape[0], X.shape[1]))
-    forests = (
-        [brf_fit(X, y, trees=3, seed=seed).forest]
-        + [stump for chain in ee_fit(X, y, bags=2, rounds=3, seed=seed).bags for _, stump in chain]
-        + [iforest_fit(X, y, trees=3, subsample=8, seed=seed).forest]
-    )
-    for forest in forests:
+    for forest in (brf_fit(X, y, trees=3, seed=seed).forest, iforest_fit(X, y, trees=3, subsample=8, seed=seed).forest):
         expected = [[scalar_walk(forest, root, q) for q in Q] for root in forest.roots]
         np.testing.assert_array_equal(forest.predict(Q), np.array(expected, dtype=float))
 
