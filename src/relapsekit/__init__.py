@@ -10,7 +10,7 @@ with classifier, modality, and selection/demographics experiment grids.
 
 from .dataio import Dataset, IngestError, load_dataset, write_metrics, write_predictions
 from .evaluate import GRIDS, EvalReport, ExperimentConfig, run_grid, run_lopo
-from .features import FeatureWindow, extract_all, extract_features
+from .features import FeatureWindow, extract_all
 from .metrics import f2_from_counts, f2_score
 from .model import FEATURE_NAMES, EmaRecord, Patient, Signal, canonical_feature_names
 from .synth import ProdromalSpec, RhythmSpec, SynthConfig, generate
@@ -37,7 +37,6 @@ __all__ = [
     "canonical_feature_names",
     "enumerate_windows",
     "extract_all",
-    "extract_features",
     "f2_from_counts",
     "f2_score",
     "generate",

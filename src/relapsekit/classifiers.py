@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 
 from .metrics import f2_from_counts
@@ -44,15 +46,26 @@ def _check_two_classes(y: np.ndarray) -> None:
         raise ValueError("single_class_training: both classes are required to fit")
 
 
-def balanced_bootstrap(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Indices of a class-balanced bootstrap: k rows with replacement from each
-    class, positives first, k = minority class count. The draws, and the
-    Generator's state after them, are those of `rng.choice(rows, size=k)`
-    per class; calling `integers` directly skips `choice`'s argument checks."""
+def balanced_bootstraps(y: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """One class-balanced bootstrap per Generator, as the rows of a
+    `(len(rngs), 2k)` index array: k rows with replacement from each class,
+    positives first, k = minority class count. The class rows are found once.
+    Each Generator's draws, and its state after them, are those of
+    `rng.choice(rows, size=k)` per class; calling `integers` directly skips
+    `choice`'s argument checks."""
     pos = np.flatnonzero(y == 1)
     neg = np.flatnonzero(y == 0)
     k = min(pos.size, neg.size)
-    return np.concatenate([pos[rng.integers(pos.size, size=k)], neg[rng.integers(neg.size, size=k)]])
+    out = np.empty((len(rngs), 2 * k), dtype=pos.dtype)
+    for row, rng in zip(out, rngs):
+        row[:k] = pos[rng.integers(pos.size, size=k)]
+        row[k:] = neg[rng.integers(neg.size, size=k)]
+    return out
+
+
+def balanced_bootstrap(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The one bootstrap of `balanced_bootstraps(y, [rng])`."""
+    return balanced_bootstraps(y, [rng])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +263,9 @@ def brf_fit(
     mtry = math.ceil(math.sqrt(X.shape[1]))
     nodes: list[list] = []
     roots: list[int] = []
-    for child in _seed_sequence(seed).spawn(trees):
-        rng = np.random.default_rng(child)
-        idx = balanced_bootstrap(y, rng)
+    rngs = [np.random.default_rng(child) for child in _seed_sequence(seed).spawn(trees)]
+    # Each tree's Generator draws its bootstrap, then grows the tree.
+    for rng, idx in zip(rngs, balanced_bootstraps(y, rngs)):
         roots.append(len(nodes))
         _grow_tree(X[idx], y[idx], rng, mtry, nodes)
     return BalancedRandomForestModel(_Forest.from_nodes(nodes, roots), decision_threshold)
@@ -356,7 +369,7 @@ def ee_fit(
     _check_two_classes(y)
     if bags < 1 or rounds < 1:
         raise ValueError("bags and rounds must be at least 1")
-    idx = np.array([balanced_bootstrap(y, np.random.default_rng(child)) for child in _seed_sequence(seed).spawn(bags)])
+    idx = balanced_bootstraps(y, [np.random.default_rng(child) for child in _seed_sequence(seed).spawn(bags)])
     n = idx.shape[1]
     k = n // 2
     y_pm = np.repeat([1, -1], k)

@@ -6,6 +6,13 @@ template distances against the previous window, and the mean/variability of
 the daily averages (13 features x 6 signals). Per EMA item: mean and
 population std of the answers inside the feature window (20). Plus age and
 education years. Missing data yields NaN features, never zeros.
+
+Extraction runs one patient at a time over all of that patient's windows:
+one `(starts, 24)` stack of templates per signal covers every evaluable
+window and every previous window, the statistics of `templates` reduce the
+stacks, and the patient's `(windows, 100)` matrix is filled column block by
+column block. Each value equals what the same statistic gives for the one
+window alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date as Date
 from datetime import timedelta
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,6 +31,7 @@ from .model import (
     FEATURES_PER_SIGNAL,
     SIGNALS,
     TEMPLATE_FEATURE_COUNT,
+    EmaRecord,
     Patient,
     Signal,
 )
@@ -37,6 +45,7 @@ from .templates import (
     max_abs_diff,
     mdt_stats,
     normalize_template,
+    present_groups,
     template_distance,
 )
 from .windowing import WindowingConfig, WindowSpec, enumerate_windows, evaluable_windows
@@ -58,71 +67,90 @@ class FeatureWindow:
         return self.spec.label
 
 
-def _day_rows(patient: Patient, start: Date, days: int) -> slice:
-    """The rows of [start, start + days) within the patient's day axis."""
-    offset = (start - patient.observation_start).days
-    return slice(max(offset, 0), max(offset + days, 0))
+def _window_rows(dataset: Dataset, patient_id: str, starts: Sequence[Date], days: int) -> np.ndarray:
+    """The `(starts, days)` day-axis rows of the windows [start, start + days).
+
+    Evaluable windows and their previous windows lie inside the observation
+    span, which the day axis covers; a window outside it is an error, never
+    padded.
+    """
+    first = dataset.patient(patient_id).observation_start
+    offsets = np.array([(start - first).days for start in starts], dtype=np.int64)
+    n_days = len(dataset.sensors[patient_id])
+    if offsets.size and (offsets.min() < 0 or offsets.max() + days > n_days):
+        raise ValueError(f"patient {patient_id}: a {days}-day window leaves the {n_days}-day sensor array")
+    return offsets[:, None] + np.arange(days)
 
 
 def window_templates_for(
-    dataset: Dataset, patient_id: str, signal: Signal, start: Date, days: int
+    dataset: Dataset, patient_id: str, signal: Signal, starts: Sequence[Date], days: int
 ) -> WindowTemplates:
-    """The window's aggregates of one signal's `(n, 24)` daily templates;
-    days without data are all-missing rows."""
-    rows = _day_rows(dataset.patient(patient_id), start, days)
-    return compute_window_templates(dataset.sensors[patient_id][rows, SIGNALS.index(signal)])
+    """The aggregates of one signal's daily templates over each window
+    [start, start + days), as `(len(starts), 24)` arrays; days without data
+    are all-missing rows.
 
-
-def extract_features(
-    window: WindowSpec,
-    dataset: Dataset,
-    templates: Mapping[Signal, WindowTemplates],
-    prev_templates: Mapping[Signal, WindowTemplates] | None,
-    averages: np.ndarray,
-) -> FeatureWindow:
-    """Build one window's feature vector.
-
-    `templates` holds the window's own aggregates per signal and
-    `prev_templates` those of the window one stride earlier; pass None for
-    a patient's first window, which leaves the three distance features
-    missing. `averages` is the patient's `(days, 6)` array of daily
-    averages, `daily_averages(dataset.sensors[patient_id])`.
+    The days are gathered day-major, `(days, starts, 24)` in memory, and
+    passed as a `(starts, days, 24)` view: each day's step of the day-axis
+    reductions then runs over all windows at once, in the same day order.
     """
-    patient = dataset.patient(window.patient_id)
-    window_days = (window.feature_end - window.feature_start).days + 1
-    window_averages = averages[_day_rows(patient, window.feature_start, window_days)]
-    values = np.full(FEATURE_COUNT, np.nan)
+    daily = dataset.sensors[patient_id][:, SIGNALS.index(signal)]
+    return compute_window_templates(daily[_window_rows(dataset, patient_id, starts, days).T].swapaxes(0, 1))
 
-    for si, signal in enumerate(SIGNALS):
-        wt = templates[signal]
-        base = si * FEATURES_PER_SIGNAL
-        values[base : base + 6] = mdt_stats(wt.mdt)
-        values[base + 6] = ddt_mean(wt.ddt)
-        values[base + 7] = max_abs_diff(wt.mdt, wt.mxdt)
-        if prev_templates is not None:
-            prev_mdt_norm = normalize_template(prev_templates[signal].mdt)
-            curr_mdt_norm = normalize_template(wt.mdt)
-            curr_mxdt_norm = normalize_template(wt.mxdt)
-            values[base + 8] = template_distance(curr_mdt_norm, prev_mdt_norm)
-            values[base + 9] = template_distance(curr_mdt_norm, prev_mdt_norm, *DAYTIME_HOURS)
-            values[base + 10] = template_distance(curr_mxdt_norm, prev_mdt_norm)
-        values[base + 11], values[base + 12] = average_stats(window_averages[:, si])
 
-    records = dataset.ema_records(window.patient_id)
-    answers: list[tuple[int, ...]] = [
-        records[d].items
-        for d in records
-        if window.feature_start <= d <= window.feature_end
-    ]
-    if answers:
-        matrix = np.array(answers, dtype=float)
-        for item in range(EMA_ITEM_COUNT):
-            values[TEMPLATE_FEATURE_COUNT + 2 * item] = matrix[:, item].mean()
-            values[TEMPLATE_FEATURE_COUNT + 2 * item + 1] = matrix[:, item].std()
+def _rhythm_features(
+    dataset: Dataset, patient: Patient, specs: Sequence[WindowSpec], config: WindowingConfig
+) -> np.ndarray:
+    """The `(windows, 6, 13)` template features of one patient's windows."""
+    pid = patient.patient_id
+    stride = timedelta(days=config.stride_days)
+    prev_starts = [spec.feature_start - stride for spec in specs]
+    starts = sorted({spec.feature_start for spec in specs} | {s for s in prev_starts if s >= patient.observation_start})
+    position = {start: i for i, start in enumerate(starts)}
+    here = np.array([position[spec.feature_start] for spec in specs])
+    prev = np.array([position.get(start, -1) for start in prev_starts])
+    has_prev = prev >= 0
 
-    values[FEATURE_COUNT - 2] = float(patient.age)
-    values[FEATURE_COUNT - 1] = float(patient.education_years)
-    return FeatureWindow(spec=window, values=values)
+    # The daily averages first and the output last, so that neither is alive
+    # next to the largest arrays, the gathered days of one signal.
+    rows = _window_rows(dataset, pid, [spec.feature_start for spec in specs], config.window_days)
+    daily_mean, daily_std = average_stats(daily_averages(dataset.sensors[pid])[rows].swapaxes(1, 2))
+
+    built = [window_templates_for(dataset, pid, signal, starts, config.window_days) for signal in SIGNALS]
+    mdt, ddt, mxdt = (np.stack([getattr(wt, name) for wt in built], axis=1) for name in ("mdt", "ddt", "mxdt"))
+    del built  # (starts, signals, 24) stacks from here on
+
+    out = np.full((len(specs), len(SIGNALS), FEATURES_PER_SIGNAL), np.nan)
+    out[:, :, 0:6] = mdt_stats(mdt[here])
+    out[:, :, 6] = ddt_mean(ddt[here])
+    out[:, :, 7] = max_abs_diff(mdt[here], mxdt[here])
+    mdt_norm, mxdt_norm = normalize_template(mdt), normalize_template(mxdt)
+    curr, before = here[has_prev], prev[has_prev]
+    out[has_prev, :, 8] = template_distance(mdt_norm[curr], mdt_norm[before])
+    out[has_prev, :, 9] = template_distance(mdt_norm[curr], mdt_norm[before], *DAYTIME_HOURS)
+    out[has_prev, :, 10] = template_distance(mxdt_norm[curr], mdt_norm[before])
+    out[:, :, 11], out[:, :, 12] = daily_mean, daily_std
+    return out
+
+
+def _ema_features(
+    records: Mapping[Date, EmaRecord], specs: Sequence[WindowSpec], first: Date, days: int
+) -> np.ndarray:
+    """The `(windows, 20)` per-item mean and population std of the answers
+    inside each feature window, in record order; NaN without answers."""
+    out = np.full((len(specs), 2 * EMA_ITEM_COUNT), np.nan)
+    if not records:
+        return out
+    answered = np.array([(d - first).days for d in records])
+    answers = np.array([r.items for r in records.values()], dtype=float)
+    lo = np.array([(spec.feature_start - first).days for spec in specs])[:, None]
+    inside = (answered >= lo) & (answered < lo + days)
+    record_index = np.broadcast_to(np.arange(len(answered)), inside.shape)
+    # Windows grouped by answer count; each item's answers contiguous, (g, 10, n).
+    for rows, picked in present_groups(record_index, inside):
+        items = np.ascontiguousarray(answers[picked].transpose(0, 2, 1))
+        out[rows, 0::2] = items.mean(axis=-1)
+        out[rows, 1::2] = items.std(axis=-1)
+    return out
 
 
 def extract_cohort(dataset: Dataset, config: WindowingConfig) -> tuple[list[FeatureWindow], list[WindowSpec]]:
@@ -132,25 +160,22 @@ def extract_cohort(dataset: Dataset, config: WindowingConfig) -> tuple[list[Feat
     Both lists are ordered by (patient_id, window_start). The previous
     window for the distance features is the one exactly one stride earlier,
     whether or not that window itself was evaluable; a first window has none.
+    Each patient's feature values are the rows of one `(windows, 100)` matrix.
     """
     out: list[FeatureWindow] = []
     candidates: list[WindowSpec] = []
     for patient in sorted(dataset.patients, key=lambda p: p.patient_id):
-        coverage = dataset.sensor_dates(patient.patient_id)
-        own = enumerate_windows(patient, patient.relapse_dates, coverage, config)
+        pid = patient.patient_id
+        own = enumerate_windows(patient, patient.relapse_dates, dataset.sensor_dates(pid), config)
         candidates.extend(own)
-        averages = daily_averages(dataset.sensors[patient.patient_id])
-        built: dict[Date, dict[Signal, WindowTemplates]] = {}  # by window start, each built once
-        for spec in evaluable_windows(own):
-            prev_start = spec.feature_start - timedelta(days=config.stride_days)
-            for start in (spec.feature_start, prev_start):
-                if start >= patient.observation_start and start not in built:
-                    built[start] = {
-                        signal: window_templates_for(dataset, patient.patient_id, signal, start, config.window_days)
-                        for signal in SIGNALS
-                    }
-            prev = built.get(prev_start)
-            out.append(extract_features(spec, dataset, built[spec.feature_start], prev, averages))
+        specs = evaluable_windows(own)
+        if not specs:
+            continue
+        rhythm = _rhythm_features(dataset, patient, specs, config).reshape(len(specs), TEMPLATE_FEATURE_COUNT)
+        ema = _ema_features(dataset.ema_records(pid), specs, patient.observation_start, config.window_days)
+        demographics = np.broadcast_to([float(patient.age), float(patient.education_years)], (len(specs), 2))
+        matrix = np.concatenate([rhythm, ema, demographics], axis=1)
+        out.extend(FeatureWindow(spec=spec, values=row) for spec, row in zip(specs, matrix))
     return out, candidates
 
 

@@ -7,12 +7,28 @@ patient-day: one `(24,)` row of a patient's `(days, 6, 24)` sensor array
 deviation template, and a maximum template, from which all rhythm
 statistics derive. Missing hours stay missing (NaN) throughout; statistics
 use present slots only, so an all-missing day contributes nothing.
+
+Every function takes a batch: leading axes are independent windows (or
+days, or signals), and the last axis (`compute_window_templates`: the last
+two) is reduced. A 1-D template gives what one template always gave. The
+reductions keep the summation order of a single template, bit for bit:
+
+- the day axis of `(..., n, 24)` daily templates is summed row by row, the
+  hour axis staying contiguous (days never go on the last axis, where numpy
+  would sum them pairwise);
+- a reduction over the present slots of a row groups the rows by their
+  count of present slots and packs each group's present values, in slot
+  order, to the front of a `(rows, count)` array (`present_groups`), so
+  each row gets the same contiguous pairwise `.mean()`/`.sum()`/`.std()`
+  as its present values alone;
+- the skewness/kurtosis tail of `mdt_stats` stays in Python floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -24,99 +40,136 @@ DAYTIME_HOURS = (9, 21)
 
 @dataclass(frozen=True)
 class WindowTemplates:
-    """Per-hour mean / deviation / maximum templates over one feature window."""
+    """Per-hour mean / deviation / maximum templates over one feature window,
+    or `(..., 24)` stacks of them with `days_present` an integer array."""
 
     mdt: np.ndarray
     ddt: np.ndarray
     mxdt: np.ndarray
-    days_present: int
+    days_present: int | np.ndarray
 
 
 def compute_window_templates(days: np.ndarray) -> WindowTemplates:
-    """Aggregate a window's `(n, 24)` daily templates hour-by-hour.
+    """Aggregate a window's `(n, 24)` daily templates hour-by-hour, or each
+    window of a `(..., n, 24)` stack.
 
     Per hour, over the days where that hour is present: mean, population
     standard deviation, and maximum. A slot is missing iff no day has it.
     No days yields all-missing templates.
     """
-    if len(days) == 0:
-        empty = np.full(HOURS_PER_DAY, np.nan)
-        return WindowTemplates(empty.copy(), empty.copy(), empty.copy(), 0)
+    missing = np.isnan(days)
+    counts = days.shape[-2] - missing.sum(axis=-2)
+    has = counts > 0
 
-    present = ~np.isnan(days)
-    counts = present.sum(axis=0)
-    filled = np.where(present, days, 0.0)
-
+    # One work buffer for the three masked copies of the days. The means are
+    # copied out across the days before the subtraction: a broadcasting
+    # ufunc would allocate an iteration buffer of its own.
+    work = np.where(missing, 0.0, days)
     with np.errstate(invalid="ignore", divide="ignore"):
-        mdt = np.where(counts > 0, filled.sum(axis=0) / counts, np.nan)
-        centered_sq = np.where(present, (days - mdt) ** 2, 0.0)
-        ddt = np.where(counts > 0, np.sqrt(centered_sq.sum(axis=0) / counts), np.nan)
-    mxdt = np.where(counts > 0, np.where(present, days, -np.inf).max(axis=0), np.nan)
+        mdt = np.where(has, work.sum(axis=-2) / counts, np.nan)
+        np.copyto(work, mdt[..., None, :])
+        np.square(np.subtract(days, work, out=work), out=work)
+        np.copyto(work, 0.0, where=missing)
+        ddt = np.where(has, np.sqrt(work.sum(axis=-2) / counts), np.nan)
+    np.copyto(work, days)
+    np.copyto(work, -np.inf, where=missing)
+    mxdt = np.where(has, work.max(axis=-2, initial=-np.inf), np.nan)
     # Hourly means can overshoot the hourly max by float rounding; clamp so
     # the mxdt >= mdt invariant holds exactly.
-    mdt = np.where(counts > 0, np.minimum(mdt, mxdt), np.nan)
+    mdt = np.where(has, np.minimum(mdt, mxdt), np.nan)
 
-    days_present = int(present.any(axis=1).sum())
-    return WindowTemplates(mdt, ddt, mxdt, days_present)
+    days_present = days.shape[-2] - missing.all(axis=-1).sum(axis=-1)
+    return WindowTemplates(mdt, ddt, mxdt, int(days_present) if days_present.ndim == 0 else days_present)
+
+
+def present_groups(values: np.ndarray, present: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For each count of present slots a row of `values` (2-D) has, in
+    increasing order, yield `(rows, packed)`: the indices of those rows, in
+    increasing order, and their present values, in slot order, as a
+    contiguous `(len(rows), count)` array. Rows without a present slot are
+    never yielded; only one group is copied at a time."""
+    counts = present.sum(axis=1)
+    order = np.argsort(counts, kind="stable")
+    row = 0
+    for count, size in enumerate(np.bincount(counts).tolist()):
+        if size and count:
+            rows = order[row : row + size]
+            yield rows, values[rows][present[rows]].reshape(size, count)
+        row += size
+
+
+def _rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`values` as a 2-D array of last-axis rows, and their present mask."""
+    values = np.asarray(values, dtype=float)
+    flat = values.reshape(math.prod(values.shape[:-1]), values.shape[-1])
+    return flat, ~np.isnan(flat)
 
 
 def mdt_stats(template: np.ndarray) -> np.ndarray:
-    """Mean, population std, max, range, skewness, and excess kurtosis.
+    """Mean, population std, max, range, skewness, and excess kurtosis of
+    each `(..., 24)` template, as a `(..., 6)` array.
 
     Computed over present slots only; all six are NaN for an all-missing
     template. Skewness and kurtosis are 0 for a constant template.
     """
-    values = template[~np.isnan(template)]
-    if values.size == 0:
-        return np.full(6, np.nan)
-    mean = float(values.mean())
-    maximum = float(values.max())
-    minimum = float(values.min())
-    rng = maximum - minimum
+    flat, present = _rows(template)
+    out = np.full((len(flat), 6), np.nan)
+    for rows, values in present_groups(flat, present):
+        mean = values.mean(axis=1)
+        centered = values - mean[:, None]
+        moments = zip(
+            mean.tolist(),
+            values.max(axis=1).tolist(),
+            values.min(axis=1).tolist(),
+            (centered**2).mean(axis=1).tolist(),
+            (centered**3).mean(axis=1).tolist(),
+            (centered**4).mean(axis=1).tolist(),
+        )
+        out[rows] = [_shape_stats(*moment) for moment in moments]
+    return out.reshape(np.shape(template)[:-1] + (6,))
+
+
+def _shape_stats(mean: float, maximum: float, minimum: float, m2: float, m3: float, m4: float) -> list[float]:
+    """The six statistics from one template's moments, in Python floats:
+    numpy's vectorized `** 1.5` and `** 2` can differ from Python's in the
+    last bit."""
     if maximum == minimum:
-        return np.array([mean, 0.0, maximum, 0.0, 0.0, 0.0])
-    centered = values - mean
-    m2 = max(float((centered**2).mean()), 0.0)
+        return [mean, 0.0, maximum, 0.0, 0.0, 0.0]
+    rng = maximum - minimum
+    m2 = max(m2, 0.0)
     if m2 == 0.0:
-        return np.array([mean, 0.0, maximum, rng, 0.0, 0.0])
-    skew = float((centered**3).mean()) / m2**1.5
-    kurt = float((centered**4).mean()) / m2**2 - 3.0
-    return np.array([mean, math.sqrt(m2), maximum, rng, skew, kurt])
+        return [mean, 0.0, maximum, rng, 0.0, 0.0]
+    return [mean, math.sqrt(m2), maximum, rng, m3 / m2**1.5, m4 / m2**2 - 3.0]
 
 
-def ddt_mean(template: np.ndarray) -> float:
-    """Mean of the deviation template over present slots; NaN if none."""
-    values = template[~np.isnan(template)]
-    return float(values.mean()) if values.size else float("nan")
+def ddt_mean(template: np.ndarray) -> float | np.ndarray:
+    """Mean of each deviation template over its present slots; NaN if none
+    (the reduction of `daily_averages`)."""
+    return _shaped(daily_averages(template), np.shape(template)[:-1])
 
 
-def max_abs_diff(mdt: np.ndarray, mxdt: np.ndarray) -> float:
+def max_abs_diff(mdt: np.ndarray, mxdt: np.ndarray) -> float | np.ndarray:
     """Largest |mdt - mxdt| over hours present in both; NaN if none shared."""
     both = ~np.isnan(mdt) & ~np.isnan(mxdt)
-    if not both.any():
-        return float("nan")
-    return float(np.abs(mdt[both] - mxdt[both]).max())
+    gaps = np.where(both, np.abs(mdt - mxdt), -np.inf).max(axis=-1)
+    return _shaped(np.where(both.any(axis=-1), gaps, np.nan), both.shape[:-1])
 
 
 def normalize_template(template: np.ndarray) -> np.ndarray:
-    """Divide present slots by their maximum; a non-positive maximum maps
-    every present slot to 0. Missing slots stay missing."""
-    out = template.astype(float).copy()
-    present = ~np.isnan(out)
-    if not present.any():
-        return out
-    peak = out[present].max()
-    if peak <= 0:
-        out[present] = 0.0
-    else:
-        out[present] = out[present] / peak
+    """Divide each template's present slots by their maximum; a non-positive
+    maximum maps every present slot to 0. Missing slots stay missing."""
+    present = ~np.isnan(template)
+    peak = np.where(present, template, -np.inf).max(axis=-1, keepdims=True)
+    out = np.where(present, 0.0, template).astype(float, copy=False)
+    np.divide(template, peak, out=out, where=present & (peak > 0))
     return out
 
 
 def template_distance(
     curr: np.ndarray, prev: np.ndarray, hour_lo: int = 0, hour_hi: int = HOURS_PER_DAY - 1
-) -> float:
-    """Sum of squared slot differences over [hour_lo, hour_hi].
+) -> float | np.ndarray:
+    """Sum of squared slot differences over [hour_lo, hour_hi], per pair of
+    `(..., 24)` templates.
 
     Slots missing in either template contribute 0; NaN when the two
     templates share no present hour in the range. Inputs are expected to be
@@ -124,36 +177,44 @@ def template_distance(
     """
     if not 0 <= hour_lo <= hour_hi <= HOURS_PER_DAY - 1:
         raise ValueError(f"invalid hour range [{hour_lo}, {hour_hi}]")
-    c = curr[hour_lo : hour_hi + 1]
-    p = prev[hour_lo : hour_hi + 1]
-    both = ~np.isnan(c) & ~np.isnan(p)
-    if not both.any():
-        return float("nan")
-    diff = c[both] - p[both]
-    return float((diff**2).sum())
+    c = curr[..., hour_lo : hour_hi + 1]
+    p = prev[..., hour_lo : hour_hi + 1]
+    both = (~np.isnan(c) & ~np.isnan(p)).reshape(-1, c.shape[-1])
+    diff = (c - p).reshape(both.shape)
+    out = np.full(len(diff), np.nan)
+    for rows, values in present_groups(diff, both):
+        out[rows] = (values**2).sum(axis=1)
+    return _shaped(out, c.shape[:-1])
 
 
 def daily_averages(days: np.ndarray) -> np.ndarray:
     """Each day's average over its present slots, for `(..., 24)` templates;
     NaN for a day without samples.
 
-    Days are grouped by their count of present slots and each group's present
-    values are packed to the front of a `(days, count)` array, so every
-    average is the same `.mean()` a single day's present values give.
+    Every average is the same `.mean()` a single day's present values give
+    (see `present_groups`).
     """
-    flat = days.reshape(-1, HOURS_PER_DAY)
-    present = ~np.isnan(flat)
-    counts = present.sum(axis=1)
+    flat, present = _rows(days)
     out = np.full(len(flat), np.nan)
-    for count in np.unique(counts[counts > 0]).tolist():
-        group = np.flatnonzero(counts == count)
-        out[group] = flat[group][present[group]].reshape(-1, count).mean(axis=1)
+    for rows, values in present_groups(flat, present):
+        out[rows] = values.mean(axis=1)
     return out.reshape(days.shape[:-1])
 
 
-def average_stats(averages: np.ndarray) -> tuple[float, float]:
-    """Mean and population std of the non-NaN day averages; (NaN, NaN) if none."""
-    values = averages[~np.isnan(averages)]
-    if not values.size:
-        return float("nan"), float("nan")
-    return float(values.mean()), float(values.std())
+def average_stats(averages: np.ndarray) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Mean and population std of the non-NaN day averages along the last
+    axis; (NaN, NaN) where there are none."""
+    flat, present = _rows(averages)
+    mean = np.full(len(flat), np.nan)
+    std = np.full(len(flat), np.nan)
+    for rows, values in present_groups(flat, present):
+        mean[rows] = values.mean(axis=1)
+        std[rows] = values.std(axis=1)
+    shape = np.shape(averages)[:-1]
+    return _shaped(mean, shape), _shaped(std, shape)
+
+
+def _shaped(out: np.ndarray, shape: tuple[int, ...]) -> float | np.ndarray:
+    """A per-row result in its batch shape; a Python float for one 1-D input."""
+    out = out.reshape(shape)
+    return float(out) if out.ndim == 0 else out

@@ -9,6 +9,7 @@ coverage or because they fall in the cool-off span after a relapse window.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from datetime import date as Date
 from datetime import timedelta
@@ -88,7 +89,7 @@ def enumerate_windows(
     an earlier relapse-labeled candidate. With cooloff_days = 0 the cool-off
     rule is disabled entirely.
     """
-    coverage = set(data_coverage)
+    coverage = sorted(set(data_coverage))
     windows: list[WindowSpec] = []
     cooloff_until: Date | None = None
 
@@ -124,11 +125,6 @@ def excluded_windows(windows: Iterable[WindowSpec]) -> list[WindowSpec]:
     return [w for w in windows if not w.evaluable]
 
 
-def _days_with_data(spec: WindowSpec, coverage: set[Date]) -> int:
-    count = 0
-    day = spec.feature_start
-    while day <= spec.feature_end:
-        if day in coverage:
-            count += 1
-        day += timedelta(days=1)
-    return count
+def _days_with_data(spec: WindowSpec, coverage: list[Date]) -> int:
+    """Distinct covered dates in the feature window; `coverage` is sorted."""
+    return bisect_right(coverage, spec.feature_end) - bisect_left(coverage, spec.feature_start)

@@ -3,10 +3,14 @@ from __future__ import annotations
 from datetime import timedelta
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import extraction_oracle as oracle
 from conftest import day, make_constant_dataset, make_patient
 from relapsekit.dataio import Dataset
-from relapsekit.features import extract_all, extract_features
+from relapsekit.features import extract_all, extract_cohort
 from relapsekit.model import (
     FEATURE_INDEX,
     FEATURE_NAMES,
@@ -206,13 +210,89 @@ def test_extract_features_prev_window_with_no_data_leaves_distances_missing():
     # one signal there so that signal's previous templates are all-missing.
     ds.sensors["p1"][:28, SIGNALS.index(Signal.LIGHT_LEVEL)] = np.nan
     spec = window_at("p1", day(7), (), CONFIG)
-    from relapsekit.features import window_templates_for
-    from relapsekit.templates import daily_averages
 
-    prev = {s: window_templates_for(ds, "p1", s, day(0), CONFIG.window_days) for s in Signal}
-    templates = {s: window_templates_for(ds, "p1", s, day(7), CONFIG.window_days) for s in Signal}
-    fw = extract_features(spec, ds, templates, prev, daily_averages(ds.sensors["p1"]))
-    assert np.isnan(feature(fw, "light_level_dist_mdt"))
-    assert np.isnan(feature(fw, "light_level_dist_mxdt"))
-    assert not np.isnan(feature(fw, "light_level_mdt_mean"))  # days 28..34 still there
-    assert feature(fw, "call_duration_dist_mdt") == 0.0
+    prev = {s: oracle.window_templates_for(ds, "p1", s, day(0), CONFIG.window_days) for s in Signal}
+    templates = {s: oracle.window_templates_for(ds, "p1", s, day(7), CONFIG.window_days) for s in Signal}
+    per_window = oracle.extract_features(spec, ds, templates, prev, oracle.daily_averages(ds.sensors["p1"]))
+    batched = extract_all(ds, CONFIG)[1]
+    assert batched.spec == spec
+    for fw in (per_window, batched):
+        assert np.isnan(feature(fw, "light_level_dist_mdt"))
+        assert np.isnan(feature(fw, "light_level_dist_mxdt"))
+        assert not np.isnan(feature(fw, "light_level_mdt_mean"))  # days 28..34 still there
+        assert feature(fw, "call_duration_dist_mdt") == 0.0
+    assert batched.values.tobytes() == per_window.values.tobytes()
+
+
+def test_sensor_array_shorter_than_the_span_is_an_error_not_padding():
+    patient = make_patient(n_days=42)
+    ds = make_constant_dataset([patient])
+    short = Dataset(patients=ds.patients, sensors={"p1": ds.sensors["p1"][:30]}, ema=ds.ema)
+    with pytest.raises(ValueError, match="leaves the 30-day sensor array"):
+        extract_all(short, CONFIG)
+
+
+# -- batched extraction against the per-window oracle ------------------------------
+
+
+def sensor_signal(rng: np.random.Generator, n_days: int, kind: str) -> np.ndarray:
+    """One signal's `(days, 24)` hourly means of the drawn kind."""
+    if kind == "all_missing":
+        return np.full((n_days, 24), np.nan)
+    if kind == "constant":
+        out = np.full((n_days, 24), float(rng.gamma(2.0, 2.0)))
+    elif kind == "signed_zeros":  # "-0" passes ingest's value >= 0 check
+        out = rng.choice([0.0, -0.0, 1.0], size=(n_days, 24))
+    elif kind == "ties":
+        out = rng.integers(0, 3, size=(n_days, 24)) * 0.1
+    else:
+        out = rng.gamma(2.0, 2.0, size=(n_days, 24))
+    if kind == "single_hour":
+        keep = np.zeros(24, dtype=bool)
+        keep[rng.integers(0, 24)] = True
+        out[:, ~keep] = np.nan
+    missing_rate = rng.choice([0.0, 0.5, 0.9, 0.99, 1.0])
+    out[rng.random((n_days, 24)) < missing_rate] = np.nan
+    return out
+
+
+SIGNAL_KINDS = ("gamma", "all_missing", "constant", "signed_zeros", "ties", "single_hour")
+
+
+@st.composite
+def cohorts(draw) -> tuple[Dataset, WindowingConfig]:
+    window = draw(st.integers(7, 35))
+    config = WindowingConfig(
+        window_days=window,
+        horizon_days=draw(st.integers(1, 10)),
+        stride_days=draw(st.integers(1, 14)),
+        cooloff_days=draw(st.sampled_from([0, 14, 28])),
+        min_days_with_data=draw(st.integers(0, window + 1)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    patients, sensors, ema = [], {}, {}
+    for k in range(draw(st.integers(1, 3))):
+        n_days = draw(st.integers(1, 90))
+        pid = f"p{k}"
+        relapses = tuple(sorted(set(draw(st.lists(st.integers(0, n_days - 1), max_size=2)))))
+        patients.append(make_patient(pid=pid, n_days=n_days, relapse_days=relapses, age=20 + k))
+        kinds = [draw(st.sampled_from(SIGNAL_KINDS)) for _ in SIGNALS]
+        sensors[pid] = np.stack([sensor_signal(rng, n_days, kind) for kind in kinds], axis=1)
+        # Answers on drawn days, inserted out of date order.
+        answered = rng.permutation(n_days)[: int(rng.integers(0, n_days + 1))].tolist()
+        ema[pid] = {
+            day(d): EmaRecord(pid, day(d), tuple(int(v) for v in rng.integers(0, 4, size=10))) for d in answered
+        }
+    return Dataset(patients=tuple(patients), sensors=sensors, ema=ema), config
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=cohorts())
+def test_batched_extraction_equals_the_per_window_oracle_bit_for_bit(case):
+    ds, config = case
+    got, got_candidates = extract_cohort(ds, config)
+    want, want_candidates = oracle.extract_cohort(ds, config)
+    assert got_candidates == want_candidates
+    assert [fw.spec for fw in got] == [fw.spec for fw in want]
+    for g, w in zip(got, want):
+        assert g.values.tobytes() == w.values.tobytes(), g.spec

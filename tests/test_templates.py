@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import extraction_oracle as oracle
 from relapsekit.templates import (
     average_stats,
     compute_window_templates,
@@ -287,3 +288,90 @@ def test_scaling_samples_scales_aggregates_but_not_normalized(rng):
         na = normalize_template(a.mdt)
         nb = normalize_template(b.mdt)
         np.testing.assert_allclose(nb, na, rtol=1e-9, equal_nan=True)
+
+
+# -- batched statistics against their scalar oracles ----------------------------
+
+
+def random_templates(rng: np.random.Generator, shape: tuple[int, ...], width: int = 24) -> np.ndarray:
+    """Rows of `width` slots with 0 to `width` present each: gamma draws,
+    constants, ties, single slots, and signed zeros."""
+    rows = np.full((math.prod(shape), width), np.nan)
+    for row in rows:
+        k = int(rng.integers(0, width + 1))
+        slots = rng.choice(width, size=k, replace=False)
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            row[slots] = rng.gamma(2.0, 2.0, size=k)
+        elif kind == 1:
+            row[slots] = rng.gamma(2.0, 2.0)
+        elif kind == 2:
+            row[slots] = rng.integers(0, 3, size=k) * 0.1
+        else:
+            row[slots] = rng.choice([0.0, -0.0, 0.7, 3.0], size=k)
+    return rows.reshape(shape + (width,))
+
+
+def same(got, want) -> bool:
+    """Equal bytes: `==` with NaN equal to NaN and -0.0 told from 0.0."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+batch_shapes = st.sampled_from([(0,), (1,), (7,), (3, 4), (2, 0, 5), (1, 6, 3)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), shape=batch_shapes)
+def test_batched_statistics_equal_the_scalar_oracles(seed, shape):
+    rng = np.random.default_rng(seed)
+    a, b = random_templates(rng, shape), random_templates(rng, shape)
+    lo = int(rng.integers(0, 24))
+    hi = int(rng.integers(lo, 24))
+    cases = [
+        (mdt_stats, oracle.mdt_stats, (a,)),
+        (ddt_mean, oracle.ddt_mean, (a,)),
+        (max_abs_diff, oracle.max_abs_diff, (a, b)),
+        (normalize_template, oracle.normalize_template, (a,)),
+        (template_distance, oracle.template_distance, (a, b)),
+        (lambda c, p: template_distance(c, p, lo, hi), lambda c, p: oracle.template_distance(c, p, lo, hi), (a, b)),
+    ]
+    for batched, scalar, args in cases:
+        got = batched(*args)
+        want = [scalar(*(x[i] for x in args)) for i in np.ndindex(shape)]
+        assert same(np.reshape(got, -1), np.reshape(np.array(want, dtype=float), -1)), batched
+        if math.prod(shape):
+            first = tuple(x.reshape(-1, 24)[0] for x in args)
+            assert same(batched(*first), scalar(*first)), batched  # the 1-D call
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), shape=batch_shapes, n=st.integers(0, 40))
+def test_batched_average_stats_equal_the_scalar_oracle(seed, shape, n):
+    averages = random_templates(np.random.default_rng(seed), shape, width=n)
+    mean, std = average_stats(averages)
+    want = [oracle.average_stats(averages[i]) for i in np.ndindex(shape)]
+    assert same(np.reshape(mean, -1), [m for m, _ in want])
+    assert same(np.reshape(std, -1), [s for _, s in want])
+    if math.prod(shape):
+        row = averages.reshape(math.prod(shape), n)[0]
+        got = average_stats(row)
+        assert type(got[0]) is float and same(got, oracle.average_stats(row))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), windows=st.integers(0, 6), n=st.integers(0, 30))
+def test_batched_window_templates_equal_the_per_window_oracle(seed, windows, n):
+    days = random_templates(np.random.default_rng(seed), (windows, n))
+    # The contiguous stack and the day-major view `window_templates_for` passes.
+    day_major = np.ascontiguousarray(days.swapaxes(0, 1)).swapaxes(0, 1)
+    for stack in (days, day_major):
+        wt = compute_window_templates(stack)
+        want = [oracle.window_templates(days[w]) for w in range(windows)]
+        for name in ("mdt", "ddt", "mxdt"):
+            assert same(getattr(wt, name), np.array([getattr(t, name) for t in want]).reshape(windows, 24)), name
+        assert wt.days_present.tolist() == [t.days_present for t in want]
+    for w in range(windows):
+        one = compute_window_templates(days[w])
+        assert type(one.days_present) is int and one.days_present == want[w].days_present
+        assert all(same(getattr(one, name), getattr(want[w], name)) for name in ("mdt", "ddt", "mxdt"))
