@@ -10,7 +10,7 @@ with classifier, modality, and selection/demographics experiment grids.
 
 from .dataio import Dataset, IngestError, load_dataset, write_metrics, write_predictions
 from .evaluate import GRIDS, EvalReport, ExperimentConfig, run_grid, run_lopo
-from .features import FeatureWindow, extract_all
+from .features import WindowTable, extract_all
 from .metrics import f2_from_counts, f2_score
 from .model import FEATURE_NAMES, EmaRecord, Patient, Signal, canonical_feature_names
 from .synth import ProdromalSpec, RhythmSpec, SynthConfig, generate
@@ -24,7 +24,6 @@ __all__ = [
     "EvalReport",
     "ExperimentConfig",
     "FEATURE_NAMES",
-    "FeatureWindow",
     "GRIDS",
     "IngestError",
     "Patient",
@@ -33,6 +32,7 @@ __all__ = [
     "Signal",
     "SynthConfig",
     "WindowSpec",
+    "WindowTable",
     "WindowingConfig",
     "canonical_feature_names",
     "enumerate_windows",

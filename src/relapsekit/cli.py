@@ -246,11 +246,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_features(args: argparse.Namespace) -> int:
     dataset = _load(args)
     config = _windowing_config(args)
-    feature_windows, candidates = extract_cohort(dataset, config)
-    write_feature_matrix(feature_windows, args.out)
+    table, candidates = extract_cohort(dataset, config)
+    write_feature_matrix(table, args.out)
     write_exclusions(candidates, args.exclusions)
-    print(f"windows={len(feature_windows)}")
-    print(f"relapse_windows={sum(fw.label for fw in feature_windows)}")
+    print(f"windows={len(table)}")
+    print(f"relapse_windows={int(table.labels.sum())}")
     print(f"excluded={sum(1 for w in candidates if not w.evaluable)}")
     print(f"out={args.out}")
     return 0

@@ -58,7 +58,7 @@ from .windowing import WindowSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from .evaluate import EvalReport
-    from .features import FeatureWindow
+    from .features import WindowTable
 
 SENSORS_FILE = "sensors.csv"
 EMA_FILE = "ema.csv"
@@ -628,16 +628,14 @@ def write_metrics(report: "EvalReport | Sequence[EvalReport]", path: str | Path)
     Path(path).write_text(text, encoding="utf-8")
 
 
-def write_feature_matrix(feature_windows: "Sequence[FeatureWindow]", path: str | Path) -> None:
-    """Delimited dump of feature vectors; missing values become empty fields."""
+def write_feature_matrix(table: "WindowTable", path: str | Path) -> None:
+    """Delimited dump of a window table's rows; missing values become empty fields."""
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["patient_id", "window_start", "label", *FEATURE_NAMES])
-        for fw in feature_windows:
-            cells = ["" if np.isnan(v) else _fmt(v) for v in fw.values]
-            writer.writerow(
-                [fw.spec.patient_id, fw.spec.feature_start.isoformat(), fw.label, *cells]
-            )
+        for spec, row in zip(table.specs, table.values):
+            cells = ["" if np.isnan(v) else _fmt(v) for v in row]
+            writer.writerow([spec.patient_id, spec.feature_start.isoformat(), spec.label, *cells])
 
 
 def write_exclusions(windows: Iterable[WindowSpec], path: str | Path) -> None:

@@ -7,15 +7,17 @@ Confusion counts are pooled over folds (micro-averaged) before computing
 precision, recall, and F2. Reports are deterministic given (dataset,
 config, seed) and independent of the thread count used for fold execution.
 
-A fold's binning model depends only on its training windows and `bins`,
-and its selection subsample only on them and `selection_pool`; no grid arm
-changes those. `run_grid` therefore hands every arm one fold cache, so each
-fold fits its bins and draws its subsample once per grid, not once per arm.
-The cache holds only those two small objects (about 14 KB a fold), plus a
-mark per fold whose single-class warning was logged, so a grid logs it once
-per fold. The float and binned training matrices are rebuilt per arm:
-cached for every fold they would cost megabytes of peak memory for a few
-milliseconds.
+Folds run over one `WindowTable`: a fold's training rows are those whose
+patient index is not the held-out patient's. A fold's binning model
+depends only on its training rows and `bins`, and its selection subsample
+only on them and `selection_pool`; no grid arm changes those. `run_grid`
+therefore hands every arm one fold cache, so each fold fits its bins and
+draws its subsample once per grid, not once per arm. The cache holds only
+the binning model and the subsample's row indices into the fold's training
+rows (about 14 KB a fold), plus a mark per fold whose single-class warning
+was logged, so a grid logs it once per fold. The float and binned training
+matrices are rebuilt per arm: cached for every fold they would cost
+megabytes of peak memory for a few milliseconds.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from . import classifiers as clf
 from .dataio import Dataset
-from .features import FeatureWindow, extract_all
+from .features import WindowTable, extract_all
 from .metrics import f2_from_counts, f2_score
 from .model import SIGNALS, feature_indices_for_modality
 from .transform import apply_bins, build_selection_subsample, fit_bins, select_features
@@ -173,15 +175,16 @@ def _cached(cache: dict, key: tuple, make: Callable[[], Any]) -> Any:
 
 def _run_fold(
     config: ExperimentConfig,
-    train: list[FeatureWindow],
-    test: list[FeatureWindow],
+    table: WindowTable,
+    k: int,
     test_age: float,
     fold_seed: np.random.SeedSequence,
     fold_cache: dict,
 ) -> tuple[list[PredictionRow], FoldReport]:
-    patient_id = test[0].spec.patient_id
-    ytr = np.array([w.label for w in train], dtype=np.int64)
-    yte = np.array([w.label for w in test], dtype=np.int64)
+    patient_id = table.patient_ids[k]
+    train = table.patients != k
+    test = ~train
+    ytr, yte = table.labels[train], table.labels[test]
     train_relapse = int(ytr.sum())
     selected_names: tuple[str, ...] | None = None
     selected_scores: tuple[float, ...] | None = None
@@ -197,32 +200,33 @@ def _run_fold(
         predicted = np.full(yte.size, majority, dtype=np.int64)
         scores = np.full(yte.size, float(ytr.mean()) if ytr.size else 0.0)
     else:
-        train_matrix = np.stack([w.values for w in train])
+        train_matrix = table.values[train]
         # Keyed by the held-out patient and the one setting each depends on;
         # `fit_bins` and friends resolve on this module at call time.
-        bins = _cached(
-            fold_cache, ("bins", patient_id, config.bins), lambda: fit_bins(train_matrix, n_bins=config.bins)
-        )
+        bins = _cached(fold_cache, ("bins", patient_id, config.bins), lambda: fit_bins(train_matrix, config.bins))
         candidates = feature_indices_for_modality(config.modality, config.include_demographics)
         if config.selection:
-            subsample = _cached(
+            picked = _cached(
                 fold_cache,
                 ("subsample", patient_id, config.selection_pool),
-                lambda: build_selection_subsample(train, test_age, config.selection_pool),
+                lambda: build_selection_subsample(
+                    train_matrix, ytr, table.patients[train], test_age, config.selection_pool
+                ),
             )
-            selection = select_features(subsample, bins, config.selection_top, candidates)
+            selection = select_features(train_matrix[picked], ytr[picked], bins, config.selection_top, candidates)
             chosen = selection.selected
             selected_names = selection.selected_names
             selected_scores = tuple(float(selection.scores[i]) for i in chosen)
         else:
             chosen = tuple(candidates)
         Xtr = apply_bins(bins, train_matrix)[:, chosen]
-        Xte = apply_bins(bins, np.stack([w.values for w in test]))[:, chosen]
+        Xte = apply_bins(bins, table.values[test])[:, chosen]
         predicted, scores = _fit_and_predict(config, Xtr, ytr, Xte, fold_seed)
 
+    test_specs = [table.specs[i] for i in np.flatnonzero(test)]
     rows = [
-        PredictionRow(spec=w.spec, label=int(w.label), predicted=int(p), score=float(s))
-        for w, p, s in zip(test, predicted, scores)
+        PredictionRow(spec=spec, label=spec.label, predicted=int(p), score=float(s))
+        for spec, p, s in zip(test_specs, predicted, scores)
     ]
     tp, fp, fn, tn = _confusion(yte, predicted)
     report = FoldReport(
@@ -231,7 +235,7 @@ def _run_fold(
         fp=fp,
         fn=fn,
         tn=tn,
-        train_windows=len(train),
+        train_windows=int(ytr.size),
         train_relapse_windows=train_relapse,
         selected=selected_names,
         selected_scores=selected_scores,
@@ -246,46 +250,38 @@ def run_lopo(
     threads: int = 1,
     experiment: str = "evaluate",
     arm: str | None = None,
-    windows: Sequence[FeatureWindow] | None = None,
+    table: WindowTable | None = None,
     fold_cache: dict | None = None,
 ) -> EvalReport:
     """Leave-one-patient-out evaluation of one experiment arm.
 
-    `windows` may carry precomputed feature windows (matching
+    `table` may carry a precomputed window table (matching
     config.windowing) to share extraction across arms. `fold_cache` shares
     each fold's binning model and selection subsample across arms; pass the
-    same dict only to runs over the same dataset and windows.
+    same dict only to runs over the same dataset and table.
     """
     check_threads(threads)
     if fold_cache is None:
         fold_cache = {}
-    if windows is None:
-        windows = extract_all(dataset, config.windowing)
-    windows = list(windows)
-    if sum(w.label for w in windows) == 0:
+    if table is None:
+        table = extract_all(dataset, config.windowing)
+    if not table.labels.any():
         raise ValueError("no_positive_class: dataset has no relapse-labeled windows")
 
-    by_patient: dict[str, list[FeatureWindow]] = {}
-    for w in windows:
-        by_patient.setdefault(w.spec.patient_id, []).append(w)
-    fold_ids = sorted(by_patient)
     ages = {p.patient_id: float(p.age) for p in dataset.patients}
-
-    seeds = np.random.SeedSequence(config.seed).spawn(len(fold_ids) + 1)
+    seeds = np.random.SeedSequence(config.seed).spawn(len(table.patient_ids) + 1)
 
     if config.classifier == "random":
-        return _run_random_baseline(config, by_patient, fold_ids, seeds[-1], experiment, arm)
+        return _run_random_baseline(config, table, seeds[-1], experiment, arm)
 
-    def fold(i: int) -> tuple[list[PredictionRow], FoldReport]:
-        pid = fold_ids[i]
-        train = [w for w in windows if w.spec.patient_id != pid]
-        return _run_fold(config, train, by_patient[pid], ages[pid], seeds[i], fold_cache)
+    def fold(k: int) -> tuple[list[PredictionRow], FoldReport]:
+        return _run_fold(config, table, k, ages[table.patient_ids[k]], seeds[k], fold_cache)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(fold, range(len(fold_ids))))
+            results = list(pool.map(fold, range(len(table.patient_ids))))
     else:
-        results = [fold(i) for i in range(len(fold_ids))]
+        results = [fold(k) for k in range(len(table.patient_ids))]
 
     rows: list[PredictionRow] = []
     folds: list[FoldReport] = []
@@ -317,42 +313,24 @@ def run_lopo(
 
 def _run_random_baseline(
     config: ExperimentConfig,
-    by_patient: dict[str, list[FeatureWindow]],
-    fold_ids: list[str],
+    table: WindowTable,
     seed: np.random.SeedSequence,
     experiment: str,
     arm: str | None,
 ) -> EvalReport:
     """Prevalence-matched coin flips, pooled per run across folds, averaged over runs."""
-    all_labels: list[int] = []
-    ratios: list[float] = []
-    folds: list[FoldReport] = []
-    total_relapse = sum(w.label for ws in by_patient.values() for w in ws)
-    total_windows = sum(len(ws) for ws in by_patient.values())
-    for pid in fold_ids:
-        test = by_patient[pid]
-        test_relapse = sum(w.label for w in test)
-        train_windows = total_windows - len(test)
-        train_relapse = total_relapse - test_relapse
-        prevalence = train_relapse / train_windows if train_windows else 0.0
-        all_labels.extend(w.label for w in test)
-        ratios.extend([prevalence] * len(test))
-        folds.append(
-            FoldReport(
-                patient_id=pid,
-                tp=0,
-                fp=0,
-                fn=0,
-                tn=0,
-                train_windows=train_windows,
-                train_relapse_windows=train_relapse,
-            )
-        )
+    n_folds = len(table.patient_ids)
+    test_windows = np.bincount(table.patients, minlength=n_folds)
+    train_windows = len(table) - test_windows
+    train_relapse = int(table.labels.sum()) - np.bincount(table.patients[table.labels == 1], minlength=n_folds)
+    prevalence = np.divide(train_relapse, train_windows, out=np.zeros(n_folds), where=train_windows > 0)
+    folds = [
+        FoldReport(patient_id=pid, tp=0, fp=0, fn=0, tn=0, train_windows=windows, train_relapse_windows=relapse)
+        for pid, windows, relapse in zip(table.patient_ids, train_windows.tolist(), train_relapse.tolist())
+    ]
 
     rng = np.random.default_rng(seed)
-    result = clf.baseline_over_runs(
-        np.array(all_labels, dtype=np.int64), np.array(ratios), config.baseline_runs, rng
-    )
+    result = clf.baseline_over_runs(table.labels, np.repeat(prevalence, test_windows), config.baseline_runs, rng)
     return EvalReport(
         experiment=experiment,
         arm=arm or "random",
@@ -415,7 +393,7 @@ def run_grid(
     and one fold cache (each fold's bins and selection subsample)."""
     check_threads(threads)
     grid = GRIDS[experiment]
-    windows = extract_all(dataset, base_config.windowing)
+    table = extract_all(dataset, base_config.windowing)
     fold_cache: dict = {}
     reports = [
         run_lopo(
@@ -424,7 +402,7 @@ def run_grid(
             threads=threads,
             experiment=experiment,
             arm=arm,
-            windows=windows,
+            table=table,
             fold_cache=fold_cache,
         )
         for arm, overrides in grid.arms

@@ -12,12 +12,14 @@ one `(starts, 24)` stack of templates per signal covers every evaluable
 window and every previous window, the statistics of `templates` reduce the
 stacks, and the patient's `(windows, 100)` matrix is filled column block by
 column block. Each value equals what the same statistic gives for the one
-window alone, bit for bit.
+window alone, bit for bit. The cohort's windows are one `WindowTable`:
+the patients' matrices stacked into one `(windows, 100)` matrix, with the
+specs, labels and patient index of its rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date as Date
 from datetime import timedelta
 from typing import Mapping, Sequence
@@ -51,20 +53,36 @@ from .templates import (
 from .windowing import WindowingConfig, WindowSpec, enumerate_windows, evaluable_windows
 
 
-@dataclass(frozen=True)
-class FeatureWindow:
-    """One prediction instance: a window, its 100 feature values, its label."""
+@dataclass(frozen=True, eq=False)
+class WindowTable:
+    """The prediction instances of a cohort: one row per evaluable window,
+    in (patient_id, window_start) order.
 
-    spec: WindowSpec
+    `values` is the `(windows, 100)` feature matrix. `labels` (int64),
+    `patients` (each row's index into `patient_ids`, the sorted ids of the
+    patients with a window) follow from `specs`.
+    """
+
+    specs: tuple[WindowSpec, ...]
     values: np.ndarray
+    labels: np.ndarray = field(init=False)
+    patients: np.ndarray = field(init=False)
+    patient_ids: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.values.shape != (FEATURE_COUNT,):
-            raise ValueError(f"expected {FEATURE_COUNT} features, got {self.values.shape}")
+        if self.values.shape != (len(self.specs), FEATURE_COUNT):
+            raise ValueError(f"expected ({len(self.specs)}, {FEATURE_COUNT}) feature values, got {self.values.shape}")
+        keys = [(spec.patient_id, spec.feature_start) for spec in self.specs]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ValueError("window rows must be in strictly increasing (patient_id, window_start) order")
+        ids = [spec.patient_id for spec in self.specs]
+        index = {pid: k for k, pid in enumerate(dict.fromkeys(ids))}
+        object.__setattr__(self, "labels", np.array([spec.label for spec in self.specs], dtype=np.int64))
+        object.__setattr__(self, "patients", np.array([index[pid] for pid in ids], dtype=np.int64))
+        object.__setattr__(self, "patient_ids", tuple(index))
 
-    @property
-    def label(self) -> int:
-        return self.spec.label
+    def __len__(self) -> int:
+        return len(self.specs)
 
 
 def _window_rows(dataset: Dataset, patient_id: str, starts: Sequence[Date], days: int) -> np.ndarray:
@@ -153,32 +171,34 @@ def _ema_features(
     return out
 
 
-def extract_cohort(dataset: Dataset, config: WindowingConfig) -> tuple[list[FeatureWindow], list[WindowSpec]]:
-    """Feature windows for every evaluable window of every patient, and
+def extract_cohort(dataset: Dataset, config: WindowingConfig) -> tuple[WindowTable, list[WindowSpec]]:
+    """The window table of every evaluable window of every patient, and
     every candidate window (evaluable and excluded), each enumerated once.
 
-    Both lists are ordered by (patient_id, window_start). The previous
-    window for the distance features is the one exactly one stride earlier,
-    whether or not that window itself was evaluable; a first window has none.
-    Each patient's feature values are the rows of one `(windows, 100)` matrix.
+    Both are ordered by (patient_id, window_start). The previous window for
+    the distance features is the one exactly one stride earlier, whether or
+    not that window itself was evaluable; a first window has none.
     """
-    out: list[FeatureWindow] = []
+    specs: list[WindowSpec] = []
+    matrices: list[np.ndarray] = []
     candidates: list[WindowSpec] = []
     for patient in sorted(dataset.patients, key=lambda p: p.patient_id):
         pid = patient.patient_id
         own = enumerate_windows(patient, patient.relapse_dates, dataset.sensor_dates(pid), config)
         candidates.extend(own)
-        specs = evaluable_windows(own)
-        if not specs:
+        evaluable = evaluable_windows(own)
+        if not evaluable:
             continue
-        rhythm = _rhythm_features(dataset, patient, specs, config).reshape(len(specs), TEMPLATE_FEATURE_COUNT)
-        ema = _ema_features(dataset.ema_records(pid), specs, patient.observation_start, config.window_days)
-        demographics = np.broadcast_to([float(patient.age), float(patient.education_years)], (len(specs), 2))
-        matrix = np.concatenate([rhythm, ema, demographics], axis=1)
-        out.extend(FeatureWindow(spec=spec, values=row) for spec, row in zip(specs, matrix))
-    return out, candidates
+        n = len(evaluable)
+        rhythm = _rhythm_features(dataset, patient, evaluable, config).reshape(n, TEMPLATE_FEATURE_COUNT)
+        ema = _ema_features(dataset.ema_records(pid), evaluable, patient.observation_start, config.window_days)
+        demographics = np.broadcast_to([float(patient.age), float(patient.education_years)], (n, 2))
+        specs.extend(evaluable)
+        matrices.append(np.concatenate([rhythm, ema, demographics], axis=1))
+    values = np.concatenate(matrices) if matrices else np.empty((0, FEATURE_COUNT))
+    return WindowTable(tuple(specs), values), candidates
 
 
-def extract_all(dataset: Dataset, config: WindowingConfig) -> list[FeatureWindow]:
-    """The feature windows of `extract_cohort`."""
+def extract_all(dataset: Dataset, config: WindowingConfig) -> WindowTable:
+    """The window table of `extract_cohort`."""
     return extract_cohort(dataset, config)[0]

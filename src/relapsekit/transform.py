@@ -7,13 +7,16 @@ features by plug-in mutual information with the label, computed on an
 age-matched training subsample: all relapse windows plus the non-relapse
 windows of the patients closest in age to the held-out patient.
 
-Neither `fit_bins` nor `build_selection_subsample` depends on anything but
-the training fold and its own count (`n_bins`, `n_nonrelapse`), so LOPO
-fits each once per fold and shares it across experiment arms (see
-`evaluate.run_grid`). `mutual_information_columns` scores every candidate
-column in one pass; its sums run in the same order as a per-column table
-over the present levels, so each score is bit-identical to scoring the
-column alone.
+Every function takes arrays: a float `(windows, features)` matrix, int64
+labels and, for the subsample, each row's patient index, as the rows of a
+`features.WindowTable` hold them. The subsample is a vector of row indices,
+drawn by one stable `np.lexsort`. Neither `fit_bins` nor
+`build_selection_subsample` depends on anything but the training fold and
+its own count (`n_bins`, `n_nonrelapse`), so LOPO fits each once per fold
+and shares it across experiment arms (see `evaluate.run_grid`).
+`mutual_information_columns` scores every candidate column in one pass;
+its sums run in the same order as a per-column table over the present
+levels, so each score is bit-identical to scoring the column alone.
 """
 
 from __future__ import annotations
@@ -23,12 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import FeatureWindow
 from .model import AGE_INDEX, FEATURE_NAMES
-
-DEFAULT_BINS = 15
-DEFAULT_SUBSAMPLE_SIZE = 100  # non-relapse windows pooled for selection
-DEFAULT_TOP_FEATURES = 5
 
 
 @dataclass(frozen=True)
@@ -37,7 +35,7 @@ class BinningModel:
 
     impute: np.ndarray
     edges: np.ndarray
-    n_bins: int = DEFAULT_BINS
+    n_bins: int
 
     @property
     def lo(self) -> np.ndarray:
@@ -60,25 +58,13 @@ class SelectionModel:
         return tuple(FEATURE_NAMES[i] for i in self.selected)
 
 
-def _as_matrix(vectors: Sequence[FeatureWindow] | Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    if isinstance(vectors, np.ndarray):
-        matrix = vectors
-    else:
-        rows = [v.values if isinstance(v, FeatureWindow) else v for v in vectors]
-        matrix = np.stack(rows) if rows else np.empty((0, 0))
-    if matrix.ndim != 2:
-        raise ValueError(f"expected a matrix of feature vectors, got shape {matrix.shape}")
-    return matrix.astype(float)
-
-
-def fit_bins(train_vectors, n_bins: int = DEFAULT_BINS) -> BinningModel:
-    """Fit imputation means and equal-width edges from training data only.
+def fit_bins(matrix: np.ndarray, n_bins: int) -> BinningModel:
+    """Fit imputation means and equal-width edges from a training matrix only.
 
     A feature that is constant (or entirely missing) in training degenerates
     to a single category.
     """
-    matrix = _as_matrix(train_vectors)
-    if matrix.shape[0] == 0:
+    if len(matrix) == 0:
         raise ValueError("cannot fit bins on an empty training set")
     n_features = matrix.shape[1]
     impute = np.zeros(n_features)
@@ -158,49 +144,44 @@ def mutual_information(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def build_selection_subsample(
-    train_windows: Sequence[FeatureWindow],
-    test_patient_age: float,
-    n_nonrelapse: int = DEFAULT_SUBSAMPLE_SIZE,
-) -> list[FeatureWindow]:
-    """Age-matched subsample used only for feature ranking.
+    matrix: np.ndarray, labels: np.ndarray, patients: np.ndarray, test_patient_age: float, n_nonrelapse: int
+) -> np.ndarray:
+    """Row indices of the age-matched subsample used only for feature ranking.
 
-    Every relapse-labeled training window, plus non-relapse windows taken
-    patient-by-patient in ascending |age - test age| (ties by patient id,
-    then window start) until `n_nonrelapse` are collected or none remain.
+    Every relapse-labeled row in row order, then non-relapse rows in
+    ascending |age - test age|, ties by patient index, then row order, until
+    `n_nonrelapse` are taken or none remain. On the rows of a `WindowTable`
+    the ties go by patient id, then window start.
     """
     if n_nonrelapse < 1:
         raise ValueError("n_nonrelapse must be >= 1")
-    relapse = [w for w in train_windows if w.label == 1]
-    nonrelapse = [w for w in train_windows if w.label == 0]
-
-    def patient_key(w: FeatureWindow) -> tuple[float, str]:
-        return (abs(float(w.values[AGE_INDEX]) - float(test_patient_age)), w.spec.patient_id)
-
-    nonrelapse.sort(key=lambda w: (*patient_key(w), w.spec.feature_start))
-    return relapse + nonrelapse[:n_nonrelapse]
+    nonrelapse = np.flatnonzero(labels == 0)
+    distance = np.abs(matrix[nonrelapse, AGE_INDEX] - float(test_patient_age))
+    order = np.lexsort((patients[nonrelapse], distance))  # stable: equal keys keep row order
+    return np.concatenate([np.flatnonzero(labels == 1), nonrelapse[order[:n_nonrelapse]]])
 
 
 def select_features(
-    subsample: Sequence[FeatureWindow],
+    matrix: np.ndarray,
+    labels: np.ndarray,
     bins: BinningModel,
-    top: int = DEFAULT_TOP_FEATURES,
+    top: int,
     candidates: Sequence[int] | None = None,
 ) -> SelectionModel:
     """Rank candidate features by mutual information with the label on the
-    binned subsample and keep the top `top` (canonical order breaks ties)."""
-    if not subsample:
+    binned subsample rows and keep the top `top` (canonical order breaks ties)."""
+    if labels.size == 0:
         raise ValueError("selection_degenerate: empty subsample")
-    labels = np.array([w.label for w in subsample])
-    if len(set(labels.tolist())) < 2:
+    if labels.min() == labels.max():
         raise ValueError("selection_degenerate: subsample contains a single class")
 
-    matrix = apply_bins(bins, np.stack([w.values for w in subsample]))
+    codes = apply_bins(bins, matrix)
     if candidates is None:
-        candidates = range(matrix.shape[1])
+        candidates = range(codes.shape[1])
     candidates = list(candidates)
 
-    scores = np.full(matrix.shape[1], np.nan)
+    scores = np.full(codes.shape[1], np.nan)
     if candidates:
-        scores[candidates] = mutual_information_columns(matrix[:, candidates], labels)
+        scores[candidates] = mutual_information_columns(codes[:, candidates], labels)
     ranked = sorted(candidates, key=lambda f: (-scores[f], f))
     return SelectionModel(selected=tuple(ranked[:top]), scores=scores)

@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from relapsekit.dataio import Dataset
-from relapsekit.features import FeatureWindow
+from relapsekit.features import WindowTable
 from relapsekit.model import (
     EMA_ITEM_COUNT,
     FEATURE_COUNT,
@@ -151,7 +151,7 @@ def extract_features(
     templates: Mapping[Signal, WindowTemplates],
     prev_templates: Mapping[Signal, WindowTemplates] | None,
     averages: np.ndarray,
-) -> FeatureWindow:
+) -> np.ndarray:
     """One window's feature vector; `prev_templates` is None for a first window."""
     patient = dataset.patient(window.patient_id)
     window_days = (window.feature_end - window.feature_start).days + 1
@@ -185,12 +185,13 @@ def extract_features(
 
     values[FEATURE_COUNT - 2] = float(patient.age)
     values[FEATURE_COUNT - 1] = float(patient.education_years)
-    return FeatureWindow(spec=window, values=values)
+    return values
 
 
-def extract_cohort(dataset: Dataset, config: WindowingConfig) -> tuple[list[FeatureWindow], list[WindowSpec]]:
+def extract_cohort(dataset: Dataset, config: WindowingConfig) -> tuple[WindowTable, list[WindowSpec]]:
     """Window by window, each window's and previous window's templates built once."""
-    out: list[FeatureWindow] = []
+    specs: list[WindowSpec] = []
+    rows: list[np.ndarray] = []
     candidates: list[WindowSpec] = []
     for patient in sorted(dataset.patients, key=lambda p: p.patient_id):
         coverage = dataset.sensor_dates(patient.patient_id)
@@ -207,5 +208,6 @@ def extract_cohort(dataset: Dataset, config: WindowingConfig) -> tuple[list[Feat
                         for signal in SIGNALS
                     }
             prev = built.get(prev_start)
-            out.append(extract_features(spec, dataset, built[spec.feature_start], prev, averages))
-    return out, candidates
+            specs.append(spec)
+            rows.append(extract_features(spec, dataset, built[spec.feature_start], prev, averages))
+    return WindowTable(tuple(specs), np.array(rows).reshape(len(rows), FEATURE_COUNT)), candidates

@@ -173,7 +173,7 @@ def test_criterion_5_feature_inventory():
 
     patient = make_patient(n_days=42)
     ds = make_constant_dataset([patient], value=5.0)
-    fw = extract_all(ds, WindowingConfig())[1]
+    row = extract_all(ds, WindowingConfig()).values[1]
     expected = {
         "call_duration_mdt_mean": 5.0,
         "call_duration_mdt_std": 0.0,
@@ -190,7 +190,7 @@ def test_criterion_5_feature_inventory():
         "call_duration_daily_std": 0.0,
     }
     for name, value in expected.items():
-        assert fw.values[FEATURE_INDEX[name]] == value, name
+        assert row[FEATURE_INDEX[name]] == value, name
     report(5, "feature inventory")
 
 
@@ -330,9 +330,9 @@ def test_criterion_9_real_dataset_bands():
         os.path.join(base, "patients.csv"),
         os.path.join(base, "relapses.csv"),
     )
-    windows = extract_all(ds, WindowingConfig())
-    total = len(windows)
-    relapse = sum(w.label for w in windows)
+    table = extract_all(ds, WindowingConfig())
+    total = len(table)
+    relapse = int(table.labels.sum())
     assert 2386 * 0.85 <= total <= 2386 * 1.15
     assert 19 <= relapse <= 27
 

@@ -43,18 +43,18 @@ def test_signal_without_rows_is_missing_and_touches_only_its_13_features(tmp_pat
 
     config = WindowingConfig()
     a, b = extract_all(full, config), extract_all(gap, config)
-    assert [fw.spec for fw in a] == [fw.spec for fw in b]
+    assert a.specs == b.specs
     own = list(signal_feature_indices(Signal.LIGHT_LEVEL))
-    others = [i for i in range(len(a[0].values)) if i not in own]
+    others = [i for i in range(a.values.shape[1]) if i not in own]
     assert len(own) == 13 and len(others) == 87
     gap_windows = 0
-    for fa, fb in zip(a, b):
-        if fb.spec.patient_id == "p1":
-            assert np.isnan(fb.values[own]).all()
+    for spec, fa, fb in zip(b.specs, a.values, b.values):
+        if spec.patient_id == "p1":
+            assert np.isnan(fb[own]).all()
             gap_windows += 1
         else:
-            np.testing.assert_array_equal(fb.values[own], fa.values[own])
-        np.testing.assert_array_equal(fb.values[others], fa.values[others])
+            np.testing.assert_array_equal(fb[own], fa[own])
+        np.testing.assert_array_equal(fb[others], fa[others])
     assert gap_windows > 0
 
 

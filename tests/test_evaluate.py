@@ -159,8 +159,8 @@ def test_random_baseline_report_shape(cohort):
     assert set(report.metric_std) == {"precision", "recall", "f2"}
     assert np.isfinite([report.tp, report.fp, report.fn, report.tn]).all()
     # counts are means over runs; tp + fn still equals the relapse windows
-    windows = extract_all(cohort, BASE.windowing)
-    assert report.tp + report.fn == pytest.approx(sum(w.label for w in windows))
+    table = extract_all(cohort, BASE.windowing)
+    assert report.tp + report.fn == pytest.approx(table.labels.sum())
 
 
 def test_classifier_comparison_has_five_rows(cohort):

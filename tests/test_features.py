@@ -24,16 +24,15 @@ from relapsekit.windowing import WindowingConfig, window_at
 CONFIG = WindowingConfig()
 
 
-def feature(fw, name: str) -> float:
-    return float(fw.values[FEATURE_INDEX[name]])
+def feature(values: np.ndarray, name: str) -> float:
+    return float(values[FEATURE_INDEX[name]])
 
 
 def test_constant_signal_window_feature_pattern():
     """A signal pinned at 5 for every hour, previous window identical."""
     patient = make_patient(n_days=42)
     ds = make_constant_dataset([patient], value=5.0)
-    fws = extract_all(ds, CONFIG)
-    second = fws[1]  # has a previous window
+    second = extract_all(ds, CONFIG).values[1]  # has a previous window
 
     prefix = "call_duration_"
     assert feature(second, prefix + "mdt_mean") == 5.0
@@ -54,15 +53,15 @@ def test_constant_signal_window_feature_pattern():
 def test_vector_has_100_canonical_features():
     patient = make_patient(n_days=42)
     ds = make_constant_dataset([patient])
-    fw = extract_all(ds, CONFIG)[0]
-    assert fw.values.shape == (100,)
+    table = extract_all(ds, CONFIG)
+    assert table.values.shape == (len(table), 100)
     assert len(FEATURE_NAMES) == 100
 
 
 def test_first_window_distance_features_missing():
     patient = make_patient(n_days=42)
     ds = make_constant_dataset([patient])
-    first = extract_all(ds, CONFIG)[0]
+    first = extract_all(ds, CONFIG).values[0]
     for signal in Signal:
         prefix = signal.value
         assert np.isnan(feature(first, f"{prefix}_dist_mdt"))
@@ -74,8 +73,7 @@ def test_first_window_distance_features_missing():
 def test_no_ema_records_leaves_all_20_missing():
     patient = make_patient(n_days=42)
     ds = make_constant_dataset([patient], ema_every_day=False)
-    fw = extract_all(ds, CONFIG)[0]
-    block = fw.values[78:98]
+    block = extract_all(ds, CONFIG).values[0, 78:98]
     assert np.isnan(block).all()
 
 
@@ -83,10 +81,10 @@ def test_single_ema_record_mean_and_zero_std():
     patient = make_patient(n_days=42)
     ds = make_constant_dataset([patient], ema_every_day=False)
     ds.ema["p1"] = {day(3): EmaRecord("p1", day(3), (2,) * 10)}
-    fw = extract_all(ds, CONFIG)[0]
+    row = extract_all(ds, CONFIG).values[0]
     for item in range(1, 11):
-        assert feature(fw, f"ema_{item:02d}_mean") == 2.0
-        assert feature(fw, f"ema_{item:02d}_std") == 0.0
+        assert feature(row, f"ema_{item:02d}_mean") == 2.0
+        assert feature(row, f"ema_{item:02d}_std") == 0.0
 
 
 def test_ema_outside_window_not_counted():
@@ -97,39 +95,42 @@ def test_ema_outside_window_not_counted():
         day(27): EmaRecord("p1", day(27), (2,) * 10),  # boundary day, inside
         day(28): EmaRecord("p1", day(28), (3,) * 10),  # prediction week, outside
     }
-    fw = extract_all(ds, CONFIG)[0]
-    assert feature(fw, "ema_01_mean") == 1.0  # mean of {0, 2}
-    assert feature(fw, "ema_01_std") == 1.0
+    row = extract_all(ds, CONFIG).values[0]
+    assert feature(row, "ema_01_mean") == 1.0  # mean of {0, 2}
+    assert feature(row, "ema_01_std") == 1.0
 
 
 def test_demographics_always_present():
     patient = make_patient(n_days=42, age=61, education=7)
     ds = make_constant_dataset([patient])
-    fw = extract_all(ds, CONFIG)[0]
-    assert feature(fw, "age") == 61.0
-    assert feature(fw, "education_years") == 7.0
+    row = extract_all(ds, CONFIG).values[0]
+    assert feature(row, "age") == 61.0
+    assert feature(row, "education_years") == 7.0
 
 
 def test_extract_all_window_count_and_order():
     patients = [make_patient(pid="pb", n_days=70), make_patient(pid="pa", n_days=70)]
     ds = make_constant_dataset(patients)
-    fws = extract_all(ds, CONFIG)
-    assert len(fws) == 12  # six windows per patient
-    keys = [(fw.spec.patient_id, fw.spec.feature_start) for fw in fws]
+    table = extract_all(ds, CONFIG)
+    assert len(table) == 12  # six windows per patient
+    keys = [(spec.patient_id, spec.feature_start) for spec in table.specs]
     assert keys == sorted(keys)
+    assert table.patient_ids == ("pa", "pb")
+    assert table.patients.tolist() == [0] * 6 + [1] * 6
 
 
 def test_extract_all_empty_dataset():
     ds = Dataset(patients=(), sensors={}, ema={})
-    assert extract_all(ds, CONFIG) == []
+    table = extract_all(ds, CONFIG)
+    assert len(table) == 0 and table.values.shape == (0, 100) and table.patient_ids == ()
 
 
 def test_labels_match_windowing():
     patient = make_patient(n_days=120, relapse_days=(70,))
     ds = make_constant_dataset([patient])
-    fws = extract_all(ds, CONFIG)
-    labels = [fw.label for fw in fws]
-    assert labels == [0] * 6 + [1]
+    table = extract_all(ds, CONFIG)
+    assert table.labels.tolist() == [spec.label for spec in table.specs] == [0] * 6 + [1]
+    assert table.labels.dtype == np.int64
 
 
 def shift_dataset(ds: Dataset, days: int) -> Dataset:
@@ -159,9 +160,9 @@ def test_date_shift_leaves_feature_values_identical(rng):
     a = extract_all(ds, CONFIG)
     b = extract_all(shifted, CONFIG)
     assert len(a) == len(b)
-    for fa, fb in zip(a, b):
-        assert (fb.spec.feature_start - fa.spec.feature_start).days == 37
-        np.testing.assert_array_equal(fa.values, fb.values)
+    for sa, sb in zip(a.specs, b.specs):
+        assert (sb.feature_start - sa.feature_start).days == 37
+    np.testing.assert_array_equal(a.values, b.values)
 
 
 def varied_dataset(rng, pid: str = "p1", n_days: int = 50) -> Dataset:
@@ -193,14 +194,14 @@ def test_scaling_one_signal_only_touches_its_non_distance_features(rng):
     sound_distance = {
         i for i in sound if FEATURE_NAMES[i].removeprefix("sound_level_") in distance_names
     }
-    for fa, fb in zip(a, b):
+    for fa, fb in zip(a.values, b.values):
         for i in range(100):
-            va, vb = fa.values[i], fb.values[i]
+            va, vb = fa[i], fb[i]
             if i not in sound or i in sound_distance:
                 assert (np.isnan(va) and np.isnan(vb)) or va == vb, FEATURE_NAMES[i]
         # The scale-carrying features did move with the factor.
         mean_idx = FEATURE_INDEX["sound_level_mdt_mean"]
-        np.testing.assert_allclose(fb.values[mean_idx], fa.values[mean_idx] * 4.0, rtol=1e-12)
+        np.testing.assert_allclose(fb[mean_idx], fa[mean_idx] * 4.0, rtol=1e-12)
 
 
 def test_extract_features_prev_window_with_no_data_leaves_distances_missing():
@@ -214,14 +215,15 @@ def test_extract_features_prev_window_with_no_data_leaves_distances_missing():
     prev = {s: oracle.window_templates_for(ds, "p1", s, day(0), CONFIG.window_days) for s in Signal}
     templates = {s: oracle.window_templates_for(ds, "p1", s, day(7), CONFIG.window_days) for s in Signal}
     per_window = oracle.extract_features(spec, ds, templates, prev, oracle.daily_averages(ds.sensors["p1"]))
-    batched = extract_all(ds, CONFIG)[1]
-    assert batched.spec == spec
-    for fw in (per_window, batched):
-        assert np.isnan(feature(fw, "light_level_dist_mdt"))
-        assert np.isnan(feature(fw, "light_level_dist_mxdt"))
-        assert not np.isnan(feature(fw, "light_level_mdt_mean"))  # days 28..34 still there
-        assert feature(fw, "call_duration_dist_mdt") == 0.0
-    assert batched.values.tobytes() == per_window.values.tobytes()
+    table = extract_all(ds, CONFIG)
+    assert table.specs[1] == spec
+    batched = table.values[1]
+    for row in (per_window, batched):
+        assert np.isnan(feature(row, "light_level_dist_mdt"))
+        assert np.isnan(feature(row, "light_level_dist_mxdt"))
+        assert not np.isnan(feature(row, "light_level_mdt_mean"))  # days 28..34 still there
+        assert feature(row, "call_duration_dist_mdt") == 0.0
+    assert batched.tobytes() == per_window.tobytes()
 
 
 def test_sensor_array_shorter_than_the_span_is_an_error_not_padding():
@@ -293,6 +295,6 @@ def test_batched_extraction_equals_the_per_window_oracle_bit_for_bit(case):
     got, got_candidates = extract_cohort(ds, config)
     want, want_candidates = oracle.extract_cohort(ds, config)
     assert got_candidates == want_candidates
-    assert [fw.spec for fw in got] == [fw.spec for fw in want]
-    for g, w in zip(got, want):
-        assert g.values.tobytes() == w.values.tobytes(), g.spec
+    assert got.specs == want.specs
+    for spec, g, w in zip(got.specs, got.values, want.values):
+        assert g.tobytes() == w.tobytes(), spec

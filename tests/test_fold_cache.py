@@ -11,7 +11,7 @@ import pytest
 
 from relapsekit import evaluate
 from relapsekit.evaluate import GRIDS, ExperimentConfig, run_grid, run_lopo
-from relapsekit.features import FeatureWindow, extract_all
+from relapsekit.features import WindowTable, extract_all
 from relapsekit.synth import SynthConfig, generate
 
 # Small forests: sharing is per fold, whatever the classifier's size.
@@ -54,18 +54,20 @@ def test_every_grid_arm_equals_its_standalone_run(cohort, standalone, experiment
     assert len(fits) == len(fitted) > 0
 
 
-def poison(windows: list[FeatureWindow], patient_id: str) -> list[FeatureWindow]:
+def poison(table: WindowTable, patient_id: str) -> WindowTable:
     """That patient's feature values (age included) replaced by huge alternating values."""
-    extreme = np.where(np.arange(windows[0].values.size) % 2, -1e12, 1e12)
-    return [replace(w, values=extreme.copy()) if w.spec.patient_id == patient_id else w for w in windows]
+    values = table.values.copy()
+    rows = table.patients == table.patient_ids.index(patient_id)
+    values[rows] = np.where(np.arange(values.shape[1]) % 2, -1e12, 1e12)
+    return replace(table, values=values)
 
 
-def grid_folds(dataset, experiment: str, windows: list[FeatureWindow]) -> dict[str, dict]:
-    """run_grid over given windows: every arm's folds by patient, one shared fold cache."""
+def grid_folds(dataset, experiment: str, table: WindowTable) -> dict[str, dict]:
+    """run_grid over a given table: every arm's folds by patient, one shared fold cache."""
     fold_cache: dict = {}
     out = {}
     for arm, overrides in GRIDS[experiment].arms:
-        report = run_lopo(dataset, replace(BASE, **overrides), windows=windows, fold_cache=fold_cache)
+        report = run_lopo(dataset, replace(BASE, **overrides), table=table, fold_cache=fold_cache)
         out[arm] = {f.patient_id: f for f in report.folds}
     return out
 
@@ -73,7 +75,7 @@ def grid_folds(dataset, experiment: str, windows: list[FeatureWindow]) -> dict[s
 @pytest.mark.parametrize("experiment", sorted(GRIDS))
 def test_poisoned_patient_cannot_reach_its_own_folds_selection(cohort, experiment):
     clean = extract_all(cohort, BASE.windowing)
-    patient_ids = sorted({w.spec.patient_id for w in clean})
+    patient_ids = clean.patient_ids
     # Not the first fold, so a cache entry that ignored the held-out patient
     # would hand this fold bins fitted with the poisoned values.
     target = patient_ids[-1]

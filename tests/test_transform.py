@@ -5,9 +5,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import day
-from relapsekit.features import FeatureWindow
+from relapsekit.features import WindowTable
 from relapsekit.model import AGE_INDEX, FEATURE_COUNT
 from relapsekit.transform import (
     apply_bins,
@@ -16,7 +18,7 @@ from relapsekit.transform import (
     mutual_information,
     select_features,
 )
-from relapsekit.windowing import WindowingConfig, window_at
+from relapsekit.windowing import WindowingConfig, WindowSpec, window_at
 
 
 def mi_oracle(x, y) -> float:
@@ -47,21 +49,21 @@ def vectors_with_feature(column: list[float], feature: int = 0) -> np.ndarray:
 
 
 def test_equal_width_edges_and_midpoint_category():
-    model = fit_bins(vectors_with_feature([0.0, 15.0]))
+    model = fit_bins(vectors_with_feature([0.0, 15.0]), 15)
     np.testing.assert_allclose(model.edges[0], np.arange(16.0))
     cats = apply_bins(model, vectors_with_feature([7.5]))
     assert cats[0, 0] == 7
 
 
 def test_extreme_values_clamp():
-    model = fit_bins(vectors_with_feature([0.0, 15.0]))
+    model = fit_bins(vectors_with_feature([0.0, 15.0]), 15)
     v = vectors_with_feature([0.0, 15.0, -4.0, 99.0])
     cats = apply_bins(model, v)[:, 0]
     assert cats.tolist() == [0, 14, 0, 14]  # min->0, max->top, out-of-range clamps
 
 
 def test_constant_feature_degenerates_to_single_category():
-    model = fit_bins(vectors_with_feature([3.0, 3.0, 3.0]))
+    model = fit_bins(vectors_with_feature([3.0, 3.0, 3.0]), 15)
     cats = apply_bins(model, vectors_with_feature([3.0, -1.0, 10.0]))[:, 0]
     assert cats.tolist() == [0, 0, 0]
 
@@ -69,7 +71,7 @@ def test_constant_feature_degenerates_to_single_category():
 def test_all_missing_feature_gets_zero_imputation_and_degenerate_bins():
     matrix = np.full((3, FEATURE_COUNT), np.nan)
     matrix[:, 1] = [1.0, 2.0, 3.0]
-    model = fit_bins(matrix)
+    model = fit_bins(matrix, 15)
     assert model.impute[0] == 0.0
     cats = apply_bins(model, np.full(FEATURE_COUNT, np.nan))
     assert cats[0] == 0
@@ -77,7 +79,7 @@ def test_all_missing_feature_gets_zero_imputation_and_degenerate_bins():
 
 def test_missing_values_imputed_with_training_mean():
     matrix = vectors_with_feature([0.0, 10.0, 20.0])
-    model = fit_bins(matrix)
+    model = fit_bins(matrix, 15)
     assert model.impute[0] == 10.0
     v = np.zeros(FEATURE_COUNT)
     v[0] = np.nan
@@ -86,7 +88,7 @@ def test_missing_values_imputed_with_training_mean():
 
 def test_apply_bins_is_monotone(rng):
     train = vectors_with_feature(rng.normal(size=50).tolist())
-    model = fit_bins(train)
+    model = fit_bins(train, 15)
     values = np.sort(rng.normal(scale=3.0, size=200))
     cats = apply_bins(model, vectors_with_feature(values.tolist()))[:, 0]
     assert (np.diff(cats) >= 0).all()
@@ -96,14 +98,14 @@ def test_training_data_never_leaves_category_range(rng):
     for _ in range(20):
         column = rng.normal(size=int(rng.integers(1, 40)))
         train = vectors_with_feature(column.tolist())
-        model = fit_bins(train)
+        model = fit_bins(train, 15)
         cats = apply_bins(model, train)
         assert cats.min() >= 0 and cats.max() <= 14
 
 
 def test_fit_bins_rejects_empty():
     with pytest.raises(ValueError):
-        fit_bins(np.empty((0, FEATURE_COUNT)))
+        fit_bins(np.empty((0, FEATURE_COUNT)), 15)
 
 
 # -- mutual information ----------------------------------------------------------
@@ -150,97 +152,162 @@ def test_mi_symmetry(rng):
 # -- selection subsample -----------------------------------------------------------
 
 
-def fw(pid: str, start_day: int, label: int, age: float) -> FeatureWindow:
-    config = WindowingConfig()
-    spec = window_at(pid, day(start_day), (day(start_day + 28),) if label else (), config)
-    values = np.zeros(FEATURE_COUNT)
-    values[AGE_INDEX] = age
-    return FeatureWindow(spec=spec, values=values)
+def table(rows: list[tuple[str, int, int, float]]) -> WindowTable:
+    """The window table of (patient, start day, label, age) rows, in table order."""
+    specs, values = [], np.zeros((len(rows), FEATURE_COUNT))
+    for i, (pid, start_day, label, age) in enumerate(sorted(rows)):
+        specs.append(window_at(pid, day(start_day), (day(start_day + 28),) if label else (), WindowingConfig()))
+        values[i, AGE_INDEX] = age
+    return WindowTable(tuple(specs), values)
+
+
+def subsample(t: WindowTable, test_patient_age: float, n_nonrelapse: int) -> list[WindowSpec]:
+    picked = build_selection_subsample(t.values, t.labels, t.patients, test_patient_age, n_nonrelapse)
+    return [t.specs[i] for i in picked]
+
+
+def subsample_oracle(t: WindowTable, test_patient_age: float, n_nonrelapse: int) -> list[int]:
+    """The list-based subsample the lexsort replaced: relapse rows in row
+    order, then non-relapse rows sorted on (|age - test age|, patient id,
+    window start)."""
+    relapse = [i for i, spec in enumerate(t.specs) if spec.label == 1]
+    nonrelapse = [i for i, spec in enumerate(t.specs) if spec.label == 0]
+
+    def key(i: int) -> tuple[float, str, object]:
+        age = float(t.values[i, AGE_INDEX])
+        return (abs(age - float(test_patient_age)), t.specs[i].patient_id, t.specs[i].feature_start)
+
+    nonrelapse.sort(key=key)
+    return relapse + nonrelapse[:n_nonrelapse]
 
 
 def test_subsample_has_all_relapse_plus_n_nonrelapse():
-    train = [fw("a", 7 * i, 0, 30 + i) for i in range(20)]
-    train += [fw("b", 7 * i, 1, 50) for i in range(3)]
-    sub = build_selection_subsample(train, test_patient_age=40, n_nonrelapse=10)
+    rows = [("a", 7 * i, 0, 30 + i) for i in range(20)]
+    rows += [("b", 7 * i, 1, 50) for i in range(3)]
+    sub = subsample(table(rows), test_patient_age=40, n_nonrelapse=10)
     assert len(sub) == 13
     assert sum(w.label for w in sub) == 3
 
 
 def test_subsample_orders_patients_by_age_distance():
-    train = [fw("near", i * 7, 0, 41) for i in range(2)]
-    train += [fw("far", i * 7, 0, 70) for i in range(2)]
-    train += [fw("mid", i * 7, 0, 50) for i in range(2)]
-    train += [fw("r", 0, 1, 60)]
-    sub = build_selection_subsample(train, test_patient_age=40, n_nonrelapse=4)
-    nonrelapse_pids = [w.spec.patient_id for w in sub if w.label == 0]
+    rows = [("near", i * 7, 0, 41) for i in range(2)]
+    rows += [("far", i * 7, 0, 70) for i in range(2)]
+    rows += [("mid", i * 7, 0, 50) for i in range(2)]
+    rows += [("r", 0, 1, 60)]
+    sub = subsample(table(rows), test_patient_age=40, n_nonrelapse=4)
+    nonrelapse_pids = [w.patient_id for w in sub if w.label == 0]
     assert nonrelapse_pids == ["near", "near", "mid", "mid"]
 
 
 def test_subsample_ties_break_by_patient_id_then_start():
-    train = [fw("b", 7, 0, 40), fw("b", 0, 0, 40), fw("a", 7, 0, 40), fw("a", 0, 0, 40)]
-    train += [fw("r", 0, 1, 40)]
-    sub = build_selection_subsample(train, test_patient_age=40, n_nonrelapse=3)
-    picked = [(w.spec.patient_id, (w.spec.feature_start - day(0)).days) for w in sub if w.label == 0]
+    rows = [("b", 7, 0, 40), ("b", 0, 0, 40), ("a", 7, 0, 40), ("a", 0, 0, 40), ("r", 0, 1, 40)]
+    sub = subsample(table(rows), test_patient_age=40, n_nonrelapse=3)
+    picked = [(w.patient_id, (w.feature_start - day(0)).days) for w in sub if w.label == 0]
     assert picked == [("a", 0), ("a", 7), ("b", 0)]
 
 
 def test_subsample_exhaustion_takes_all():
-    train = [fw("a", 0, 0, 40), fw("r", 0, 1, 40)]
-    sub = build_selection_subsample(train, test_patient_age=40, n_nonrelapse=100)
+    sub = subsample(table([("a", 0, 0, 40), ("r", 0, 1, 40)]), test_patient_age=40, n_nonrelapse=100)
     assert len(sub) == 2
+
+
+BOTH_SIDES = [("c", 0, 0, 38), ("b", 0, 0, 42), ("b", 7, 0, 42), ("a", 0, 0, 38), ("d", 0, 0, 40)]
+
+
+def test_subsample_equal_distances_on_both_sides_break_by_patient_id():
+    sub = subsample(table(BOTH_SIDES), test_patient_age=40, n_nonrelapse=4)
+    assert [(w.patient_id, (w.feature_start - day(0)).days) for w in sub] == [
+        ("d", 0),
+        ("a", 0),
+        ("b", 0),
+        ("b", 7),
+    ]
+
+
+@st.composite
+def subsample_cases(draw) -> tuple[WindowTable, float, int]:
+    """Tables of 1-5 patients with repeated ages, ages on both sides of the
+    test age, and any mix of labels, including no relapse row at all."""
+    ids = draw(st.lists(st.sampled_from(["a", "b", "p2", "p10", "z"]), min_size=1, max_size=5, unique=True))
+    ages = st.sampled_from([38.0, 39.5, 40.0, 40.5, 42.0, 60.0])
+    rows = []
+    for pid in ids:
+        age = draw(ages)
+        starts = draw(st.lists(st.integers(0, 30), min_size=1, max_size=6, unique=True))
+        for start in starts:
+            # A patient's age is usually one value; sometimes a row differs.
+            row_age = draw(ages) if draw(st.integers(0, 4)) == 0 else age
+            rows.append((pid, 7 * start, draw(st.sampled_from([0, 0, 1])), row_age))
+    t = table(rows)
+    pool = int((t.labels == 0).sum())
+    n_nonrelapse = draw(st.integers(1, pool + 3))
+    return t, draw(st.sampled_from([40.0, 40, 39.5, 55.0])), n_nonrelapse
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=subsample_cases())
+@example(case=(table(BOTH_SIDES), 40, 3))  # no relapse rows, a pool of 5
+@example(case=(table(BOTH_SIDES + [("r", 0, 1, 38)]), 40, 9))
+def test_lexsort_subsample_picks_the_oracle_rows_in_order(case):
+    t, test_patient_age, n_nonrelapse = case
+    got = build_selection_subsample(t.values, t.labels, t.patients, test_patient_age, n_nonrelapse)
+    assert got.tolist() == subsample_oracle(t, test_patient_age, n_nonrelapse)
 
 
 # -- select_features -----------------------------------------------------------------
 
 
-def labeled_windows(rng, n: int = 40) -> list[FeatureWindow]:
-    out = []
-    for i in range(n):
-        label = int(i < n // 2)
-        values = rng.normal(size=FEATURE_COUNT)
-        values[0] = float(label)  # feature 0 mirrors the label exactly
-        values[1] = 2.5  # constant
-        spec = window_at("a", day(7 * i), (day(7 * i + 28),) if label else (), WindowingConfig())
-        out.append(FeatureWindow(spec=spec, values=values))
-    return out
+def labeled_rows(rng, n: int = 40) -> tuple[np.ndarray, np.ndarray]:
+    """Half relapse rows; feature 0 mirrors the label exactly, feature 1 is constant."""
+    labels = (np.arange(n) < n // 2).astype(np.int64)
+    matrix = rng.normal(size=(n, FEATURE_COUNT))
+    matrix[:, 0] = labels
+    matrix[:, 1] = 2.5
+    return matrix, labels
 
 
 def test_label_mirroring_feature_ranks_first(rng):
-    windows = labeled_windows(rng)
-    bins = fit_bins(np.stack([w.values for w in windows]))
-    model = select_features(windows, bins, top=5)
+    matrix, labels = labeled_rows(rng)
+    bins = fit_bins(matrix, 15)
+    model = select_features(matrix, labels, bins, top=5)
     assert model.selected[0] == 0
     assert len(model.selected) == 5
     assert model.scores[0] == pytest.approx(math.log(2), abs=1e-9)
 
 
 def test_top_larger_than_candidates_returns_all(rng):
-    windows = labeled_windows(rng)
-    bins = fit_bins(np.stack([w.values for w in windows]))
-    model = select_features(windows, bins, top=10, candidates=[0, 1, 2])
+    matrix, labels = labeled_rows(rng)
+    bins = fit_bins(matrix, 15)
+    model = select_features(matrix, labels, bins, top=10, candidates=[0, 1, 2])
     assert len(model.selected) == 3
 
 
 def test_score_ties_break_by_canonical_index(rng):
-    windows = labeled_windows(rng)
-    for w in windows:
-        w.values[3] = 2.5  # another constant: MI ties at zero with feature 1
-    bins = fit_bins(np.stack([w.values for w in windows]))
-    model = select_features(windows, bins, top=2, candidates=[3, 1])
+    matrix, labels = labeled_rows(rng)
+    matrix[:, 3] = 2.5  # another constant: MI ties at zero with feature 1
+    bins = fit_bins(matrix, 15)
+    model = select_features(matrix, labels, bins, top=2, candidates=[3, 1])
     assert model.selected == (1, 3)
 
 
 def test_single_class_subsample_rejected(rng):
-    windows = [w for w in labeled_windows(rng) if w.label == 0]
-    bins = fit_bins(np.stack([w.values for w in windows]))
+    matrix, labels = labeled_rows(rng)
+    nonrelapse = labels == 0
+    bins = fit_bins(matrix[nonrelapse], 15)
     with pytest.raises(ValueError, match="selection_degenerate"):
-        select_features(windows, bins, top=5)
+        select_features(matrix[nonrelapse], labels[nonrelapse], bins, top=5)
+
+
+def test_empty_subsample_rejected(rng):
+    matrix, labels = labeled_rows(rng)
+    with pytest.raises(ValueError, match="selection_degenerate: empty"):
+        select_features(matrix[:0], labels[:0], fit_bins(matrix, 15), top=5)
 
 
 def test_selection_is_deterministic(rng):
-    windows = labeled_windows(rng)
-    bins = fit_bins(np.stack([w.values for w in windows]))
-    a = select_features(windows, bins, top=5)
-    b = select_features(windows, bins, top=5)
+    matrix, labels = labeled_rows(rng)
+    bins = fit_bins(matrix, 15)
+    a = select_features(matrix, labels, bins, top=5)
+    b = select_features(matrix, labels, bins, top=5)
     assert a.selected == b.selected
     np.testing.assert_array_equal(a.scores, b.scores)
