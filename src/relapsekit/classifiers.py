@@ -11,10 +11,14 @@ Both forests are one `_Forest`: flat node arrays shared by its trees, with
 one root per tree, walked by one traversal over (tree, row) pairs.
 Balanced-forest leaves hold the class-1 fraction and isolation leaves hold
 the expected path length. Forests score each distinct row once and copy
-its leaf values to the equal rows. The isolation trees of one fit grow in
-lockstep, one node per tree per step, each on its subsample's distinct
-rows and each drawing from its own Generator in its own preorder, so every
-draw is the one a tree-at-a-time recursive grower makes.
+its leaf values to the equal rows. One grower, `_grow_forest`, grows the
+trees of either forest in lockstep, one node per tree per step, each
+drawing from its own Generator in its own preorder, so every draw is the
+one a tree-at-a-time recursive grower makes. A forest supplies only what
+to count per node, its leaf value, grow condition and split rule. BRF's
+Gini split is exact by construction: it counts rows and positives per
+(node, feature, level), so every quantity is a whole number until the
+impurity's last divisions, which run in a fixed operand order.
 
 EasyEnsemble keeps no trees: its model is four `(bags, rounds)` arrays of
 stumps (alpha, feature, threshold, sign). All bags boost in lockstep over
@@ -61,11 +65,6 @@ def balanced_bootstraps(y: np.ndarray, rngs: Sequence[np.random.Generator]) -> n
         row[:k] = pos[rng.integers(pos.size, size=k)]
         row[k:] = neg[rng.integers(neg.size, size=k)]
     return out
-
-
-def balanced_bootstrap(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """The one bootstrap of `balanced_bootstraps(y, [rng])`."""
-    return balanced_bootstraps(y, [rng])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +140,6 @@ class _Forest:
     value: np.ndarray
     roots: np.ndarray
 
-    @classmethod
-    def from_nodes(cls, nodes: list[list], roots: list[int]) -> _Forest:
-        """From `[feature, threshold, left, right, value]` rows in node order
-        and the node index of each tree's root."""
-        return cls(*(np.array(column) for column in zip(*nodes)), np.array(roots, dtype=np.intp))
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         """(trees, rows) leaf values; every (tree, row) pair not yet at a leaf
         moves one level per step."""
@@ -168,25 +161,94 @@ def _leaf_values(forest: _Forest, X: np.ndarray) -> np.ndarray:
     return np.take(forest.predict(distinct), inverse, axis=1)
 
 
-def _new_node(nodes: list[list], value: float) -> int:
-    """Append a leaf holding `value` and return its index; a split fills in the rest."""
-    nodes.append([0, 0.0, -1, -1, value])
-    return len(nodes) - 1
+def _grow_forest(rows: np.ndarray, picks: np.ndarray, marks: list[np.ndarray], leaf, grows, split) -> _Forest:
+    """Trees over `rows`; tree t grows on the rows `picks[t]`.
 
+    A forest supplies the boolean `(trees, picks)` masks to count per node
+    (BRF counts class 1) and three rules: `leaf(depth, count, *marked)` is
+    a node's value, `grows(...)` says whether it may split, and
+    `split(trees, members, tally, offsets)` sees the growing nodes, one per
+    tree in `trees`. Node i holds the rows `members` from `offsets[i]` on,
+    with their counts and marked counts in rows 1 on of `tally`; `split`
+    returns the nodes that split, their features and thresholds, and a row
+    goes left iff `x[feature] <= threshold`.
 
-def _cuts(values: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Every cut of one feature, in ascending threshold order.
-
-    There is one cut after each run of equal values, and the last one sends
-    every row left. Returns each cut's left-row count, its threshold (midway
-    to the next distinct value; the maximum for the last cut) and, for each
-    weight array, the sum of its entries left of the cut.
+    Each tree visits its nodes in preorder through its own stack and all
+    trees take one step together, so each tree's Generator makes the same
+    draws in the same order as a recursive preorder grower. A tree holds
+    each picked row once, as a key with its multiplicities; a node's keys
+    are one contiguous run of `buf`, which a split partitions in place.
     """
-    order = np.argsort(values, kind="stable")
-    vs = values[order]
-    ends = np.append(np.flatnonzero(vs[:-1] < vs[1:]), vs.size - 1)
-    thresholds = np.append((vs[ends[:-1]] + vs[ends[:-1] + 1]) / 2.0, vs[-1])
-    return ends + 1, thresholds, [np.cumsum(w[order])[ends] for w in weights]
+    n_trees, n_picks = picks.shape
+    tree_keys = np.arange(n_trees)[:, None] * rows.shape[0]
+    keys, mult = np.unique(tree_keys + picks, return_counts=True)
+    marked = [np.bincount(np.searchsorted(keys, (tree_keys + picks)[mark]), minlength=keys.size) for mark in marks]
+    tally = np.stack((np.ones_like(mult), mult, *marked))  # per key: 1, count, marked counts
+    key_rows = keys % rows.shape[0]
+    buf = np.arange(keys.size)
+    capacity = n_trees + 2 * keys.size  # a tree on k keys has at most 2k - 1 nodes
+    feature = np.zeros(capacity, dtype=np.int64)
+    threshold = np.zeros(capacity)
+    left, right = np.full((2, capacity), -1, dtype=np.intp)
+    value = np.zeros(capacity)
+    start = np.zeros(capacity, dtype=np.intp)
+    depth = np.zeros(capacity, dtype=np.int64)
+    totals = np.zeros((tally.shape[0], capacity), dtype=np.int64)  # per node: keys, count, marked counts
+
+    roots = np.arange(n_trees)
+    start[roots] = np.searchsorted(keys, roots * rows.shape[0])
+    totals[:2, roots] = np.diff(start[roots], append=keys.size), np.full(n_trees, n_picks)
+    for row, mark in enumerate(marks, start=2):
+        totals[row, roots] = mark.sum(axis=1)
+    size = n_trees
+    # Pending right siblings, then the next node. A split parts its node's
+    # keys, so a tree on k keys is at most k - 1 deep.
+    stack = np.zeros((n_trees, int(totals[0].max()) + 1), dtype=np.intp)
+    stack[:, 0] = roots
+    height = np.ones(n_trees, dtype=np.intp)
+
+    while (live := np.flatnonzero(height)).size:
+        height[live] -= 1
+        at = stack[live, height[live]]
+        n_keys, *counts = totals.take(at, axis=1)
+        value[at] = leaf(depth[at], *counts)
+        grow = grows(depth[at], *counts)
+        live, at, lengths = live[grow], at[grow], n_keys[grow]
+        if not at.size:
+            continue
+
+        # The keys of every growing node, gathered run after run.
+        offsets = np.cumsum(lengths) - lengths
+        pos = np.repeat(start[at] - offsets, lengths) + np.arange(lengths.sum())
+        run_keys = buf[pos]
+        members, member_tally = key_rows[run_keys], tally.take(run_keys, axis=1)
+        splits, chosen, cut = split(live, members, member_tally, offsets)
+        if not splits.size:
+            continue
+
+        # Partition each splitting run, left keys first; other runs stay put.
+        node_feature, node_threshold = np.zeros(at.size, dtype=np.int64), np.full(at.size, np.inf)
+        node_feature[splits], node_threshold[splits] = chosen, cut
+        run = np.repeat(np.arange(at.size), lengths)
+        goes_left = rows[members, node_feature[run]] <= node_threshold[run]
+        buf[pos] = run_keys[np.lexsort((~goes_left, run))]
+        left_totals = np.add.reduceat(member_tally * goes_left, offsets, axis=1)[:, splits]
+
+        # Each split's children are the next two nodes, left then right.
+        parents, trees = at[splits], live[splits]
+        kids = np.arange(size, size + 2 * splits.size, 2)
+        feature[parents], threshold[parents] = chosen, cut
+        left[parents], right[parents] = kids, kids + 1
+        start[kids], start[kids + 1] = start[parents], start[parents] + left_totals[0]
+        totals[:, size : kids[-1] + 1 : 2] = left_totals
+        totals[:, size + 1 : kids[-1] + 2 : 2] = totals.take(parents, axis=1) - left_totals
+        depth[kids] = depth[kids + 1] = depth[parents] + 1
+        size += 2 * splits.size
+        stack[trees, height[trees]] = kids + 1
+        stack[trees, height[trees] + 1] = kids
+        height[trees] += 2
+
+    return _Forest(feature[:size], threshold[:size], left[:size], right[:size], value[:size], roots)
 
 
 # ---------------------------------------------------------------------------
@@ -194,53 +256,53 @@ def _cuts(values: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _best_threshold(values: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    """(Gini impurity, threshold) of the lowest weighted Gini impurity split of
-    one non-constant feature."""
-    n_left, thresholds, (pos_left,) = _cuts(values, labels)
-    n = values.size
-    total_pos = pos_left[-1]
-    n_left, pos_left = n_left[:-1].astype(float), pos_left[:-1].astype(float)
-    n_right = n - n_left
-    pos_right = total_pos - pos_left
-    p_left = pos_left / n_left
-    p_right = pos_right / n_right
-    gini = (n_left * 2 * p_left * (1 - p_left) + n_right * 2 * p_right * (1 - p_right)) / n
-    best = int(np.argmin(gini))
-    return float(gini[best]), float(thresholds[best])
+def _gini_split(rows: np.ndarray, mtry: int, rngs: list[np.random.Generator]):
+    """The CART split rule of `_grow_forest`, by weighted Gini impurity.
 
+    A node draws a feature order (`permutation`) from its tree's Generator
+    and inspects the first `mtry` features that are not constant on it. A
+    cut follows every present level that has a later one, with its threshold
+    midway between the two codes; the first cut of least impurity in
+    (feature order, level) order wins. A level is a column's rank among its
+    distinct codes, so codes of any sign or size index the counts."""
+    n_features = rows.shape[1]
+    order = np.argsort(rows, axis=0, kind="stable")
+    ascending = np.take_along_axis(rows, order, axis=0)
+    levels = np.empty_like(order)
+    np.put_along_axis(levels, order, (np.diff(ascending, axis=0, prepend=ascending[:1]) != 0).cumsum(axis=0), axis=0)
+    n_levels = int(levels.max(initial=0)) + 1
+    codes = np.zeros((n_features, n_levels), dtype=rows.dtype)  # the code of each (feature, level)
+    codes[np.arange(n_features), levels] = rows
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator, mtry: int, nodes: list[list]) -> list[list]:
-    """CART with Gini impurity, grown until pure or unsplittable; leaves hold
-    the class-1 fraction. Appends the subtree, root first, to `nodes`.
+    def split(trees, members, tally, offsets):
+        nodes = np.arange(trees.size)
+        perms = np.array([rngs[t].permutation(n_features) for t in trees.tolist()])
+        cells = nodes.repeat(np.diff(offsets, append=members.size))[:, None] * n_features + np.arange(n_features)
+        cells = (cells * n_levels + levels[members]).ravel()
+        shape = (trees.size, n_features, n_levels)
+        # whole-number counts per (node, feature in drawn order, level), then left of each cut
+        counts = [np.bincount(cells, weights=w.repeat(n_features), minlength=math.prod(shape)) for w in tally[1:]]
+        n_at, pos_at = (c.reshape(shape)[nodes[:, None], perms] for c in counts)
+        present = n_at > 0
+        inspected = present.sum(axis=2) > 1
+        inspected &= inspected.cumsum(axis=1) <= mtry
+        n_left, pos_left = n_at.cumsum(axis=2), pos_at.cumsum(axis=2)
+        n = n_left[:, :1, -1:]
+        n_right, pos_right = n - n_left, pos_left[:, :1, -1:] - pos_left
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p_left, p_right = pos_left / n_left, pos_right / n_right
+            gini = (n_left * 2 * p_left * (1 - p_left) + n_right * 2 * p_right * (1 - p_right)) / n
+        gini[~(present & (n_right > 0) & inspected[:, :, None])] = np.inf
 
-    `mtry` features are inspected per split; constant features do not count
-    against the budget, and the search keeps going past it until at least
-    one valid split has been seen (so separable data always ends pure).
-    """
-    at = _new_node(nodes, float(y.mean()))
-    if y.size < 2 or y.min() == y.max():
-        return nodes
-    best: tuple[float, float, int] | None = None  # (gini, threshold, feature)
-    informative = 0
-    for f in rng.permutation(X.shape[1]):
-        column = X[:, f]
-        if column.min() == column.max():
-            continue
-        informative += 1
-        found = _best_threshold(column, y)
-        if best is None or found[0] < best[0]:
-            best = (found[0], found[1], int(f))
-        if informative >= mtry:
-            break
-    if best is None:
-        return nodes
-    _, threshold, feature = best
-    mask = X[:, feature] <= threshold
-    nodes[at][:3] = feature, threshold, len(nodes)
-    _grow_tree(X[mask], y[mask], rng, mtry, nodes)
-    nodes[at][3] = len(nodes)
-    return _grow_tree(X[~mask], y[~mask], rng, mtry, nodes)
+        splits = np.flatnonzero(inspected.any(axis=1))
+        if not splits.size:
+            return splits, splits, np.zeros(0)
+        rank, level = np.divmod(gini.reshape(trees.size, -1)[splits].argmin(axis=1), n_levels)
+        chosen = perms[splits, rank]
+        after = present[splits, rank] & (np.arange(n_levels) > level[:, None])
+        return splits, chosen, (codes[chosen, level] + codes[chosen, after.argmax(axis=1)]) / 2.0
+
+    return split
 
 
 @dataclass
@@ -256,19 +318,27 @@ def brf_fit(
     seed: int | np.random.SeedSequence = 0,
     decision_threshold: float = 0.5,
 ) -> BalancedRandomForestModel:
-    """Each tree is grown on a balanced bootstrap with sqrt-feature splits."""
+    """CART trees (`_gini_split`), each on a balanced bootstrap with
+    sqrt-feature splits, grown until pure or unsplittable; leaves hold the
+    class-1 fraction. Each tree's Generator draws its bootstrap, then every
+    split's feature order, and all trees grow in lockstep (`_grow_forest`)."""
     X = np.asarray(X, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     _check_two_classes(y)
-    mtry = math.ceil(math.sqrt(X.shape[1]))
-    nodes: list[list] = []
-    roots: list[int] = []
+    if trees < 1:
+        raise ValueError("trees must be at least 1")
     rngs = [np.random.default_rng(child) for child in _seed_sequence(seed).spawn(trees)]
-    # Each tree's Generator draws its bootstrap, then grows the tree.
-    for rng, idx in zip(rngs, balanced_bootstraps(y, rngs)):
-        roots.append(len(nodes))
-        _grow_tree(X[idx], y[idx], rng, mtry, nodes)
-    return BalancedRandomForestModel(_Forest.from_nodes(nodes, roots), decision_threshold)
+    idx = balanced_bootstraps(y, rngs)
+    # Bootstrap repeats merge per tree; merging equal rows of X too costs more than it saves.
+    forest = _grow_forest(
+        X,
+        idx,
+        [y[idx] == 1],
+        leaf=lambda depth, count, positives: positives / count,
+        grows=lambda depth, count, positives: (0 < positives) & (positives < count),
+        split=_gini_split(X, math.ceil(math.sqrt(X.shape[1])), rngs),
+    )
+    return BalancedRandomForestModel(forest, decision_threshold)
 
 
 def brf_predict_many(model: BalancedRandomForestModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -439,110 +509,35 @@ def average_path_length(n: int) -> float:
     return 2.0 * (math.log(n - 1) + EULER_GAMMA) - 2.0 * (n - 1) / n
 
 
-def _grow_isolation_forest(rows: np.ndarray, picks: np.ndarray, limit: int, rngs: list[np.random.Generator]) -> _Forest:
-    """Isolation trees over `rows`, tree t grown on the rows `picks[t]` with `rngs[t]`.
+def _isolation_split(rows: np.ndarray, rngs: list[np.random.Generator]):
+    """The isolation split rule of `_grow_forest`. A node whose rows are all
+    equal does not split. Any other node draws a feature among its
+    non-constant ones (`integers`), then a split s in (lo, hi) of that
+    feature (`uniform`, redrawn in the measure-zero case s == lo); a row goes
+    left iff its value is below s. The node stores nextafter(s, -inf), the
+    largest float below s, so the shared `<=` rule gives the same side."""
 
-    Every tree visits its nodes in preorder through its own stack, and all
-    trees take one step together. A node at depth `limit`, or holding at
-    most one row, is a leaf; so is a node whose rows are all equal. Any
-    other node draws a feature among its non-constant ones (`integers`),
-    then a split s in (lo, hi) of that feature (`uniform`, redrawn in the
-    measure-zero case s == lo); a row goes left iff its value is below s.
-    The node stores nextafter(s, -inf), the largest float below s, so the
-    forest's shared `<=` rule gives the same side for every value. Each
-    tree thus makes the same draws in the same order as a recursive
-    preorder grower. A leaf holds its depth plus the expected path length
-    of its rows.
-
-    A tree holds its subsample's distinct rows with their multiplicities:
-    min, max and masks see the same values, and a node's row count is the
-    sum of its multiplicities. The rows of every node are one contiguous
-    run of the shared buffer `buf`, and a split partitions its run in place.
-    """
-    n_trees, psi = picks.shape
-    n_rows = rows.shape[0]
-    keys, mult = np.unique((np.arange(n_trees)[:, None] * n_rows + picks).ravel(), return_counts=True)
-    buf = keys % n_rows
-    capacity = n_trees + 2 * keys.size  # a tree on k distinct rows has at most 2k - 1 nodes
-    feature = np.zeros(capacity, dtype=np.int64)
-    threshold = np.zeros(capacity)
-    left = np.full(capacity, -1, dtype=np.intp)
-    right = np.full(capacity, -1, dtype=np.intp)
-    value = np.zeros(capacity)
-    start = np.zeros(capacity, dtype=np.intp)
-    stop = np.zeros(capacity, dtype=np.intp)
-    depth = np.zeros(capacity, dtype=np.int64)
-    count = np.zeros(capacity, dtype=np.int64)
-
-    roots = np.arange(n_trees)
-    start[roots] = np.searchsorted(keys, roots * n_rows)
-    stop[roots] = np.searchsorted(keys, (roots + 1) * n_rows)
-    count[roots] = psi
-    size = n_trees
-    stack = np.zeros((n_trees, limit + 2), dtype=np.intp)  # pending right siblings, then the next node
-    stack[:, 0] = roots
-    height = np.ones(n_trees, dtype=np.intp)
-    path_length = np.array([average_path_length(k) for k in range(psi + 1)])
-
-    while (live := np.flatnonzero(height)).size:
-        height[live] -= 1
-        at = stack[live, height[live]]
-        value[at] = depth[at] + path_length[count[at]]
-        grow = (depth[at] < limit) & (count[at] > 1)
-        live, at = live[grow], at[grow]
-        if not at.size:
-            continue
-
-        # The rows of every growing node, gathered run after run.
-        lengths = stop[at] - start[at]
-        offsets = np.cumsum(lengths) - lengths
-        pos = np.repeat(start[at] - offsets, lengths) + np.arange(lengths.sum())
-        values = rows[buf[pos]]
+    def split(trees, members, tally, offsets):
+        values = rows[members]
         lows = np.minimum.reduceat(values, offsets, axis=0)
         highs = np.maximum.reduceat(values, offsets, axis=0)
         candidates = lows < highs
         n_candidates = candidates.sum(axis=1)
         splits = np.flatnonzero(n_candidates)
         if not splits.size:
-            continue
-
-        drawn = [rngs[t].integers(k) for t, k in zip(live[splits].tolist(), n_candidates[splits].tolist())]
+            return splits, splits, np.zeros(0)
+        drawn = [rngs[t].integers(k) for t, k in zip(trees[splits].tolist(), n_candidates[splits].tolist())]
         chosen = (candidates[splits].cumsum(axis=1) > np.array(drawn)[:, None]).argmax(axis=1)
-        lo = lows[splits, chosen].astype(float).tolist()
-        hi = highs[splits, chosen].astype(float).tolist()
+        lo, hi = lows[splits, chosen].astype(float).tolist(), highs[splits, chosen].astype(float).tolist()
         cuts = []
-        for t, a, b in zip(live[splits].tolist(), lo, hi):
+        for t, a, b in zip(trees[splits].tolist(), lo, hi):
             cut = rngs[t].uniform(a, b)
             while cut <= a:  # guard the measure-zero draw that would empty one side
                 cut = rngs[t].uniform(a, b)
             cuts.append(cut)
+        return splits, chosen, np.nextafter(np.array(cuts), -np.inf)
 
-        # Partition each splitting run, left rows first; other runs stay put.
-        node_feature = np.zeros(at.size, dtype=np.int64)
-        node_threshold = np.full(at.size, np.inf)
-        node_feature[splits] = chosen
-        node_threshold[splits] = np.nextafter(np.array(cuts), -np.inf)
-        run = np.repeat(np.arange(at.size), lengths)
-        goes_left = values[np.arange(pos.size), node_feature[run]] <= node_threshold[run]
-        order = np.lexsort((~goes_left, run))
-        left_rows = np.add.reduceat(goes_left.astype(np.intp), offsets)[splits]
-        left_count = np.add.reduceat(mult[pos] * goes_left, offsets)[splits]
-        buf[pos], mult[pos] = buf[pos[order]], mult[pos[order]]
-
-        parents, trees = at[splits], live[splits]
-        kids = size + 2 * np.arange(splits.size)
-        size += 2 * splits.size
-        feature[parents], threshold[parents] = chosen, node_threshold[splits]
-        left[parents], right[parents] = kids, kids + 1
-        start[kids], stop[kids] = start[parents], start[parents] + left_rows
-        start[kids + 1], stop[kids + 1] = stop[kids], stop[parents]
-        count[kids], count[kids + 1] = left_count, count[parents] - left_count
-        depth[kids] = depth[kids + 1] = depth[parents] + 1
-        stack[trees, height[trees]] = kids + 1
-        stack[trees, height[trees] + 1] = kids
-        height[trees] += 2
-
-    return _Forest(feature[:size], threshold[:size], left[:size], right[:size], value[:size], roots)
+    return split
 
 
 def iforest_fit(
@@ -554,11 +549,11 @@ def iforest_fit(
 ) -> IsolationForestModel:
     """Isolation trees over the feature matrix; labels only set the threshold.
 
-    Tree t draws its subsample and every split from its own Generator, in
-    the order a recursive preorder grower would. All trees grow in
-    lockstep on their subsamples' distinct rows (`_grow_isolation_forest`),
-    and scoring walks each distinct row once and copies its path to every
-    equal row, so both are exact, not approximations.
+    Tree t draws its subsample and every split from its own Generator. All
+    trees grow in lockstep (`_grow_forest`, `_isolation_split`) on the
+    distinct rows of X, equal rows merged into one with their multiplicity.
+    A node at depth `limit` or holding at most one row is a leaf, holding
+    its depth plus the expected path length of its rows.
 
     The threshold is the k-th largest training score, k = round(prevalence * n),
     and every row scoring at or above it is flagged. Category codes make
@@ -567,13 +562,24 @@ def iforest_fit(
     """
     X = np.asarray(X, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
+    if trees < 1 or subsample < 1:
+        raise ValueError("trees and subsample must be at least 1")
     n = X.shape[0]
     psi = min(subsample, n)
     limit = math.ceil(math.log2(max(psi, 2)))
+    path_length = np.array([average_path_length(k) for k in range(psi + 1)])
     rngs = [np.random.default_rng(child) for child in _seed_sequence(seed).spawn(trees)]
     picks = np.array([rng.choice(n, size=psi, replace=False) for rng in rngs], dtype=np.intp).reshape(trees, psi)
     distinct, inverse = np.unique(X, axis=0, return_inverse=True)
-    model = IsolationForestModel(_grow_isolation_forest(distinct, inverse[picks], limit, rngs), psi)
+    forest = _grow_forest(
+        distinct,
+        inverse[picks],
+        [],
+        leaf=lambda depth, count: depth + path_length[count],
+        grows=lambda depth, count: (depth < limit) & (count > 1),
+        split=_isolation_split(distinct, rngs),
+    )
+    model = IsolationForestModel(forest, psi)
 
     train_scores = iforest_scores(model, X)
     flagged = int(round(float(y.mean()) * n)) if n else 0

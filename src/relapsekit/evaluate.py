@@ -209,9 +209,7 @@ def _run_fold(
             picked = _cached(
                 fold_cache,
                 ("subsample", patient_id, config.selection_pool),
-                lambda: build_selection_subsample(
-                    train_matrix, ytr, table.patients[train], test_age, config.selection_pool
-                ),
+                lambda: build_selection_subsample(train_matrix, ytr, test_age, config.selection_pool),
             )
             selection = select_features(train_matrix[picked], ytr[picked], bins, config.selection_top, candidates)
             chosen = selection.selected

@@ -26,7 +26,6 @@ class Signal(str, Enum):
 SIGNALS: tuple[Signal, ...] = tuple(Signal)
 
 EMA_ITEM_COUNT = 10
-EMA_MAX_ANSWER = 3
 
 # Per-signal template feature suffixes, in canonical order: six statistics of
 # the mean daily template, the mean of the deviation template, the largest

@@ -7,10 +7,10 @@ features by plug-in mutual information with the label, computed on an
 age-matched training subsample: all relapse windows plus the non-relapse
 windows of the patients closest in age to the held-out patient.
 
-Every function takes arrays: a float `(windows, features)` matrix, int64
-labels and, for the subsample, each row's patient index, as the rows of a
-`features.WindowTable` hold them. The subsample is a vector of row indices,
-drawn by one stable `np.lexsort`. Neither `fit_bins` nor
+Every function takes arrays: a float `(windows, features)` matrix and int64
+labels, rows in the (patient, window start) order of a
+`features.WindowTable`. The subsample is a vector of row indices, drawn by
+one stable `np.argsort`. Neither `fit_bins` nor
 `build_selection_subsample` depends on anything but the training fold and
 its own count (`n_bins`, `n_nonrelapse`), so LOPO fits each once per fold
 and shares it across experiment arms (see `evaluate.run_grid`).
@@ -144,20 +144,20 @@ def mutual_information(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def build_selection_subsample(
-    matrix: np.ndarray, labels: np.ndarray, patients: np.ndarray, test_patient_age: float, n_nonrelapse: int
+    matrix: np.ndarray, labels: np.ndarray, test_patient_age: float, n_nonrelapse: int
 ) -> np.ndarray:
     """Row indices of the age-matched subsample used only for feature ranking.
 
     Every relapse-labeled row in row order, then non-relapse rows in
-    ascending |age - test age|, ties by patient index, then row order, until
-    `n_nonrelapse` are taken or none remain. On the rows of a `WindowTable`
-    the ties go by patient id, then window start.
+    ascending |age - test age|, ties in row order, until `n_nonrelapse` are
+    taken or none remain. On the rows of a `WindowTable` the ties go by
+    patient id, then window start.
     """
     if n_nonrelapse < 1:
         raise ValueError("n_nonrelapse must be >= 1")
     nonrelapse = np.flatnonzero(labels == 0)
     distance = np.abs(matrix[nonrelapse, AGE_INDEX] - float(test_patient_age))
-    order = np.lexsort((patients[nonrelapse], distance))  # stable: equal keys keep row order
+    order = np.argsort(distance, kind="stable")
     return np.concatenate([np.flatnonzero(labels == 1), nonrelapse[order[:n_nonrelapse]]])
 
 

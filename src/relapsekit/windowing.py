@@ -121,10 +121,6 @@ def evaluable_windows(windows: Iterable[WindowSpec]) -> list[WindowSpec]:
     return [w for w in windows if w.evaluable]
 
 
-def excluded_windows(windows: Iterable[WindowSpec]) -> list[WindowSpec]:
-    return [w for w in windows if not w.evaluable]
-
-
 def _days_with_data(spec: WindowSpec, coverage: list[Date]) -> int:
     """Distinct covered dates in the feature window; `coverage` is sorted."""
     return bisect_right(coverage, spec.feature_end) - bisect_left(coverage, spec.feature_start)

@@ -7,7 +7,7 @@ import pytest
 
 from relapsekit.classifiers import (
     average_path_length,
-    balanced_bootstrap,
+    balanced_bootstraps,
     baseline_over_runs,
     brf_fit,
     brf_predict_many,
@@ -119,7 +119,7 @@ def test_nb_permuting_features_leaves_predictions_unchanged(rng):
 
 def test_balanced_bootstrap_sizes(rng):
     y = np.array([1, 1, 1] + [0] * 17)
-    idx = balanced_bootstrap(y, rng)
+    idx = balanced_bootstraps(y, [rng])[0]
     assert idx.size == 6  # k = 3 minority rows -> 3 + 3
     assert (y[idx] == 1).sum() == 3 and (y[idx] == 0).sum() == 3
 
@@ -131,7 +131,7 @@ def test_balanced_bootstrap_draws_what_two_choice_calls_draw(positives, negative
     k = min(positives, negatives)
     for seed in range(5):
         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        idx = balanced_bootstrap(y, rng)
+        idx = balanced_bootstraps(y, [rng])[0]
         expected = np.concatenate([reference.choice(np.flatnonzero(y == c), size=k, replace=True) for c in (1, 0)])
         assert idx.dtype == expected.dtype and idx.tolist() == expected.tolist()
         # the Generator is left where the choice calls leave it, for the draws that follow
@@ -206,6 +206,20 @@ def test_ee_constant_features_give_empty_chains_scoring_half():
 def test_ee_needs_a_bag_and_a_round(bags, rounds):
     with pytest.raises(ValueError, match="at least 1"):
         ee_fit(np.arange(4)[:, None], np.array([0, 1, 0, 1]), bags=bags, rounds=rounds)
+
+
+@pytest.mark.parametrize(
+    "fit, counts",
+    [
+        (brf_fit, {"trees": 0}),
+        (iforest_fit, {"trees": 0}),
+        (iforest_fit, {"subsample": 0}),
+        (iforest_fit, {"subsample": -2}),
+    ],
+)
+def test_forests_need_a_tree_and_a_row(fit, counts):
+    with pytest.raises(ValueError, match="at least 1"):
+        fit(np.arange(4)[:, None], np.array([0, 1, 0, 1]), **counts)
 
 
 def test_ee_determinism(rng):

@@ -162,12 +162,12 @@ def table(rows: list[tuple[str, int, int, float]]) -> WindowTable:
 
 
 def subsample(t: WindowTable, test_patient_age: float, n_nonrelapse: int) -> list[WindowSpec]:
-    picked = build_selection_subsample(t.values, t.labels, t.patients, test_patient_age, n_nonrelapse)
+    picked = build_selection_subsample(t.values, t.labels, test_patient_age, n_nonrelapse)
     return [t.specs[i] for i in picked]
 
 
 def subsample_oracle(t: WindowTable, test_patient_age: float, n_nonrelapse: int) -> list[int]:
-    """The list-based subsample the lexsort replaced: relapse rows in row
+    """The list-based subsample the array sort replaced: relapse rows in row
     order, then non-relapse rows sorted on (|age - test age|, patient id,
     window start)."""
     relapse = [i for i, spec in enumerate(t.specs) if spec.label == 1]
@@ -250,7 +250,7 @@ def subsample_cases(draw) -> tuple[WindowTable, float, int]:
 @example(case=(table(BOTH_SIDES + [("r", 0, 1, 38)]), 40, 9))
 def test_lexsort_subsample_picks_the_oracle_rows_in_order(case):
     t, test_patient_age, n_nonrelapse = case
-    got = build_selection_subsample(t.values, t.labels, t.patients, test_patient_age, n_nonrelapse)
+    got = build_selection_subsample(t.values, t.labels, test_patient_age, n_nonrelapse)
     assert got.tolist() == subsample_oracle(t, test_patient_age, n_nonrelapse)
 
 

@@ -6,12 +6,14 @@ minimum wins. Weights are whole numbers, so every weighted sum is exact in
 either order of addition and ties compare equal on both sides.
 
 The lockstep EasyEnsemble is checked against a bag-at-a-time fit whose
-stump search scans each feature's cuts with `_cuts`, and against scoring
+stump search scans each feature's cuts with `cut_scan`, and against scoring
 every bag's chain with a running vote.
 
-The lockstep isolation forest is checked against a recursive grower that
-splits one tree's full subsample at a time, and against scoring every
-requested row through every tree.
+Both forests come from one lockstep grower. The balanced forest is checked
+against the recursive CART grower it replaced (`grow_tree`, on
+`best_threshold` and `cut_scan`), and the isolation forest against a
+recursive grower that splits one tree's full subsample at a time; both
+against scoring every requested row through every tree.
 """
 
 from __future__ import annotations
@@ -25,12 +27,10 @@ from hypothesis.extra import numpy as hnp
 
 from relapsekit.classifiers import (
     _best_stumps,
-    _best_threshold,
-    _cuts,
     _seed_sequence,
     _sort_columns,
     average_path_length,
-    balanced_bootstrap,
+    balanced_bootstraps,
     brf_fit,
     brf_predict_many,
     ee_fit,
@@ -38,6 +38,10 @@ from relapsekit.classifiers import (
     iforest_fit,
     iforest_scores,
 )
+from relapsekit.features import extract_all
+from relapsekit.synth import SynthConfig, generate
+from relapsekit.transform import apply_bins, fit_bins
+from relapsekit.windowing import WindowingConfig
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -57,6 +61,83 @@ def coded_bags(draw, max_bags=4, max_rows=12, max_features=4):
     shape = (draw(st.integers(1, max_bags)), draw(st.integers(1, max_rows)), draw(st.integers(1, max_features)))
     top = draw(st.sampled_from([1, 2, 3, 14]))
     return draw(hnp.arrays(np.int64, shape, elements=st.integers(0, top)))
+
+
+def cut_scan(values, *weights):
+    """Every cut of one feature, in ascending threshold order.
+
+    There is one cut after each run of equal values, and the last one sends
+    every row left. Returns each cut's left-row count, its threshold (midway
+    to the next distinct value; the maximum for the last cut) and, for each
+    weight array, the sum of its entries left of the cut.
+    """
+    order = np.argsort(values, kind="stable")
+    vs = values[order]
+    ends = np.append(np.flatnonzero(vs[:-1] < vs[1:]), vs.size - 1)
+    thresholds = np.append((vs[ends[:-1]] + vs[ends[:-1] + 1]) / 2.0, vs[-1])
+    return ends + 1, thresholds, [np.cumsum(w[order])[ends] for w in weights]
+
+
+def best_threshold(values, labels):
+    """(Gini impurity, threshold) of the lowest weighted Gini impurity split of
+    one non-constant feature."""
+    n_left, thresholds, (pos_left,) = cut_scan(values, labels)
+    n = values.size
+    total_pos = pos_left[-1]
+    n_left, pos_left = n_left[:-1].astype(float), pos_left[:-1].astype(float)
+    n_right = n - n_left
+    pos_right = total_pos - pos_left
+    p_left = pos_left / n_left
+    p_right = pos_right / n_right
+    gini = (n_left * 2 * p_left * (1 - p_left) + n_right * 2 * p_right * (1 - p_right)) / n
+    best = int(np.argmin(gini))
+    return float(gini[best]), float(thresholds[best])
+
+
+def grow_tree(X, y, rng, mtry, nodes):
+    """The recursive CART grower: Gini impurity, grown until pure or
+    unsplittable; leaves hold the class-1 fraction. Appends the subtree's
+    `[feature, threshold, left, right, value]` rows, root first, to `nodes`.
+
+    `mtry` features are inspected per split; constant features do not count
+    against the budget, and the search keeps going past it until at least
+    one valid split has been seen (so separable data always ends pure).
+    """
+    at = len(nodes)
+    nodes.append([0, 0.0, -1, -1, float(y.mean())])
+    if y.size < 2 or y.min() == y.max():
+        return nodes
+    best = None  # (gini, threshold, feature)
+    informative = 0
+    for f in rng.permutation(X.shape[1]):
+        column = X[:, f]
+        if column.min() == column.max():
+            continue
+        informative += 1
+        found = best_threshold(column, y)
+        if best is None or found[0] < best[0]:
+            best = (found[0], found[1], int(f))
+        if informative >= mtry:
+            break
+    if best is None:
+        return nodes
+    _, threshold, feature = best
+    mask = X[:, feature] <= threshold
+    nodes[at][:3] = feature, threshold, len(nodes)
+    grow_tree(X[mask], y[mask], rng, mtry, nodes)
+    nodes[at][3] = len(nodes)
+    return grow_tree(X[~mask], y[~mask], rng, mtry, nodes)
+
+
+def oracle_brf(X, y, trees, seed):
+    """Node lists per tree of a tree-at-a-time recursive fit."""
+    mtry = math.ceil(math.sqrt(X.shape[1]))
+    grown = []
+    for child in _seed_sequence(seed).spawn(trees):
+        rng = np.random.default_rng(child)
+        idx = balanced_bootstraps(y, [rng])[0]
+        grown.append(grow_tree(X[idx], y[idx], rng, mtry, []))
+    return grown
 
 
 def oracle_cuts(column):
@@ -79,7 +160,7 @@ def oracle_stump(X, y_pm, w):
 
 
 def oracle_best_stump(X, y_pm, w):
-    """One bag's stump search: each feature's cuts from `_cuts`, the first
+    """One bag's stump search: each feature's cuts from `cut_scan`, the first
     minimum in (feature, cut, left sign +1 then -1) order."""
     best_err, best = math.inf, None
     total_pos = float(w[y_pm == 1].sum())
@@ -87,7 +168,7 @@ def oracle_best_stump(X, y_pm, w):
     pos_w = np.where(y_pm == 1, w, 0.0)
     neg_w = np.where(y_pm == -1, w, 0.0)
     for f in range(X.shape[1]):
-        _, thresholds, (pos_left, neg_left) = _cuts(X[:, f], pos_w, neg_w)
+        _, thresholds, (pos_left, neg_left) = cut_scan(X[:, f], pos_w, neg_w)
         err_plus = neg_left + (total_pos - pos_left)
         errs = np.column_stack((err_plus, total - err_plus)).ravel()
         k = int(np.argmin(errs))
@@ -101,7 +182,7 @@ def oracle_ee_fit(X, y, bags, rounds, seed):
     """A bag at a time: per bag, its chain of (alpha, feature, threshold, left sign)."""
     chains = []
     for child in _seed_sequence(seed).spawn(bags):
-        idx = balanced_bootstrap(y, np.random.default_rng(child))
+        idx = balanced_bootstraps(y, [np.random.default_rng(child)])[0]
         Xb = X[idx]
         yb = np.where(y[idx] == 1, 1, -1)
         w = np.full(idx.size, 1.0 / idx.size)
@@ -221,19 +302,31 @@ def oracle_iforest(X, y, trees, subsample, seed):
     return grown, psi, threshold
 
 
+def node_walk(nodes, x):
+    """The value of the leaf that row `x` reaches in one tree's node list."""
+    node = 0
+    while nodes[node][2] != -1:
+        feature, threshold, left, right, _ = nodes[node]
+        node = left if x[feature] <= threshold else right
+    return nodes[node][4]
+
+
 def oracle_iforest_scores(grown, psi, X):
     """Every requested row through every tree, then the mean over a
     C-contiguous (trees, rows) matrix."""
-
-    def path(nodes, x):
-        node = 0
-        while nodes[node][2] != -1:
-            feature, threshold, left, right, _ = nodes[node]
-            node = left if x[feature] <= threshold else right
-        return nodes[node][4]
-
-    paths = np.array([[path(nodes, x) for x in X] for nodes in grown])
+    paths = np.array([[node_walk(nodes, x) for x in X] for nodes in grown])
     return np.exp2(-paths.mean(axis=0) / (average_path_length(psi) or 1.0))
+
+
+def oracle_brf_scores(grown, X):
+    """Every requested row through every tree, its leaf values added tree by tree."""
+    scores = []
+    for x in X:
+        total = 0.0
+        for nodes in grown:
+            total += node_walk(nodes, x)
+        scores.append(total / len(grown))
+    return scores
 
 
 @SETTINGS
@@ -309,7 +402,7 @@ def test_best_threshold_matches_scan_of_every_cut(X, data):
     if column.min() == column.max():
         column = np.append(column, column[0] + 1)
     labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=column.size, max_size=column.size)))
-    assert _best_threshold(column, labels) == oracle_threshold(column, labels)
+    assert best_threshold(column, labels) == oracle_threshold(column, labels)
 
 
 @SETTINGS
@@ -343,6 +436,7 @@ def isolation_cases(draw):
 @given(isolation_cases())
 @example((np.array([[4, 2]]), np.array([1]), 1, 256, 0, [np.array([[4, 2]]), np.array([[0, 9]])]))
 @example((np.full((9, 2), 3), np.array([0] * 8 + [1]), 3, 4, 5, [np.array([[3, 3], [3, 1]])]))
+@example((np.zeros((5, 0), dtype=np.int64), np.array([0, 1, 0, 0, 0]), 3, 4, 0, [np.zeros((2, 0), dtype=np.int64)]))
 def test_iforest_matches_recursive_grower(case):
     X, y, trees, subsample, seed, queries = case
     model = iforest_fit(X, y, trees=trees, subsample=subsample, seed=seed)
@@ -352,6 +446,73 @@ def test_iforest_matches_recursive_grower(case):
     assert model.threshold == threshold
     for Q in [X, *queries]:
         assert iforest_scores(model, Q).tolist() == oracle_iforest_scores(grown, psi, Q).tolist()
+
+
+@st.composite
+def forest_cases(draw):
+    """Training codes with both classes, where a small level range makes
+    ties common, codes may be negative, one column may be constant or a
+    copy of the label, and 10 or more features make `mtry` end the scan
+    early; tree counts; a seed; and queries: fresh rows, copies of training
+    rows and one row alone."""
+    n = draw(st.integers(2, 40))
+    f = draw(st.sampled_from([1, 2, 3, 5, 10, 17]))
+    low = draw(st.sampled_from([0, 0, -9]))
+    top = draw(st.sampled_from([1, 2, 3, 14]))
+    X = draw(hnp.arrays(np.int64, (n, f), elements=st.integers(low, low + top)))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2)) + [0, 1])
+    y = y[draw(st.permutations(range(n)))]
+    column = draw(st.integers(0, f - 1))
+    shape = draw(st.sampled_from(["codes", "codes", "constant column", "label"]))
+    if shape == "constant column":
+        X[:, column] = draw(st.integers(low, low + 14))
+    elif shape == "label":
+        X[:, column] = y * draw(st.integers(1, 14)) + low
+    trees = draw(st.sampled_from([1, 2, 9, 51]))  # numpy sums 8 or more terms pairwise
+    fresh = draw(hnp.arrays(np.int64, (draw(st.integers(1, 6)), f), elements=st.integers(low - 2, low + 16)))
+    return X, y, trees, draw(st.integers(0, 99)), [np.vstack([fresh, X[: draw(st.integers(0, n))]]), fresh[:1]]
+
+
+def assert_brf_matches_recursive_grower(X, y, trees, seed, queries):
+    model = brf_fit(X, y, trees=trees, seed=seed)
+    grown = oracle_brf(X, y, trees, seed)
+    assert [subtree_size(model.forest, root) for root in model.forest.roots] == [len(nodes) for nodes in grown]
+    for Q in [X, *queries]:
+        assert brf_predict_many(model, Q)[1].tolist() == oracle_brf_scores(grown, Q)
+
+
+@SETTINGS
+@given(forest_cases())
+# impure but unsplittable: equal rows with both labels make a single leaf of 0.5
+@example((np.full((4, 2), 3), np.array([0, 1, 0, 1]), 9, 0, [np.array([[3, 3], [0, 9]])]))
+# negative codes, thresholds midway between them
+@example((np.array([[-5, 2], [-1, 2], [-3, -7], [-9, 0], [-1, -7]]), np.array([1, 0, 1, 0, 0]), 9, 4, []))
+# no features at all: every tree is one impure leaf
+@example((np.zeros((4, 0), dtype=np.int64), np.array([0, 1, 0, 1]), 2, 0, [np.zeros((2, 0), dtype=np.int64)]))
+# 12 features, so each split inspects the first 4 informative ones of its drawn order
+@example((np.arange(60).reshape(5, 12) % 7, np.array([0, 1, 1, 0, 1]), 51, 2, [np.zeros((1, 12), dtype=np.int64)]))
+def test_brf_matches_recursive_grower(case):
+    assert_brf_matches_recursive_grower(*case)
+
+
+def test_brf_matches_recursive_grower_on_a_binned_fold():
+    # every one of the 100 features, binned on the training fold, without selection
+    dataset = generate(SynthConfig(patient_count=5, days_per_patient=150, relapse_fraction=1.0, seed=2))
+    table = extract_all(dataset, WindowingConfig())
+    train = table.patients != 0
+    bins = fit_bins(table.values[train], 15)
+    X, y = apply_bins(bins, table.values[train]), table.labels[train]
+    assert X.shape[1] == 100 and 0 < y.sum() < y.size
+    assert_brf_matches_recursive_grower(X, y, 9, 7, [apply_bins(bins, table.values[~train])])
+
+
+def test_brf_splits_codes_of_any_sign_and_size():
+    X = np.array([[0, 5], [1, 5], [2, 6], [3, 6], [4, 7], [5, 7]])
+    y = np.array([0, 1, 0, 1, 1, 0])
+    expected = brf_predict_many(brf_fit(X, y, trees=9, seed=1), X)[1].tolist()
+    # an increasing recoding of the columns keeps every count, so every tree and score
+    for recoded in (X - 9, X * 10**12 - 3, X * 2**40):
+        assert brf_predict_many(brf_fit(recoded, y, trees=9, seed=1), recoded)[1].tolist() == expected
 
 
 def test_isolation_leaf_holds_average_path_length_of_its_rows():

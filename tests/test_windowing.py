@@ -12,7 +12,6 @@ from relapsekit.windowing import (
     WindowingConfig,
     enumerate_windows,
     evaluable_windows,
-    excluded_windows,
 )
 
 FULL = WindowingConfig()
@@ -135,7 +134,7 @@ def test_relapse_labels_bounded_by_relapse_dates(rng):
 def test_exclusion_helpers_partition():
     patient = make_patient(n_days=120, relapse_days=(70,))
     windows = enumerate_windows(patient, patient.relapse_dates, full_coverage(120), FULL)
-    assert len(evaluable_windows(windows)) + len(excluded_windows(windows)) == len(windows)
+    assert len(evaluable_windows(windows)) + len([w for w in windows if not w.evaluable]) == len(windows)
 
 
 def oracle_windows(n_days, relapse_days, covered_days, config):
