@@ -15,26 +15,35 @@ file order, with a reason code. Sensor rows are averaged per
 patient (`Dataset.sensors`). All writers are deterministic — the same
 in-memory object always produces byte-identical files.
 
-sensors.csv, by far the largest file, is read column-wise in blocks of
-`SENSOR_BLOCK_BYTES`, each cut at its last newline and split with
-`str.split`. A file holding a quote, CR or NUL byte (which change how
-`csv.reader` splits rows) or a line longer than csv's field limit takes its
-rows from `csv.reader` instead, in blocks of rows, so every file splits into
-exactly the rows `csv.reader` gives. Blocks are small on purpose: a block's
-row lists, columns and index arrays are all alive at once. With 1 MiB
-blocks, reading the benchmark cohorts' sensors.csv alone peaked at 52-62 MB
-of RSS, above the 44-45 MB of a whole benchmark run with 64 KiB blocks, and
-read more slowly.
+sensors.csv, by far the largest file, is read in blocks of
+`SENSOR_BLOCK_BYTES` cut at their last newline. numpy's C parser
+(`np.loadtxt`, no comments, no quoting) reads a block into fixed-width `S`
+fields for patient_id, date, hour and signal, and float64 values. Each `S`
+field is one byte wider than its longest valid text (the longest declared
+id in UTF-8 bytes, the longest signal name, "YYYY-MM-DD", "23"), so a field
+that fills its width may have been cut short. A block takes the `str.split`
+path instead (decode, split at newlines and commas, `float()` per value)
+when loadtxt rejects it (as it does "1_0" and "٣", which `float()` reads),
+when a field fills its width, when it has a blank line (which loadtxt
+skips, shifting line numbers), when it holds a byte 0x1C-0x1F (which
+loadtxt strips around a number and `float()` rejects), or when any row
+fails its checks. Both paths feed one resolver, so every block gives the
+`str.split` path's result or IngestError. A file holding a quote, CR or NUL
+byte (which change how `csv.reader` splits rows) or a line longer than
+csv's field limit takes its rows from `csv.reader`, in blocks of rows.
 
 Each distinct date, hour and signal string is parsed once, with the same
-calls a row-by-row reader makes, so every form accepted there is accepted
-here. The rows' sums and counts go into a growable slab of `(2, 6, 24)` day
-accumulators with `np.add.at`, which adds in file order into the running
-array, so every hourly sum is the one a row-by-row `+=` gives. A per-block
-`np.bincount` added to the slab would not be: it sums one cell's rows of a
-block before adding them to that cell's rows from earlier blocks. A block
-with any invalid field is walked again row by row through
-`_check_sensor_row`, which raises the IngestError of its first bad row.
+calls a row-by-row reader makes. The rows' sums and counts go into a slab
+of `(2, 6, 24)` day accumulators with `np.add.at`, which adds in file order
+into the running array, so every hourly sum is the one a row-by-row `+=`
+gives (a per-block `np.bincount` would sum one cell's rows of a block
+before adding earlier blocks' rows). When every patient declares a span,
+the slab is allocated once, one accumulator per span day; with an inferred
+span it doubles as days appear. A block that fails on both paths is walked
+again row by row through `_check_sensor_row`, which raises the IngestError
+of its first bad row. Blocks are small, because a block's parsed fields and
+index arrays are alive at once; 128 KiB is also the largest block
+`_needs_csv_reader` can scan against csv's default field limit.
 """
 
 from __future__ import annotations
@@ -274,9 +283,11 @@ def _read_patients(path: Path) -> dict[str, _RawPatient]:
     return patients
 
 
-SENSOR_BLOCK_BYTES = 1 << 16
+SENSOR_BLOCK_BYTES = 1 << 17
 _SIGNAL_INDEX = {s.value: i for i, s in enumerate(SIGNALS)}
 _DAY_CELLS = len(SIGNALS) * HOURS_PER_DAY  # one (6, 24) plane of a day accumulator
+# loadtxt strips these around a number as whitespace; float() rejects them.
+_INFO_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _read_sensors(
@@ -285,17 +296,22 @@ def _read_sensors(
     """Per patient and date, a `(2, 6, 24)` array of hourly sums and counts."""
     sums = _SensorSums(path, patients)
     line_no = 1
-    for rows in _sensor_blocks(path):
+    for block in _sensor_blocks(path):
         if line_no == 1:
-            _check_header(path, rows[0], _SENSOR_HEADER)
-            rows, line_no = rows[1:], 2
-        sums.add(rows, line_no, exclusions)
-        line_no += len(rows)
+            if isinstance(block, bytes):
+                cut = block.index(b"\n") + 1
+                header, block = _split_lines(block[:cut])[0], block[cut:]
+            else:
+                header, block = block[0], block[1:]
+            _check_header(path, header, _SENSOR_HEADER)
+            line_no = 2
+        line_no = sums.add(block, line_no, exclusions)
     return sums.days()
 
 
-def _sensor_blocks(path: Path) -> Iterator[list[list[str]]]:
-    """The rows of sensors.csv as `csv.reader` gives them, a block at a time."""
+def _sensor_blocks(path: Path) -> Iterator[bytes | list[list[str]]]:
+    """sensors.csv a block at a time: whole lines of bytes or, from a file
+    that `_split_lines` could split otherwise, rows as `csv.reader` gives them."""
     if _needs_csv_reader(path):
         with path.open(newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
@@ -309,14 +325,19 @@ def _sensor_blocks(path: Path) -> Iterator[list[list[str]]]:
             cut = block.rfind(b"\n") + 1
             tail = block[cut:]
             if cut:
-                lines = block[:cut].decode("utf-8").split("\n")
-                lines.pop()
-                if "" in lines:  # a blank line is the empty row [], as csv.reader gives it
-                    yield [line.split(",") if line else [] for line in lines]
-                else:
-                    yield list(map(str.split, lines, repeat(",")))
+                yield block[:cut]
         if tail:
-            yield [tail.decode("utf-8").split(",")]
+            yield tail + b"\n"
+
+
+def _split_lines(block: bytes) -> list[list[str]]:
+    """Whole lines as `csv.reader` splits them when nothing is quoted; a
+    blank line is the empty row []."""
+    lines = block.decode("utf-8").split("\n")
+    lines.pop()
+    if "" in lines:
+        return [line.split(",") if line else [] for line in lines]
+    return list(map(str.split, lines, repeat(",")))
 
 
 def _needs_csv_reader(path: Path) -> bool:
@@ -341,9 +362,31 @@ def _needs_csv_reader(path: Path) -> bool:
     return run > limit
 
 
+def _text_columns(rows: list[list[str]]) -> tuple[np.ndarray, ...] | None:
+    """Rows' five columns, four of str objects and the float values; None
+    if a row lacks five fields or a value is not a float."""
+    if set(map(len, rows)) != {5}:
+        return None
+    *texts, value_texts = zip(*rows)
+    try:
+        values = np.fromiter(map(float, value_texts), float, len(rows))
+    except ValueError:
+        return None
+    return (*(np.array(column, dtype=object) for column in texts), values)
+
+
+def _texts(column: np.ndarray) -> list[str]:
+    """A column's entries as str; `S` bytes are UTF-8."""
+    if column.dtype.kind == "S":
+        return [text.decode("utf-8") for text in column.tolist()]
+    return column.tolist()
+
+
 class _SensorSums:
     """Hourly sums and counts of sensors.csv rows, one `(2, 6, 24)` day
-    accumulator per (patient, date) in a slab that grows as days appear."""
+    accumulator per (patient, date) in a slab. When every patient declares a
+    span, the slab holds all their span days from the start; otherwise it
+    doubles as days appear."""
 
     def __init__(self, path: Path, patients: dict[str, _RawPatient]) -> None:
         self.path = path
@@ -351,28 +394,47 @@ class _SensorSums:
         self.dates: dict[str, Date] = {}  # parsed once per distinct string
         self.hours: dict[str, int] = {}
         self.slot_of_day: dict[tuple[str, Date], int] = {}
-        self.slab = np.zeros((64, 2, len(SIGNALS), HOURS_PER_DAY))
+        spans = [raw.span for raw in patients.values()]
+        days = 64 if None in spans else sum((end - start).days + 1 for start, end in spans)
+        self.slab = np.zeros((days, 2, len(SIGNALS), HOURS_PER_DAY))
+        # Each `S` field is a byte wider than any declared patient id, any
+        # signal name, "YYYY-MM-DD" and "23", so a field that fills its width
+        # may have been cut short.
+        widths = [max((len(pid.encode("utf-8")) for pid in patients), default=0) + 1, 11, 3]
+        widths.append(max(map(len, _SIGNAL_INDEX)) + 1)
+        self.fields = np.dtype([*((name, f"S{width}") for name, width in zip(_SENSOR_HEADER, widths)), ("value", "f8")])
+        self.last_bytes = np.cumsum(widths) - 1  # of each `S` field in a parsed row
 
-    def add(self, rows: list[list[str]], first_line: int, exclusions: list[IngestExclusion]) -> None:
-        """Add one block of rows, the first on csv row `first_line`."""
-        line_nos = np.arange(first_line, first_line + len(rows))
-        if [] in rows:  # blank rows count for line numbers only
-            kept = [i for i, row in enumerate(rows) if row]
-            rows, line_nos = [rows[i] for i in kept], line_nos[kept]
-        if not rows:
-            return
-        columns = self._columns(rows)
-        if columns is None:
-            for line_no, row in zip(line_nos.tolist(), rows):
-                _check_sensor_row(self.path, line_no, row, self.patients)
-            raise AssertionError(f"{self.path}: block at line {first_line} failed in bulk but not row by row")
-        slots, cells, values = columns
+    def add(self, block: bytes | list[list[str]], first_line: int, exclusions: list[IngestExclusion]) -> int:
+        """Add one block, whole lines of bytes or csv rows, the first on csv
+        row `first_line`; return the csv row after the block."""
+        columns = self._parse(block) if isinstance(block, bytes) and block else None
+        resolved = None if columns is None else self._resolve(*columns)
+        if resolved is not None:
+            end = first_line + len(columns[4])
+            line_nos = np.arange(first_line, end)
+        else:  # the `str.split` path, and its errors
+            rows = _split_lines(block) if isinstance(block, bytes) else block
+            end = first_line + len(rows)
+            line_nos = np.arange(first_line, end)
+            if [] in rows:  # blank rows count for line numbers only
+                kept = [i for i, row in enumerate(rows) if row]
+                rows, line_nos = [rows[i] for i in kept], line_nos[kept]
+            if not rows:
+                return end
+            columns = _text_columns(rows)
+            resolved = None if columns is None else self._resolve(*columns)
+            if resolved is None:
+                for line_no, row in zip(line_nos.tolist(), rows):
+                    _check_sensor_row(self.path, line_no, row, self.patients)
+                raise AssertionError(f"{self.path}: block at line {first_line} failed in bulk but not row by row")
+        slots, cells, values = resolved
         outside = slots < 0
         exclusions.extend(
             IngestExclusion(str(self.path), line_no, EXCLUDED_OUTSIDE_SPAN)
             for line_no in line_nos[outside].tolist()
         )
-        if len(self.slot_of_day) > len(self.slab):
+        if len(self.slot_of_day) > len(self.slab):  # only with an inferred span
             grown = np.zeros((max(2 * len(self.slab), len(self.slot_of_day)), *self.slab.shape[1:]))
             grown[: len(self.slab)] = self.slab
             self.slab = grown
@@ -381,39 +443,63 @@ class _SensorSums:
         flat = self.slab.reshape(-1)
         np.add.at(flat, at, values[inside])
         np.add.at(flat, at + _DAY_CELLS, 1.0)
+        return end
 
-    def _columns(self, rows: list[list[str]]) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    def _parse(self, block: bytes) -> tuple[np.ndarray, ...] | None:
+        """A block's five columns as numpy's C parser reads them, four of
+        `S` bytes and the float values; None where they could differ from
+        `_text_columns` on `_split_lines`."""
+        lines = np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))  # faster than bytes.count
+        if lines == len(block) or any(byte in block for byte in _INFO_SEPARATORS):
+            return None  # all lines blank (loadtxt would warn), or a separator byte
+        try:  # latin1 keeps every byte, so a non-ASCII field holds its UTF-8 bytes
+            table = np.loadtxt(
+                io.BytesIO(block), self.fields, delimiter=",", comments=None, quotechar=None, encoding="latin1", ndmin=1
+            )
+        except ValueError:
+            return None
+        if len(table) != lines:  # loadtxt skipped a blank line
+            return None
+        if table.view(np.uint8).reshape(len(table), -1)[:, self.last_bytes].any():
+            return None
+        return tuple(table[name] for name in self.fields.names)
+
+    def _resolve(
+        self, pids: np.ndarray, dates: np.ndarray, hours: np.ndarray, signals: np.ndarray, values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """Each row's day slot (-1 outside the span), `signal * 24 + hour`
-        cell and value; None if any row fails `_check_sensor_row`."""
-        if set(map(len, rows)) != {5}:
+        cell and value, from five columns of `_parse` or `_text_columns`;
+        None if any row fails `_check_sensor_row`."""
+        if not (np.isfinite(values) & (values >= 0)).all():
             return None
-        pids, date_texts, hour_texts, signal_texts, value_texts = zip(*rows)
-        if not self.patients.keys() >= set(pids) or not _SIGNAL_INDEX.keys() >= set(signal_texts):
-            return None
-        try:
-            for text in set(date_texts).difference(self.dates):
+        # Rows of one (patient, date), and of one signal, mostly come in runs:
+        # resolve each run once.
+        run_start = np.ones(len(values), dtype=bool)
+        run_start[1:] = (pids[1:] != pids[:-1]) | (dates[1:] != dates[:-1])
+        starts = np.flatnonzero(run_start)
+        signal_runs = np.flatnonzero(np.r_[True, signals[1:] != signals[:-1]])
+        signal_keys, signal_of_run = np.unique(signals[signal_runs], return_inverse=True)
+        signal_of_row = np.repeat(signal_of_run, np.diff(signal_runs, append=len(values)))
+        hour_keys, hour_of_row = np.unique(hours, return_inverse=True)
+        try:  # a UnicodeDecodeError is a ValueError
+            run_pids, run_dates = _texts(pids[starts]), _texts(dates[starts])
+            signal_texts, hour_texts = _texts(signal_keys), _texts(hour_keys)
+            if not self.patients.keys() >= set(run_pids):
+                return None
+            signal_index = np.array([_SIGNAL_INDEX[text] for text in signal_texts])
+            for text in set(run_dates).difference(self.dates):
                 self.dates[text] = Date.fromisoformat(text)
             for text in set(hour_texts).difference(self.hours):
                 hour = int(text)
                 if not 0 <= hour <= HOURS_PER_DAY - 1:
                     return None
                 self.hours[text] = hour
-            values = np.fromiter(map(float, value_texts), float, len(rows))
-        except ValueError:
+        except (KeyError, ValueError):
             return None
-        if not (np.isfinite(values) & (values >= 0)).all():
-            return None
-
-        # Rows of one (patient, date) mostly come in runs: resolve each run's slot once.
-        pid_col, date_col = np.array(pids, dtype=object), np.array(date_texts, dtype=object)
-        run_start = np.ones(len(rows), dtype=bool)
-        run_start[1:] = (pid_col[1:] != pid_col[:-1]) | (date_col[1:] != date_col[:-1])
-        starts = np.flatnonzero(run_start)
-        run_slots = [self._slot(pids[i], self.dates[date_texts[i]]) for i in starts.tolist()]
-        slots = np.repeat(np.array(run_slots, dtype=np.intp), np.diff(starts, append=len(rows)))
-        signals = np.fromiter(map(_SIGNAL_INDEX.__getitem__, signal_texts), np.intp, len(rows))
-        hours = np.fromiter(map(self.hours.__getitem__, hour_texts), np.intp, len(rows))
-        return slots, signals * HOURS_PER_DAY + hours, values
+        hour_index = np.array([self.hours[text] for text in hour_texts])
+        run_slots = [self._slot(pid, self.dates[text]) for pid, text in zip(run_pids, run_dates)]
+        slots = np.repeat(np.array(run_slots, dtype=np.intp), np.diff(starts, append=len(values)))
+        return slots, signal_index[signal_of_row] * HOURS_PER_DAY + hour_index[hour_of_row], values
 
     def _slot(self, pid: str, date: Date) -> int:
         """The day accumulator of a row, or -1 for a date outside the declared span."""

@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import AGE_INDEX, FEATURE_NAMES
+from .templates import present_groups
 
 
 @dataclass(frozen=True)
@@ -62,20 +63,25 @@ def fit_bins(matrix: np.ndarray, n_bins: int) -> BinningModel:
     """Fit imputation means and equal-width edges from a training matrix only.
 
     A feature that is constant (or entirely missing) in training degenerates
-    to a single category.
+    to a single category. Each column's present values are packed into a
+    contiguous row, so its mean, min and max are the ones numpy gives that
+    column alone, bit for bit.
     """
     if len(matrix) == 0:
         raise ValueError("cannot fit bins on an empty training set")
-    n_features = matrix.shape[1]
-    impute = np.zeros(n_features)
-    edges = np.zeros((n_features, n_bins + 1))
-    for f in range(n_features):
-        col = matrix[:, f]
-        col = col[~np.isnan(col)]
-        if col.size:
-            impute[f] = col.mean()
-            edges[f] = np.linspace(col.min(), col.max(), n_bins + 1)
-        # else: all-missing feature -> impute 0, degenerate [0, 0] edges
+    columns = matrix.T
+    present = ~np.isnan(columns)
+    impute, lo, hi = np.zeros((3, len(columns)))  # all-missing: impute 0, edges all 0
+    for cols, values in present_groups(columns, present):
+        impute[cols] = values.mean(axis=1)
+        lo[cols] = values.min(axis=1)
+        hi[cols] = values.max(axis=1)
+    edges = np.zeros((len(columns), n_bins + 1))
+    seen, flat = present.any(axis=1), (hi - lo) / n_bins == 0
+    # `linspace` over several columns takes its step == 0 branch for all of
+    # them if one needs it, so columns with and without a zero step go apart.
+    for group in (seen & ~flat, seen & flat):
+        edges[group] = np.linspace(lo[group], hi[group], n_bins + 1, axis=1)
     return BinningModel(impute=impute, edges=edges, n_bins=n_bins)
 
 

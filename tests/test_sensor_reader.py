@@ -94,14 +94,14 @@ def oracle_read_sensors(
     return days
 
 
-def read_both(path: Path, block_bytes: int = 64) -> list[tuple]:
+def read_both(path: Path, block_bytes: int = 64, patients: dict[str, _RawPatient] = PATIENTS) -> list[tuple]:
     """What the oracle and the block reader each return or raise."""
     outcomes = []
     with mock.patch.object(dataio, "SENSOR_BLOCK_BYTES", block_bytes):
         for reader in (oracle_read_sensors, dataio._read_sensors):
             exclusions: list[IngestExclusion] = []
             try:
-                days = reader(path, PATIENTS, exclusions)
+                days = reader(path, patients, exclusions)
             except (IngestError, csv.Error) as exc:
                 outcomes.append(("raised", type(exc), str(exc)))
             else:
@@ -232,3 +232,147 @@ def test_line_over_the_csv_field_limit_raises_as_row_by_row(tmp_path_factory):
         oracle, blocks = read_both(write(tmp_path_factory, text), block_bytes=1 << 16)
         assert (oracle[0] == "raised") == (width > limit)
         assert blocks == oracle
+
+
+# -- numpy's C parser ------------------------------------------------------------
+#
+# Blocks of plain lines are read by `np.loadtxt` into fixed-width `S` fields.
+# Each form below parts from `str.split` with `float`/`int` somewhere: the C
+# float parser rejects what `float()` accepts (underscores, non-ASCII digits
+# and spaces), `S` fields cut long text short, and `loadtxt` skips blank
+# lines. A block holding one must read exactly as the oracle reads it.
+
+# "p01" declares 2021-01-04..2021-01-08; "p0123" is the longest id, so the
+# patient_id field is 6 bytes wide; "pé" is 3 bytes of UTF-8.
+FAST_PATIENTS = {
+    "p01": _RawPatient(40, 10, (Date(2021, 1, 4), Date(2021, 1, 8)), 2),
+    "p0123": _RawPatient(50, 12, None, 3),
+    "pé": _RawPatient(60, 8, None, 4),
+}
+ODD_PIDS = [" p01 ", "p01 ", " p01", "p01#", "p01234", "p012345", "p012", "pé ", "é", "p0\x1c"]
+ODD_DATES = ["2021-01-04 ", " 2021-01-04", "20210105", "2021-W01-1", "2021-01-04T00", "2021-01-04#", ""]
+# "0007" would read as hour 0 if its field were cut to "000".
+ODD_HOURS = [" 7 ", " 7", "07", "+7", "٧", "0_7", "7 ", "123", "0007", "", "#"]
+ODD_SIGNALS = [
+    "light_level ",
+    " light_level",
+    "conversation_duration",
+    "conversation_durationX",
+    "conversation_durationXY",
+    "light_levé",
+    "light_level#",
+]
+ODD_VALUES = [
+    "1_0",
+    "7_0",
+    "٣",
+    "1.5\xa0",
+    "1#x",
+    "#1",
+    "Infinity",
+    "inf",
+    "1e999",
+    "nan",
+    " 1.5 ",
+    "+1.5",
+    ".5",
+    "-0.0",
+    "-1",
+    "0x10",
+    "1.5\x1c",
+    "1.5\x0b",
+    "1 5",
+    "",
+]
+ODD_LINES = ["", " ", "#", "p01,2021-01-05,3,light_level", "p01,2021-01-05,3,light_level,1,2"]
+# Characters the two float parsers treat differently, for values drawn at random.
+VALUE_CHARS = "0123456789.eE+-_ #infatyINFATYx\t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u3000٣１"
+
+
+@st.composite
+def fast_rows(draw) -> str:
+    """One line: a valid row, sometimes with one field in an odd form, or an odd line."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(ODD_LINES))
+    row = [
+        draw(st.sampled_from(sorted(FAST_PATIENTS))),
+        (FIRST_DAY + timedelta(days=draw(st.integers(0, 8)))).isoformat(),
+        str(draw(st.integers(0, 3))),
+        draw(st.sampled_from(["call_duration", "light_level", "conversation_duration"])),
+        repr(draw(VALUES)),
+    ]
+    if draw(st.integers(0, 3)) == 0:
+        field = draw(st.integers(0, 4))
+        row[field] = draw(st.sampled_from([ODD_PIDS, ODD_DATES, ODD_HOURS, ODD_SIGNALS, ODD_VALUES][field]))
+    elif draw(st.integers(0, 7)) == 0:
+        row[4] = draw(st.text(VALUE_CHARS, min_size=1, max_size=6))
+    return ",".join(row)
+
+
+@SETTINGS
+@given(lines=st.lists(fast_rows(), min_size=1, max_size=40), block_bytes=st.sampled_from([64, 256, 1 << 16]))
+def test_c_parser_blocks_read_as_row_by_row(tmp_path_factory, lines, block_bytes):
+    text = "\n".join([HEADER, *lines]) + "\n"
+    oracle, blocks = read_both(write(tmp_path_factory, text), block_bytes, FAST_PATIENTS)
+    assert blocks == oracle
+
+
+VALID = "p01,2021-01-05,3,light_level,1.5"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [VALID.replace("1.5", odd) for odd in ODD_VALUES]
+    + [VALID.replace("p01", odd, 1) for odd in ODD_PIDS]
+    + [VALID.replace("2021-01-05", odd) for odd in ODD_DATES]
+    + [VALID.replace(",3,", f",{odd},") for odd in ODD_HOURS]
+    + [VALID.replace("light_level", odd) for odd in ODD_SIGNALS]
+    + [VALID.replace("p01", "pé")],
+)
+@pytest.mark.parametrize("alone", [True, False])
+def test_each_odd_field_reads_as_row_by_row(tmp_path_factory, line, alone):
+    # Alone, the row is a block of one; otherwise it sits inside a block of valid rows.
+    lines = [line] if alone else [VALID, VALID, line, VALID]
+    text = "\n".join([HEADER, *lines]) + "\n"
+    oracle, blocks = read_both(write(tmp_path_factory, text), 1 << 16, FAST_PATIENTS)
+    assert blocks == oracle
+
+
+@pytest.mark.parametrize("blank", ["\n", "\n\n", "\n \n"])
+@pytest.mark.parametrize("last", [VALID, VALID.replace(",3,", ",24,")])
+def test_blank_lines_inside_a_block_keep_line_numbers(tmp_path_factory, blank, last):
+    # The middle row is outside p01's span: its exclusion, and the last
+    # row's error, carry line numbers past the blank lines.
+    outside = VALID.replace("2021-01-05", "2021-01-09")
+    text = f"{HEADER}\n{VALID}\n{blank}{outside}\n{blank}{last}\n"
+    oracle, blocks = read_both(write(tmp_path_factory, text), 1 << 16, FAST_PATIENTS)
+    assert oracle[0] == "raised" or oracle[1][0].line == 3 + blank.count("\n")
+    assert blocks == oracle
+
+
+def test_plain_blocks_take_the_c_parser(tmp_path):
+    # The fast path must actually run on a plain file, and give the columns
+    # the split lines give.
+    # "pééé", the longest id, is 7 bytes of UTF-8 and fits its field.
+    patients = {**FAST_PATIENTS, "pééé": _RawPatient(30, 9, None, 5)}
+    sums = dataio._SensorSums(tmp_path / "sensors.csv", patients)
+    block = "".join(f"{pid},2021-01-0{d},{h},call_duration,{d * h / 7!r}\n" for pid in patients for d in (4, 5) for h in (0, 23))
+    fast = sums._parse(block.encode("utf-8"))
+    assert fast is not None and [c.dtype.kind for c in fast] == ["S", "S", "S", "S", "f"]
+    text = dataio._text_columns(dataio._split_lines(block.encode("utf-8")))
+    for got, want in zip(fast[:4], text[:4]):
+        assert [b.decode("utf-8") for b in got.tolist()] == want.tolist()
+    assert fast[4].tobytes() == text[4].tobytes()
+
+
+def test_declared_spans_size_the_slab_once(tmp_path):
+    # Every patient declares a span: one accumulator per span day, allocated
+    # before the first row and never regrown.
+    patients = {pid: _RawPatient(40, 10, (Date(2021, 1, 4), Date(2021, 1, 4 + i)), 2 + i) for i, pid in enumerate(["pa", "pb"])}
+    sums = dataio._SensorSums(tmp_path / "sensors.csv", patients)
+    slab = sums.slab
+    block = "".join(f"{pid},2021-01-0{d},3,light_level,1\n" for pid in patients for d in (4, 5, 9))
+    exclusions: list[IngestExclusion] = []
+    assert sums.add(block.encode("utf-8"), 2, exclusions) == 8
+    assert sums.slab is slab and len(slab) == 1 + 2
+    assert [e.line for e in exclusions] == [3, 4, 7]

@@ -108,6 +108,54 @@ def test_fit_bins_rejects_empty():
         fit_bins(np.empty((0, FEATURE_COUNT)), 15)
 
 
+def fit_bins_oracle(matrix: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """The column loop `fit_bins` replaced: impute means and edges."""
+    impute = np.zeros(matrix.shape[1])
+    edges = np.zeros((matrix.shape[1], n_bins + 1))
+    for f in range(matrix.shape[1]):
+        col = matrix[:, f]
+        col = col[~np.isnan(col)]
+        if col.size:
+            impute[f] = col.mean()
+            edges[f] = np.linspace(col.min(), col.max(), n_bins + 1)
+    return impute, edges
+
+
+# Signed zeros, a denormal step that rounds to 0 in `linspace`, and values
+# whose sums depend on the order they are added in.
+BIN_VALUES = np.array([np.nan, 0.0, -0.0, 5e-324, 1e-300, 0.1, 0.2, 0.3, 1e16, 7.0])
+
+
+@st.composite
+def bin_matrices(draw) -> np.ndarray:
+    """Matrices of up to 300 rows (past numpy's 128-value pairwise sum
+    blocks): NaN-heavy, constant and all-NaN columns."""
+    rows, cols = draw(st.integers(1, 300)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["mixed", "constant", "missing", "sparse"]), min_size=cols, max_size=cols)):
+        column = np.where(rng.random(rows) < 0.5, rng.choice(BIN_VALUES, rows), rng.normal(0, 1e3, rows))
+        if kind == "constant":
+            column[:] = column[0]
+        elif kind == "missing":
+            column[:] = np.nan
+        elif kind == "sparse":
+            column[rng.random(rows) < 0.9] = np.nan
+        columns.append(column)
+    return np.stack(columns, axis=1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(matrix=np.array([[0.0, 5e-324, np.nan, -0.0]]), n_bins=15)
+@example(matrix=np.array([[0.0, 3.0], [5e-324, 3.0], [-0.0, np.nan]]), n_bins=15)
+@given(matrix=bin_matrices(), n_bins=st.sampled_from([1, 2, 15]))
+def test_fit_bins_equals_the_column_loop_bit_for_bit(matrix, n_bins):
+    model = fit_bins(matrix, n_bins)
+    impute, edges = fit_bins_oracle(matrix, n_bins)
+    assert (model.impute == impute).all() and (model.edges == edges).all()
+    assert model.impute.tobytes() == impute.tobytes() and model.edges.tobytes() == edges.tobytes()
+
+
 # -- mutual information ----------------------------------------------------------
 
 
