@@ -15,7 +15,11 @@ its leaf values to the equal rows. One grower, `_grow_forest`, grows the
 trees of either forest in lockstep, one node per tree per step, each
 drawing from its own Generator in its own preorder, so every draw is the
 one a tree-at-a-time recursive grower makes. A forest supplies only what
-to count per node, its leaf value, grow condition and split rule. BRF's
+to count per node, its leaf value, grow condition and split rule. The
+isolation trees that split in one step draw together: `_TreeDraws` reads
+each tree's raw PCG64 words as arrays and applies numpy's own algorithms
+for `integers` (Lemire's 32-bit method) and `uniform` (53 bits), so each
+draw is the one the tree's Generator returns. BRF's
 Gini split is exact by construction: it counts rows and positives per
 (node, feature, level), so every quantity is a whole number until the
 impurity's last divisions, which run in a fixed operand order.
@@ -46,7 +50,7 @@ def _seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence
 
 
 def _check_two_classes(y: np.ndarray) -> None:
-    if np.unique(y).size < 2:
+    if y.size == 0 or y.min() == y.max():
         raise ValueError("single_class_training: both classes are required to fit")
 
 
@@ -154,10 +158,24 @@ class _Forest:
         return self.value[node].reshape(self.roots.size, n)
 
 
-def _leaf_values(forest: _Forest, X: np.ndarray) -> np.ndarray:
-    """C-contiguous (trees, rows) leaf values of `forest`, walking each
-    distinct row once. Equal rows reach equal leaves, so this is exact."""
-    distinct, inverse = np.unique(X, axis=0, return_inverse=True)
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(X, axis=0, return_inverse=True)` of an integer matrix: its
+    distinct rows in ascending (first column first) order, and each row's
+    index among them. One `lexsort` over the columns and a compare of
+    neighbours, not a sort of rows as structured values."""
+    order = np.lexsort(X.T[::-1]) if X.shape[1] else np.arange(X.shape[0])
+    ordered = X[order]
+    first = np.ones(X.shape[0], dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(X.shape[0], dtype=np.intp)
+    inverse[order] = first.cumsum() - 1
+    return ordered[first], inverse
+
+
+def _leaf_values(forest: _Forest, distinct: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """C-contiguous (trees, rows) leaf values of `forest` for the rows
+    `distinct[inverse]` (`_distinct_rows`), walking each distinct row once.
+    Equal rows reach equal leaves, so this is exact."""
     return np.take(forest.predict(distinct), inverse, axis=1)
 
 
@@ -348,7 +366,7 @@ def brf_predict_many(model: BalancedRandomForestModel, X: np.ndarray) -> tuple[n
     a score does not depend on how many rows are scored together.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.int64))
-    scores = _leaf_values(model.forest, X).cumsum(axis=0)[-1] / model.forest.roots.size
+    scores = _leaf_values(model.forest, *_distinct_rows(X)).cumsum(axis=0)[-1] / model.forest.roots.size
     return (scores >= model.decision_threshold).astype(np.int64), scores
 
 
@@ -509,13 +527,83 @@ def average_path_length(n: int) -> float:
     return 2.0 * (math.log(n - 1) + EULER_GAMMA) - 2.0 * (n - 1) / n
 
 
-def _isolation_split(rows: np.ndarray, rngs: list[np.random.Generator]):
+class _TreeDraws:
+    """`integers(k)` and `uniform(lo, hi)` of one PCG64 Generator per tree,
+    for many trees at once, read from each tree's raw 64-bit words.
+
+    numpy has kept both algorithms since 1.17. `integers(k)` takes a 32-bit
+    half x (the half-word the bit generator holds back, if any; else the
+    low half of the next word, holding back the high half) and returns
+    `x * k >> 32`, unless `x * k mod 2**32 < (2**32 - k) % k`, when it
+    draws again (Lemire 2019); k == 1 takes no bits. `uniform(lo, hi)`
+    takes a whole word w, never the held half, and returns
+    `lo + (hi - lo) * ((w >> 11) * 2**-53)`. The same integer and float
+    operations on arrays give the same values, so the draws are the
+    Generators' own. The reader starts from each bit generator's state,
+    held half included, and reads a row of `words` (at least 1) words from
+    it; a tree that uses up its row reads the next one. The Generators
+    must not be used again: their held halves are stale.
+    """
+
+    def __init__(self, rngs: list[np.random.Generator], words: int) -> None:
+        self.bit_generators = [rng.bit_generator for rng in rngs]
+        states = [bits.state for bits in self.bit_generators]
+        self.half = np.array([state["uinteger"] for state in states], dtype=np.uint64)
+        self.has_half = np.array([state["has_uint32"] for state in states], dtype=bool)
+        self.words = np.stack([bits.random_raw(words) for bits in self.bit_generators])
+        self.used = np.zeros(len(rngs), dtype=np.intp)  # of each tree's row of words
+
+    def integers(self, trees: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """`integers(k[i])` of tree `trees[i]`, each tree once, 1 <= k < 2**32."""
+        out = np.zeros(trees.size, dtype=np.int64)
+        at = np.flatnonzero(k > 1)
+        t, k = trees[at], k[at].astype(np.uint64)
+        self._top_up(t)
+        held, used = self.has_half[t], self.used[t]
+        word = self.words[t, used]
+        m = np.where(held, self.half[t], word & 0xFFFFFFFF) * k
+        # a tree that took its held half holds none now, and leaves the word unused
+        self.half[t], self.has_half[t], self.used[t] = word >> 32, ~held, used + ~held
+        out[at] = m >> 32
+        redo = np.flatnonzero((m & 0xFFFFFFFF) < (2**32 - k) % k)
+        if redo.size:  # rejected: those trees draw again
+            out[at[redo]] = self.integers(t[redo], k[redo])
+        return out
+
+    def uniform(self, trees: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """`uniform(lo[i], hi[i])` of tree `trees[i]`, each tree once,
+        drawn again while it is `<= lo[i]`."""
+        self._top_up(trees)
+        word = self.words[trees, self.used[trees]]
+        self.used[trees] += 1
+        cut = lo + (hi - lo) * ((word >> 11) * 2.0**-53)
+        redo = np.flatnonzero(cut <= lo)
+        if redo.size:
+            cut[redo] = self.uniform(trees[redo], lo[redo], hi[redo])
+        return cut
+
+    def _top_up(self, trees: np.ndarray) -> None:
+        """Give each of `trees` an unused word: a tree that has used all its
+        words reads a new row of them from its bit generator."""
+        for tree in trees[self.used[trees] == self.words.shape[1]].tolist():
+            self.words[tree] = self.bit_generators[tree].random_raw(self.words.shape[1])
+            self.used[tree] = 0
+
+
+def _isolation_split(rows: np.ndarray, draws: _TreeDraws):
     """The isolation split rule of `_grow_forest`. A node whose rows are all
     equal does not split. Any other node draws a feature among its
     non-constant ones (`integers`), then a split s in (lo, hi) of that
     feature (`uniform`, redrawn in the measure-zero case s == lo); a row goes
     left iff its value is below s. The node stores nextafter(s, -inf), the
-    largest float below s, so the shared `<=` rule gives the same side."""
+    largest float below s, so the shared `<=` rule gives the same side.
+
+    The splitting trees draw together, from their words (`_TreeDraws`).
+    Each tree still makes its draws in its own order, so every split is the
+    one its Generator's scalar `integers` and `uniform` calls would give.
+    A numpy built to fuse `lo + (hi - lo) * u` into one multiply-add would
+    round some splits differently in the last bit; the oracle tests of the
+    reader against real Generator calls catch that."""
 
     def split(trees, members, tally, offsets):
         values = rows[members]
@@ -526,16 +614,10 @@ def _isolation_split(rows: np.ndarray, rngs: list[np.random.Generator]):
         splits = np.flatnonzero(n_candidates)
         if not splits.size:
             return splits, splits, np.zeros(0)
-        drawn = [rngs[t].integers(k) for t, k in zip(trees[splits].tolist(), n_candidates[splits].tolist())]
-        chosen = (candidates[splits].cumsum(axis=1) > np.array(drawn)[:, None]).argmax(axis=1)
-        lo, hi = lows[splits, chosen].astype(float).tolist(), highs[splits, chosen].astype(float).tolist()
-        cuts = []
-        for t, a, b in zip(trees[splits].tolist(), lo, hi):
-            cut = rngs[t].uniform(a, b)
-            while cut <= a:  # guard the measure-zero draw that would empty one side
-                cut = rngs[t].uniform(a, b)
-            cuts.append(cut)
-        return splits, chosen, np.nextafter(np.array(cuts), -np.inf)
+        drawn = draws.integers(trees[splits], n_candidates[splits])
+        chosen = (candidates[splits].cumsum(axis=1) > drawn[:, None]).argmax(axis=1)
+        lo, hi = lows[splits, chosen].astype(float), highs[splits, chosen].astype(float)
+        return splits, chosen, np.nextafter(draws.uniform(trees[splits], lo, hi), -np.inf)
 
     return split
 
@@ -570,18 +652,20 @@ def iforest_fit(
     path_length = np.array([average_path_length(k) for k in range(psi + 1)])
     rngs = [np.random.default_rng(child) for child in _seed_sequence(seed).spawn(trees)]
     picks = np.array([rng.choice(n, size=psi, replace=False) for rng in rngs], dtype=np.intp).reshape(trees, psi)
-    distinct, inverse = np.unique(X, axis=0, return_inverse=True)
+    # A tree makes at most psi - 1 splits, of at most 1.5 words each.
+    draws = _TreeDraws(rngs, 2 * psi)
+    distinct, inverse = _distinct_rows(X)
     forest = _grow_forest(
         distinct,
         inverse[picks],
         [],
         leaf=lambda depth, count: depth + path_length[count],
         grows=lambda depth, count: (depth < limit) & (count > 1),
-        split=_isolation_split(distinct, rngs),
+        split=_isolation_split(distinct, draws),
     )
     model = IsolationForestModel(forest, psi)
 
-    train_scores = iforest_scores(model, X)
+    train_scores = _path_scores(model, _leaf_values(forest, distinct, inverse))
     flagged = int(round(float(y.mean()) * n)) if n else 0
     model.threshold = float(np.sort(train_scores)[::-1][flagged - 1]) if flagged > 0 else math.inf
     return model
@@ -592,9 +676,11 @@ def iforest_scores(model: IsolationForestModel, X: np.ndarray) -> np.ndarray:
     C-contiguous (trees, rows) matrix, the layout numpy reduces in one fixed
     order for a given row count."""
     X = np.atleast_2d(np.asarray(X, dtype=np.int64))
-    paths = _leaf_values(model.forest, X)
-    denom = average_path_length(model.sample_size) or 1.0
-    return np.exp2(-paths.mean(axis=0) / denom)
+    return _path_scores(model, _leaf_values(model.forest, *_distinct_rows(X)))
+
+
+def _path_scores(model: IsolationForestModel, paths: np.ndarray) -> np.ndarray:
+    return np.exp2(-paths.mean(axis=0) / (average_path_length(model.sample_size) or 1.0))
 
 
 def iforest_predict_many(model: IsolationForestModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -480,7 +480,11 @@ class _SensorSums:
         signal_runs = np.flatnonzero(np.r_[True, signals[1:] != signals[:-1]])
         signal_keys, signal_of_run = np.unique(signals[signal_runs], return_inverse=True)
         signal_of_row = np.repeat(signal_of_run, np.diff(signal_runs, append=len(values)))
-        hour_keys, hour_of_row = np.unique(hours, return_inverse=True)
+        if hours.dtype.kind == "S":  # `_parse`'s `S3`: group by the bytes as one integer, not by a string sort
+            codes, hour_of_row = np.unique(hours.astype("S4").view(">u4"), return_inverse=True)
+            hour_keys = codes.view("S4")
+        else:
+            hour_keys, hour_of_row = np.unique(hours, return_inverse=True)
         try:  # a UnicodeDecodeError is a ValueError
             run_pids, run_dates = _texts(pids[starts]), _texts(dates[starts])
             signal_texts, hour_texts = _texts(signal_keys), _texts(hour_keys)

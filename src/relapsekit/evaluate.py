@@ -190,7 +190,7 @@ def _run_fold(
     selected_scores: tuple[float, ...] | None = None
     warning = None
 
-    if np.unique(ytr).size < 2:
+    if ytr.size == 0 or ytr.min() == ytr.max():
         # No second class to learn from: fall back to majority prediction.
         majority = int(np.bincount(ytr, minlength=2).argmax())
         warning = "single_class_training"

@@ -14,6 +14,13 @@ from relapsekit.model import SIGNALS, EmaRecord, Patient
 BASE_DATE = Date(2021, 1, 4)
 
 
+def pytest_report_header(config) -> str:
+    """The numpy the exact-stream oracles run against: the isolation forest
+    reads numpy's integer and uniform algorithms from raw generator words."""
+    bit_generator = type(np.random.default_rng().bit_generator).__name__
+    return f"numpy {np.__version__}, default bit generator {bit_generator}"
+
+
 def day(k: int) -> Date:
     """k days after the common fixture start date."""
     return BASE_DATE + timedelta(days=k)

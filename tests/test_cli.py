@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import relapsekit
 import relapsekit.features
 from relapsekit.cli import build_parser, main
 from relapsekit.windowing import enumerate_windows
@@ -302,3 +307,14 @@ def test_synth_negative_onset_days_exits_1_naming_the_field(tmp_path, capsys):
     assert main(["synth", "--patients", "2", "--days", "40", "--onset-days", "-3", "--out", str(out)]) == 1
     assert "onset_days must be >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compare-classifiers", "ablate-modality"])
+def test_commands_do_not_import_numpy_ma(cohort_dir, tmp_path, command):
+    # numpy.ma costs start-up time and memory; `import numpy` leaves it out,
+    # but some calls import it, such as np.unique's hash path
+    script = "import sys; from relapsekit.cli import main; main(sys.argv[1:]); print('numpy.ma' in sys.modules)"
+    argv = [command, "--data", str(cohort_dir), "--seed", "7", "--threads", "1", "--metrics", str(tmp_path / "m.json")]
+    env = {**os.environ, "PYTHONPATH": str(Path(relapsekit.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"

@@ -5,6 +5,10 @@ stumps, every sign) in (feature, cut, sign) order, where the first strict
 minimum wins. Weights are whole numbers, so every weighted sum is exact in
 either order of addition and ties compare equal on both sides.
 
+The isolation forest's draw reader is checked against twin Generators
+making the same scalar `integers` and `uniform` calls, and the distinct-row
+helper against `np.unique`.
+
 The lockstep EasyEnsemble is checked against a bag-at-a-time fit whose
 stump search scans each feature's cuts with `cut_scan`, and against scoring
 every bag's chain with a running vote.
@@ -27,8 +31,10 @@ from hypothesis.extra import numpy as hnp
 
 from relapsekit.classifiers import (
     _best_stumps,
+    _distinct_rows,
     _seed_sequence,
     _sort_columns,
+    _TreeDraws,
     average_path_length,
     balanced_bootstraps,
     brf_fit,
@@ -544,3 +550,89 @@ def test_isolation_threshold_reproduces_strict_split(codes, split):
     threshold = np.nextafter(split, -np.inf)
     np.testing.assert_array_equal(codes <= threshold, codes < split)
     assert [int(c) <= float(threshold) for c in codes] == [int(c) < split for c in codes]
+
+
+# 3 * 2**30 rejects a quarter of its draws; 2**32 - 1 is the largest 32-bit bound.
+INTEGER_BOUNDS = [1, 2, 3, 100, 3 * 2**30, 2**32 - 1]
+# At 2**53 floats are 2 apart, so about half of the cuts round down to lo and are redrawn.
+SPANS = [(0.0, 1.0), (2.0, 5.0), (0.0, 14.0), (-3.0, 9.0), (2.0**53, 2.0**53 + 2)]
+
+
+def started_generators(entropy, n, psi, calls):
+    """One Generator per entry of `calls`, after iforest's `choice` prefix
+    and that many `integers(5)` calls; each such call flips the held half."""
+    rngs = []
+    for child, count in zip(np.random.SeedSequence(entropy).spawn(len(calls)), calls):
+        rng = np.random.default_rng(child)
+        rng.choice(n, size=psi, replace=False)
+        for _ in range(count):
+            rng.integers(5)
+        rngs.append(rng)
+    return rngs
+
+
+def assert_reader_matches_generators(entropy, n, psi, calls, words, steps):
+    """Each step, the trees with an entry draw `integers(k)` then
+    `uniform(lo, hi)` (redrawn while `<= lo`) from a reader of `words`
+    words, and their twins make the same scalar calls."""
+    draws = _TreeDraws(started_generators(entropy, n, psi, calls), words)
+    twins = started_generators(entropy, n, psi, calls)
+    for step in steps:
+        trees = np.array([t for t, entry in enumerate(step) if entry is not None], dtype=np.intp)
+        bounds = np.array([step[t][0] for t in trees], dtype=np.int64)
+        lo, hi = (np.array([step[t][1][i] for t in trees], dtype=float) for i in (0, 1))
+        got_integers, got_cuts = draws.integers(trees, bounds), draws.uniform(trees, lo, hi)
+        for i, t in enumerate(trees.tolist()):
+            assert got_integers[i] == twins[t].integers(int(bounds[i]))
+            cut = twins[t].uniform(lo[i], hi[i])
+            while cut <= lo[i]:
+                cut = twins[t].uniform(lo[i], hi[i])
+            assert got_cuts[i] == cut
+
+
+@st.composite
+def draw_cases(draw):
+    """Trees' entropy and start states, a reader's word count (small ones
+    make trees read more words), and steps in which each tree draws nothing
+    or one (integer bound, uniform span)."""
+    calls = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    n = draw(st.integers(1, 40))
+    psi = draw(st.integers(1, n))
+    words = draw(st.sampled_from([1, 3, 2 * psi]))
+    entry = st.none() | st.tuples(st.sampled_from(INTEGER_BOUNDS), st.sampled_from(SPANS))
+    steps = draw(st.lists(st.lists(entry, min_size=len(calls), max_size=len(calls)), max_size=12))
+    return draw(st.integers(0, 2**32 - 1)), n, psi, calls, words, steps
+
+
+@SETTINGS
+@given(draw_cases())
+def test_tree_draws_match_scalar_generator_calls(case):
+    assert_reader_matches_generators(*case)
+
+
+def test_tree_draws_match_from_either_held_half():
+    # 17 trees, each taking every bound and span, from 2 words on: rejections,
+    # redraws and reads past the first words all happen
+    calls = [0, 1, 2, 3] * 4 + [1]
+    held = {rng.bit_generator.state["has_uint32"] for rng in started_generators(3, 30, 16, calls)}
+    assert held == {0, 1}
+    steps = [[(k, span)] * len(calls) for k in INTEGER_BOUNDS for span in SPANS]
+    assert_reader_matches_generators(3, 30, 16, calls, 2, steps + [[None, (3 * 2**30, SPANS[-1])] * 8 + [None]])
+
+
+@SETTINGS
+@given(
+    hnp.arrays(
+        np.int64,
+        st.tuples(st.integers(0, 30), st.integers(0, 4)),
+        elements=st.integers(-3, 3) | st.sampled_from([-(2**63), 2**63 - 1]),
+    )
+)
+@example(np.array([[5, -2]]))  # one row
+@example(np.full((4, 3), -7))  # every row equal
+@example(np.zeros((3, 0), dtype=np.int64))  # no columns
+def test_distinct_rows_match_np_unique(X):
+    distinct, inverse = _distinct_rows(X)
+    expected, expected_inverse = np.unique(X, axis=0, return_inverse=True)
+    assert distinct.shape == expected.shape and distinct.tolist() == expected.tolist()
+    assert inverse.dtype == expected_inverse.dtype and inverse.tolist() == expected_inverse.tolist()
