@@ -592,7 +592,7 @@ class _TreeDraws:
 
 def _isolation_split(rows: np.ndarray, draws: _TreeDraws):
     """The isolation split rule of `_grow_forest`. A node whose rows are all
-    equal does not split. Any other node draws a feature among its
+    equal as floats does not split. Any other node draws a feature among its
     non-constant ones (`integers`), then a split s in (lo, hi) of that
     feature (`uniform`, redrawn in the measure-zero case s == lo); a row goes
     left iff its value is below s. The node stores nextafter(s, -inf), the
@@ -607,8 +607,9 @@ def _isolation_split(rows: np.ndarray, draws: _TreeDraws):
 
     def split(trees, members, tally, offsets):
         values = rows[members]
-        lows = np.minimum.reduceat(values, offsets, axis=0)
-        highs = np.maximum.reduceat(values, offsets, axis=0)
+        # As floats, so codes past 2**53 that round to one float never split.
+        lows = np.minimum.reduceat(values, offsets, axis=0).astype(float)
+        highs = np.maximum.reduceat(values, offsets, axis=0).astype(float)
         candidates = lows < highs
         n_candidates = candidates.sum(axis=1)
         splits = np.flatnonzero(n_candidates)
@@ -616,8 +617,8 @@ def _isolation_split(rows: np.ndarray, draws: _TreeDraws):
             return splits, splits, np.zeros(0)
         drawn = draws.integers(trees[splits], n_candidates[splits])
         chosen = (candidates[splits].cumsum(axis=1) > drawn[:, None]).argmax(axis=1)
-        lo, hi = lows[splits, chosen].astype(float), highs[splits, chosen].astype(float)
-        return splits, chosen, np.nextafter(draws.uniform(trees[splits], lo, hi), -np.inf)
+        cuts = draws.uniform(trees[splits], lows[splits, chosen], highs[splits, chosen])
+        return splits, chosen, np.nextafter(cuts, -np.inf)
 
     return split
 

@@ -26,7 +26,7 @@ from .dataio import (
     write_metrics,
     write_predictions,
 )
-from .evaluate import CLASSIFIER_KINDS, GRIDS, EvalReport, ExperimentConfig, check_threads, run_grid, run_lopo
+from .evaluate import CLASSIFIER_KINDS, GRIDS, EvalReport, ExperimentConfig, run_grid, run_lopo
 from .features import extract_cohort
 from .model import SIGNALS, Signal
 from .synth import ProdromalSpec, SynthConfig, generate
@@ -82,7 +82,8 @@ def _run_flags(parser: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=1,
-        help="fold-level parallelism; results are independent of this",
+        choices=[1],
+        help="folds run in one thread; kept so scripts that pass --threads 1 still run",
     )
 
 
@@ -258,9 +259,7 @@ def _cmd_features(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _experiment_config(args, classifier=args.classifier)
-    check_threads(args.threads)
-    dataset = _load(args)
-    report = run_lopo(dataset, config, threads=args.threads)
+    report = run_lopo(_load(args), config)
     write_metrics(report, args.metrics)
     write_predictions(report, args.predictions)
     print(f"classifier={report.classifier}")
@@ -271,8 +270,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     config = _experiment_config(args)
-    check_threads(args.threads)
-    reports = run_grid(args.command, _load(args), config, threads=args.threads)
+    reports = run_grid(args.command, _load(args), config)
     write_metrics(reports, args.metrics)
     if args.predictions_dir is not None:
         args.predictions_dir.mkdir(parents=True, exist_ok=True)

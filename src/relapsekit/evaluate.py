@@ -4,8 +4,8 @@ Every fold holds out all windows of one patient, fits the binning model,
 the age-matched feature selection, and the classifier on the remaining
 patients only, then predicts the held-out patient's windows sequentially.
 Confusion counts are pooled over folds (micro-averaged) before computing
-precision, recall, and F2. Reports are deterministic given (dataset,
-config, seed) and independent of the thread count used for fold execution.
+precision, recall, and F2. Folds run one after another, in patient order.
+Reports are deterministic given (dataset, config, seed).
 
 Folds run over one `WindowTable`: a fold's training rows are those whose
 patient index is not the held-out patient's. A fold's binning model
@@ -23,7 +23,6 @@ megabytes of peak memory for a few milliseconds.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Callable, NamedTuple
 
@@ -161,12 +160,6 @@ def _confusion(labels: np.ndarray, predicted: np.ndarray) -> tuple[int, int, int
     return tp, fp, fn, tn
 
 
-def check_threads(threads: int) -> None:
-    """Reject a fold thread count below one."""
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-
-
 def _cached(cache: dict, key: tuple, make: Callable[[], Any]) -> Any:
     if key not in cache:
         cache[key] = make()
@@ -245,20 +238,19 @@ def _run_fold(
 def run_lopo(
     dataset: Dataset,
     config: ExperimentConfig,
-    threads: int = 1,
     experiment: str = "evaluate",
     arm: str | None = None,
     table: WindowTable | None = None,
     fold_cache: dict | None = None,
 ) -> EvalReport:
-    """Leave-one-patient-out evaluation of one experiment arm.
+    """Leave-one-patient-out evaluation of one experiment arm, its folds run
+    in patient order.
 
     `table` may carry a precomputed window table (matching
     config.windowing) to share extraction across arms. `fold_cache` shares
     each fold's binning model and selection subsample across arms; pass the
     same dict only to runs over the same dataset and table.
     """
-    check_threads(threads)
     if fold_cache is None:
         fold_cache = {}
     if table is None:
@@ -272,18 +264,10 @@ def run_lopo(
     if config.classifier == "random":
         return _run_random_baseline(config, table, seeds[-1], experiment, arm)
 
-    def fold(k: int) -> tuple[list[PredictionRow], FoldReport]:
-        return _run_fold(config, table, k, ages[table.patient_ids[k]], seeds[k], fold_cache)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(fold, range(len(table.patient_ids))))
-    else:
-        results = [fold(k) for k in range(len(table.patient_ids))]
-
     rows: list[PredictionRow] = []
     folds: list[FoldReport] = []
-    for fold_rows, fold_report in results:
+    for k, patient_id in enumerate(table.patient_ids):
+        fold_rows, fold_report = _run_fold(config, table, k, ages[patient_id], seeds[k], fold_cache)
         rows.extend(fold_rows)
         folds.append(fold_report)
     tp = sum(f.tp for f in folds)
@@ -384,12 +368,10 @@ GRIDS: dict[str, Grid] = {
 }
 
 
-def run_grid(
-    experiment: str, dataset: Dataset, base_config: ExperimentConfig, threads: int = 1
-) -> list[EvalReport]:
-    """Every arm of GRIDS[experiment] over one shared feature extraction
-    and one fold cache (each fold's bins and selection subsample)."""
-    check_threads(threads)
+def run_grid(experiment: str, dataset: Dataset, base_config: ExperimentConfig) -> list[EvalReport]:
+    """Every arm of GRIDS[experiment], one `run_lopo` per arm in grid order,
+    over one shared feature extraction and one fold cache (each fold's bins
+    and selection subsample)."""
     grid = GRIDS[experiment]
     table = extract_all(dataset, base_config.windowing)
     fold_cache: dict = {}
@@ -397,7 +379,6 @@ def run_grid(
         run_lopo(
             dataset,
             replace(base_config, **overrides),
-            threads=threads,
             experiment=experiment,
             arm=arm,
             table=table,
@@ -417,7 +398,6 @@ __all__ = [
     "FoldReport",
     "GRIDS",
     "PredictionRow",
-    "check_threads",
     "f2_from_counts",
     "f2_score",
     "run_grid",

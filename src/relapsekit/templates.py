@@ -41,12 +41,11 @@ DAYTIME_HOURS = (9, 21)
 @dataclass(frozen=True)
 class WindowTemplates:
     """Per-hour mean / deviation / maximum templates over one feature window,
-    or `(..., 24)` stacks of them with `days_present` an integer array."""
+    or `(..., 24)` stacks of them."""
 
     mdt: np.ndarray
     ddt: np.ndarray
     mxdt: np.ndarray
-    days_present: int | np.ndarray
 
 
 def compute_window_templates(days: np.ndarray) -> WindowTemplates:
@@ -77,9 +76,7 @@ def compute_window_templates(days: np.ndarray) -> WindowTemplates:
     # Hourly means can overshoot the hourly max by float rounding; clamp so
     # the mxdt >= mdt invariant holds exactly.
     mdt = np.where(has, np.minimum(mdt, mxdt), np.nan)
-
-    days_present = days.shape[-2] - missing.all(axis=-1).sum(axis=-1)
-    return WindowTemplates(mdt, ddt, mxdt, int(days_present) if days_present.ndim == 0 else days_present)
+    return WindowTemplates(mdt, ddt, mxdt)
 
 
 def present_groups(values: np.ndarray, present: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -38,7 +38,7 @@ def window_templates(days: np.ndarray) -> WindowTemplates:
     """One window's `(n, 24)` daily templates aggregated hour by hour."""
     if len(days) == 0:
         empty = np.full(HOURS_PER_DAY, np.nan)
-        return WindowTemplates(empty.copy(), empty.copy(), empty.copy(), 0)
+        return WindowTemplates(empty.copy(), empty.copy(), empty.copy())
 
     present = ~np.isnan(days)
     counts = present.sum(axis=0)
@@ -50,9 +50,7 @@ def window_templates(days: np.ndarray) -> WindowTemplates:
         ddt = np.where(counts > 0, np.sqrt(centered_sq.sum(axis=0) / counts), np.nan)
     mxdt = np.where(counts > 0, np.where(present, days, -np.inf).max(axis=0), np.nan)
     mdt = np.where(counts > 0, np.minimum(mdt, mxdt), np.nan)
-
-    days_present = int(present.any(axis=1).sum())
-    return WindowTemplates(mdt, ddt, mxdt, days_present)
+    return WindowTemplates(mdt, ddt, mxdt)
 
 
 def mdt_stats(template: np.ndarray) -> np.ndarray:

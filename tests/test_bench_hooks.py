@@ -4,13 +4,15 @@
 name. Renaming one in `src/` breaks the traced benchmark run; this test
 breaks with it. So does a grid that stops calling `run_lopo` once per arm,
 or stops calling the per-fold transform functions through `evaluate`'s
-namespace.
+namespace, or a parser that rejects the argv `bench/run.py` passes.
 """
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
+from relapsekit.cli import build_parser
 from relapsekit.evaluate import ExperimentConfig, run_grid
 from relapsekit.synth import SynthConfig, generate
 
@@ -52,3 +54,17 @@ def test_tracer_sees_one_lopo_per_arm_and_one_bin_fit_per_fold(monkeypatch):
     assert names.count("transform.fit_bins") == fitted_folds
     assert names.count("transform.build_selection_subsample") == fitted_folds
     assert names.count("transform.select_features") == fitted_folds * len(reports)
+
+
+def test_parser_accepts_every_benchmark_argv(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)  # run.py sets it
+    from run import WORKLOADS, command_argv, synth_argv
+
+    parser = build_parser()
+    for name, wl in WORKLOADS.items():
+        cohort = tmp_path / name / "cohort"
+        synth = parser.parse_args(synth_argv(wl, cohort, 7))
+        assert (synth.command, synth.seed, synth.out) == ("synth", 7, cohort)
+        run = parser.parse_args(command_argv(wl, cohort, tmp_path / name / "out", 7))
+        assert (run.command, run.seed, run.data) == (wl.command[0], 7, cohort)

@@ -306,6 +306,22 @@ def test_iforest_determinism(rng):
     assert a.threshold == b.threshold
 
 
+def test_iforest_codes_past_2_53():
+    # 2**53 and 2**53 + 1 are one float: no split can part them, so no tree splits.
+    X = np.array([[2**53], [2**53 + 1]])
+    model = iforest_fit(X, np.array([0, 1]), trees=3, seed=0)
+    assert (model.forest.left == -1).all()
+    scores = iforest_scores(model, X)
+    assert np.isfinite(scores).all() and scores[0] == scores[1]
+    # 2**53 + 4 is the next float but one: every root still splits them apart.
+    X = np.array([[2**53], [2**53 + 4]])
+    model = iforest_fit(X, np.array([0, 1]), trees=3, seed=0)
+    forest = model.forest
+    assert (forest.left[forest.roots] != -1).all()
+    assert (forest.threshold[forest.roots] >= 2**53).all() and (forest.threshold[forest.roots] < 2**53 + 4).all()
+    assert np.isfinite(iforest_scores(model, X)).all()
+
+
 # -- random baseline ------------------------------------------------------------------------
 
 

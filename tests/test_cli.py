@@ -95,31 +95,6 @@ def test_evaluate_rerun_is_byte_identical(cohort_dir, tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_evaluate_thread_count_does_not_change_metrics(cohort_dir, tmp_path, capsys):
-    digests = []
-    for threads in ("1", "3"):
-        metrics = tmp_path / f"t{threads}.json"
-        code = main(
-            [
-                "evaluate",
-                "--data",
-                str(cohort_dir),
-                "--seed",
-                "7",
-                "--threads",
-                threads,
-                "--metrics",
-                str(metrics),
-                "--predictions",
-                str(tmp_path / f"t{threads}.csv"),
-            ]
-        )
-        assert code == 0
-        digests.append(metrics.read_bytes())
-    capsys.readouterr()
-    assert digests[0] == digests[1]
-
-
 def test_evaluate_stdout_key_value_lines(cohort_dir, tmp_path, capsys):
     main(
         [
@@ -203,8 +178,6 @@ def test_compare_classifiers_writes_five_arms(cohort_dir, tmp_path, capsys):
             str(cohort_dir),
             "--seed",
             "7",
-            "--threads",
-            "2",
             "--metrics",
             str(metrics),
         ]
@@ -292,14 +265,17 @@ def test_non_positive_counts_exit_1_naming_the_field(cohort_dir, tmp_path, capsy
 
 
 @pytest.mark.parametrize("command", ["evaluate", "ablate-modality"])
-@pytest.mark.parametrize("threads", ["0", "-1"])
-def test_thread_count_below_one_exits_1_before_loading(cohort_dir, tmp_path, capsys, command, threads):
-    metrics = tmp_path / "m.json"
-    assert main([command, "--data", str(cohort_dir), "--threads", threads, "--metrics", str(metrics)]) == 1
+@pytest.mark.parametrize("threads", ["0", "-1", "2"])
+def test_thread_count_other_than_one_exits_2_before_loading(
+    cohort_dir, tmp_path, capsys, monkeypatch, command, threads
+):
+    monkeypatch.chdir(tmp_path)  # default output paths land here
+    extra = ["--predictions-dir", str(tmp_path / "arms")] if command != "evaluate" else []
+    assert main([command, "--data", str(cohort_dir), "--threads", threads, *extra]) == 2
     out, err = capsys.readouterr()
-    assert "threads must be >= 1" in err
+    assert "--threads: invalid choice" in err
     assert "ingest_excluded=" not in out
-    assert not metrics.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_negative_onset_days_exits_1_naming_the_field(tmp_path, capsys):

@@ -127,20 +127,6 @@ def test_reports_deterministic_given_seed(cohort):
     ]
 
 
-def test_thread_count_does_not_change_results(cohort):
-    a = run_lopo(cohort, BASE, threads=1)
-    b = run_lopo(cohort, BASE, threads=3)
-    assert a.to_dict() == b.to_dict()
-
-
-@pytest.mark.parametrize("threads", [0, -1])
-def test_thread_count_below_one_rejected(cohort, threads):
-    with pytest.raises(ValueError, match="threads must be >= 1"):
-        run_lopo(cohort, BASE, threads=threads)
-    with pytest.raises(ValueError, match="threads must be >= 1"):
-        run_grid("ablate-selection", cohort, BASE, threads=threads)
-
-
 # -- experiments ----------------------------------------------------------------
 
 

@@ -36,7 +36,6 @@ def test_two_day_aggregates_match_hand_computation():
     assert wt.mdt[3] == 3.0
     assert wt.ddt[3] == 1.0
     assert wt.mxdt[3] == 4.0
-    assert wt.days_present == 2
     assert np.isnan(wt.mdt[4])
 
 
@@ -50,7 +49,6 @@ def test_single_day_window_has_zero_deviation():
 def test_empty_window_is_all_missing():
     wt = compute_window_templates(np.empty((0, 24)))
     assert np.isnan(wt.mdt).all() and np.isnan(wt.ddt).all() and np.isnan(wt.mxdt).all()
-    assert wt.days_present == 0
 
 
 # -- mdt_stats ----------------------------------------------------------------
@@ -273,7 +271,6 @@ def test_statistics_invariant_under_reordering(rng):
     np.testing.assert_allclose(a.mdt, b.mdt, rtol=1e-12, equal_nan=True)
     np.testing.assert_allclose(a.ddt, b.ddt, rtol=1e-12, atol=1e-12, equal_nan=True)
     np.testing.assert_array_equal(a.mxdt, b.mxdt)
-    assert a.days_present == b.days_present
 
 
 def test_scaling_samples_scales_aggregates_but_not_normalized(rng):
@@ -370,8 +367,6 @@ def test_batched_window_templates_equal_the_per_window_oracle(seed, windows, n):
         want = [oracle.window_templates(days[w]) for w in range(windows)]
         for name in ("mdt", "ddt", "mxdt"):
             assert same(getattr(wt, name), np.array([getattr(t, name) for t in want]).reshape(windows, 24)), name
-        assert wt.days_present.tolist() == [t.days_present for t in want]
     for w in range(windows):
         one = compute_window_templates(days[w])
-        assert type(one.days_present) is int and one.days_present == want[w].days_present
         assert all(same(getattr(one, name), getattr(want[w], name)) for name in ("mdt", "ddt", "mxdt"))
