@@ -95,6 +95,17 @@ def test_evaluate_rerun_is_byte_identical(cohort_dir, tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_evaluate_threads_one_matches_default(cohort_dir, tmp_path, capsys):
+    # --threads 1 is kept only so scripts that pass it still run; it changes nothing
+    outputs = []
+    for name, threads in (("default", []), ("one", ["--threads", "1"])):
+        metrics, predictions = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        argv = ["evaluate", "--data", str(cohort_dir), "--seed", "7", *threads]
+        assert main([*argv, "--metrics", str(metrics), "--predictions", str(predictions)]) == 0
+        outputs.append((metrics.read_bytes(), predictions.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
 def test_evaluate_stdout_key_value_lines(cohort_dir, tmp_path, capsys):
     main(
         [
@@ -264,7 +275,7 @@ def test_non_positive_counts_exit_1_naming_the_field(cohort_dir, tmp_path, capsy
     assert not metrics.exists() and not predictions.exists()
 
 
-@pytest.mark.parametrize("command", ["evaluate", "ablate-modality"])
+@pytest.mark.parametrize("command", ["evaluate", "compare-classifiers", "ablate-modality", "ablate-selection"])
 @pytest.mark.parametrize("threads", ["0", "-1", "2"])
 def test_thread_count_other_than_one_exits_2_before_loading(
     cohort_dir, tmp_path, capsys, monkeypatch, command, threads
