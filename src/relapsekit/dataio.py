@@ -33,16 +33,17 @@ byte (which change how `csv.reader` splits rows) or a line longer than
 csv's field limit takes its rows from `csv.reader`, in blocks of rows.
 
 Each distinct date, hour and signal string is parsed once, with the same
-calls a row-by-row reader makes. The rows' sums and counts go into a slab
-of `(2, 6, 24)` day accumulators with `np.add.at`, which adds in file order
-into the running array, so every hourly sum is the one a row-by-row `+=`
-gives (a per-block `np.bincount` would sum one cell's rows of a block
-before adding earlier blocks' rows). When every patient declares a span,
-the slab is allocated once, one accumulator per span day; with an inferred
-span it doubles as days appear. A block that fails on both paths is walked
-again row by row through `_check_sensor_row`, which raises the IngestError
-of its first bad row. Blocks are small, because a block's parsed fields and
-index arrays are alive at once; 128 KiB is also the largest block
+calls a row-by-row reader makes. A patient's rows are summed into a float64
+`(days, 6, 24)` array, the layout of its hourly means, and counted in an
+int64 one, with `np.add.at`. It adds in file order, so every hourly sum is
+the one a row-by-row `+=` gives (a per-block `np.bincount` would sum one
+cell's rows of a block before adding earlier blocks' rows). Declared spans
+are disjoint views of one sums buffer and one counts buffer, allocated
+before the first row; an inferred span grows toward the side a row falls
+on, at least doubling. A block that fails on both paths is walked again row
+by row through `_check_sensor_row`, which raises the IngestError of its
+first bad row. Blocks are small, because a block's parsed fields and index
+arrays are alive at once; 128 KiB is also the largest block
 `_needs_csv_reader` can scan against csv's default field limit.
 """
 
@@ -55,7 +56,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import date as Date
 from datetime import timedelta
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -108,7 +109,8 @@ class Dataset:
     `sensors` maps each patient_id to one `(days, 6, 24)` float array of
     hourly means: day 0 is the patient's observation_start, signals are in
     `SIGNALS` order, and NaN marks an hour with no samples, so an all-NaN day
-    is a day without data. Duplicate rows are already averaged. Treat
+    is a day without data. Duplicate rows are already averaged. As loaded
+    with declared spans, the arrays are disjoint views of one buffer. Treat
     instances as immutable.
     """
 
@@ -147,7 +149,7 @@ def load_dataset(
     """
     raw_patients = _read_patients(Path(patients_path))
     exclusions: list[IngestExclusion] = []
-    sensor_days = _read_sensors(Path(sensors_path), raw_patients, exclusions)
+    sums = _read_sensors(Path(sensors_path), raw_patients, exclusions)
     ema = _read_ema(Path(ema_path), raw_patients, exclusions)
     relapses = _read_relapses(Path(relapses_path), set(raw_patients))
 
@@ -157,7 +159,7 @@ def load_dataset(
         if raw.span is not None:
             spans[pid] = raw.span
             continue
-        dates = set(sensor_days.get(pid, ())) | set(ema.get(pid, ()))
+        dates = set(sums.row_dates(pid)) | set(ema.get(pid, ()))
         if not dates:
             raise IngestError(
                 str(patients_path),
@@ -192,21 +194,10 @@ def load_dataset(
 
     return Dataset(
         patients=tuple(patients),
-        sensors={pid: _hourly_means(sensor_days.get(pid, {}), *spans[pid]) for pid in sorted(spans)},
+        sensors={pid: sums.means(pid, *spans[pid]) for pid in sorted(spans)},
         ema=ema,
         ingest_exclusions=tuple(exclusions),
     )
-
-
-def _hourly_means(days: dict[Date, np.ndarray], start: Date, end: Date) -> np.ndarray:
-    """Divide each day's `(2, 6, 24)` sums by its counts straight into its
-    row of the span's `(days, 6, 24)` hourly means. An hour with no samples
-    is 0/0, NaN, and so is every hour of a day without rows."""
-    with np.errstate(invalid="ignore"):  # 0/0 -> NaN: no samples in that hour
-        means = np.full(((end - start).days + 1, len(SIGNALS), HOURS_PER_DAY), np.divide(0.0, 0.0))
-        for date, (sums, counts) in days.items():
-            np.divide(sums, counts, out=means[(date - start).days])
-    return means
 
 
 @dataclass
@@ -285,15 +276,15 @@ def _read_patients(path: Path) -> dict[str, _RawPatient]:
 
 SENSOR_BLOCK_BYTES = 1 << 17
 _SIGNAL_INDEX = {s.value: i for i, s in enumerate(SIGNALS)}
-_DAY_CELLS = len(SIGNALS) * HOURS_PER_DAY  # one (6, 24) plane of a day accumulator
+_DAY_CELLS = len(SIGNALS) * HOURS_PER_DAY  # one day of a patient's (days, 6, 24) arrays
 # loadtxt strips these around a number as whitespace; float() rejects them.
 _INFO_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _read_sensors(
     path: Path, patients: dict[str, _RawPatient], exclusions: list[IngestExclusion]
-) -> dict[str, dict[Date, np.ndarray]]:
-    """Per patient and date, a `(2, 6, 24)` array of hourly sums and counts."""
+) -> _SensorSums:
+    """The hourly sums and counts of sensors.csv, per patient."""
     sums = _SensorSums(path, patients)
     line_no = 1
     for block in _sensor_blocks(path):
@@ -306,7 +297,7 @@ def _read_sensors(
             _check_header(path, header, _SENSOR_HEADER)
             line_no = 2
         line_no = sums.add(block, line_no, exclusions)
-    return sums.days()
+    return sums
 
 
 def _sensor_blocks(path: Path) -> Iterator[bytes | list[list[str]]]:
@@ -383,20 +374,22 @@ def _texts(column: np.ndarray) -> list[str]:
 
 
 class _SensorSums:
-    """Hourly sums and counts of sensors.csv rows, one `(2, 6, 24)` day
-    accumulator per (patient, date) in a slab. When every patient declares a
-    span, the slab holds all their span days from the start; otherwise it
-    doubles as days appear."""
+    """Per patient, `(days, 6, 24)` hourly sums and counts of sensors.csv
+    rows, day 0 at the date ordinal `first[pid]` (see the module docstring)."""
 
     def __init__(self, path: Path, patients: dict[str, _RawPatient]) -> None:
         self.path = path
         self.patients = patients
-        self.dates: dict[str, Date] = {}  # parsed once per distinct string
+        self.dates: dict[str, int] = {}  # date ordinals, parsed once per distinct string
         self.hours: dict[str, int] = {}
-        self.slot_of_day: dict[tuple[str, Date], int] = {}
-        spans = [raw.span for raw in patients.values()]
-        days = 64 if None in spans else sum((end - start).days + 1 for start, end in spans)
-        self.slab = np.zeros((days, 2, len(SIGNALS), HOURS_PER_DAY))
+        # An inferred span holds no days until `_cover` grows it.
+        days = [(raw.span[1] - raw.span[0]).days + 1 if raw.span else 0 for raw in patients.values()]
+        ends = list(accumulate(days, initial=0))
+        sums = np.zeros((ends[-1], len(SIGNALS), HOURS_PER_DAY))
+        counts = np.zeros(sums.shape, np.int64)
+        self.first = {pid: raw.span[0].toordinal() if raw.span else 0 for pid, raw in patients.items()}
+        self.sums = {pid: sums[lo:hi] for pid, lo, hi in zip(patients, ends, ends[1:])}
+        self.counts = {pid: counts[lo:hi] for pid, lo, hi in zip(patients, ends, ends[1:])}
         # Each `S` field is a byte wider than any declared patient id, any
         # signal name, "YYYY-MM-DD" and "23", so a field that fills its width
         # may have been cut short.
@@ -428,21 +421,23 @@ class _SensorSums:
                 for line_no, row in zip(line_nos.tolist(), rows):
                     _check_sensor_row(self.path, line_no, row, self.patients)
                 raise AssertionError(f"{self.path}: block at line {first_line} failed in bulk but not row by row")
-        slots, cells, values = resolved
-        outside = slots < 0
+        pid_texts, pid_of_row, day_of_row, cells, values = resolved
+        outside = np.zeros(len(values), dtype=bool)
+        for k, pid in enumerate(pid_texts):
+            rows = np.flatnonzero(pid_of_row == k)
+            days = day_of_row[rows]
+            if self.patients[pid].span is None:  # an inferred span takes every row
+                self._cover(pid, days.min(), days.max())
+            days -= self.first[pid]
+            out = (days < 0) | (days >= len(self.sums[pid]))
+            outside[rows[out]] = True
+            at = days[~out] * _DAY_CELLS + cells[rows[~out]]
+            np.add.at(self.sums[pid].reshape(-1), at, values[rows[~out]])
+            np.add.at(self.counts[pid].reshape(-1), at, 1)
         exclusions.extend(
             IngestExclusion(str(self.path), line_no, EXCLUDED_OUTSIDE_SPAN)
             for line_no in line_nos[outside].tolist()
         )
-        if len(self.slot_of_day) > len(self.slab):  # only with an inferred span
-            grown = np.zeros((max(2 * len(self.slab), len(self.slot_of_day)), *self.slab.shape[1:]))
-            grown[: len(self.slab)] = self.slab
-            self.slab = grown
-        inside = ~outside
-        at = slots[inside] * (2 * _DAY_CELLS) + cells[inside]
-        flat = self.slab.reshape(-1)
-        np.add.at(flat, at, values[inside])
-        np.add.at(flat, at + _DAY_CELLS, 1.0)
         return end
 
     def _parse(self, block: bytes) -> tuple[np.ndarray, ...] | None:
@@ -466,10 +461,10 @@ class _SensorSums:
 
     def _resolve(
         self, pids: np.ndarray, dates: np.ndarray, hours: np.ndarray, signals: np.ndarray, values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Each row's day slot (-1 outside the span), `signal * 24 + hour`
-        cell and value, from five columns of `_parse` or `_text_columns`;
-        None if any row fails `_check_sensor_row`."""
+    ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """The block's patient ids, and each row's index into them, date
+        ordinal, `signal * 24 + hour` cell and value, from five columns of
+        `_parse` or `_text_columns`; None if any row fails `_check_sensor_row`."""
         if not (np.isfinite(values) & (values >= 0)).all():
             return None
         # Rows of one (patient, date), and of one signal, mostly come in runs:
@@ -477,6 +472,7 @@ class _SensorSums:
         run_start = np.ones(len(values), dtype=bool)
         run_start[1:] = (pids[1:] != pids[:-1]) | (dates[1:] != dates[:-1])
         starts = np.flatnonzero(run_start)
+        pid_keys, pid_of_run = np.unique(pids[starts], return_inverse=True)
         signal_runs = np.flatnonzero(np.r_[True, signals[1:] != signals[:-1]])
         signal_keys, signal_of_run = np.unique(signals[signal_runs], return_inverse=True)
         signal_of_row = np.repeat(signal_of_run, np.diff(signal_runs, append=len(values)))
@@ -486,13 +482,13 @@ class _SensorSums:
         else:
             hour_keys, hour_of_row = np.unique(hours, return_inverse=True)
         try:  # a UnicodeDecodeError is a ValueError
-            run_pids, run_dates = _texts(pids[starts]), _texts(dates[starts])
+            pid_texts, run_dates = _texts(pid_keys), _texts(dates[starts])
             signal_texts, hour_texts = _texts(signal_keys), _texts(hour_keys)
-            if not self.patients.keys() >= set(run_pids):
+            if not self.patients.keys() >= set(pid_texts):
                 return None
             signal_index = np.array([_SIGNAL_INDEX[text] for text in signal_texts])
             for text in set(run_dates).difference(self.dates):
-                self.dates[text] = Date.fromisoformat(text)
+                self.dates[text] = Date.fromisoformat(text).toordinal()
             for text in set(hour_texts).difference(self.hours):
                 hour = int(text)
                 if not 0 <= hour <= HOURS_PER_DAY - 1:
@@ -501,22 +497,42 @@ class _SensorSums:
         except (KeyError, ValueError):
             return None
         hour_index = np.array([self.hours[text] for text in hour_texts])
-        run_slots = [self._slot(pid, self.dates[text]) for pid, text in zip(run_pids, run_dates)]
-        slots = np.repeat(np.array(run_slots, dtype=np.intp), np.diff(starts, append=len(values)))
-        return slots, signal_index[signal_of_row] * HOURS_PER_DAY + hour_index[hour_of_row], values
+        run_lengths = np.diff(starts, append=len(values))
+        day_of_row = np.repeat(np.array([self.dates[text] for text in run_dates]), run_lengths)
+        cells = signal_index[signal_of_row] * HOURS_PER_DAY + hour_index[hour_of_row]
+        return pid_texts, np.repeat(pid_of_run, run_lengths), day_of_row, cells, values
 
-    def _slot(self, pid: str, date: Date) -> int:
-        """The day accumulator of a row, or -1 for a date outside the declared span."""
-        if _outside_span(self.patients[pid], date):
-            return -1
-        return self.slot_of_day.setdefault((pid, date), len(self.slot_of_day))
+    def _cover(self, pid: str, lo: int, hi: int) -> None:
+        """Grow a patient's arrays to hold days `lo..hi` (date ordinals): empty
+        ones to just those days, others toward the side that lacks days, at
+        least doubling."""
+        held = len(self.sums[pid])
+        first = self.first[pid] if held else lo
+        last = first + held - 1
+        if first <= lo and hi <= last:
+            return
+        size = max(2 * held, max(hi, last) - min(lo, first) + 1)
+        start = first if first <= lo else max(hi, last) - size + 1
+        for arrays in (self.sums, self.counts):
+            grown = np.zeros((size, len(SIGNALS), HOURS_PER_DAY), arrays[pid].dtype)
+            grown[first - start : first - start + held] = arrays[pid]
+            arrays[pid] = grown
+        self.first[pid] = start
 
-    def days(self) -> dict[str, dict[Date, np.ndarray]]:
-        """Per patient and date, its accumulator (a view into the slab)."""
-        out: dict[str, dict[Date, np.ndarray]] = {}
-        for (pid, date), slot in self.slot_of_day.items():
-            out.setdefault(pid, {})[date] = self.slab[slot]
-        return out
+    def row_dates(self, pid: str) -> list[Date]:
+        """The dates on which a patient has rows."""
+        days = np.flatnonzero(self.counts[pid].any(axis=(1, 2))) + self.first[pid]
+        return [Date.fromordinal(day) for day in days.tolist()]
+
+    def means(self, pid: str, start: Date, end: Date) -> np.ndarray:
+        """A patient's hourly means from `start` to `end`, divided in place
+        when its arrays hold just those days. No samples give 0/0, NaN."""
+        lo, hi = start.toordinal(), end.toordinal()
+        self._cover(pid, lo, hi)
+        span = slice(lo - self.first[pid], hi + 1 - self.first[pid])
+        sums = self.sums[pid]
+        with np.errstate(invalid="ignore"):  # 0/0 -> NaN: no samples in that hour
+            return np.divide(sums[span], self.counts[pid][span], out=sums[span] if len(sums) == hi + 1 - lo else None)
 
 
 def _check_sensor_row(path: Path, line_no: int, row: list[str], patients: dict[str, _RawPatient]) -> None:

@@ -43,7 +43,6 @@ from .templates import (
     average_stats,
     compute_window_templates,
     daily_averages,
-    ddt_mean,
     max_abs_diff,
     mdt_stats,
     normalize_template,
@@ -139,7 +138,7 @@ def _rhythm_features(
 
     out = np.full((len(specs), len(SIGNALS), FEATURES_PER_SIGNAL), np.nan)
     out[:, :, 0:6] = mdt_stats(mdt[here])
-    out[:, :, 6] = ddt_mean(ddt[here])
+    out[:, :, 6] = daily_averages(ddt[here])
     out[:, :, 7] = max_abs_diff(mdt[here], mxdt[here])
     mdt_norm, mxdt_norm = normalize_template(mdt), normalize_template(mxdt)
     curr, before = here[has_prev], prev[has_prev]

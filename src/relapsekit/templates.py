@@ -10,7 +10,7 @@ use present slots only, so an all-missing day contributes nothing.
 
 Every function takes a batch: leading axes are independent windows (or
 days, or signals), and the last axis (`compute_window_templates`: the last
-two) is reduced. A 1-D template gives what one template always gave. The
+two) is reduced, so a 1-D template gives a 0-d array. The
 reductions keep the summation order of a single template, bit for bit:
 
 - the day axis of `(..., n, 24)` daily templates is summed row by row, the
@@ -139,17 +139,11 @@ def _shape_stats(mean: float, maximum: float, minimum: float, m2: float, m3: flo
     return [mean, math.sqrt(m2), maximum, rng, m3 / m2**1.5, m4 / m2**2 - 3.0]
 
 
-def ddt_mean(template: np.ndarray) -> float | np.ndarray:
-    """Mean of each deviation template over its present slots; NaN if none
-    (the reduction of `daily_averages`)."""
-    return _shaped(daily_averages(template), np.shape(template)[:-1])
-
-
-def max_abs_diff(mdt: np.ndarray, mxdt: np.ndarray) -> float | np.ndarray:
+def max_abs_diff(mdt: np.ndarray, mxdt: np.ndarray) -> np.ndarray:
     """Largest |mdt - mxdt| over hours present in both; NaN if none shared."""
     both = ~np.isnan(mdt) & ~np.isnan(mxdt)
     gaps = np.where(both, np.abs(mdt - mxdt), -np.inf).max(axis=-1)
-    return _shaped(np.where(both.any(axis=-1), gaps, np.nan), both.shape[:-1])
+    return np.where(both.any(axis=-1), gaps, np.nan)
 
 
 def normalize_template(template: np.ndarray) -> np.ndarray:
@@ -164,7 +158,7 @@ def normalize_template(template: np.ndarray) -> np.ndarray:
 
 def template_distance(
     curr: np.ndarray, prev: np.ndarray, hour_lo: int = 0, hour_hi: int = HOURS_PER_DAY - 1
-) -> float | np.ndarray:
+) -> np.ndarray:
     """Sum of squared slot differences over [hour_lo, hour_hi], per pair of
     `(..., 24)` templates.
 
@@ -181,7 +175,7 @@ def template_distance(
     out = np.full(len(diff), np.nan)
     for rows, values in present_groups(diff, both):
         out[rows] = (values**2).sum(axis=1)
-    return _shaped(out, c.shape[:-1])
+    return out.reshape(c.shape[:-1])
 
 
 def daily_averages(days: np.ndarray) -> np.ndarray:
@@ -198,7 +192,7 @@ def daily_averages(days: np.ndarray) -> np.ndarray:
     return out.reshape(days.shape[:-1])
 
 
-def average_stats(averages: np.ndarray) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+def average_stats(averages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and population std of the non-NaN day averages along the last
     axis; (NaN, NaN) where there are none."""
     flat, present = _rows(averages)
@@ -208,10 +202,4 @@ def average_stats(averages: np.ndarray) -> tuple[float, float] | tuple[np.ndarra
         mean[rows] = values.mean(axis=1)
         std[rows] = values.std(axis=1)
     shape = np.shape(averages)[:-1]
-    return _shaped(mean, shape), _shaped(std, shape)
-
-
-def _shaped(out: np.ndarray, shape: tuple[int, ...]) -> float | np.ndarray:
-    """A per-row result in its batch shape; a Python float for one 1-D input."""
-    out = out.reshape(shape)
-    return float(out) if out.ndim == 0 else out
+    return mean.reshape(shape), std.reshape(shape)

@@ -93,17 +93,14 @@ def apply_bins(model: BinningModel, vectors) -> np.ndarray:
     in the top bin. Accepts one vector or a matrix, returns the same shape.
     """
     arr = np.asarray(vectors, dtype=float)
-    single = arr.ndim == 1
-    matrix = arr[None, :] if single else arr
-    matrix = np.where(np.isnan(matrix), model.impute, matrix)
+    matrix = np.where(np.isnan(arr), model.impute, arr)
 
     lo, hi = model.lo, model.hi
     width = (hi - lo) / model.n_bins
     with np.errstate(invalid="ignore", divide="ignore"):
         raw = np.floor((matrix - lo) / width)
     raw = np.where(width > 0, raw, 0.0)
-    cats = np.clip(raw, 0, model.n_bins - 1).astype(np.int64)
-    return cats[0] if single else cats
+    return np.clip(raw, 0, model.n_bins - 1).astype(np.int64)
 
 
 def mutual_information_columns(codes: np.ndarray, labels: np.ndarray) -> np.ndarray:

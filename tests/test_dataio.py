@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import tracemalloc
 from datetime import date as Date
 
 import numpy as np
@@ -18,6 +19,7 @@ from relapsekit.dataio import (
 )
 from relapsekit.evaluate import EvalReport, PredictionRow
 from relapsekit.model import SIGNALS, EmaRecord, Signal
+from relapsekit.synth import SynthConfig, generate
 from relapsekit.windowing import WindowingConfig, window_at
 
 SENSOR_HEADER = "patient_id,date,hour,signal,value\n"
@@ -144,6 +146,22 @@ def test_patient_without_span_or_data_rejected(tmp_path):
         load(paths)  # pb has no rows anywhere
 
 
+def test_inferred_span_reaches_ema_dates_beyond_the_sensor_rows(tmp_path):
+    # pa's EMA answers come two days before its first sensor row and three
+    # days after its last: those days are in the span, with no samples.
+    sensors = "pa,2021-01-06,3,call_duration,1.5\npa,2021-01-08,3,call_duration,2.5\n"
+    ema = "pa,2021-01-04,0,0,0,0,0,0,0,0,0,0\npa,2021-01-11,0,0,0,0,0,0,0,0,0,0\n"
+    ds = load(write_fixture(tmp_path, sensors=sensors, ema=ema, patients="pa,40,10\n"))
+    pa = ds.patient("pa")
+    assert (pa.observation_start, pa.observation_end) == (Date(2021, 1, 4), Date(2021, 1, 11))
+    cube = ds.sensors["pa"]
+    assert cube.shape == (8, 6, 24)
+    assert np.isnan(cube[[0, 1, 3, 5, 6, 7]]).all()
+    assert cube[2, CALL, 3] == 1.5 and cube[4, CALL, 3] == 2.5
+    assert np.isnan(cube[[2, 4]]).sum() == 2 * 6 * 24 - 2
+    assert ds.sensor_dates("pa") == {Date(2021, 1, 6), Date(2021, 1, 8)}
+
+
 def test_explicit_span_rows_outside_are_excluded_not_dropped_silently(tmp_path):
     patients = "pa,40,10,2021-01-04,2021-01-31\n"
     sensors = "pa,2021-01-04,3,call_duration,1\npa,2021-02-10,3,call_duration,1\n"
@@ -161,6 +179,22 @@ def test_explicit_span_rows_outside_are_excluded_not_dropped_silently(tmp_path):
     reasons = {(e.file.split("/")[-1], e.line, e.reason) for e in ds.ingest_exclusions}
     assert ("sensors.csv", 3, "outside_observation_span") in reasons
     assert ("ema.csv", 2, "outside_observation_span") in reasons
+
+
+def test_load_dataset_peak_memory_stays_near_the_arrays_it_returns(tmp_path):
+    # With declared spans ingest holds each patient's sums, which become its
+    # means, and as many bytes of int64 counts; the blocks in flight add a
+    # little. One more copy of either would take the peak past 3x.
+    generate(SynthConfig(patient_count=10, days_per_patient=180, seed=7), out_dir=tmp_path)
+    paths = {name: tmp_path / f"{name}.csv" for name in ("sensors", "ema", "patients", "relapses")}
+    tracemalloc.start()
+    try:
+        ds = load(paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(cube.nbytes for cube in ds.sensors.values())
+    assert peak < 2.5 * held, f"peak {peak / held:.2f}x the returned arrays"
 
 
 def test_bad_demographics_reported_with_patients_line(tmp_path):

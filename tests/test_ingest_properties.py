@@ -90,3 +90,30 @@ def test_sensor_row_order_does_not_change_the_dataset(tmp_path_factory, ds, data
     assert_same_sensors(shuffled, ordered)
     assert len(ordered.ingest_exclusions) == len(extra)
     assert excluded_rows(shuffled, shuffled_dir) == excluded_rows(ordered, out)
+
+
+@SETTINGS
+@given(ds=cohorts(), data=st.data())
+def test_inferred_spans_load_the_declared_arrays_sliced_to_the_rows(tmp_path_factory, ds, data):
+    # The same rows with every span inferred, in shuffled order: each
+    # patient's array is the declared-span load's, sliced from its first to
+    # its last day with rows. Patients without rows have no span to infer.
+    out = tmp_path_factory.mktemp("declared")
+    write_dataset(ds, out)
+    declared = load_dir(out)
+
+    inferred_dir = tmp_path_factory.mktemp("inferred")
+    for name in ("ema.csv", "relapses.csv"):
+        (inferred_dir / name).write_bytes((out / name).read_bytes())
+    header, *rows = (out / "sensors.csv").read_text().splitlines()
+    (inferred_dir / "sensors.csv").write_text("\n".join([header, *data.draw(st.permutations(rows))]) + "\n")
+    with_rows = {row.split(",")[0] for row in rows}
+    patients = [",".join(line.split(",")[:3]) for line in (out / "patients.csv").read_text().splitlines()]
+    (inferred_dir / "patients.csv").write_text("\n".join(patients[:1] + [p for p in patients[1:] if p.split(",")[0] in with_rows]) + "\n")
+    inferred = load_dir(inferred_dir)
+
+    assert sorted(inferred.sensors) == sorted(with_rows)
+    for pid, cube in inferred.sensors.items():
+        days = np.flatnonzero(~np.isnan(declared.sensors[pid]).all(axis=(1, 2)))
+        assert cube.tobytes() == declared.sensors[pid][days[0] : days[-1] + 1].tobytes(), pid
+        assert (inferred.patient(pid).observation_start - declared.patient(pid).observation_start).days == days[0]

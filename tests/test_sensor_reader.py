@@ -3,8 +3,8 @@
 `oracle_read_sensors` is that reader, kept as the reference: one
 `csv.reader` row at a time, one `+=` per row. With the block size cut to
 64 bytes, a (patient, date, signal, hour) cell's rows fall in different
-blocks, and every sum and count, every exclusion and every error message
-must still be the oracle's.
+blocks, and every sum and count in the block reader's per-patient arrays,
+every exclusion and every error message must still be the oracle's.
 """
 
 from __future__ import annotations
@@ -94,11 +94,27 @@ def oracle_read_sensors(
     return days
 
 
+def days_with_rows(sums: dataio._SensorSums) -> dict[str, dict[Date, np.ndarray]]:
+    """The block reader's per-patient arrays in the oracle's form: per
+    patient and date with rows, a `(2, 6, 24)` array of sums and counts.
+    Every other day of the arrays must hold no sums and no counts."""
+    days: dict[str, dict[Date, np.ndarray]] = {}
+    for pid, first in sums.first.items():
+        total, count = sums.sums[pid], sums.counts[pid]
+        assert total.dtype == np.float64 and count.dtype == np.int64 and total.shape == count.shape
+        assert total.shape[1:] == (len(SIGNALS), HOURS_PER_DAY)
+        has_rows = count.any(axis=(1, 2))
+        assert not total[~has_rows].any() and not count[~has_rows].any()
+        for d in np.flatnonzero(has_rows).tolist():
+            days.setdefault(pid, {})[Date.fromordinal(first + d)] = np.stack([total[d], count[d]])
+    return days
+
+
 def read_both(path: Path, block_bytes: int = 64, patients: dict[str, _RawPatient] = PATIENTS) -> list[tuple]:
     """What the oracle and the block reader each return or raise."""
     outcomes = []
     with mock.patch.object(dataio, "SENSOR_BLOCK_BYTES", block_bytes):
-        for reader in (oracle_read_sensors, dataio._read_sensors):
+        for reader in (oracle_read_sensors, lambda *args: days_with_rows(dataio._read_sensors(*args))):
             exclusions: list[IngestExclusion] = []
             try:
                 days = reader(path, patients, exclusions)
@@ -167,10 +183,14 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 # file order gives (0.1 + 0.2) + 0.3, summing the second block first gives
 # 0.1 + (0.2 + 0.3), one ulp less.
 SPLIT_CELL = HEADER + "".join(f"\npb,20210105,1,light_level,{v}" for v in ("0.1", "0.2", "0.3")) + "\n"
+# pb's span is inferred. Its rows come latest date first, about two to a
+# 64-byte block, so its arrays keep growing toward earlier dates.
+DESCENDING = HEADER + "".join(f"\npb,2021-01-{d:02d},{h},light_level,{d * h / 3!r}" for d in range(10, 1, -1) for h in (0, 3)) + "\n"
 
 
 @SETTINGS
 @example(text=SPLIT_CELL)
+@example(text=DESCENDING)
 @given(text=sensor_files())
 def test_block_reader_equals_row_by_row_reader(tmp_path_factory, text):
     oracle, blocks = read_both(write(tmp_path_factory, text))
@@ -365,14 +385,40 @@ def test_plain_blocks_take_the_c_parser(tmp_path):
     assert fast[4].tobytes() == text[4].tobytes()
 
 
-def test_declared_spans_size_the_slab_once(tmp_path):
-    # Every patient declares a span: one accumulator per span day, allocated
-    # before the first row and never regrown.
+def test_declared_spans_share_one_buffer_per_array_allocated_once(tmp_path):
+    # Every patient declares a span: their sums are disjoint views of one
+    # buffer and their counts of another, both allocated before the first
+    # row and never regrown.
     patients = {pid: _RawPatient(40, 10, (Date(2021, 1, 4), Date(2021, 1, 4 + i)), 2 + i) for i, pid in enumerate(["pa", "pb"])}
     sums = dataio._SensorSums(tmp_path / "sensors.csv", patients)
-    slab = sums.slab
+    held = {pid: (sums.sums[pid], sums.counts[pid]) for pid in patients}
+    for arrays in (sums.sums, sums.counts):
+        assert len({id(array.base) for array in arrays.values()}) == 1
+        assert arrays["pa"].base.shape == (1 + 2, len(SIGNALS), HOURS_PER_DAY)
+        assert not np.shares_memory(arrays["pa"], arrays["pb"])
     block = "".join(f"{pid},2021-01-0{d},3,light_level,1\n" for pid in patients for d in (4, 5, 9))
     exclusions: list[IngestExclusion] = []
     assert sums.add(block.encode("utf-8"), 2, exclusions) == 8
-    assert sums.slab is slab and len(slab) == 1 + 2
+    assert all(sums.sums[pid] is s and sums.counts[pid] is c for pid, (s, c) in held.items())
     assert [e.line for e in exclusions] == [3, 4, 7]
+    light = dataio._SIGNAL_INDEX["light_level"]
+    assert sums.counts["pa"].sum() == 1 and sums.counts["pb"][:, light, 3].tolist() == [1, 1]
+
+
+def test_inferred_span_grows_toward_earlier_dates_at_least_doubling(tmp_path):
+    # One row per block, latest date first: the arrays keep their last day
+    # and grow only toward earlier dates, each time to at least twice their
+    # length, so 40 days take 7 allocations.
+    sums = dataio._SensorSums(tmp_path / "sensors.csv", {"pb": _RawPatient(50, 12, None, 2)})
+    last = Date(2021, 2, 10)
+    held = []
+    for d in range(40):
+        row = f"pb,{(last - timedelta(days=d)).isoformat()},3,light_level,{d}\n"
+        sums.add(row.encode("utf-8"), 2 + d, [])
+        assert sums.first["pb"] + len(sums.sums["pb"]) - 1 == last.toordinal()
+        if not held or len(sums.sums["pb"]) != held[-1]:
+            held.append(len(sums.sums["pb"]))
+    assert held == [1, 2, 4, 8, 16, 32, 64]
+    light = dataio._SIGNAL_INDEX["light_level"]
+    assert sums.sums["pb"][-40:, light, 3].tolist() == list(range(39, -1, -1))
+    assert sums.counts["pb"].sum() == 40
