@@ -714,15 +714,19 @@ def baseline_over_runs(
     """Mean and std of (precision, recall, f2) over independent random runs.
 
     Each run predicts relapse for window i with probability ratios[i] (the
-    training prevalence of that window's fold).
+    training prevalence of that window's fold). Runs are drawn 64 at a time:
+    a Generator's doubles are one stream, so the blocks equal one big draw.
     """
-    draws = rng.random((runs, labels.size))
-    preds = draws < ratios
     pos = labels == 1
-    tp = preds[:, pos].sum(axis=1)
-    fn = (~preds[:, pos]).sum(axis=1)
-    fp = preds[:, ~pos].sum(axis=1)
-    tn = (~preds[:, ~pos]).sum(axis=1)
+    n_pos = int(pos.sum())
+    tp, flagged = np.zeros((2, runs), dtype=np.int64)
+    for start in range(0, runs, 64):
+        preds = rng.random((min(64, runs - start), labels.size)) < ratios
+        flagged[start : start + 64] = preds.sum(axis=1)
+        tp[start : start + 64] = (preds & pos).sum(axis=1)
+    fp = flagged - tp
+    fn = n_pos - tp
+    tn = (labels.size - n_pos) - fp
 
     per_run = np.array([f2_from_counts(t, f, m) for t, f, m in zip(tp, fp, fn)])
     precision, recall, f2 = per_run.mean(axis=0)

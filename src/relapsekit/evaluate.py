@@ -10,13 +10,10 @@ Reports are deterministic given (dataset, config, seed).
 Folds run over one `WindowTable`: a fold's training rows are those whose
 patient index is not the held-out patient's. A fold's binning model
 depends only on its training rows and `bins`, and its selection subsample
-only on them and `selection_pool`; no grid arm changes those. `run_grid`
-therefore hands every arm one fold cache, so each fold fits its bins and
-draws its subsample once per grid, not once per arm. The cache holds only
-the binning model and the subsample's row indices into the fold's training
-rows (about 14 KB a fold), plus a mark per fold whose single-class warning
-was logged, so a grid logs it once per fold. The float and binned training
-matrices are rebuilt per arm: cached for every fold they would cost
+only on them and `selection_pool`; no grid arm changes those. So
+`_plan_folds` fits each fold's bins and draws its subsample once, and
+`run_grid` hands that plan to every arm. The float and binned training
+matrices are rebuilt per arm: kept for every fold they would cost
 megabytes of peak memory for a few milliseconds.
 """
 
@@ -33,7 +30,7 @@ from .dataio import Dataset
 from .features import WindowTable, extract_all
 from .metrics import f2_from_counts, f2_score
 from .model import SIGNALS, feature_indices_for_modality
-from .transform import apply_bins, build_selection_subsample, fit_bins, select_features
+from .transform import BinningModel, apply_bins, build_selection_subsample, fit_bins, select_features
 from .windowing import WindowSpec, WindowingConfig
 
 logger = logging.getLogger(__name__)
@@ -160,19 +157,35 @@ def _confusion(labels: np.ndarray, predicted: np.ndarray) -> tuple[int, int, int
     return tp, fp, fn, tn
 
 
-def _cached(cache: dict, key: tuple, make: Callable[[], Any]) -> Any:
-    if key not in cache:
-        cache[key] = make()
-    return cache[key]
+FoldPlan = tuple[BinningModel, np.ndarray]  # bins, subsample rows into the training rows
+
+
+def _plan_folds(dataset: Dataset, table: WindowTable, config: ExperimentConfig) -> list[FoldPlan | None]:
+    """Each held-out patient's binning model and selection subsample, in table
+    order, from that fold's training rows only; None for a fold whose training
+    rows are single-class, whose warning is logged here, once."""
+    ages = {p.patient_id: float(p.age) for p in dataset.patients}
+    plan: list[FoldPlan | None] = []
+    for k, patient_id in enumerate(table.patient_ids):
+        train = table.patients != k
+        ytr = table.labels[train]
+        if ytr.size == 0 or ytr.min() == ytr.max():
+            logger.warning("fold %s: training windows are single-class; predicting majority", patient_id)
+            plan.append(None)
+            continue
+        train_matrix = table.values[train]
+        # `fit_bins` and friends resolve on this module at call time.
+        bins = fit_bins(train_matrix, config.bins)
+        plan.append((bins, build_selection_subsample(train_matrix, ytr, ages[patient_id], config.selection_pool)))
+    return plan
 
 
 def _run_fold(
     config: ExperimentConfig,
     table: WindowTable,
     k: int,
-    test_age: float,
+    fold: FoldPlan | None,
     fold_seed: np.random.SeedSequence,
-    fold_cache: dict,
 ) -> tuple[list[PredictionRow], FoldReport]:
     patient_id = table.patient_ids[k]
     train = table.patients != k
@@ -183,36 +196,25 @@ def _run_fold(
     selected_scores: tuple[float, ...] | None = None
     warning = None
 
-    if ytr.size == 0 or ytr.min() == ytr.max():
+    if fold is None:
         # No second class to learn from: fall back to majority prediction.
         majority = int(np.bincount(ytr, minlength=2).argmax())
         warning = "single_class_training"
-        if ("warned", patient_id) not in fold_cache:
-            fold_cache[("warned", patient_id)] = True
-            logger.warning("fold %s: training windows are single-class; predicting majority", patient_id)
         predicted = np.full(yte.size, majority, dtype=np.int64)
         scores = np.full(yte.size, float(ytr.mean()) if ytr.size else 0.0)
     else:
-        train_matrix = table.values[train]
-        # Keyed by the held-out patient and the one setting each depends on;
-        # `fit_bins` and friends resolve on this module at call time.
-        bins = _cached(fold_cache, ("bins", patient_id, config.bins), lambda: fit_bins(train_matrix, config.bins))
+        bins, picked = fold
+        train_codes = apply_bins(bins, table.values[train])
         candidates = feature_indices_for_modality(config.modality, config.include_demographics)
         if config.selection:
-            picked = _cached(
-                fold_cache,
-                ("subsample", patient_id, config.selection_pool),
-                lambda: build_selection_subsample(train_matrix, ytr, test_age, config.selection_pool),
-            )
-            selection = select_features(train_matrix[picked], ytr[picked], bins, config.selection_top, candidates)
+            selection = select_features(train_codes[picked], ytr[picked], config.selection_top, candidates)
             chosen = selection.selected
             selected_names = selection.selected_names
             selected_scores = tuple(float(selection.scores[i]) for i in chosen)
         else:
             chosen = tuple(candidates)
-        Xtr = apply_bins(bins, train_matrix)[:, chosen]
         Xte = apply_bins(bins, table.values[test])[:, chosen]
-        predicted, scores = _fit_and_predict(config, Xtr, ytr, Xte, fold_seed)
+        predicted, scores = _fit_and_predict(config, train_codes[:, chosen], ytr, Xte, fold_seed)
 
     test_specs = [table.specs[i] for i in np.flatnonzero(test)]
     rows = [
@@ -241,39 +243,38 @@ def run_lopo(
     experiment: str = "evaluate",
     arm: str | None = None,
     table: WindowTable | None = None,
-    fold_cache: dict | None = None,
+    folds: list[FoldPlan | None] | None = None,
 ) -> EvalReport:
     """Leave-one-patient-out evaluation of one experiment arm, its folds run
     in patient order.
 
     `table` may carry a precomputed window table (matching
-    config.windowing) to share extraction across arms. `fold_cache` shares
-    each fold's binning model and selection subsample across arms; pass the
-    same dict only to runs over the same dataset and table.
+    config.windowing) to share extraction across arms. `folds` may carry
+    the `_plan_folds` plan of the same dataset and table, built with this
+    config's `bins` and `selection_pool`, to share it across arms.
     """
-    if fold_cache is None:
-        fold_cache = {}
     if table is None:
         table = extract_all(dataset, config.windowing)
     if not table.labels.any():
         raise ValueError("no_positive_class: dataset has no relapse-labeled windows")
 
-    ages = {p.patient_id: float(p.age) for p in dataset.patients}
     seeds = np.random.SeedSequence(config.seed).spawn(len(table.patient_ids) + 1)
 
     if config.classifier == "random":
         return _run_random_baseline(config, table, seeds[-1], experiment, arm)
+    if folds is None:
+        folds = _plan_folds(dataset, table, config)
 
     rows: list[PredictionRow] = []
-    folds: list[FoldReport] = []
-    for k, patient_id in enumerate(table.patient_ids):
-        fold_rows, fold_report = _run_fold(config, table, k, ages[patient_id], seeds[k], fold_cache)
+    reports: list[FoldReport] = []
+    for k, fold in enumerate(folds):
+        fold_rows, fold_report = _run_fold(config, table, k, fold, seeds[k])
         rows.extend(fold_rows)
-        folds.append(fold_report)
-    tp = sum(f.tp for f in folds)
-    fp = sum(f.fp for f in folds)
-    fn = sum(f.fn for f in folds)
-    tn = sum(f.tn for f in folds)
+        reports.append(fold_report)
+    tp = sum(f.tp for f in reports)
+    fp = sum(f.fp for f in reports)
+    fn = sum(f.fn for f in reports)
+    tn = sum(f.tn for f in reports)
     precision, recall, f2 = f2_from_counts(tp, fp, fn)
     return EvalReport(
         experiment=experiment,
@@ -287,7 +288,7 @@ def run_lopo(
         precision=precision,
         recall=recall,
         f2=f2,
-        folds=folds,
+        folds=reports,
         config=asdict(config),
         seed=config.seed,
     )
@@ -370,11 +371,12 @@ GRIDS: dict[str, Grid] = {
 
 def run_grid(experiment: str, dataset: Dataset, base_config: ExperimentConfig) -> list[EvalReport]:
     """Every arm of GRIDS[experiment], one `run_lopo` per arm in grid order,
-    over one shared feature extraction and one fold cache (each fold's bins
+    over one shared feature extraction and one fold plan (each fold's bins
     and selection subsample)."""
     grid = GRIDS[experiment]
     table = extract_all(dataset, base_config.windowing)
-    fold_cache: dict = {}
+    # Without a relapse window the first arm raises before any fold is planned.
+    folds = _plan_folds(dataset, table, base_config) if table.labels.any() else None
     reports = [
         run_lopo(
             dataset,
@@ -382,7 +384,7 @@ def run_grid(experiment: str, dataset: Dataset, base_config: ExperimentConfig) -
             experiment=experiment,
             arm=arm,
             table=table,
-            fold_cache=fold_cache,
+            folds=folds,
         )
         for arm, overrides in grid.arms
     ]

@@ -13,7 +13,8 @@ labels, rows in the (patient, window start) order of a
 one stable `np.argsort`. Neither `fit_bins` nor
 `build_selection_subsample` depends on anything but the training fold and
 its own count (`n_bins`, `n_nonrelapse`), so LOPO fits each once per fold
-and shares it across experiment arms (see `evaluate.run_grid`).
+and shares it across experiment arms (see `evaluate._plan_folds`).
+`select_features` ranks `apply_bins` codes: a fold bins its rows once.
 `mutual_information_columns` scores every candidate column in one pass;
 its sums run in the same order as a per-column table over the present
 levels, so each score is bit-identical to scoring the column alone.
@@ -37,14 +38,6 @@ class BinningModel:
     impute: np.ndarray
     edges: np.ndarray
     n_bins: int
-
-    @property
-    def lo(self) -> np.ndarray:
-        return self.edges[:, 0]
-
-    @property
-    def hi(self) -> np.ndarray:
-        return self.edges[:, -1]
 
 
 @dataclass(frozen=True)
@@ -95,7 +88,7 @@ def apply_bins(model: BinningModel, vectors) -> np.ndarray:
     arr = np.asarray(vectors, dtype=float)
     matrix = np.where(np.isnan(arr), model.impute, arr)
 
-    lo, hi = model.lo, model.hi
+    lo, hi = model.edges[:, 0], model.edges[:, -1]
     width = (hi - lo) / model.n_bins
     with np.errstate(invalid="ignore", divide="ignore"):
         raw = np.floor((matrix - lo) / width)
@@ -164,25 +157,15 @@ def build_selection_subsample(
     return np.concatenate([np.flatnonzero(labels == 1), nonrelapse[order[:n_nonrelapse]]])
 
 
-def select_features(
-    matrix: np.ndarray,
-    labels: np.ndarray,
-    bins: BinningModel,
-    top: int,
-    candidates: Sequence[int] | None = None,
-) -> SelectionModel:
-    """Rank candidate features by mutual information with the label on the
-    binned subsample rows and keep the top `top` (canonical order breaks ties)."""
+def select_features(codes: np.ndarray, labels: np.ndarray, top: int, candidates: Sequence[int]) -> SelectionModel:
+    """Rank candidate features by mutual information of their `apply_bins`
+    codes with the label and keep the top `top` (canonical order breaks ties)."""
     if labels.size == 0:
         raise ValueError("selection_degenerate: empty subsample")
     if labels.min() == labels.max():
         raise ValueError("selection_degenerate: subsample contains a single class")
 
-    codes = apply_bins(bins, matrix)
-    if candidates is None:
-        candidates = range(codes.shape[1])
     candidates = list(candidates)
-
     scores = np.full(codes.shape[1], np.nan)
     if candidates:
         scores[candidates] = mutual_information_columns(codes[:, candidates], labels)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from relapsekit.classifiers import (
+    BaselineResult,
     average_path_length,
     balanced_bootstraps,
     baseline_over_runs,
@@ -19,6 +21,7 @@ from relapsekit.classifiers import (
     nb_fit,
     nb_predict_many,
 )
+from relapsekit.metrics import f2_from_counts
 
 
 def nb_oracle_label(X, y, x, alpha=1.0, k=15) -> int:
@@ -350,3 +353,50 @@ def test_baseline_determinism():
     a = baseline_over_runs(labels, np.full(40, 0.2), 200, np.random.default_rng(9))
     b = baseline_over_runs(labels, np.full(40, 0.2), 200, np.random.default_rng(9))
     assert a == b
+
+
+def baseline_one_matrix(labels, ratios, runs, rng) -> BaselineResult:
+    """The random baseline drawn as one `(runs, windows)` matrix, confusion counts by masks."""
+    preds = rng.random((runs, labels.size)) < ratios
+    pos = labels == 1
+    tp = preds[:, pos].sum(axis=1)
+    fn = (~preds[:, pos]).sum(axis=1)
+    fp = preds[:, ~pos].sum(axis=1)
+    tn = (~preds[:, ~pos]).sum(axis=1)
+    per_run = np.array([f2_from_counts(t, f, m) for t, f, m in zip(tp, fp, fn)])
+    (precision, recall, f2), (p_std, r_std, f2_std) = per_run.mean(axis=0), per_run.std(axis=0)
+    return BaselineResult(
+        precision=float(precision),
+        recall=float(recall),
+        f2=float(f2),
+        precision_std=float(p_std),
+        recall_std=float(r_std),
+        f2_std=float(f2_std),
+        tp=float(tp.mean()),
+        fp=float(fp.mean()),
+        fn=float(fn.mean()),
+        tn=float(tn.mean()),
+    )
+
+
+@pytest.mark.parametrize("runs", [1, 63, 64, 65, 1000])
+def test_baseline_row_blocks_equal_one_matrix(runs):
+    rng = np.random.default_rng(5)
+    labels = (rng.random(301) < 0.15).astype(np.int64)
+    ratios = np.repeat([0.05, 0.2, 0.12, 0.3], [80, 70, 100, 51])
+    got = baseline_over_runs(labels, ratios, runs, np.random.default_rng(11))
+    assert got == baseline_one_matrix(labels, ratios, runs, np.random.default_rng(11))
+
+
+def test_baseline_peak_memory_stays_under_one_draw_matrix():
+    # The paper-scale baseline: 1,000 runs over 2,768 windows. One float64
+    # draw of that shape alone is 21 MiB.
+    labels = (np.arange(2768) % 9 == 0).astype(np.int64)
+    ratios = np.full(2768, 0.11)
+    tracemalloc.start()
+    try:
+        baseline_over_runs(labels, ratios, 1000, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -1,4 +1,4 @@
-"""Per-fold sharing across grid arms: a shared fold's bins and selection
+"""Per-fold sharing across grid arms: a fold plan's bins and selection
 subsample change no arm's result and never see the held-out patient."""
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from relapsekit import evaluate
+from relapsekit.cli import main
 from relapsekit.evaluate import GRIDS, ExperimentConfig, run_grid, run_lopo
 from relapsekit.features import WindowTable, extract_all
 from relapsekit.synth import SynthConfig, generate
@@ -24,12 +25,35 @@ def cohort():
 
 @pytest.fixture(scope="module")
 def standalone(cohort):
-    """Each arm of each grid run on its own, with its own extraction and cache."""
+    """Each arm of each grid run on its own, with its own extraction and fold plan."""
     return {
         (name, arm): run_lopo(cohort, replace(BASE, **overrides), experiment=name, arm=arm)
         for name, grid in GRIDS.items()
         for arm, overrides in grid.arms
     }
+
+
+def test_no_grid_arm_overrides_a_setting_the_fold_plan_depends_on():
+    # `run_grid` plans the folds with the base config's `bins` and `selection_pool`.
+    for name, grid in GRIDS.items():
+        for arm, overrides in grid.arms:
+            assert not {"bins", "selection_pool"} & set(overrides), (name, arm)
+
+
+def test_ablate_selection_ignores_no_selection_flag(tmp_path):
+    # Every arm sets `selection`, so the plan draws each fold's subsample
+    # even when the base config has selection off.
+    cohort = tmp_path / "cohort"
+    assert main(["synth", "--patients", "6", "--days", "90", "--seed", "21", "--out", str(cohort)]) == 0
+    outputs = []
+    for extra in ([], ["--no-selection"]):
+        out = tmp_path / f"out{len(outputs)}"
+        out.mkdir()
+        args = ["ablate-selection", "--data", str(cohort), "--seed", "9", "--threads", "1", *extra]
+        assert main([*args, "--metrics", str(out / "metrics.json"), "--predictions-dir", str(out / "predictions")]) == 0
+        outputs.append({path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()})
+    assert len(outputs[0]) == 4  # metrics and three prediction files
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("experiment", sorted(GRIDS))
@@ -56,11 +80,11 @@ def poison(table: WindowTable, patient_id: str) -> WindowTable:
 
 
 def grid_folds(dataset, experiment: str, table: WindowTable) -> dict[str, dict]:
-    """run_grid over a given table: every arm's folds by patient, one shared fold cache."""
-    fold_cache: dict = {}
+    """run_grid over a given table: every arm's folds by patient, one shared fold plan."""
+    folds = evaluate._plan_folds(dataset, table, BASE)
     out = {}
     for arm, overrides in GRIDS[experiment].arms:
-        report = run_lopo(dataset, replace(BASE, **overrides), table=table, fold_cache=fold_cache)
+        report = run_lopo(dataset, replace(BASE, **overrides), table=table, folds=folds)
         out[arm] = {f.patient_id: f for f in report.folds}
     return out
 
@@ -69,8 +93,8 @@ def grid_folds(dataset, experiment: str, table: WindowTable) -> dict[str, dict]:
 def test_poisoned_patient_cannot_reach_its_own_folds_selection(cohort, experiment):
     clean = extract_all(cohort, BASE.windowing)
     patient_ids = clean.patient_ids
-    # Not the first fold, so a cache entry that ignored the held-out patient
-    # would hand this fold bins fitted with the poisoned values.
+    # The last fold: a plan fitted on every row, or on another fold's
+    # training rows, would hand this fold bins fitted with the poisoned values.
     target = patient_ids[-1]
     before = grid_folds(cohort, experiment, clean)
     after = grid_folds(cohort, experiment, poison(clean, target))

@@ -314,10 +314,13 @@ def labeled_rows(rng, n: int = 40) -> tuple[np.ndarray, np.ndarray]:
     return matrix, labels
 
 
+ALL = range(FEATURE_COUNT)
+
+
 def test_label_mirroring_feature_ranks_first(rng):
     matrix, labels = labeled_rows(rng)
-    bins = fit_bins(matrix, 15)
-    model = select_features(matrix, labels, bins, top=5)
+    codes = apply_bins(fit_bins(matrix, 15), matrix)
+    model = select_features(codes, labels, top=5, candidates=ALL)
     assert model.selected[0] == 0
     assert len(model.selected) == 5
     assert model.scores[0] == pytest.approx(math.log(2), abs=1e-9)
@@ -325,37 +328,37 @@ def test_label_mirroring_feature_ranks_first(rng):
 
 def test_top_larger_than_candidates_returns_all(rng):
     matrix, labels = labeled_rows(rng)
-    bins = fit_bins(matrix, 15)
-    model = select_features(matrix, labels, bins, top=10, candidates=[0, 1, 2])
+    codes = apply_bins(fit_bins(matrix, 15), matrix)
+    model = select_features(codes, labels, top=10, candidates=[0, 1, 2])
     assert len(model.selected) == 3
 
 
 def test_score_ties_break_by_canonical_index(rng):
     matrix, labels = labeled_rows(rng)
     matrix[:, 3] = 2.5  # another constant: MI ties at zero with feature 1
-    bins = fit_bins(matrix, 15)
-    model = select_features(matrix, labels, bins, top=2, candidates=[3, 1])
+    codes = apply_bins(fit_bins(matrix, 15), matrix)
+    model = select_features(codes, labels, top=2, candidates=[3, 1])
     assert model.selected == (1, 3)
 
 
 def test_single_class_subsample_rejected(rng):
     matrix, labels = labeled_rows(rng)
     nonrelapse = labels == 0
-    bins = fit_bins(matrix[nonrelapse], 15)
+    codes = apply_bins(fit_bins(matrix[nonrelapse], 15), matrix[nonrelapse])
     with pytest.raises(ValueError, match="selection_degenerate"):
-        select_features(matrix[nonrelapse], labels[nonrelapse], bins, top=5)
+        select_features(codes, labels[nonrelapse], top=5, candidates=ALL)
 
 
 def test_empty_subsample_rejected(rng):
     matrix, labels = labeled_rows(rng)
     with pytest.raises(ValueError, match="selection_degenerate: empty"):
-        select_features(matrix[:0], labels[:0], fit_bins(matrix, 15), top=5)
+        select_features(apply_bins(fit_bins(matrix, 15), matrix[:0]), labels[:0], top=5, candidates=ALL)
 
 
 def test_selection_is_deterministic(rng):
     matrix, labels = labeled_rows(rng)
-    bins = fit_bins(matrix, 15)
-    a = select_features(matrix, labels, bins, top=5)
-    b = select_features(matrix, labels, bins, top=5)
+    codes = apply_bins(fit_bins(matrix, 15), matrix)
+    a = select_features(codes, labels, top=5, candidates=ALL)
+    b = select_features(codes, labels, top=5, candidates=ALL)
     assert a.selected == b.selected
     np.testing.assert_array_equal(a.scores, b.scores)
