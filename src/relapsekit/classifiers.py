@@ -94,17 +94,14 @@ def nb_fit(X: np.ndarray, y: np.ndarray, alpha: float = 1.0, n_categories: int =
         raise ValueError(f"categories must be in 0..{n_categories - 1}")
 
     n, n_features = X.shape
-    log_prior = np.empty(2)
-    log_lik = np.empty((n_features, n_categories, 2))
-    for c in (0, 1):
-        rows = X[y == c]
-        count_c = rows.shape[0]
-        log_prior[c] = math.log(count_c / n)
-        denom = math.log(count_c + n_categories * alpha)
-        for f in range(n_features):
-            counts = np.bincount(rows[:, f], minlength=n_categories).astype(float)
-            log_lik[f, :, c] = np.log(counts + alpha) - denom
-    return CategoricalNBModel(log_prior, log_lik)
+    class_counts = np.bincount(y, minlength=2).tolist()
+    log_prior = np.array([math.log(count / n) for count in class_counts])
+    denom = np.array([math.log(count + n_categories * alpha) for count in class_counts])
+    # One count over every (class, feature, category) cell.
+    cells = (y[:, None] * n_features + np.arange(n_features)) * n_categories + X
+    counts = np.bincount(cells.ravel(), minlength=2 * n_features * n_categories).astype(float)
+    log_lik = np.log(counts.reshape(2, n_features, n_categories) + alpha) - denom[:, None, None]
+    return CategoricalNBModel(log_prior, log_lik.transpose(1, 2, 0))
 
 
 def nb_joint_log_likelihood(model: CategoricalNBModel, X: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ experiment grids. One `--seed` flag controls all randomness. Exit codes:
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
@@ -31,6 +32,8 @@ from .features import extract_cohort
 from .model import SIGNALS, Signal
 from .synth import ProdromalSpec, SynthConfig, generate
 from .windowing import WindowingConfig
+
+logger = logging.getLogger(__name__)
 
 
 def _data_flags(parser: argparse.ArgumentParser) -> None:
@@ -269,6 +272,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    for flag, name in (("no_selection", "selection"), ("no_demographics", "include_demographics")):
+        if getattr(args, flag) and all(name in overrides for _, overrides in GRIDS[args.command].arms):
+            logger.warning("--%s is ignored by %s: every arm sets %s", flag.replace("_", "-"), args.command, name)
     config = _experiment_config(args)
     reports = run_grid(args.command, _load(args), config)
     write_metrics(reports, args.metrics)

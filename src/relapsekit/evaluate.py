@@ -11,10 +11,11 @@ Folds run over one `WindowTable`: a fold's training rows are those whose
 patient index is not the held-out patient's. A fold's binning model
 depends only on its training rows and `bins`, and its selection subsample
 only on them and `selection_pool`; no grid arm changes those. So
-`_plan_folds` fits each fold's bins and draws its subsample once, and
-`run_grid` hands that plan to every arm. The float and binned training
-matrices are rebuilt per arm: kept for every fold they would cost
-megabytes of peak memory for a few milliseconds.
+`_plan_folds` fits each fold's bins and ranks every feature on its
+subsample once, and `run_grid` hands that plan to every arm. An arm keeps
+the head of that ranking among its candidates, which is what ranking them
+alone gives: ties go by index, and no column's score depends on the
+others. It then bins only the columns its classifier reads.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from . import classifiers as clf
 from .dataio import Dataset
 from .features import WindowTable, extract_all
 from .metrics import f2_from_counts, f2_score
-from .model import SIGNALS, feature_indices_for_modality
-from .transform import BinningModel, apply_bins, build_selection_subsample, fit_bins, select_features
+from .model import FEATURE_COUNT, FEATURE_NAMES, SIGNALS, feature_indices_for_modality
+from .transform import BinningModel, SelectionModel, apply_bins, build_selection_subsample, fit_bins, select_features
 from .windowing import WindowSpec, WindowingConfig
 
 logger = logging.getLogger(__name__)
@@ -157,13 +158,13 @@ def _confusion(labels: np.ndarray, predicted: np.ndarray) -> tuple[int, int, int
     return tp, fp, fn, tn
 
 
-FoldPlan = tuple[BinningModel, np.ndarray]  # bins, subsample rows into the training rows
+FoldPlan = tuple[BinningModel, SelectionModel]  # bins, every feature ranked on the subsample
 
 
 def _plan_folds(dataset: Dataset, table: WindowTable, config: ExperimentConfig) -> list[FoldPlan | None]:
-    """Each held-out patient's binning model and selection subsample, in table
-    order, from that fold's training rows only; None for a fold whose training
-    rows are single-class, whose warning is logged here, once."""
+    """Each held-out patient's binning model and every feature ranked on its
+    selection subsample, in table order, from that fold's training rows only;
+    None for a single-class fold, whose warning is logged here, once."""
     ages = {p.patient_id: float(p.age) for p in dataset.patients}
     plan: list[FoldPlan | None] = []
     for k, patient_id in enumerate(table.patient_ids):
@@ -176,7 +177,9 @@ def _plan_folds(dataset: Dataset, table: WindowTable, config: ExperimentConfig) 
         train_matrix = table.values[train]
         # `fit_bins` and friends resolve on this module at call time.
         bins = fit_bins(train_matrix, config.bins)
-        plan.append((bins, build_selection_subsample(train_matrix, ytr, ages[patient_id], config.selection_pool)))
+        picked = build_selection_subsample(train_matrix, ytr, ages[patient_id], config.selection_pool)
+        codes = apply_bins(bins, train_matrix[picked])
+        plan.append((bins, select_features(codes, ytr[picked], FEATURE_COUNT, range(FEATURE_COUNT))))
     return plan
 
 
@@ -203,18 +206,16 @@ def _run_fold(
         predicted = np.full(yte.size, majority, dtype=np.int64)
         scores = np.full(yte.size, float(ytr.mean()) if ytr.size else 0.0)
     else:
-        bins, picked = fold
-        train_codes = apply_bins(bins, table.values[train])
-        candidates = feature_indices_for_modality(config.modality, config.include_demographics)
+        bins, ranking = fold
+        chosen = list(feature_indices_for_modality(config.modality, config.include_demographics))
         if config.selection:
-            selection = select_features(train_codes[picked], ytr[picked], config.selection_top, candidates)
-            chosen = selection.selected
-            selected_names = selection.selected_names
-            selected_scores = tuple(float(selection.scores[i]) for i in chosen)
-        else:
-            chosen = tuple(candidates)
-        Xte = apply_bins(bins, table.values[test])[:, chosen]
-        predicted, scores = _fit_and_predict(config, train_codes[:, chosen], ytr, Xte, fold_seed)
+            candidates = set(chosen)
+            chosen = [f for f in ranking.selected if f in candidates][: config.selection_top]
+            selected_names = tuple(FEATURE_NAMES[f] for f in chosen)
+            selected_scores = tuple(float(ranking.scores[f]) for f in chosen)
+        chosen_bins = replace(bins, impute=bins.impute[chosen], edges=bins.edges[chosen])
+        codes = apply_bins(chosen_bins, table.values[:, chosen])
+        predicted, scores = _fit_and_predict(config, codes[train], ytr, codes[test], fold_seed)
 
     test_specs = [table.specs[i] for i in np.flatnonzero(test)]
     rows = [
@@ -251,7 +252,7 @@ def run_lopo(
     `table` may carry a precomputed window table (matching
     config.windowing) to share extraction across arms. `folds` may carry
     the `_plan_folds` plan of the same dataset and table, built with this
-    config's `bins` and `selection_pool`, to share it across arms.
+    config's `bins` and `selection_pool`, to share its bins and rankings.
     """
     if table is None:
         table = extract_all(dataset, config.windowing)
@@ -372,7 +373,7 @@ GRIDS: dict[str, Grid] = {
 def run_grid(experiment: str, dataset: Dataset, base_config: ExperimentConfig) -> list[EvalReport]:
     """Every arm of GRIDS[experiment], one `run_lopo` per arm in grid order,
     over one shared feature extraction and one fold plan (each fold's bins
-    and selection subsample)."""
+    and feature ranking)."""
     grid = GRIDS[experiment]
     table = extract_all(dataset, base_config.windowing)
     # Without a relapse window the first arm raises before any fold is planned.

@@ -14,7 +14,7 @@ one stable `np.argsort`. Neither `fit_bins` nor
 `build_selection_subsample` depends on anything but the training fold and
 its own count (`n_bins`, `n_nonrelapse`), so LOPO fits each once per fold
 and shares it across experiment arms (see `evaluate._plan_folds`).
-`select_features` ranks `apply_bins` codes: a fold bins its rows once.
+`select_features` ranks `apply_bins` codes; LOPO ranks all 100 once per fold.
 `mutual_information_columns` scores every candidate column in one pass;
 its sums run in the same order as a per-column table over the present
 levels, so each score is bit-identical to scoring the column alone.
@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import AGE_INDEX, FEATURE_NAMES
+from .model import AGE_INDEX
 from .templates import present_groups
 
 
@@ -46,10 +46,6 @@ class SelectionModel:
 
     selected: tuple[int, ...]
     scores: np.ndarray
-
-    @property
-    def selected_names(self) -> tuple[str, ...]:
-        return tuple(FEATURE_NAMES[i] for i in self.selected)
 
 
 def fit_bins(matrix: np.ndarray, n_bins: int) -> BinningModel:

@@ -53,7 +53,9 @@ def test_tracer_sees_one_lopo_per_arm_and_one_bin_fit_per_fold(monkeypatch):
     assert names.count("evaluate.run_lopo") == len(reports) == 7
     assert names.count("transform.fit_bins") == fitted_folds
     assert names.count("transform.build_selection_subsample") == fitted_folds
-    assert names.count("transform.select_features") == fitted_folds * len(reports)
+    assert names.count("transform.select_features") == fitted_folds
+    # Each plan bins its subsample; each arm bins its chosen columns.
+    assert names.count("transform.apply_bins") == fitted_folds * (1 + len(reports))
 
 
 def test_parser_accepts_every_benchmark_argv(monkeypatch, tmp_path):

@@ -45,6 +45,37 @@ def nb_oracle_label(X, y, x, alpha=1.0, k=15) -> int:
 # -- Naive Bayes -----------------------------------------------------------------
 
 
+def nb_fit_loop(X, y, alpha, k):
+    """Priors and likelihoods counted one class and one feature at a time."""
+    n, n_features = X.shape
+    log_prior = np.empty(2)
+    log_lik = np.empty((n_features, k, 2))
+    for c in (0, 1):
+        rows = X[y == c]
+        log_prior[c] = math.log(rows.shape[0] / n)
+        denom = math.log(rows.shape[0] + k * alpha)
+        for f in range(n_features):
+            counts = np.bincount(rows[:, f], minlength=k).astype(float)
+            log_lik[f, :, c] = np.log(counts + alpha) - denom
+    return log_prior, log_lik
+
+
+def test_nb_fit_is_bit_equal_to_the_per_class_per_feature_loop(rng):
+    for _ in range(300):
+        n = int(rng.integers(2, 401))
+        n_features = int(rng.integers(1, 101))
+        k = int(rng.integers(1, 41))
+        alpha = float(rng.choice([1e-3, 0.5, 1.0, 2.5, 7.0]))
+        X = rng.integers(0, k, size=(n, n_features))
+        y = rng.integers(0, 2, size=n)
+        y[:2] = [0, 1]
+        model = nb_fit(X, y, alpha=alpha, n_categories=k)
+        log_prior, log_lik = nb_fit_loop(X, y, alpha, k)
+        assert model.class_log_prior.tobytes() == log_prior.tobytes()
+        assert model.feature_log_likelihood.shape == log_lik.shape
+        assert model.feature_log_likelihood.tobytes() == log_lik.tobytes()
+
+
 def test_nb_laplace_smoothing_hand_example():
     # X=[[0],[0],[1],[1]], y=[0,0,1,1]: P(x=0 | y=0) = (2+1)/(2+15) = 3/17
     model = nb_fit(np.array([[0], [0], [1], [1]]), np.array([0, 0, 1, 1]), alpha=1.0)

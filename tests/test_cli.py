@@ -211,6 +211,24 @@ def test_ablate_selection_writes_three_arms(cohort_dir, tmp_path, capsys):
     assert len(doc) == 3
 
 
+@pytest.mark.parametrize(
+    "command, flag, field",
+    [
+        ("ablate-selection", "--no-selection", "selection"),
+        ("ablate-selection", "--no-demographics", "include_demographics"),
+        ("ablate-modality", "--no-demographics", "include_demographics"),
+        ("ablate-modality", "--no-selection", None),
+        ("compare-classifiers", "--no-selection", None),
+        ("compare-classifiers", "--no-demographics", None),
+    ],
+)
+def test_grid_warns_once_about_a_flag_every_arm_overrides(tmp_path, caplog, command, flag, field):
+    # The warning comes before the inputs are read, so a missing directory will do.
+    assert main([command, flag, "--data", str(tmp_path / "missing")]) == 1
+    messages = [r.getMessage() for r in caplog.records if r.name == "relapsekit.cli"]
+    assert messages == ([f"{flag} is ignored by {command}: every arm sets {field}"] if field else [])
+
+
 def test_parser_enumerates_all_subcommands():
     parser = build_parser()
     text = parser.format_help()

@@ -12,7 +12,9 @@ from relapsekit import evaluate
 from relapsekit.cli import main
 from relapsekit.evaluate import GRIDS, ExperimentConfig, run_grid, run_lopo
 from relapsekit.features import WindowTable, extract_all
+from relapsekit.model import FEATURE_NAMES, feature_indices_for_modality
 from relapsekit.synth import SynthConfig, generate
+from relapsekit.transform import apply_bins, build_selection_subsample, fit_bins, select_features
 
 # Small forests: sharing is per fold, whatever the classifier's size.
 BASE = ExperimentConfig(seed=3, brf_trees=5, ee_bags=3, ee_rounds=2, iforest_trees=5, baseline_runs=20)
@@ -40,7 +42,7 @@ def test_no_grid_arm_overrides_a_setting_the_fold_plan_depends_on():
             assert not {"bins", "selection_pool"} & set(overrides), (name, arm)
 
 
-def test_ablate_selection_ignores_no_selection_flag(tmp_path):
+def test_ablate_selection_ignores_no_selection_flag(tmp_path, caplog):
     # Every arm sets `selection`, so the plan draws each fold's subsample
     # even when the base config has selection off.
     cohort = tmp_path / "cohort"
@@ -54,6 +56,8 @@ def test_ablate_selection_ignores_no_selection_flag(tmp_path):
         outputs.append({path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()})
     assert len(outputs[0]) == 4  # metrics and three prediction files
     assert outputs[0] == outputs[1]
+    ignored = [r.getMessage() for r in caplog.records if r.name == "relapsekit.cli"]
+    assert ignored == ["--no-selection is ignored by ablate-selection: every arm sets selection"]
 
 
 @pytest.mark.parametrize("experiment", sorted(GRIDS))
@@ -69,6 +73,33 @@ def test_every_grid_arm_equals_its_standalone_run(cohort, standalone, experiment
         assert report.rows == alone.rows
     fitted = {f.patient_id for r in reports if r.classifier != "random" for f in r.folds if f.warning is None}
     assert len(fits) == len(fitted) > 0
+
+
+def selection_oracle(dataset, table: WindowTable, config: ExperimentConfig, k: int) -> tuple[tuple, tuple]:
+    """Fold k's selection ranked on its own: bins, subsample and only this arm's candidates."""
+    train = table.patients != k
+    matrix, labels = table.values[train], table.labels[train]
+    age = {p.patient_id: p.age for p in dataset.patients}[table.patient_ids[k]]
+    picked = build_selection_subsample(matrix, labels, age, config.selection_pool)
+    codes = apply_bins(fit_bins(matrix, config.bins), matrix[picked])
+    candidates = feature_indices_for_modality(config.modality, config.include_demographics)
+    model = select_features(codes, labels[picked], config.selection_top, candidates)
+    return tuple(FEATURE_NAMES[f] for f in model.selected), tuple(float(model.scores[f]) for f in model.selected)
+
+
+@pytest.mark.parametrize("experiment", ["ablate-modality", "ablate-selection"])
+def test_each_arm_selects_as_if_ranking_its_candidates_on_the_fold_subsample(cohort, experiment):
+    # A pool smaller than the training rows, so ranking on every training row would differ.
+    base = replace(BASE, selection_pool=5)
+    table = extract_all(cohort, base.windowing)
+    checked = 0
+    for report in run_grid(experiment, cohort, base):
+        config = replace(base, **dict(GRIDS[experiment].arms)[report.arm])
+        for k, fold in enumerate(report.folds):
+            if config.selection and fold.warning is None:
+                assert (fold.selected, fold.selected_scores) == selection_oracle(cohort, table, config, k)
+                checked += 1
+    assert checked > 0
 
 
 def poison(table: WindowTable, patient_id: str) -> WindowTable:

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import day
 from relapsekit.features import WindowTable
-from relapsekit.model import AGE_INDEX, FEATURE_COUNT
+from relapsekit.model import AGE_INDEX, FEATURE_COUNT, SIGNALS, feature_indices_for_modality
 from relapsekit.transform import (
+    BinningModel,
     apply_bins,
     build_selection_subsample,
     fit_bins,
@@ -154,6 +155,17 @@ def test_fit_bins_equals_the_column_loop_bit_for_bit(matrix, n_bins):
     impute, edges = fit_bins_oracle(matrix, n_bins)
     assert (model.impute == impute).all() and (model.edges == edges).all()
     assert model.impute.tobytes() == impute.tobytes() and model.edges.tobytes() == edges.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(matrix=bin_matrices(), n_bins=st.sampled_from([1, 2, 15]), data=st.data())
+def test_apply_bins_on_sliced_columns_equals_the_full_matrix_sliced(matrix, n_bins, data):
+    # Fit on some rows, bin all of them: values outside the fitted range clamp.
+    model = fit_bins(matrix[: max(1, len(matrix) // 2)], n_bins)
+    cols = data.draw(st.lists(st.integers(0, matrix.shape[1] - 1), min_size=1, max_size=2 * matrix.shape[1]))
+    sliced = BinningModel(impute=model.impute[cols], edges=model.edges[cols], n_bins=n_bins)
+    want = apply_bins(model, matrix)[:, cols]
+    assert apply_bins(sliced, matrix[:, cols]).tobytes() == want.tobytes()
 
 
 # -- mutual information ----------------------------------------------------------
@@ -362,3 +374,33 @@ def test_selection_is_deterministic(rng):
     b = select_features(codes, labels, top=5, candidates=ALL)
     assert a.selected == b.selected
     np.testing.assert_array_equal(a.scores, b.scores)
+
+
+ARMS = [
+    (modality, demographics)
+    for modality in ["all", "ema", *(s.value for s in SIGNALS)]
+    for demographics in (True, False)
+]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 60),
+    n_levels=st.integers(1, 15),
+    constant=st.lists(st.integers(0, FEATURE_COUNT - 1), max_size=30),
+    seed=st.integers(0, 2**32),
+)
+def test_full_ranking_filtered_to_candidates_equals_ranking_them_alone(n, n_levels, constant, seed):
+    # Few rows and levels make many columns tie; constant columns tie at 0.
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, n_levels, size=(n, FEATURE_COUNT))
+    codes[:, constant] = rng.integers(0, n_levels)
+    labels = rng.permutation(np.arange(n) < int(rng.integers(1, n))).astype(np.int64)
+    full = select_features(codes, labels, FEATURE_COUNT, ALL)
+    for modality, demographics in ARMS:
+        candidates = feature_indices_for_modality(modality, demographics)
+        for top in (1, 5, 100):
+            alone = select_features(codes, labels, top, candidates)
+            filtered = [f for f in full.selected if f in candidates][:top]
+            assert tuple(filtered) == alone.selected
+            assert full.scores[filtered].tobytes() == alone.scores[list(alone.selected)].tobytes()
