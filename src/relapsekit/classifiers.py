@@ -12,17 +12,18 @@ one root per tree, walked by one traversal over (tree, row) pairs.
 Balanced-forest leaves hold the class-1 fraction and isolation leaves hold
 the expected path length. Forests score each distinct row once and copy
 its leaf values to the equal rows. One grower, `_grow_forest`, grows the
-trees of either forest in lockstep, one node per tree per step, each
-drawing from its own Generator in its own preorder, so every draw is the
-one a tree-at-a-time recursive grower makes. A forest supplies only what
-to count per node, its leaf value, grow condition and split rule. The
-isolation trees that split in one step draw together: `_TreeDraws` reads
-each tree's raw PCG64 words as arrays and applies numpy's own algorithms
-for `integers` (Lemire's 32-bit method) and `uniform` (53 bits), so each
-draw is the one the tree's Generator returns. BRF's
-Gini split is exact by construction: it counts rows and positives per
-(node, feature, level), so every quantity is a whole number until the
-impurity's last divisions, which run in a fixed operand order.
+trees of either forest in lockstep. A node gets its leaf value when it is
+created, and each tree visits only its splittable nodes, one per step in
+its own preorder, drawing from its own Generator. Leaves draw nothing, so
+every draw is the one a tree-at-a-time recursive grower makes. A forest
+supplies only what to count per node, its leaf value, grow condition and
+split rule. The isolation trees that split in one step draw together:
+`_TreeDraws` reads each tree's raw PCG64 words as arrays and applies
+numpy's own algorithms for `integers` (Lemire's 32-bit method) and
+`uniform` (53 bits), so each draw is the one the tree's Generator
+returns. BRF's Gini split is exact by construction: it counts rows and
+positives per (node, feature, level), so every quantity is a whole number
+until the impurity's last divisions, which run in a fixed operand order.
 
 EasyEnsemble keeps no trees: its model is four `(bags, rounds)` arrays of
 stumps (alpha, feature, threshold, sign). All bags boost in lockstep over
@@ -188,9 +189,12 @@ def _grow_forest(rows: np.ndarray, picks: np.ndarray, marks: list[np.ndarray], l
     returns the nodes that split, their features and thresholds, and a row
     goes left iff `x[feature] <= threshold`.
 
-    Each tree visits its nodes in preorder through its own stack and all
-    trees take one step together, so each tree's Generator makes the same
-    draws in the same order as a recursive preorder grower. A tree holds
+    A node gets its `leaf` value when it is created, and goes on its tree's
+    stack only if it `grows` and holds more than one key; leaves draw
+    nothing, and neither does a node of one key, whose rows are equal. Each
+    tree visits these splittable nodes in preorder through its own stack and
+    all trees take one step together, so each tree's Generator makes the
+    same draws in the same order as a recursive preorder grower. A tree holds
     each picked row once, as a key with its multiplicities; a node's keys
     are one contiguous run of `buf`, which a split partitions in place.
     """
@@ -210,6 +214,11 @@ def _grow_forest(rows: np.ndarray, picks: np.ndarray, marks: list[np.ndarray], l
     depth = np.zeros(capacity, dtype=np.int64)
     totals = np.zeros((tally.shape[0], capacity), dtype=np.int64)  # per node: keys, count, marked counts
 
+    def settle(nodes):  # set new nodes' leaf values; which of them can split
+        n_keys, *counts = totals.take(nodes, axis=1)
+        value[nodes] = leaf(depth[nodes], *counts)
+        return grows(depth[nodes], *counts) & (n_keys > 1)
+
     roots = np.arange(n_trees)
     start[roots] = np.searchsorted(keys, roots * rows.shape[0])
     totals[:2, roots] = np.diff(start[roots], append=keys.size), np.full(n_trees, n_picks)
@@ -220,17 +229,12 @@ def _grow_forest(rows: np.ndarray, picks: np.ndarray, marks: list[np.ndarray], l
     # keys, so a tree on k keys is at most k - 1 deep.
     stack = np.zeros((n_trees, int(totals[0].max()) + 1), dtype=np.intp)
     stack[:, 0] = roots
-    height = np.ones(n_trees, dtype=np.intp)
+    height = settle(roots).astype(np.intp)
 
     while (live := np.flatnonzero(height)).size:
         height[live] -= 1
         at = stack[live, height[live]]
-        n_keys, *counts = totals.take(at, axis=1)
-        value[at] = leaf(depth[at], *counts)
-        grow = grows(depth[at], *counts)
-        live, at, lengths = live[grow], at[grow], n_keys[grow]
-        if not at.size:
-            continue
+        lengths = totals[0, at]
 
         # The keys of every growing node, gathered run after run.
         offsets = np.cumsum(lengths) - lengths
@@ -259,9 +263,11 @@ def _grow_forest(rows: np.ndarray, picks: np.ndarray, marks: list[np.ndarray], l
         totals[:, size + 1 : kids[-1] + 2 : 2] = totals.take(parents, axis=1) - left_totals
         depth[kids] = depth[kids + 1] = depth[parents] + 1
         size += 2 * splits.size
+        can = settle(np.arange(kids[0], size))
         stack[trees, height[trees]] = kids + 1
-        stack[trees, height[trees] + 1] = kids
-        height[trees] += 2
+        height[trees] += can[1::2]
+        stack[trees, height[trees]] = kids
+        height[trees] += can[::2]
 
     return _Forest(feature[:size], threshold[:size], left[:size], right[:size], value[:size], roots)
 
@@ -632,7 +638,7 @@ def iforest_fit(
     Tree t draws its subsample and every split from its own Generator. All
     trees grow in lockstep (`_grow_forest`, `_isolation_split`) on the
     distinct rows of X, equal rows merged into one with their multiplicity.
-    A node at depth `limit` or holding at most one row is a leaf, holding
+    A node at depth `limit` or holding one distinct row is a leaf, holding
     its depth plus the expected path length of its rows.
 
     The threshold is the k-th largest training score, k = round(prevalence * n),
@@ -658,7 +664,7 @@ def iforest_fit(
         inverse[picks],
         [],
         leaf=lambda depth, count: depth + path_length[count],
-        grows=lambda depth, count: (depth < limit) & (count > 1),
+        grows=lambda depth, count: depth < limit,
         split=_isolation_split(distinct, draws),
     )
     model = IsolationForestModel(forest, psi)

@@ -272,8 +272,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    for flag, name in (("no_selection", "selection"), ("no_demographics", "include_demographics")):
-        if getattr(args, flag) and all(name in overrides for _, overrides in GRIDS[args.command].arms):
+    flags = argparse.ArgumentParser()
+    _pipeline_flags(flags)
+    fields = {"no_selection": "selection", "no_demographics": "include_demographics", "modality": "modality"}
+    for flag, name in fields.items():
+        if getattr(args, flag) != flags.get_default(flag) and all(name in arm for _, arm in GRIDS[args.command].arms):
             logger.warning("--%s is ignored by %s: every arm sets %s", flag.replace("_", "-"), args.command, name)
     config = _experiment_config(args)
     reports = run_grid(args.command, _load(args), config)

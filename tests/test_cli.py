@@ -220,13 +220,17 @@ def test_ablate_selection_writes_three_arms(cohort_dir, tmp_path, capsys):
         ("ablate-modality", "--no-selection", None),
         ("compare-classifiers", "--no-selection", None),
         ("compare-classifiers", "--no-demographics", None),
+        ("ablate-modality", "--modality ema", "modality"),
+        ("ablate-modality", "--modality all", None),  # the default
+        ("compare-classifiers", "--modality ema", None),
+        ("ablate-selection", "--modality ema", None),
     ],
 )
 def test_grid_warns_once_about_a_flag_every_arm_overrides(tmp_path, caplog, command, flag, field):
     # The warning comes before the inputs are read, so a missing directory will do.
-    assert main([command, flag, "--data", str(tmp_path / "missing")]) == 1
+    assert main([command, *flag.split(), "--data", str(tmp_path / "missing")]) == 1
     messages = [r.getMessage() for r in caplog.records if r.name == "relapsekit.cli"]
-    assert messages == ([f"{flag} is ignored by {command}: every arm sets {field}"] if field else [])
+    assert messages == ([f"{flag.split()[0]} is ignored by {command}: every arm sets {field}"] if field else [])
 
 
 def test_parser_enumerates_all_subcommands():

@@ -17,7 +17,8 @@ Both forests come from one lockstep grower. The balanced forest is checked
 against the recursive CART grower it replaced (`grow_tree`, on
 `best_threshold` and `cut_scan`), and the isolation forest against a
 recursive grower that splits one tree's full subsample at a time; both
-against scoring every requested row through every tree.
+against scoring every requested row through every tree. A count of the
+isolation grower's lockstep steps checks that no step pops a leaf.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from relapsekit import classifiers
 from relapsekit.classifiers import (
     _best_stumps,
     _distinct_rows,
@@ -443,6 +445,8 @@ def isolation_cases(draw):
 @example((np.array([[4, 2]]), np.array([1]), 1, 256, 0, [np.array([[4, 2]]), np.array([[0, 9]])]))
 @example((np.full((9, 2), 3), np.array([0] * 8 + [1]), 3, 4, 5, [np.array([[3, 3], [3, 1]])]))
 @example((np.zeros((5, 0), dtype=np.int64), np.array([0, 1, 0, 0, 0]), 3, 4, 0, [np.zeros((2, 0), dtype=np.int64)]))
+# one row three times: a split leaves it alone in a node of count 3, a leaf that draws nothing
+@example((np.array([[0, 0], [5, 5], [0, 0], [0, 0]]), np.array([0, 1, 0, 0]), 3, 4, 1, [np.array([[0, 0], [5, 0]])]))
 def test_iforest_matches_recursive_grower(case):
     X, y, trees, subsample, seed, queries = case
     model = iforest_fit(X, y, trees=trees, subsample=subsample, seed=seed)
@@ -452,6 +456,29 @@ def test_iforest_matches_recursive_grower(case):
     assert model.threshold == threshold
     for Q in [X, *queries]:
         assert iforest_scores(model, Q).tolist() == oracle_iforest_scores(grown, psi, Q).tolist()
+
+
+def test_isolation_growth_steps_only_through_splitting_nodes(monkeypatch):
+    # Every lockstep step calls `split` once, on one node per growing tree.
+    # A leaf is never pushed, so the steps are the most internal nodes of any tree.
+    steps = 0
+    isolation_split = classifiers._isolation_split
+
+    def counting_split(rows, draws):
+        split = isolation_split(rows, draws)
+
+        def counted(*args):
+            nonlocal steps
+            steps += 1
+            return split(*args)
+
+        return counted
+
+    monkeypatch.setattr(classifiers, "_isolation_split", counting_split)
+    X = np.random.default_rng(1).integers(0, 15, (121, 5))
+    forest = iforest_fit(X, np.arange(121) % 10 == 0, trees=101, seed=1).forest
+    internal = [subtree_size(forest, root) // 2 for root in forest.roots]  # full binary trees
+    assert steps == max(internal) == 73
 
 
 @st.composite
@@ -497,6 +524,8 @@ def assert_brf_matches_recursive_grower(X, y, trees, seed, queries):
 @example((np.zeros((4, 0), dtype=np.int64), np.array([0, 1, 0, 1]), 2, 0, [np.zeros((2, 0), dtype=np.int64)]))
 # 12 features, so each split inspects the first 4 informative ones of its drawn order
 @example((np.arange(60).reshape(5, 12) % 7, np.array([0, 1, 1, 0, 1]), 51, 2, [np.zeros((1, 12), dtype=np.int64)]))
+# below the root, equal rows with both labels draw a feature order and stay a leaf; a later split draws after it
+@example((np.array([[0, 2], [0, 2], [2, 2], [1, 1], [1, 0], [1, 0], [1, 0]]), np.array([0, 1, 0, 1, 1, 0, 0]), 1, 5, []))
 def test_brf_matches_recursive_grower(case):
     assert_brf_matches_recursive_grower(*case)
 
