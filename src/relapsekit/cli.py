@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from contextlib import contextmanager, suppress
 from pathlib import Path
+from typing import Iterator
 
 from .dataio import (
     EMA_FILE,
@@ -181,6 +183,24 @@ def _load(args: argparse.Namespace):
     return dataset
 
 
+@contextmanager
+def _output_dirs(*dirs: Path | None) -> Iterator[None]:
+    """Create missing output directories (None: no directory) before the
+    inputs are read, so a bad output path fails at once, not after the run.
+    If the command then fails, remove those made here that are still empty."""
+    made: list[Path] = []
+    try:
+        for directory in filter(None, dirs):
+            made += [path for path in (directory, *directory.parents) if not path.exists()]
+            directory.mkdir(parents=True, exist_ok=True)
+        yield
+    except BaseException:
+        for path in sorted(made, key=lambda path: len(path.parts), reverse=True):
+            with suppress(OSError):
+                path.rmdir()
+        raise
+
+
 def _windowing_config(args: argparse.Namespace) -> WindowingConfig:
     return WindowingConfig(
         window_days=args.window_days,
@@ -248,11 +268,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_features(args: argparse.Namespace) -> int:
-    dataset = _load(args)
     config = _windowing_config(args)
-    table, candidates = extract_cohort(dataset, config)
-    write_feature_matrix(table, args.out)
-    write_exclusions(candidates, args.exclusions)
+    with _output_dirs(args.out.parent, args.exclusions.parent):
+        table, candidates = extract_cohort(_load(args), config)
+        write_feature_matrix(table, args.out)
+        write_exclusions(candidates, args.exclusions)
     print(f"windows={len(table)}")
     print(f"relapse_windows={int(table.labels.sum())}")
     print(f"excluded={sum(1 for w in candidates if not w.evaluable)}")
@@ -262,9 +282,10 @@ def _cmd_features(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _experiment_config(args, classifier=args.classifier)
-    report = run_lopo(_load(args), config)
-    write_metrics(report, args.metrics)
-    write_predictions(report, args.predictions)
+    with _output_dirs(args.metrics.parent, args.predictions.parent):
+        report = run_lopo(_load(args), config)
+        write_metrics(report, args.metrics)
+        write_predictions(report, args.predictions)
     print(f"classifier={report.classifier}")
     print(f"windows={len(report.rows)}")
     _print_report(report)
@@ -279,12 +300,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         if getattr(args, flag) != flags.get_default(flag) and all(name in arm for _, arm in GRIDS[args.command].arms):
             logger.warning("--%s is ignored by %s: every arm sets %s", flag.replace("_", "-"), args.command, name)
     config = _experiment_config(args)
-    reports = run_grid(args.command, _load(args), config)
-    write_metrics(reports, args.metrics)
-    if args.predictions_dir is not None:
-        args.predictions_dir.mkdir(parents=True, exist_ok=True)
-        for report in reports:
-            write_predictions(report, args.predictions_dir / f"{report.arm}.csv")
+    with _output_dirs(args.metrics.parent, args.predictions_dir):
+        reports = run_grid(args.command, _load(args), config)
+        write_metrics(reports, args.metrics)
+        if args.predictions_dir is not None:
+            for report in reports:
+                write_predictions(report, args.predictions_dir / f"{report.arm}.csv")
     for report in reports:
         _print_report(report, prefix=f"{report.arm}.")
     return 0
@@ -304,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "evaluate":
             return _cmd_evaluate(args)
         return _cmd_experiment(args)
-    except (IngestError, ValueError) as exc:
+    except (IngestError, ValueError, OSError) as exc:  # OSError: an input or output path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,9 +35,11 @@ csv's field limit takes its rows from `csv.reader`, in blocks of rows.
 Each distinct date, hour and signal string is parsed once, with the same
 calls a row-by-row reader makes. A patient's rows are summed into a float64
 `(days, 6, 24)` array, the layout of its hourly means, and counted in an
-int64 one, with `np.add.at`. It adds in file order, so every hourly sum is
-the one a row-by-row `+=` gives (a per-block `np.bincount` would sum one
-cell's rows of a block before adding earlier blocks' rows). Declared spans
+integer one, with `np.add.at`: int32 when sensors.csv is smaller than 2**31
+bytes, so that no cell can reach 2**31 rows, and int64 otherwise. It adds
+in file order, so every hourly sum is the one a row-by-row `+=` gives (a
+per-block `np.bincount` would sum one cell's rows of a block before adding
+earlier blocks' rows). Declared spans
 are disjoint views of one sums buffer and one counts buffer, allocated
 before the first row; an inferred span grows toward the side a row falls
 on, at least doubling. A block that fails on both paths is walked again row
@@ -386,7 +388,7 @@ class _SensorSums:
         days = [(raw.span[1] - raw.span[0]).days + 1 if raw.span else 0 for raw in patients.values()]
         ends = list(accumulate(days, initial=0))
         sums = np.zeros((ends[-1], len(SIGNALS), HOURS_PER_DAY))
-        counts = np.zeros(sums.shape, np.int64)
+        counts = np.zeros(sums.shape, np.int32 if path.stat().st_size < 2**31 else np.int64)
         self.first = {pid: raw.span[0].toordinal() if raw.span else 0 for pid, raw in patients.items()}
         self.sums = {pid: sums[lo:hi] for pid, lo, hi in zip(patients, ends, ends[1:])}
         self.counts = {pid: counts[lo:hi] for pid, lo, hi in zip(patients, ends, ends[1:])}
@@ -433,7 +435,8 @@ class _SensorSums:
             outside[rows[out]] = True
             at = days[~out] * _DAY_CELLS + cells[rows[~out]]
             np.add.at(self.sums[pid].reshape(-1), at, values[rows[~out]])
-            np.add.at(self.counts[pid].reshape(-1), at, 1)
+            counts = self.counts[pid]
+            np.add.at(counts.reshape(-1), at, counts.dtype.type(1))  # a Python 1 leaves numpy's fast path
         exclusions.extend(
             IngestExclusion(str(self.path), line_no, EXCLUDED_OUTSIDE_SPAN)
             for line_no in line_nos[outside].tolist()

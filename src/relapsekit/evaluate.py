@@ -16,11 +16,18 @@ subsample once, and `run_grid` hands that plan to every arm. An arm keeps
 the head of that ranking among its candidates, which is what ranking them
 alone gives: ties go by index, and no column's score depends on the
 others. It then bins only the columns its classifier reads.
+
+Only the classifiers that draw (`brf`, `ee`, `iforest` and the `random`
+baseline) get a seed: fold k's is `SeedSequence(seed, spawn_key=(k,))`,
+which equals child k of `SeedSequence(seed).spawn(...)`, and the baseline's
+is the child after the last fold's. Each is built when its arm needs it, so
+a Naive Bayes run never imports `numpy.random`.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Callable, NamedTuple
 
@@ -71,6 +78,10 @@ class ExperimentConfig:
                      "ee_rounds", "iforest_trees", "iforest_subsample", "baseline_runs"):
             if not getattr(self, name) > 0:  # every count, and the Naive Bayes smoothing
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:  # as SeedSequence requires, checked here for the arms that draw nothing too
+            raise ValueError("seed must be non-negative")
+        if not math.isfinite(self.decision_threshold):
+            raise ValueError("decision_threshold must be finite")
 
 
 @dataclass(frozen=True)
@@ -116,23 +127,28 @@ class EvalReport:
     def to_dict(self) -> dict:
         """Every field but `rows`; `metric_std` only when set."""
         doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
-        doc["folds"] = [asdict(f) for f in self.folds]
+        doc["folds"] = [dict(vars(fold)) for fold in self.folds]  # shallow: fields are immutable
         if self.metric_std is None:
             del doc["metric_std"]
         return doc
 
 
-# Fit keyword arguments per classifier kind, from the arm config and fold seed.
-FIT_KWARGS: dict[str, Callable[[ExperimentConfig, np.random.SeedSequence], dict[str, Any]]] = {
-    "nb": lambda c, seed: {"alpha": c.nb_alpha, "n_categories": c.bins},
-    "brf": lambda c, seed: {"trees": c.brf_trees, "seed": seed, "decision_threshold": c.decision_threshold},
-    "ee": lambda c, seed: {
+def _fold_seed(config: ExperimentConfig, k: int) -> np.random.SeedSequence:
+    """Child k of `SeedSequence(config.seed)`, built on its own."""
+    return np.random.SeedSequence(config.seed, spawn_key=(k,))
+
+
+# Fit keyword arguments per classifier kind, from the arm config and fold index.
+FIT_KWARGS: dict[str, Callable[[ExperimentConfig, int], dict[str, Any]]] = {
+    "nb": lambda c, k: {"alpha": c.nb_alpha, "n_categories": c.bins},
+    "brf": lambda c, k: {"trees": c.brf_trees, "seed": _fold_seed(c, k), "decision_threshold": c.decision_threshold},
+    "ee": lambda c, k: {
         "bags": c.ee_bags,
         "rounds": c.ee_rounds,
-        "seed": seed,
+        "seed": _fold_seed(c, k),
         "decision_threshold": c.decision_threshold,
     },
-    "iforest": lambda c, seed: {"trees": c.iforest_trees, "subsample": c.iforest_subsample, "seed": seed},
+    "iforest": lambda c, k: {"trees": c.iforest_trees, "subsample": c.iforest_subsample, "seed": _fold_seed(c, k)},
 }
 
 
@@ -141,12 +157,12 @@ def _fit_and_predict(
     Xtr: np.ndarray,
     ytr: np.ndarray,
     Xte: np.ndarray,
-    seed: np.random.SeedSequence,
+    k: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     kind = config.classifier
     # Resolved on the module at call time, so wrappers installed on
     # `classifiers.<kind>_fit` / `_predict_many` see every call.
-    model = getattr(clf, f"{kind}_fit")(Xtr, ytr, **FIT_KWARGS[kind](config, seed))
+    model = getattr(clf, f"{kind}_fit")(Xtr, ytr, **FIT_KWARGS[kind](config, k))
     return getattr(clf, f"{kind}_predict_many")(model, Xte)
 
 
@@ -188,7 +204,6 @@ def _run_fold(
     table: WindowTable,
     k: int,
     fold: FoldPlan | None,
-    fold_seed: np.random.SeedSequence,
 ) -> tuple[list[PredictionRow], FoldReport]:
     patient_id = table.patient_ids[k]
     train = table.patients != k
@@ -215,7 +230,7 @@ def _run_fold(
             selected_scores = tuple(float(ranking.scores[f]) for f in chosen)
         chosen_bins = replace(bins, impute=bins.impute[chosen], edges=bins.edges[chosen])
         codes = apply_bins(chosen_bins, table.values[:, chosen])
-        predicted, scores = _fit_and_predict(config, codes[train], ytr, codes[test], fold_seed)
+        predicted, scores = _fit_and_predict(config, codes[train], ytr, codes[test], k)
 
     test_specs = [table.specs[i] for i in np.flatnonzero(test)]
     rows = [
@@ -259,17 +274,15 @@ def run_lopo(
     if not table.labels.any():
         raise ValueError("no_positive_class: dataset has no relapse-labeled windows")
 
-    seeds = np.random.SeedSequence(config.seed).spawn(len(table.patient_ids) + 1)
-
     if config.classifier == "random":
-        return _run_random_baseline(config, table, seeds[-1], experiment, arm)
+        return _run_random_baseline(config, table, experiment, arm)
     if folds is None:
         folds = _plan_folds(dataset, table, config)
 
     rows: list[PredictionRow] = []
     reports: list[FoldReport] = []
     for k, fold in enumerate(folds):
-        fold_rows, fold_report = _run_fold(config, table, k, fold, seeds[k])
+        fold_rows, fold_report = _run_fold(config, table, k, fold)
         rows.extend(fold_rows)
         reports.append(fold_report)
     tp = sum(f.tp for f in reports)
@@ -298,7 +311,6 @@ def run_lopo(
 def _run_random_baseline(
     config: ExperimentConfig,
     table: WindowTable,
-    seed: np.random.SeedSequence,
     experiment: str,
     arm: str | None,
 ) -> EvalReport:
@@ -313,7 +325,7 @@ def _run_random_baseline(
         for pid, windows, relapse in zip(table.patient_ids, train_windows.tolist(), train_relapse.tolist())
     ]
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_fold_seed(config, n_folds))
     result = clf.baseline_over_runs(table.labels, np.repeat(prevalence, test_windows), config.baseline_runs, rng)
     return EvalReport(
         experiment=experiment,

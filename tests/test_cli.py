@@ -318,12 +318,83 @@ def test_synth_negative_onset_days_exits_1_naming_the_field(tmp_path, capsys):
     assert not out.exists()
 
 
+def _imports_module(module: str, argv: list[str]) -> bool:
+    """Whether `module` is in `sys.modules` after `main(argv)` in a fresh interpreter."""
+    script = f"import sys; from relapsekit.cli import main; main(sys.argv[1:]); print({module!r} in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(relapsekit.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, check=True)
+    return done.stdout.splitlines()[-1] == "True"
+
+
 @pytest.mark.parametrize("command", ["compare-classifiers", "ablate-modality"])
 def test_commands_do_not_import_numpy_ma(cohort_dir, tmp_path, command):
     # numpy.ma costs start-up time and memory; `import numpy` leaves it out,
     # but some calls import it, such as np.unique's hash path
-    script = "import sys; from relapsekit.cli import main; main(sys.argv[1:]); print('numpy.ma' in sys.modules)"
     argv = [command, "--data", str(cohort_dir), "--seed", "7", "--threads", "1", "--metrics", str(tmp_path / "m.json")]
-    env = {**os.environ, "PYTHONPATH": str(Path(relapsekit.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "False"
+    assert not _imports_module("numpy.ma", argv)
+
+
+@pytest.mark.parametrize(
+    "command, draws",
+    [("evaluate", False), ("ablate-modality", False), ("ablate-selection", False), ("compare-classifiers", True)],
+)
+def test_only_runs_that_draw_import_numpy_random(cohort_dir, tmp_path, command, draws):
+    # numpy.random costs start-up time and memory; Naive Bayes draws nothing,
+    # so its runs build no seed
+    outputs = ["--predictions", str(tmp_path / "p.csv")] if command == "evaluate" else []
+    argv = [command, "--data", str(cohort_dir), "--seed", "7", "--metrics", str(tmp_path / "m.json"), *outputs]
+    assert _imports_module("numpy.random", argv) is draws
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ablate-selection"])
+def test_outputs_into_missing_directories_are_created(cohort_dir, tmp_path, capsys, command):
+    metrics = tmp_path / "new" / "deeper" / "m.json"
+    if command == "evaluate":
+        outputs, written = ["--predictions", str(tmp_path / "preds" / "p.csv")], [tmp_path / "preds" / "p.csv"]
+    else:
+        outputs = ["--predictions-dir", str(tmp_path / "arms")]
+        written = [tmp_path / "arms" / f"{arm}.csv" for arm in ("selection_with_demographics", "no_feature_selection")]
+    assert main([command, "--data", str(cohort_dir), "--seed", "7", "--metrics", str(metrics), *outputs]) == 0
+    capsys.readouterr()
+    assert json.loads(metrics.read_text())
+    assert all(path.is_file() for path in written)
+
+
+@pytest.mark.parametrize(
+    "command, first, second",
+    [
+        ("evaluate", "--metrics", "--predictions"),
+        ("features", "--out", "--exclusions"),
+        ("compare-classifiers", "--metrics", "--predictions-dir"),
+    ],
+)
+def test_output_path_under_a_file_exits_1_before_loading(cohort_dir, tmp_path, capsys, command, first, second):
+    # mkdir under a regular file raises an OSError, reported before ingest;
+    # the directory made for the first output is removed again.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    outputs = [first, str(tmp_path / "new" / "x"), second, str(blocker / "sub" / "x")]
+    assert main([command, "--data", str(cohort_dir), *outputs]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and str(blocker) in err
+    assert "ingest_excluded=" not in out
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--threshold=nan", "decision_threshold must be finite"),
+        ("--threshold=inf", "decision_threshold must be finite"),
+        ("--threshold=-inf", "decision_threshold must be finite"),
+        ("--seed=-1", "seed must be non-negative"),  # also for Naive Bayes, which builds no seed
+    ],
+)
+def test_invalid_config_exits_1_before_loading(cohort_dir, tmp_path, capsys, flag, message):
+    metrics, predictions = tmp_path / "m.json", tmp_path / "p.csv"
+    argv = ["--data", str(cohort_dir), flag, "--metrics", str(metrics), "--predictions", str(predictions)]
+    assert main(["evaluate", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert message in err
+    assert "ingest_excluded=" not in out
+    assert not metrics.exists() and not predictions.exists()

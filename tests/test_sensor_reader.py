@@ -101,7 +101,9 @@ def days_with_rows(sums: dataio._SensorSums) -> dict[str, dict[Date, np.ndarray]
     days: dict[str, dict[Date, np.ndarray]] = {}
     for pid, first in sums.first.items():
         total, count = sums.sums[pid], sums.counts[pid]
-        assert total.dtype == np.float64 and count.dtype == np.int64 and total.shape == count.shape
+        # Below 2**31 bytes no cell can reach 2**31 rows, so int32 counts are exact.
+        count_dtype = np.int32 if sums.path.stat().st_size < 2**31 else np.int64
+        assert total.dtype == np.float64 and count.dtype == count_dtype and total.shape == count.shape
         assert total.shape[1:] == (len(SIGNALS), HOURS_PER_DAY)
         has_rows = count.any(axis=(1, 2))
         assert not total[~has_rows].any() and not count[~has_rows].any()
@@ -375,6 +377,7 @@ def test_plain_blocks_take_the_c_parser(tmp_path):
     # the split lines give.
     # "pééé", the longest id, is 7 bytes of UTF-8 and fits its field.
     patients = {**FAST_PATIENTS, "pééé": _RawPatient(30, 9, None, 5)}
+    (tmp_path / "sensors.csv").touch()  # its size picks the counts dtype
     sums = dataio._SensorSums(tmp_path / "sensors.csv", patients)
     block = "".join(f"{pid},2021-01-0{d},{h},call_duration,{d * h / 7!r}\n" for pid in patients for d in (4, 5) for h in (0, 23))
     fast = sums._parse(block.encode("utf-8"))
@@ -390,6 +393,7 @@ def test_declared_spans_share_one_buffer_per_array_allocated_once(tmp_path):
     # buffer and their counts of another, both allocated before the first
     # row and never regrown.
     patients = {pid: _RawPatient(40, 10, (Date(2021, 1, 4), Date(2021, 1, 4 + i)), 2 + i) for i, pid in enumerate(["pa", "pb"])}
+    (tmp_path / "sensors.csv").touch()  # its size picks the counts dtype
     sums = dataio._SensorSums(tmp_path / "sensors.csv", patients)
     held = {pid: (sums.sums[pid], sums.counts[pid]) for pid in patients}
     for arrays in (sums.sums, sums.counts):
@@ -409,6 +413,7 @@ def test_inferred_span_grows_toward_earlier_dates_at_least_doubling(tmp_path):
     # One row per block, latest date first: the arrays keep their last day
     # and grow only toward earlier dates, each time to at least twice their
     # length, so 40 days take 7 allocations.
+    (tmp_path / "sensors.csv").touch()  # its size picks the counts dtype
     sums = dataio._SensorSums(tmp_path / "sensors.csv", {"pb": _RawPatient(50, 12, None, 2)})
     last = Date(2021, 2, 10)
     held = []
@@ -422,3 +427,17 @@ def test_inferred_span_grows_toward_earlier_dates_at_least_doubling(tmp_path):
     light = dataio._SIGNAL_INDEX["light_level"]
     assert sums.sums["pb"][-40:, light, 3].tolist() == list(range(39, -1, -1))
     assert sums.counts["pb"].sum() == 40
+
+
+@pytest.mark.parametrize("size, dtype", [(0, np.int32), (2**31 - 1, np.int32), (2**31, np.int64)])
+def test_counts_dtype_follows_the_file_size(tmp_path, size, dtype):
+    # A row takes at least one byte, so below 2**31 bytes no cell reaches
+    # 2**31 rows. The file is sparse: sizing it reads and writes nothing.
+    path = tmp_path / "sensors.csv"
+    with path.open("wb") as handle:
+        handle.truncate(size)
+    sums = dataio._SensorSums(path, {"pb": _RawPatient(50, 12, (Date(2021, 1, 4), Date(2021, 1, 5)), 2)})
+    assert sums.counts["pb"].dtype == dtype
+    sums.add(b"pb,2021-01-05,3,light_level,2.5\n", 2, [])
+    light = dataio._SIGNAL_INDEX["light_level"]
+    assert sums.counts["pb"].dtype == dtype and sums.means("pb", Date(2021, 1, 5), Date(2021, 1, 5))[0, light, 3] == 2.5
