@@ -448,7 +448,10 @@ def ee_fit(
 
     Each round keeps the bag's minimum weighted-error stump. A round with
     zero weighted error keeps that stump and ends the chain; a round no
-    better than chance ends the chain without it.
+    better than chance ends the chain without it. An error within `n`
+    machine epsilons of 0.5, the rounding of the bag's `n` summed weights,
+    is chance: such a stump would get an alpha of about 1e-16, and a chain
+    of only such stumps would still cast a full vote.
 
     Bag b draws its bootstrap from its own Generator, positives first. All
     bags are boosted in lockstep over columns sorted once (`_sort_columns`,
@@ -464,6 +467,7 @@ def ee_fit(
     n = idx.shape[1]
     k = n // 2
     y_pm = np.repeat([1, -1], k)
+    chance = 0.5 - n * np.finfo(np.float64).eps
     columns, order, inside_run, cuts = _sort_columns(X[idx])
 
     alpha = np.zeros((bags, rounds))
@@ -476,7 +480,7 @@ def ee_fit(
         if not live.size:
             break
         err, f, thr, left_sign = _best_stumps(order[live], inside_run[live], cuts[live], w, k)
-        kept = err < 0.5
+        kept = err < chance
         chain = live[kept]
         alpha[chain, r] = [1.0 if e <= 0.0 else 0.5 * math.log((1.0 - e) / e) for e in err[kept].tolist()]
         feature[chain, r], threshold[chain, r], sign[chain, r] = f[kept], thr[kept], left_sign[kept]

@@ -7,22 +7,21 @@ the daily averages (13 features x 6 signals). Per EMA item: mean and
 population std of the answers inside the feature window (20). Plus age and
 education years. Missing data yields NaN features, never zeros.
 
-Extraction runs one patient at a time over all of that patient's windows:
-one `(starts, 24)` stack of templates per signal covers every evaluable
-window and every previous window, the statistics of `templates` reduce the
-stacks, and the patient's `(windows, 100)` matrix is filled column block by
-column block. Each value equals what the same statistic gives for the one
-window alone, bit for bit. The cohort's windows are one `WindowTable`:
-the patients' matrices stacked into one `(windows, 100)` matrix, with the
-specs, labels and patient index of its rows.
+Extraction runs a block of patients at a time: consecutive patients, in
+patient_id order, share a block while their window starts fit in
+`BLOCK_STARTS`. One `(starts, 24)` stack of templates per signal covers
+every evaluable window and every previous window of the block, the
+statistics of `templates` reduce the stacks once per block, and the block's
+rows of the `(windows, 100)` matrix are filled column block by column block.
+Each value equals what the same statistic gives for the one window alone,
+bit for bit. The cohort's windows are one `WindowTable`: that matrix, with
+the specs, labels and patient index of its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date as Date
-from datetime import timedelta
-from typing import Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,12 +32,11 @@ from .model import (
     FEATURES_PER_SIGNAL,
     SIGNALS,
     TEMPLATE_FEATURE_COUNT,
-    EmaRecord,
     Patient,
-    Signal,
 )
 from .templates import (
     DAYTIME_HOURS,
+    HOURS_PER_DAY,
     WindowTemplates,
     average_stats,
     compute_window_templates,
@@ -84,59 +82,107 @@ class WindowTable:
         return len(self.specs)
 
 
-def _window_rows(dataset: Dataset, patient_id: str, starts: Sequence[Date], days: int) -> np.ndarray:
-    """The `(starts, days)` day-axis rows of the windows [start, start + days).
-
-    Evaluable windows and their previous windows lie inside the observation
-    span, which the day axis covers; a window outside it is an error, never
-    padded.
-    """
-    first = dataset.patient(patient_id).observation_start
-    offsets = np.array([(start - first).days for start in starts], dtype=np.int64)
-    n_days = len(dataset.sensors[patient_id])
-    if offsets.size and (offsets.min() < 0 or offsets.max() + days > n_days):
-        raise ValueError(f"patient {patient_id}: a {days}-day window leaves the {n_days}-day sensor array")
-    return offsets[:, None] + np.arange(days)
+# The most window starts, evaluable and previous, that one extraction block
+# holds. Consecutive patients share a block while their starts fit; a patient
+# with more starts is a block of its own. A block gathers its days one signal
+# at a time as a `(days, starts, 24)` stack, so this bounds the transient:
+# at 64 starts extraction fits in the memory ingest has freed, where 128 raised
+# the peak RSS of a `wide-sparse-modality` run by about 0.5 MB.
+BLOCK_STARTS = 64
 
 
-def window_templates_for(
-    dataset: Dataset, patient_id: str, signal: Signal, starts: Sequence[Date], days: int
-) -> WindowTemplates:
-    """The aggregates of one signal's daily templates over each window
-    [start, start + days), as `(len(starts), 24)` arrays; days without data
-    are all-missing rows.
+@dataclass(frozen=True)
+class _PatientWindows:
+    """One patient's evaluable windows, each window's day offset from the
+    observation start, and the sorted distinct offsets of the windows whose
+    templates they read: their own and, inside the span, the one a stride
+    earlier."""
+
+    patient: Patient
+    specs: list[WindowSpec]
+    offsets: list[int]
+    starts: np.ndarray
+
+
+def _patient_windows(
+    dataset: Dataset, patient: Patient, specs: list[WindowSpec], config: WindowingConfig
+) -> _PatientWindows:
+    """The starts of one patient's evaluable windows. They and their previous
+    windows lie inside the observation span, which the day axis covers; a
+    window outside it is an error, never padded."""
+    offsets = [(spec.feature_start - patient.observation_start).days for spec in specs]
+    stride = config.stride_days
+    starts = sorted(set(offsets).union(offset - stride for offset in offsets if offset >= stride))
+    n_days = len(dataset.sensors[patient.patient_id])
+    if starts[-1] + config.window_days > n_days:
+        raise ValueError(
+            f"patient {patient.patient_id}: a {config.window_days}-day window leaves the {n_days}-day sensor array"
+        )
+    return _PatientWindows(patient, specs, offsets, np.array(starts))
+
+
+def _blocks(windows: Sequence[_PatientWindows]) -> Iterator[list[_PatientWindows]]:
+    """Consecutive runs of whole patients of at most `BLOCK_STARTS` starts
+    each, except a patient with more."""
+    block: list[_PatientWindows] = []
+    size = 0
+    for own in windows:
+        if block and size + len(own.starts) > BLOCK_STARTS:
+            yield block
+            block, size = [], 0
+        block.append(own)
+        size += len(own.starts)
+    if block:
+        yield block
+
+
+def window_templates_for(daily: Sequence[np.ndarray], rows: np.ndarray) -> tuple[WindowTemplates, np.ndarray]:
+    """The aggregates of one signal's daily templates over each window of
+    the `(starts, days)` day rows `rows`, as `(starts, 24)` arrays, and each
+    day's average (NaN: no data). `daily` holds `(n, 24)` runs of daily
+    templates, whose days `rows` numbers end to end; each day is averaged
+    once, however many windows hold it.
 
     The days are gathered day-major, `(days, starts, 24)` in memory, and
     passed as a `(starts, days, 24)` view: each day's step of the day-axis
     reductions then runs over all windows at once, in the same day order.
     """
-    daily = dataset.sensors[patient_id][:, SIGNALS.index(signal)]
-    return compute_window_templates(daily[_window_rows(dataset, patient_id, starts, days).T].swapaxes(0, 1))
+    days = np.concatenate(daily)
+    averages = daily_averages(days)
+    gathered = days[rows.T]
+    del days  # before the work buffers of the templates
+    return compute_window_templates(gathered.swapaxes(0, 1), overwrite=True), averages
 
 
-def _rhythm_features(
-    dataset: Dataset, patient: Patient, specs: Sequence[WindowSpec], config: WindowingConfig
-) -> np.ndarray:
-    """The `(windows, 6, 13)` template features of one patient's windows."""
-    pid = patient.patient_id
-    stride = timedelta(days=config.stride_days)
-    prev_starts = [spec.feature_start - stride for spec in specs]
-    starts = sorted({spec.feature_start for spec in specs} | {s for s in prev_starts if s >= patient.observation_start})
-    position = {start: i for i, start in enumerate(starts)}
-    here = np.array([position[spec.feature_start] for spec in specs])
-    prev = np.array([position.get(start, -1) for start in prev_starts])
+def _rhythm_features(dataset: Dataset, block: Sequence[_PatientWindows], config: WindowingConfig) -> np.ndarray:
+    """The `(windows, 6, 13)` template features of one block's windows.
+
+    Each patient's days from its first start to the end of its last window
+    are laid end to end; the previous-window indices are taken within the
+    block.
+    """
+    spans, first_rows, here, prev = [], [], [], []
+    n_days = 0
+    for own in block:
+        lo, hi = int(own.starts[0]), int(own.starts[-1]) + config.window_days
+        position = {start: len(first_rows) + i for i, start in enumerate(own.starts.tolist())}
+        here += [position[offset] for offset in own.offsets]
+        prev += [position.get(offset - config.stride_days, -1) for offset in own.offsets]
+        first_rows += (own.starts + (n_days - lo)).tolist()
+        spans.append((dataset.sensors[own.patient.patient_id], lo, hi))
+        n_days += hi - lo
+    rows = np.array(first_rows)[:, None] + np.arange(config.window_days)
+    here, prev = np.array(here), np.array(prev)
     has_prev = prev >= 0
 
-    # The daily averages first and the output last, so that neither is alive
-    # next to the largest arrays, the gathered days of one signal.
-    rows = _window_rows(dataset, pid, [spec.feature_start for spec in specs], config.window_days)
-    daily_mean, daily_std = average_stats(daily_averages(dataset.sensors[pid])[rows].swapaxes(1, 2))
+    mdt, ddt, mxdt = (np.empty((len(rows), len(SIGNALS), HOURS_PER_DAY)) for _ in range(3))
+    averages = np.empty((len(here), len(SIGNALS), config.window_days))
+    for s in range(len(SIGNALS)):
+        built, day_averages = window_templates_for([sensors[lo:hi, s] for sensors, lo, hi in spans], rows)
+        mdt[:, s], ddt[:, s], mxdt[:, s] = built.mdt, built.ddt, built.mxdt
+        averages[:, s] = day_averages[rows[here]]
 
-    built = [window_templates_for(dataset, pid, signal, starts, config.window_days) for signal in SIGNALS]
-    mdt, ddt, mxdt = (np.stack([getattr(wt, name) for wt in built], axis=1) for name in ("mdt", "ddt", "mxdt"))
-    del built  # (starts, signals, 24) stacks from here on
-
-    out = np.full((len(specs), len(SIGNALS), FEATURES_PER_SIGNAL), np.nan)
+    out = np.full((len(here), len(SIGNALS), FEATURES_PER_SIGNAL), np.nan)
     out[:, :, 0:6] = mdt_stats(mdt[here])
     out[:, :, 6] = daily_averages(ddt[here])
     out[:, :, 7] = max_abs_diff(mdt[here], mxdt[here])
@@ -145,26 +191,32 @@ def _rhythm_features(
     out[has_prev, :, 8] = template_distance(mdt_norm[curr], mdt_norm[before])
     out[has_prev, :, 9] = template_distance(mdt_norm[curr], mdt_norm[before], *DAYTIME_HOURS)
     out[has_prev, :, 10] = template_distance(mxdt_norm[curr], mdt_norm[before])
-    out[:, :, 11], out[:, :, 12] = daily_mean, daily_std
+    out[:, :, 11], out[:, :, 12] = average_stats(averages)
     return out
 
 
-def _ema_features(
-    records: Mapping[Date, EmaRecord], specs: Sequence[WindowSpec], first: Date, days: int
-) -> np.ndarray:
+def _ema_features(dataset: Dataset, block: Sequence[_PatientWindows], days: int) -> np.ndarray:
     """The `(windows, 20)` per-item mean and population std of the answers
-    inside each feature window, in record order; NaN without answers."""
-    out = np.full((len(specs), 2 * EMA_ITEM_COUNT), np.nan)
-    if not records:
+    inside each feature window of a block, in record order; NaN without
+    answers. A window reads only its own patient's records."""
+    owners, answered, answers = [], [], []
+    for k, own in enumerate(block):
+        records = dataset.ema_records(own.patient.patient_id)
+        owners += [k] * len(records)
+        answered += [(d - own.patient.observation_start).days for d in records]
+        answers += [r.items for r in records.values()]
+    out = np.full((sum(len(own.offsets) for own in block), 2 * EMA_ITEM_COUNT), np.nan)
+    if not answers:
         return out
-    answered = np.array([(d - first).days for d in records])
-    answers = np.array([r.items for r in records.values()], dtype=float)
-    lo = np.array([(spec.feature_start - first).days for spec in specs])[:, None]
-    inside = (answered >= lo) & (answered < lo + days)
-    record_index = np.broadcast_to(np.arange(len(answered)), inside.shape)
+    window_owner = np.repeat(np.arange(len(block)), [len(own.offsets) for own in block])[:, None]
+    lo = np.array([offset for own in block for offset in own.offsets])[:, None]
+    answered_at = np.array(answered)
+    inside = (window_owner == owners) & (answered_at >= lo) & (answered_at < lo + days)
+    record_index = np.broadcast_to(np.arange(len(answers)), inside.shape)
+    answer_items = np.array(answers, dtype=float)
     # Windows grouped by answer count; each item's answers contiguous, (g, 10, n).
     for rows, picked in present_groups(record_index, inside):
-        items = np.ascontiguousarray(answers[picked].transpose(0, 2, 1))
+        items = np.ascontiguousarray(answer_items[picked].transpose(0, 2, 1))
         out[rows, 0::2] = items.mean(axis=-1)
         out[rows, 1::2] = items.std(axis=-1)
     return out
@@ -178,24 +230,25 @@ def extract_cohort(dataset: Dataset, config: WindowingConfig) -> tuple[WindowTab
     the distance features is the one exactly one stride earlier, whether or
     not that window itself was evaluable; a first window has none.
     """
-    specs: list[WindowSpec] = []
-    matrices: list[np.ndarray] = []
+    windows: list[_PatientWindows] = []
     candidates: list[WindowSpec] = []
     for patient in sorted(dataset.patients, key=lambda p: p.patient_id):
-        pid = patient.patient_id
-        own = enumerate_windows(patient, patient.relapse_dates, dataset.sensor_dates(pid), config)
+        own = enumerate_windows(patient, patient.relapse_dates, dataset.sensor_dates(patient.patient_id), config)
         candidates.extend(own)
-        evaluable = evaluable_windows(own)
-        if not evaluable:
-            continue
-        n = len(evaluable)
-        rhythm = _rhythm_features(dataset, patient, evaluable, config).reshape(n, TEMPLATE_FEATURE_COUNT)
-        ema = _ema_features(dataset.ema_records(pid), evaluable, patient.observation_start, config.window_days)
-        demographics = np.broadcast_to([float(patient.age), float(patient.education_years)], (n, 2))
-        specs.extend(evaluable)
-        matrices.append(np.concatenate([rhythm, ema, demographics], axis=1))
-    values = np.concatenate(matrices) if matrices else np.empty((0, FEATURE_COUNT))
-    return WindowTable(tuple(specs), values), candidates
+        if evaluable := evaluable_windows(own):
+            windows.append(_patient_windows(dataset, patient, evaluable, config))
+    specs = tuple(spec for own in windows for spec in own.specs)
+    values = np.empty((len(specs), FEATURE_COUNT))
+    row = 0
+    for block in _blocks(windows):
+        rhythm = _rhythm_features(dataset, block, config)
+        n = len(rhythm)
+        values[row : row + n, :TEMPLATE_FEATURE_COUNT] = rhythm.reshape(n, -1)
+        values[row : row + n, TEMPLATE_FEATURE_COUNT:-2] = _ema_features(dataset, block, config.window_days)
+        for own in block:
+            values[row : row + len(own.specs), -2:] = float(own.patient.age), float(own.patient.education_years)
+            row += len(own.specs)
+    return WindowTable(specs, values), candidates
 
 
 def extract_all(dataset: Dataset, config: WindowingConfig) -> WindowTable:

@@ -48,31 +48,35 @@ class WindowTemplates:
     mxdt: np.ndarray
 
 
-def compute_window_templates(days: np.ndarray) -> WindowTemplates:
+def compute_window_templates(days: np.ndarray, *, overwrite: bool = False) -> WindowTemplates:
     """Aggregate a window's `(n, 24)` daily templates hour-by-hour, or each
     window of a `(..., n, 24)` stack.
 
     Per hour, over the days where that hour is present: mean, population
     standard deviation, and maximum. A slot is missing iff no day has it.
-    No days yields all-missing templates.
+    No days yields all-missing templates. With `overwrite`, `days` itself
+    is the work buffer and holds scratch values afterwards.
     """
     missing = np.isnan(days)
     counts = days.shape[-2] - missing.sum(axis=-2)
     has = counts > 0
 
-    # One work buffer for the three masked copies of the days. The means are
-    # copied out across the days before the subtraction: a broadcasting
-    # ufunc would allocate an iteration buffer of its own.
-    work = np.where(missing, 0.0, days)
+    # One work buffer, in the memory order of `days`: missing slots at -inf
+    # for the maximum (`fmax` with -inf changes no other slot), then at 0 for
+    # the sums. The means are subtracted in place, broadcast across the days.
+    # The zeros are stored through views of both buffers in memory order,
+    # where `putmask` runs a plain loop instead of a strided one.
+    work = days if overwrite else days.copy(order="K")
+    memory_order = np.argsort(work.strides, kind="stable")[::-1]
+    work_stored, missing_stored = work.transpose(memory_order), missing.transpose(memory_order)
+    np.fmax(work, -np.inf, out=work)
+    mxdt = np.where(has, work.max(axis=-2, initial=-np.inf), np.nan)
+    np.putmask(work_stored, missing_stored, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         mdt = np.where(has, work.sum(axis=-2) / counts, np.nan)
-        np.copyto(work, mdt[..., None, :])
-        np.square(np.subtract(days, work, out=work), out=work)
-        np.copyto(work, 0.0, where=missing)
+        np.square(np.subtract(work, mdt[..., None, :], out=work), out=work)
+        np.putmask(work_stored, missing_stored, 0.0)
         ddt = np.where(has, np.sqrt(work.sum(axis=-2) / counts), np.nan)
-    np.copyto(work, days)
-    np.copyto(work, -np.inf, where=missing)
-    mxdt = np.where(has, work.max(axis=-2, initial=-np.inf), np.nan)
     # Hourly means can overshoot the hourly max by float rounding; clamp so
     # the mxdt >= mdt invariant holds exactly.
     mdt = np.where(has, np.minimum(mdt, mxdt), np.nan)

@@ -2,10 +2,11 @@
 
 These are the scalar statistic bodies of `relapsekit.templates` and the
 per-window `extract_features` loop of `relapsekit.features` as they were
-before extraction ran one patient at a time over all of its windows. Each
-takes one window (one `(n, 24)` array of daily templates, one `(24,)`
-template), so its sums are those of a single window. The batched functions
-must return the same bytes.
+before extraction was batched, first over each patient's windows and now
+over blocks of patients. Each takes one window (one `(n, 24)` array of
+daily templates, one `(24,)` template), so its sums are those of a single
+window. The batched functions must return the same bytes, wherever the
+block boundaries fall.
 """
 
 from __future__ import annotations

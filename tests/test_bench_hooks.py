@@ -4,7 +4,9 @@
 name. Renaming one in `src/` breaks the traced benchmark run; this test
 breaks with it. So does a grid that stops calling `run_lopo` once per arm,
 or stops calling the per-fold transform functions through `evaluate`'s
-namespace, or a parser that rejects the argv `bench/run.py` passes.
+namespace, or extraction that stops building templates through the
+`features` namespace, or a parser that rejects the argv `bench/run.py`
+passes.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ def test_tracer_sees_one_lopo_per_arm_and_one_bin_fit_per_fold(monkeypatch):
     assert names.count("transform.select_features") == fitted_folds
     # Each plan bins its subsample; each arm bins its chosen columns.
     assert names.count("transform.apply_bins") == fitted_folds * (1 + len(reports))
+    # Extraction builds its templates through the `features` namespace.
+    assert names.count("features.extract_all") == 1
+    assert names.count("features.window_templates_for") > 0
+    assert tracer.counts["templates.compute_window_templates_calls"] > 0
 
 
 def test_parser_accepts_every_benchmark_argv(monkeypatch, tmp_path):

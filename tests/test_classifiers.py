@@ -225,11 +225,13 @@ def test_ee_single_bag_single_round_is_one_stump(rng):
         assert array.shape == (1, 1)
 
 
-def test_ee_constant_features_give_empty_chains_scoring_half():
+# Bags of 2 + 2 rows weigh 1/4 each, so every stump errs exactly 0.5. Bags of
+# 3 + 3 weigh 1/6 each, and a stump errs 0.49999999999999994: chance all the
+# same, which must not be kept with an alpha of 2e-16 and cast a full vote.
+@pytest.mark.parametrize("y", [[0, 1, 0, 1, 0, 0], [0, 1, 0, 1, 1, 0]])
+def test_ee_constant_features_give_empty_chains_scoring_half(y):
     X = np.full((6, 3), 7)
-    y = np.array([0, 1, 0, 1, 0, 0])
-    model = ee_fit(X, y, bags=5, rounds=4, seed=1)
-    # bags of 2 + 2 rows weigh 1/4 each, so every stump errs exactly 0.5 and no chain keeps one
+    model = ee_fit(X, np.array(y), bags=5, rounds=4, seed=1)
     assert (model.alpha == 0).all() and (model.sign == 0).all()
     labels, scores = ee_predict_many(model, np.array([[7, 7, 7], [0, 9, 14]]))
     assert scores.tolist() == [0.5, 0.5]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import day, make_patient
+from relapsekit import features
 from relapsekit.dataio import (
     Dataset,
     IngestError,
@@ -18,8 +19,10 @@ from relapsekit.dataio import (
     write_predictions,
 )
 from relapsekit.evaluate import EvalReport, PredictionRow
+from relapsekit.features import extract_cohort
 from relapsekit.model import SIGNALS, EmaRecord, Signal
 from relapsekit.synth import SynthConfig, generate
+from relapsekit.templates import HOURS_PER_DAY
 from relapsekit.windowing import WindowingConfig, window_at
 
 SENSOR_HEADER = "patient_id,date,hour,signal,value\n"
@@ -183,8 +186,8 @@ def test_explicit_span_rows_outside_are_excluded_not_dropped_silently(tmp_path):
 
 def test_load_dataset_peak_memory_stays_near_the_arrays_it_returns(tmp_path):
     # With declared spans ingest holds each patient's sums, which become its
-    # means, and as many bytes of int64 counts; the blocks in flight add a
-    # little. One more copy of either would take the peak past 3x.
+    # means, and int32 counts of half their bytes; the blocks in flight add a
+    # little (1.81x in all). One more copy of either would take the peak past 2.2x.
     generate(SynthConfig(patient_count=10, days_per_patient=180, seed=7), out_dir=tmp_path)
     paths = {name: tmp_path / f"{name}.csv" for name in ("sensors", "ema", "patients", "relapses")}
     tracemalloc.start()
@@ -194,7 +197,25 @@ def test_load_dataset_peak_memory_stays_near_the_arrays_it_returns(tmp_path):
     finally:
         tracemalloc.stop()
     held = sum(cube.nbytes for cube in ds.sensors.values())
-    assert peak < 2.5 * held, f"peak {peak / held:.2f}x the returned arrays"
+    assert peak < 2.2 * held, f"peak {peak / held:.2f}x the returned arrays"
+
+
+def test_extraction_peak_memory_stays_near_the_table_it_returns():
+    # Each block gathers one signal's days at a time, a `(days, starts, 24)`
+    # stack of at most BLOCK_STARTS starts; the block's template stacks and
+    # the reductions' work take about two more. Gathering all of this
+    # cohort's 350 starts at once would take the peak past 14 stacks.
+    cohort = generate(SynthConfig(patient_count=20, days_per_patient=180, seed=7))
+    config = WindowingConfig()
+    tracemalloc.start()
+    try:
+        table, candidates = extract_cohort(cohort, config)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stack = config.window_days * features.BLOCK_STARTS * HOURS_PER_DAY * 8
+    assert len(table) > 2 * features.BLOCK_STARTS  # three blocks at least
+    assert peak - held < 4 * stack, f"peak {(peak - held) / stack:.2f} gathered stacks above what is returned"
 
 
 def test_bad_demographics_reported_with_patients_line(tmp_path):

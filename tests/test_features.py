@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from datetime import timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import extraction_oracle as oracle
 from conftest import day, make_constant_dataset, make_patient
+from relapsekit import features
 from relapsekit.dataio import Dataset
 from relapsekit.features import extract_all, extract_cohort
 from relapsekit.model import (
@@ -273,8 +275,9 @@ def cohorts(draw) -> tuple[Dataset, WindowingConfig]:
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     patients, sensors, ema = [], {}, {}
-    for k in range(draw(st.integers(1, 3))):
-        n_days = draw(st.integers(1, 90))
+    for k in range(draw(st.integers(1, 6))):
+        # Some patients are too short for any window, so none is evaluable.
+        n_days = draw(st.one_of(st.integers(1, 90), st.integers(1, config.window_days + config.horizon_days - 1)))
         pid = f"p{k}"
         relapses = tuple(sorted(set(draw(st.lists(st.integers(0, n_days - 1), max_size=2)))))
         patients.append(make_patient(pid=pid, n_days=n_days, relapse_days=relapses, age=20 + k))
@@ -288,13 +291,35 @@ def cohorts(draw) -> tuple[Dataset, WindowingConfig]:
     return Dataset(patients=tuple(patients), sensors=sensors, ema=ema), config
 
 
+# Blocks of one start and of five put block boundaries between patients and
+# inside no patient: a patient with more starts is a block of its own.
+@pytest.mark.parametrize("block_starts", [1, 5, features.BLOCK_STARTS])
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(case=cohorts())
-def test_batched_extraction_equals_the_per_window_oracle_bit_for_bit(case):
+def test_batched_extraction_equals_the_per_window_oracle_bit_for_bit(block_starts, case):
     ds, config = case
-    got, got_candidates = extract_cohort(ds, config)
+    with mock.patch.object(features, "BLOCK_STARTS", block_starts):
+        got, got_candidates = extract_cohort(ds, config)
     want, want_candidates = oracle.extract_cohort(ds, config)
     assert got_candidates == want_candidates
     assert got.specs == want.specs
     for spec, g, w in zip(got.specs, got.values, want.values):
         assert g.tobytes() == w.tobytes(), spec
+
+
+def test_blocks_hold_whole_patients_in_order_up_to_the_start_limit():
+    patients = [make_patient(pid=f"p{k}", n_days=28 + 7 + 7 * (k % 4)) for k in range(6)]
+    ds = make_constant_dataset(patients)
+    sizes = []
+    with mock.patch.object(features, "BLOCK_STARTS", 3):
+        real = features._rhythm_features
+
+        def spy(dataset, block, config):
+            sizes.append([(own.patient.patient_id, len(own.starts)) for own in block])
+            return real(dataset, block, config)
+
+        with mock.patch.object(features, "_rhythm_features", spy):
+            table = extract_all(ds, CONFIG)
+    # One to four windows, and as many starts, each; p3's four are more than a block.
+    assert sizes == [[("p0", 1), ("p1", 2)], [("p2", 3)], [("p3", 4)], [("p4", 1), ("p5", 2)]]
+    assert table.values.tobytes() == oracle.extract_cohort(ds, CONFIG)[0].values.tobytes()

@@ -359,11 +359,14 @@ def test_batched_average_stats_equal_the_scalar_oracle(seed, shape, n):
 @given(seed=st.integers(0, 2**32 - 1), windows=st.integers(0, 6), n=st.integers(0, 30))
 def test_batched_window_templates_equal_the_per_window_oracle(seed, windows, n):
     days = random_templates(np.random.default_rng(seed), (windows, n))
-    # The contiguous stack and the day-major view `window_templates_for` passes.
+    # The contiguous stack and the day-major view `window_templates_for`
+    # passes, which it lets the function overwrite.
     day_major = np.ascontiguousarray(days.swapaxes(0, 1)).swapaxes(0, 1)
-    for stack in (days, day_major):
-        wt = compute_window_templates(stack)
-        want = [oracle.window_templates(days[w]) for w in range(windows)]
+    want = [oracle.window_templates(days[w]) for w in range(windows)]
+    for stack, overwrite in ((days, False), (day_major, False), (day_major.copy(order="K"), True)):
+        before = stack.copy()
+        wt = compute_window_templates(stack, overwrite=overwrite)
+        assert overwrite or same(stack, before)
         for name in ("mdt", "ddt", "mxdt"):
             assert same(getattr(wt, name), np.array([getattr(t, name) for t in want]).reshape(windows, 24)), name
     for w in range(windows):

@@ -200,7 +200,7 @@ def oracle_ee_fit(X, y, bags, rounds, seed):
             if err <= 0.0:
                 chain.append((1.0, feature, threshold, sign))
                 break
-            if err >= 0.5:
+            if err >= 0.5 - idx.size * np.finfo(np.float64).eps:  # chance, up to rounding
                 break
             alpha = 0.5 * math.log((1.0 - err) / err)
             chain.append((alpha, feature, threshold, sign))
@@ -385,7 +385,7 @@ def boosting_cases(draw):
 @example((np.array([[0, 3], [2, 3], [0, 3], [2, 3]]), np.array([0, 1, 0, 1]), 9, 10, 5, (), [np.array([[1, 3]])]))
 # every stump errs 0.5: every chain is empty and every bag scores 0.5
 @example((np.full((3, 2), 5), np.array([0, 1, 0]), 2, 3, 0, (1,), [np.array([[5, 0]])]))
-# the second bag's chain ends on an error of 0.5 after two stumps
+# the second bag's chain ends after one stump: the second errs 0.5 up to rounding
 @example((np.array([[0], [2], [0], [2], [2], [2], [1]]), np.array([0, 1, 1, 0, 1, 0, 1]), 3, 10, 0, (), []))
 # np.log would give a different alpha here than math.log
 @example((np.array([[0, 3, 2, 3, 2, 1, 1, 2, 1, 1, 1]]).T, np.array([0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 1]), 1, 10, 28, (), []))
