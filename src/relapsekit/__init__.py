@@ -12,7 +12,7 @@ from .dataio import Dataset, IngestError, load_dataset, write_metrics, write_pre
 from .evaluate import GRIDS, EvalReport, ExperimentConfig, run_grid, run_lopo
 from .features import WindowTable, extract_all
 from .metrics import f2_from_counts, f2_score
-from .model import FEATURE_NAMES, EmaRecord, Patient, Signal, canonical_feature_names
+from .model import FEATURE_NAMES, Patient, Signal, canonical_feature_names
 from .synth import ProdromalSpec, RhythmSpec, SynthConfig, generate
 from .windowing import WindowSpec, WindowingConfig, enumerate_windows
 
@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset",
-    "EmaRecord",
     "EvalReport",
     "ExperimentConfig",
     "FEATURE_NAMES",

@@ -12,8 +12,10 @@ are valid but fall outside an explicitly declared observation span are
 excluded as they are read, never silently: each exclusion is recorded, in
 file order, with a reason code. Sensor rows are averaged per
 (patient, date, signal, hour) into one dense `(days, 6, 24)` array per
-patient (`Dataset.sensors`). All writers are deterministic — the same
-in-memory object always produces byte-identical files.
+patient (`Dataset.sensors`), and EMA answers are laid into one `(days, 10)`
+array per patient (`Dataset.ema`) with the same days, once the spans are
+known. All writers are deterministic — the same in-memory object always
+produces byte-identical files.
 
 sensors.csv, by far the largest file, is read in blocks of
 `SENSOR_BLOCK_BYTES` cut at their last newline. numpy's C parser
@@ -64,7 +66,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .model import EMA_ITEM_COUNT, FEATURE_NAMES, SIGNALS, EmaRecord, Patient
+from .model import EMA_ITEM_COUNT, FEATURE_NAMES, SIGNALS, Patient
 from .templates import HOURS_PER_DAY
 from .windowing import WindowSpec
 
@@ -106,36 +108,23 @@ class IngestExclusion:
 
 @dataclass(eq=False)
 class Dataset:
-    """The validated in-memory cohort.
+    """The validated in-memory cohort, one day layout per patient: day 0 is
+    the patient's observation_start, and both arrays have one row per day of
+    its span.
 
     `sensors` maps each patient_id to one `(days, 6, 24)` float array of
-    hourly means: day 0 is the patient's observation_start, signals are in
-    `SIGNALS` order, and NaN marks an hour with no samples, so an all-NaN day
-    is a day without data. Duplicate rows are already averaged. As loaded
-    with declared spans, the arrays are disjoint views of one buffer. Treat
-    instances as immutable.
+    hourly means: signals are in `SIGNALS` order, and NaN marks an hour with
+    no samples, so an all-NaN day is a day without data. Duplicate rows are
+    already averaged. As loaded with declared spans, the arrays are disjoint
+    views of one buffer. `ema` maps each patient_id to one `(days, 10)` int8
+    array of that day's self-report answers (0..3), items in order; -1 fills
+    the row of a day without a record. Treat instances as immutable.
     """
 
     patients: tuple[Patient, ...]
     sensors: dict[str, np.ndarray]
-    ema: dict[str, dict[Date, EmaRecord]]
+    ema: dict[str, np.ndarray]
     ingest_exclusions: tuple[IngestExclusion, ...] = field(default_factory=tuple)
-    _by_id: dict[str, Patient] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._by_id = {p.patient_id: p for p in self.patients}
-
-    def patient(self, patient_id: str) -> Patient:
-        return self._by_id[patient_id]
-
-    def sensor_dates(self, patient_id: str) -> set[Date]:
-        """Dates on which the patient has at least one hourly sample of any signal."""
-        start = self.patient(patient_id).observation_start
-        has_data = ~np.isnan(self.sensors[patient_id]).all(axis=(1, 2))
-        return {start + timedelta(days=d) for d in np.flatnonzero(has_data).tolist()}
-
-    def ema_records(self, patient_id: str) -> dict[Date, EmaRecord]:
-        return self.ema.get(patient_id, {})
 
 
 def load_dataset(
@@ -147,7 +136,8 @@ def load_dataset(
     """Read and cross-validate the four interchange files.
 
     Observation spans omitted from patients.csv are inferred as the min/max
-    date over that patient's sensor and EMA rows.
+    date over that patient's sensor and EMA rows. A patient's EMA answers
+    are laid into its day array once its span is known.
     """
     raw_patients = _read_patients(Path(patients_path))
     exclusions: list[IngestExclusion] = []
@@ -161,14 +151,16 @@ def load_dataset(
         if raw.span is not None:
             spans[pid] = raw.span
             continue
-        dates = set(sums.row_dates(pid)) | set(ema.get(pid, ()))
-        if not dates:
+        days = sums.row_days(pid)
+        if pid in ema:
+            days = np.concatenate([days, ema[pid][0]])
+        if not len(days):
             raise IngestError(
                 str(patients_path),
                 raw.line,
                 f"patient {pid} has no observation span and no data rows to infer one",
             )
-        spans[pid] = (min(dates), max(dates))
+        spans[pid] = (Date.fromordinal(int(days.min())), Date.fromordinal(int(days.max())))
 
     patients = []
     for pid in sorted(raw_patients):
@@ -197,7 +189,7 @@ def load_dataset(
     return Dataset(
         patients=tuple(patients),
         sensors={pid: sums.means(pid, *spans[pid]) for pid in sorted(spans)},
-        ema=ema,
+        ema={pid: _ema_days(ema.get(pid), *spans[pid]) for pid in sorted(spans)},
         ingest_exclusions=tuple(exclusions),
     )
 
@@ -522,10 +514,9 @@ class _SensorSums:
             arrays[pid] = grown
         self.first[pid] = start
 
-    def row_dates(self, pid: str) -> list[Date]:
-        """The dates on which a patient has rows."""
-        days = np.flatnonzero(self.counts[pid].any(axis=(1, 2))) + self.first[pid]
-        return [Date.fromordinal(day) for day in days.tolist()]
+    def row_days(self, pid: str) -> np.ndarray:
+        """The dates on which a patient has rows, as ordinals."""
+        return np.flatnonzero(self.counts[pid].any(axis=(1, 2))) + self.first[pid]
 
     def means(self, pid: str, start: Date, end: Date) -> np.ndarray:
         """A patient's hourly means from `start` to `end`, divided in place
@@ -564,8 +555,11 @@ def _check_sensor_row(path: Path, line_no: int, row: list[str], patients: dict[s
 
 def _read_ema(
     path: Path, patients: dict[str, _RawPatient], exclusions: list[IngestExclusion]
-) -> dict[str, dict[Date, EmaRecord]]:
-    records: dict[str, dict[Date, EmaRecord]] = {}
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each patient's answered dates, as ordinals, and their `(records, 10)`
+    int8 answers, in file order."""
+    days: dict[str, list[int]] = {}
+    answers: dict[str, list[int]] = {}
     seen: set[tuple[str, Date]] = set()
     for line_no, row in _open_rows(path):
         if line_no == 1:
@@ -598,8 +592,22 @@ def _read_ema(
         if _outside_span(patients[pid], date):
             exclusions.append(IngestExclusion(str(path), line_no, EXCLUDED_OUTSIDE_SPAN))
             continue
-        records.setdefault(pid, {})[date] = EmaRecord(pid, date, tuple(items))
-    return records
+        days.setdefault(pid, []).append(date.toordinal())
+        answers.setdefault(pid, []).extend(items)
+    return {
+        pid: (np.array(days[pid]), np.array(answers[pid], dtype=np.int8).reshape(-1, EMA_ITEM_COUNT))
+        for pid in days
+    }
+
+
+def _ema_days(answered: tuple[np.ndarray, np.ndarray] | None, start: Date, end: Date) -> np.ndarray:
+    """One patient's `(days, 10)` EMA array from `start` to `end`, -1 on a
+    day without a record; `answered` is what `_read_ema` read for it."""
+    out = np.full((end.toordinal() - start.toordinal() + 1, EMA_ITEM_COUNT), -1, dtype=np.int8)
+    if answered is not None:
+        days, answers = answered
+        out[days - start.toordinal()] = answers
+    return out
 
 
 def _read_relapses(path: Path, known: set[str]) -> dict[str, list[tuple[Date, int]]]:
@@ -683,9 +691,10 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_EMA_HEADER)
         for p in sorted(dataset.patients, key=lambda p: p.patient_id):
-            for date in sorted(dataset.ema_records(p.patient_id)):
-                record = dataset.ema_records(p.patient_id)[date]
-                writer.writerow([p.patient_id, date.isoformat(), *record.items])
+            answers = dataset.ema[p.patient_id]
+            for d in np.flatnonzero(answers[:, 0] >= 0).tolist():
+                date = p.observation_start + timedelta(days=d)
+                writer.writerow([p.patient_id, date.isoformat(), *answers[d].tolist()])
 
     with paths["relapses"].open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")

@@ -4,15 +4,19 @@ Per signal: six statistics of the window's mean daily template, the mean of
 the deviation template, the largest mean-to-maximum gap, three normalized
 template distances against the previous window, and the mean/variability of
 the daily averages (13 features x 6 signals). Per EMA item: mean and
-population std of the answers inside the feature window (20). Plus age and
-education years. Missing data yields NaN features, never zeros.
+population std of the answers inside the feature window, in date order
+(20). Plus age and education years. Missing data yields NaN features, never
+zeros.
 
 Extraction runs a block of patients at a time: consecutive patients, in
 patient_id order, share a block while their window starts fit in
-`BLOCK_STARTS`. One `(starts, 24)` stack of templates per signal covers
-every evaluable window and every previous window of the block, the
-statistics of `templates` reduce the stacks once per block, and the block's
-rows of the `(windows, 100)` matrix are filled column block by column block.
+`BLOCK_STARTS`. The block's patients' days are laid end to end, and each
+window is one row of day indices into them (`_block_days`). One
+`(starts, 24)` stack of templates per signal covers every evaluable window
+and every previous window of the block, the statistics of `templates`
+reduce the stacks once per block, the EMA answers are gathered through the
+same day rows, and the block's rows of the `(windows, 100)` matrix are
+filled column block by column block.
 Each value equals what the same statistic gives for the one window alone,
 bit for bit. The cohort's windows are one `WindowTable`: that matrix, with
 the specs, labels and patient index of its rows.
@@ -109,7 +113,8 @@ def _patient_windows(
 ) -> _PatientWindows:
     """The starts of one patient's evaluable windows. They and their previous
     windows lie inside the observation span, which the day axis covers; a
-    window outside it is an error, never padded."""
+    window outside it, or an EMA array whose days are not the sensors', is an
+    error, never padded."""
     offsets = [(spec.feature_start - patient.observation_start).days for spec in specs]
     stride = config.stride_days
     starts = sorted(set(offsets).union(offset - stride for offset in offsets if offset >= stride))
@@ -118,6 +123,8 @@ def _patient_windows(
         raise ValueError(
             f"patient {patient.patient_id}: a {config.window_days}-day window leaves the {n_days}-day sensor array"
         )
+    if len(dataset.ema[patient.patient_id]) != n_days:
+        raise ValueError(f"patient {patient.patient_id}: the EMA array does not have the {n_days} sensor days")
     return _PatientWindows(patient, specs, offsets, np.array(starts))
 
 
@@ -154,13 +161,14 @@ def window_templates_for(daily: Sequence[np.ndarray], rows: np.ndarray) -> tuple
     return compute_window_templates(gathered.swapaxes(0, 1), overwrite=True), averages
 
 
-def _rhythm_features(dataset: Dataset, block: Sequence[_PatientWindows], config: WindowingConfig) -> np.ndarray:
-    """The `(windows, 6, 13)` template features of one block's windows.
-
-    Each patient's days from its first start to the end of its last window
-    are laid end to end; the previous-window indices are taken within the
-    block.
-    """
+def _block_days(
+    block: Sequence[_PatientWindows], config: WindowingConfig
+) -> tuple[list[tuple[str, int, int]], np.ndarray, np.ndarray, np.ndarray]:
+    """The days of one block, laid end to end: each patient's days from its
+    first start to the end of its last window, as `(patient_id, lo, hi)`
+    slices of its day arrays. With them, each start's `(window_days,)` day
+    indices into that run, and for each evaluable window the index of its
+    start and of the start one stride earlier (-1: none) in the block."""
     spans, first_rows, here, prev = [], [], [], []
     n_days = 0
     for own in block:
@@ -169,16 +177,23 @@ def _rhythm_features(dataset: Dataset, block: Sequence[_PatientWindows], config:
         here += [position[offset] for offset in own.offsets]
         prev += [position.get(offset - config.stride_days, -1) for offset in own.offsets]
         first_rows += (own.starts + (n_days - lo)).tolist()
-        spans.append((dataset.sensors[own.patient.patient_id], lo, hi))
+        spans.append((own.patient.patient_id, lo, hi))
         n_days += hi - lo
     rows = np.array(first_rows)[:, None] + np.arange(config.window_days)
-    here, prev = np.array(here), np.array(prev)
+    return spans, rows, np.array(here), np.array(prev)
+
+
+def _rhythm_features(
+    dataset: Dataset, spans: list[tuple[str, int, int]], rows: np.ndarray, here: np.ndarray, prev: np.ndarray
+) -> np.ndarray:
+    """The `(windows, 6, 13)` template features of one block's windows, in
+    the layout of `_block_days`."""
     has_prev = prev >= 0
 
     mdt, ddt, mxdt = (np.empty((len(rows), len(SIGNALS), HOURS_PER_DAY)) for _ in range(3))
-    averages = np.empty((len(here), len(SIGNALS), config.window_days))
+    averages = np.empty((len(here), len(SIGNALS), rows.shape[1]))
     for s in range(len(SIGNALS)):
-        built, day_averages = window_templates_for([sensors[lo:hi, s] for sensors, lo, hi in spans], rows)
+        built, day_averages = window_templates_for([dataset.sensors[pid][lo:hi, s] for pid, lo, hi in spans], rows)
         mdt[:, s], ddt[:, s], mxdt[:, s] = built.mdt, built.ddt, built.mxdt
         averages[:, s] = day_averages[rows[here]]
 
@@ -195,28 +210,15 @@ def _rhythm_features(dataset: Dataset, block: Sequence[_PatientWindows], config:
     return out
 
 
-def _ema_features(dataset: Dataset, block: Sequence[_PatientWindows], days: int) -> np.ndarray:
+def _ema_features(dataset: Dataset, spans: list[tuple[str, int, int]], window_rows: np.ndarray) -> np.ndarray:
     """The `(windows, 20)` per-item mean and population std of the answers
-    inside each feature window of a block, in record order; NaN without
-    answers. A window reads only its own patient's records."""
-    owners, answered, answers = [], [], []
-    for k, own in enumerate(block):
-        records = dataset.ema_records(own.patient.patient_id)
-        owners += [k] * len(records)
-        answered += [(d - own.patient.observation_start).days for d in records]
-        answers += [r.items for r in records.values()]
-    out = np.full((sum(len(own.offsets) for own in block), 2 * EMA_ITEM_COUNT), np.nan)
-    if not answers:
-        return out
-    window_owner = np.repeat(np.arange(len(block)), [len(own.offsets) for own in block])[:, None]
-    lo = np.array([offset for own in block for offset in own.offsets])[:, None]
-    answered_at = np.array(answered)
-    inside = (window_owner == owners) & (answered_at >= lo) & (answered_at < lo + days)
-    record_index = np.broadcast_to(np.arange(len(answers)), inside.shape)
-    answer_items = np.array(answers, dtype=float)
-    # Windows grouped by answer count; each item's answers contiguous, (g, 10, n).
-    for rows, picked in present_groups(record_index, inside):
-        items = np.ascontiguousarray(answer_items[picked].transpose(0, 2, 1))
+    on the `window_rows` days of each window of a block, in date order; NaN
+    without answers."""
+    answers = np.concatenate([dataset.ema[pid][lo:hi] for pid, lo, hi in spans])
+    out = np.full((len(window_rows), 2 * EMA_ITEM_COUNT), np.nan)
+    # Windows grouped by answered-day count; each item's answers contiguous, (g, 10, n).
+    for rows, picked in present_groups(window_rows, answers[window_rows, 0] >= 0):
+        items = np.ascontiguousarray(answers[picked].transpose(0, 2, 1), dtype=float)
         out[rows, 0::2] = items.mean(axis=-1)
         out[rows, 1::2] = items.std(axis=-1)
     return out
@@ -233,7 +235,8 @@ def extract_cohort(dataset: Dataset, config: WindowingConfig) -> tuple[WindowTab
     windows: list[_PatientWindows] = []
     candidates: list[WindowSpec] = []
     for patient in sorted(dataset.patients, key=lambda p: p.patient_id):
-        own = enumerate_windows(patient, patient.relapse_dates, dataset.sensor_dates(patient.patient_id), config)
+        has_data = ~np.isnan(dataset.sensors[patient.patient_id]).all(axis=(1, 2))
+        own = enumerate_windows(patient, has_data, config)
         candidates.extend(own)
         if evaluable := evaluable_windows(own):
             windows.append(_patient_windows(dataset, patient, evaluable, config))
@@ -241,10 +244,11 @@ def extract_cohort(dataset: Dataset, config: WindowingConfig) -> tuple[WindowTab
     values = np.empty((len(specs), FEATURE_COUNT))
     row = 0
     for block in _blocks(windows):
-        rhythm = _rhythm_features(dataset, block, config)
+        spans, rows, here, prev = _block_days(block, config)
+        rhythm = _rhythm_features(dataset, spans, rows, here, prev)
         n = len(rhythm)
         values[row : row + n, :TEMPLATE_FEATURE_COUNT] = rhythm.reshape(n, -1)
-        values[row : row + n, TEMPLATE_FEATURE_COUNT:-2] = _ema_features(dataset, block, config.window_days)
+        values[row : row + n, TEMPLATE_FEATURE_COUNT:-2] = _ema_features(dataset, spans, rows[here])
         for own in block:
             values[row : row + len(own.specs), -2:] = float(own.patient.age), float(own.patient.education_years)
             row += len(own.specs)

@@ -104,22 +104,6 @@ def feature_indices_for_modality(modality: str, include_demographics: bool) -> t
 
 
 @dataclass(frozen=True)
-class EmaRecord:
-    """One self-report: ten ordinal answers on the 0..3 scale."""
-
-    patient_id: str
-    date: Date
-    items: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.items) != EMA_ITEM_COUNT:
-            raise ValueError(f"expected {EMA_ITEM_COUNT} items, got {len(self.items)}")
-        for i, answer in enumerate(self.items):
-            if answer not in (0, 1, 2, 3):
-                raise ValueError(f"item {i + 1} answer must be in 0..3, got {answer}")
-
-
-@dataclass(frozen=True)
 class Patient:
     """Demographics, observation span, and annotated relapse dates."""
 

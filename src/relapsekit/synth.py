@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .dataio import Dataset, write_dataset
-from .model import EMA_ITEM_COUNT, SIGNALS, EmaRecord, Patient, Signal
+from .model import EMA_ITEM_COUNT, SIGNALS, Patient, Signal
 from .templates import HOURS_PER_DAY
 
 
@@ -109,7 +109,7 @@ def generate(config: SynthConfig, out_dir: str | Path | None = None) -> Dataset:
     width = len(str(max(n, 1)))
     patients: list[Patient] = []
     sensors: dict[str, np.ndarray] = {}
-    ema: dict[str, dict[Date, EmaRecord]] = {}
+    ema: dict[str, np.ndarray] = {}
 
     days = config.days_per_patient
     start = config.start_date
@@ -151,14 +151,11 @@ def generate(config: SynthConfig, out_dir: str | Path | None = None) -> Dataset:
         responded = rng.random(days) < config.ema_per_week / 7.0
         base_p = 0.25
         shift_p = min(0.1 * config.prodrome.magnitude, 1.0 - base_p)
-        records: dict[Date, EmaRecord] = {}
-        for d in range(days):
-            if not responded[d]:
-                continue
+        answers = np.full((days, EMA_ITEM_COUNT), -1, dtype=np.int8)
+        for d in np.flatnonzero(responded).tolist():
             p_item = base_p + (shift_p if prodromal[d] else 0.0)
-            items = tuple(int(v) for v in rng.binomial(3, p_item, size=EMA_ITEM_COUNT))
-            records[start + timedelta(days=d)] = EmaRecord(pid, start + timedelta(days=d), items)
-        ema[pid] = records
+            answers[d] = rng.binomial(3, p_item, size=EMA_ITEM_COUNT)
+        ema[pid] = answers
 
         patients.append(
             Patient(

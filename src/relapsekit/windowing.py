@@ -5,15 +5,19 @@ window) pairs on a grid anchored at the patient's observation start. A
 window is labeled relapse when a relapse date falls inside its prediction
 week. Candidates can be excluded from evaluation for insufficient sensor
 coverage or because they fall in the cool-off span after a relapse window.
+Coverage is a per-day has-data vector in the cohort's day layout: entry 0
+is the observation start.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from datetime import date as Date
 from datetime import timedelta
-from typing import Collection, Iterable
+from itertools import count
+from typing import Collection, Iterable, Sequence
+
+import numpy as np
 
 from .model import Patient
 
@@ -75,33 +79,35 @@ def window_at(
 
 
 def enumerate_windows(
-    patient: Patient,
-    relapse_dates: Collection[Date],
-    data_coverage: Collection[Date],
-    config: WindowingConfig,
+    patient: Patient, has_data: Sequence[bool] | np.ndarray, config: WindowingConfig
 ) -> list[WindowSpec]:
     """All candidate windows for one patient, in start order.
 
     Candidates advance from the observation start by the stride; those whose
-    prediction window runs past the observation end are dropped. A candidate
-    is excluded (not evaluable) when fewer than `min_days_with_data` feature
-    days have any sensor data, or when it starts inside the cool-off span of
-    an earlier relapse-labeled candidate. With cooloff_days = 0 the cool-off
-    rule is disabled entirely.
+    prediction window runs past the observation end are dropped. Each is
+    labeled from `patient.relapse_dates`. `has_data[d]` is true when day `d`
+    of the observation span has any sensor data; days past its end have
+    none. A candidate is excluded (not evaluable) when fewer than
+    `min_days_with_data` feature days have data, or when it starts inside
+    the cool-off span of an earlier relapse-labeled candidate. With
+    cooloff_days = 0 the cool-off rule is disabled entirely.
     """
-    coverage = sorted(set(data_coverage))
+    # covered[d]: days with data before day d, so a window's count is one difference.
+    covered = np.concatenate(([0], np.cumsum(np.asarray(has_data, dtype=bool)))).tolist()
+    last = len(covered) - 1
     windows: list[WindowSpec] = []
     cooloff_until: Date | None = None
 
-    start = patient.observation_start
-    while True:
-        spec = window_at(patient.patient_id, start, relapse_dates, config)
+    for offset in count(0, config.stride_days):
+        start = patient.observation_start + timedelta(days=offset)
+        spec = window_at(patient.patient_id, start, patient.relapse_dates, config)
         if spec.predict_end > patient.observation_end:
             break
 
+        days_with_data = covered[min(offset + config.window_days, last)] - covered[min(offset, last)]
         if cooloff_until is not None and spec.feature_start < cooloff_until:
             spec = replace(spec, exclusion=EXCLUDED_COOLOFF)
-        elif _days_with_data(spec, coverage) < config.min_days_with_data:
+        elif days_with_data < config.min_days_with_data:
             spec = replace(spec, exclusion=EXCLUDED_INSUFFICIENT_DATA)
         windows.append(spec)
 
@@ -112,15 +118,9 @@ def enumerate_windows(
             if cooloff_until is None or boundary > cooloff_until:
                 cooloff_until = boundary
 
-        start = start + timedelta(days=config.stride_days)
-
     return windows
 
 
 def evaluable_windows(windows: Iterable[WindowSpec]) -> list[WindowSpec]:
     return [w for w in windows if w.evaluable]
 
-
-def _days_with_data(spec: WindowSpec, coverage: list[Date]) -> int:
-    """Distinct covered dates in the feature window; `coverage` is sorted."""
-    return bisect_right(coverage, spec.feature_end) - bisect_left(coverage, spec.feature_start)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from relapsekit.dataio import Dataset
-from relapsekit.model import SIGNALS, EmaRecord, Patient
+from relapsekit.model import EMA_ITEM_COUNT, SIGNALS, Patient
 
 BASE_DATE = Date(2021, 1, 4)
 
@@ -52,17 +52,19 @@ def make_constant_dataset(
 ) -> Dataset:
     """Every signal constant at `value` for every hour of every observed day."""
     sensors: dict[str, np.ndarray] = {}
-    ema: dict[str, dict[Date, EmaRecord]] = {}
+    ema: dict[str, np.ndarray] = {}
     for p in patients:
         n_days = (p.observation_end - p.observation_start).days + 1
         sensors[p.patient_id] = np.full((n_days, len(SIGNALS), 24), float(value))
-        records = {}
+        ema[p.patient_id] = no_answers(n_days)
         if ema_every_day:
-            for d in range(n_days):
-                when = p.observation_start + timedelta(days=d)
-                records[when] = EmaRecord(p.patient_id, when, ema_items)
-        ema[p.patient_id] = records
+            ema[p.patient_id][:] = ema_items
     return Dataset(patients=tuple(patients), sensors=sensors, ema=ema)
+
+
+def no_answers(n_days: int) -> np.ndarray:
+    """A `(n_days, 10)` EMA day array without a record."""
+    return np.full((n_days, EMA_ITEM_COUNT), -1, dtype=np.int8)
 
 
 @pytest.fixture

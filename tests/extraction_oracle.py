@@ -133,6 +133,10 @@ def daily_averages(days: np.ndarray) -> np.ndarray:
 # -- per-window extraction -----------------------------------------------------------
 
 
+def _patient(dataset: Dataset, patient_id: str) -> Patient:
+    return next(p for p in dataset.patients if p.patient_id == patient_id)
+
+
 def _day_rows(patient: Patient, start: Date, days: int) -> slice:
     offset = (start - patient.observation_start).days
     return slice(max(offset, 0), max(offset + days, 0))
@@ -140,7 +144,7 @@ def _day_rows(patient: Patient, start: Date, days: int) -> slice:
 
 def window_templates_for(dataset: Dataset, patient_id: str, signal: Signal, start: Date, days: int) -> WindowTemplates:
     """One window's aggregates of one signal."""
-    rows = _day_rows(dataset.patient(patient_id), start, days)
+    rows = _day_rows(_patient(dataset, patient_id), start, days)
     return window_templates(dataset.sensors[patient_id][rows, SIGNALS.index(signal)])
 
 
@@ -152,9 +156,10 @@ def extract_features(
     averages: np.ndarray,
 ) -> np.ndarray:
     """One window's feature vector; `prev_templates` is None for a first window."""
-    patient = dataset.patient(window.patient_id)
+    patient = _patient(dataset, window.patient_id)
     window_days = (window.feature_end - window.feature_start).days + 1
-    window_averages = averages[_day_rows(patient, window.feature_start, window_days)]
+    feature_days = _day_rows(patient, window.feature_start, window_days)
+    window_averages = averages[feature_days]
     values = np.full(FEATURE_COUNT, np.nan)
 
     for si, signal in enumerate(SIGNALS):
@@ -172,10 +177,8 @@ def extract_features(
             values[base + 10] = template_distance(curr_mxdt_norm, prev_mdt_norm)
         values[base + 11], values[base + 12] = average_stats(window_averages[:, si])
 
-    records = dataset.ema_records(window.patient_id)
-    answers: list[tuple[int, ...]] = [
-        records[d].items for d in records if window.feature_start <= d <= window.feature_end
-    ]
+    # The window's answered days, in date order.
+    answers = [day for day in dataset.ema[window.patient_id][feature_days] if day[0] >= 0]
     if answers:
         matrix = np.array(answers, dtype=float)
         for item in range(EMA_ITEM_COUNT):
@@ -193,10 +196,11 @@ def extract_cohort(dataset: Dataset, config: WindowingConfig) -> tuple[WindowTab
     rows: list[np.ndarray] = []
     candidates: list[WindowSpec] = []
     for patient in sorted(dataset.patients, key=lambda p: p.patient_id):
-        coverage = dataset.sensor_dates(patient.patient_id)
-        own = enumerate_windows(patient, patient.relapse_dates, coverage, config)
+        sensors = dataset.sensors[patient.patient_id]
+        has_data = [not np.isnan(sensors[d]).all() for d in range(len(sensors))]
+        own = enumerate_windows(patient, has_data, config)
         candidates.extend(own)
-        averages = daily_averages(dataset.sensors[patient.patient_id])
+        averages = daily_averages(sensors)
         built: dict[Date, dict[Signal, WindowTemplates]] = {}
         for spec in evaluable_windows(own):
             prev_start = spec.feature_start - timedelta(days=config.stride_days)

@@ -142,8 +142,7 @@ def test_criterion_3_mi_oracle_equivalence():
 def test_criterion_4_windowing_fixture():
     started = time.monotonic()
     patient = make_patient(n_days=120, relapse_days=(70,))
-    coverage = {day(k) for k in range(120)}
-    windows = enumerate_windows(patient, patient.relapse_dates, coverage, WindowingConfig())
+    windows = enumerate_windows(patient, [True] * 120, WindowingConfig())
 
     emitted = evaluable_windows(windows)
     emitted_starts = [(w.feature_start - day(0)).days for w in emitted]

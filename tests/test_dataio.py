@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import csv
 import io
+import shutil
 import tracemalloc
 from datetime import date as Date
 
 import numpy as np
 import pytest
 
-from conftest import day, make_patient
+from conftest import day, make_patient, no_answers
 from relapsekit import features
 from relapsekit.dataio import (
     Dataset,
@@ -18,9 +19,10 @@ from relapsekit.dataio import (
     write_metrics,
     write_predictions,
 )
+from relapsekit.cli import main
 from relapsekit.evaluate import EvalReport, PredictionRow
 from relapsekit.features import extract_cohort
-from relapsekit.model import SIGNALS, EmaRecord, Signal
+from relapsekit.model import SIGNALS, Signal
 from relapsekit.synth import SynthConfig, generate
 from relapsekit.templates import HOURS_PER_DAY
 from relapsekit.windowing import WindowingConfig, window_at
@@ -65,13 +67,17 @@ def test_well_formed_fixture_roundtrip(tmp_path):
     ds = load(write_fixture(tmp_path, sensors=sensors, ema=ema))
 
     assert [p.patient_id for p in ds.patients] == ["pa", "pb"]
-    pa = ds.patient("pa")
+    pa = ds.patients[0]
     assert pa.observation_start == Date(2021, 1, 4)
     assert pa.observation_end == Date(2021, 1, 13)  # inferred from data
     values = ds.sensors["pa"][0, CALL]
     assert ds.sensors["pa"].shape == (10, 6, 24)
     assert values[8] == 1.5 and values[9] == 1.5 and np.isnan(values[0])
-    assert ds.ema_records("pa")[Date(2021, 1, 5)].items == (0, 1, 2, 3, 0, 1, 2, 3, 0, 1)
+    # One row per day of the span, -1 on the nine days without a record.
+    assert ds.ema["pa"].dtype == np.int8 and ds.ema["pa"].shape == (10, 10)
+    assert ds.ema["pa"][1].tolist() == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
+    assert (np.delete(ds.ema["pa"], 1, axis=0) == -1).all()
+    assert ds.ema["pb"].shape == (10, 10) and (ds.ema["pb"] == -1).all()
 
 
 def test_duplicate_sensor_rows_mean_aggregated(tmp_path):
@@ -155,14 +161,15 @@ def test_inferred_span_reaches_ema_dates_beyond_the_sensor_rows(tmp_path):
     sensors = "pa,2021-01-06,3,call_duration,1.5\npa,2021-01-08,3,call_duration,2.5\n"
     ema = "pa,2021-01-04,0,0,0,0,0,0,0,0,0,0\npa,2021-01-11,0,0,0,0,0,0,0,0,0,0\n"
     ds = load(write_fixture(tmp_path, sensors=sensors, ema=ema, patients="pa,40,10\n"))
-    pa = ds.patient("pa")
+    (pa,) = ds.patients
     assert (pa.observation_start, pa.observation_end) == (Date(2021, 1, 4), Date(2021, 1, 11))
     cube = ds.sensors["pa"]
     assert cube.shape == (8, 6, 24)
     assert np.isnan(cube[[0, 1, 3, 5, 6, 7]]).all()
     assert cube[2, CALL, 3] == 1.5 and cube[4, CALL, 3] == 2.5
     assert np.isnan(cube[[2, 4]]).sum() == 2 * 6 * 24 - 2
-    assert ds.sensor_dates("pa") == {Date(2021, 1, 6), Date(2021, 1, 8)}
+    assert ds.ema["pa"].shape == (8, 10)
+    assert (ds.ema["pa"][[0, 7]] == 0).all() and (ds.ema["pa"][1:7] == -1).all()
 
 
 def test_explicit_span_rows_outside_are_excluded_not_dropped_silently(tmp_path):
@@ -178,10 +185,32 @@ def test_explicit_span_rows_outside_are_excluded_not_dropped_silently(tmp_path):
     )
     ds = load(paths)
     assert ds.sensors["pa"].shape == (28, 6, 24)  # the declared span, nothing beyond it
-    assert ds.ema_records("pa") == {}
+    assert ds.ema["pa"].shape == (28, 10) and (ds.ema["pa"] == -1).all()
     reasons = {(e.file.split("/")[-1], e.line, e.reason) for e in ds.ingest_exclusions}
     assert ("sensors.csv", 3, "outside_observation_span") in reasons
     assert ("ema.csv", 2, "outside_observation_span") in reasons
+
+
+def test_ema_features_do_not_depend_on_ema_csv_row_order(tmp_path, capsys):
+    # Answers are laid out by date, so shuffled ema.csv rows give the same
+    # arrays and the same feature bytes, std sums included.
+    cohort, shuffled = tmp_path / "cohort", tmp_path / "shuffled"
+    synth = ["synth", "--patients", "40", "--days", "84", "--missing-rate", "0.85", "--seed", "7"]
+    assert main([*synth, "--out", str(cohort)]) == 0
+    shutil.copytree(cohort, shuffled)
+    header, *rows = (cohort / "ema.csv").read_text().splitlines(keepends=True)
+    order = np.random.default_rng(7).permutation(len(rows))
+    (shuffled / "ema.csv").write_text(header + "".join(rows[i] for i in order))
+
+    files = ("sensors", "ema", "patients", "relapses")
+    a, b = (load_dataset(*(root / f"{name}.csv" for name in files)) for root in (cohort, shuffled))
+    assert a.ema.keys() == b.ema.keys()
+    for pid in a.ema:
+        np.testing.assert_array_equal(a.ema[pid], b.ema[pid])
+    for root in (cohort, shuffled):
+        outputs = ["--out", str(root / "features.csv"), "--exclusions", str(root / "exclusions.csv")]
+        assert main(["features", "--data", str(root), *outputs]) == 0
+    assert (cohort / "features.csv").read_bytes() == (shuffled / "features.csv").read_bytes()
 
 
 def test_load_dataset_peak_memory_stays_near_the_arrays_it_returns(tmp_path):
@@ -235,17 +264,16 @@ def test_write_dataset_roundtrip_is_lossless(tmp_path):
     sensors = np.full((5, 6, 24), np.nan)
     sensors[0, CALL, 3] = 1.125
     sensors[2, CALL] = 0.1
-    ds = Dataset(
-        patients=(patient,),
-        sensors={"pa": sensors},
-        ema={"pa": {day(1): EmaRecord("pa", day(1), (0, 1, 2, 3, 0, 1, 2, 3, 0, 1))}},
-    )
+    answers = no_answers(5)
+    answers[1] = (0, 1, 2, 3, 0, 1, 2, 3, 0, 1)
+    ds = Dataset(patients=(patient,), sensors={"pa": sensors}, ema={"pa": answers})
     paths = write_dataset(ds, tmp_path / "out")
     again = load_dataset(paths["sensors"], paths["ema"], paths["patients"], paths["relapses"])
 
     assert again.patients == ds.patients
     np.testing.assert_array_equal(again.sensors["pa"], sensors)
-    assert again.ema_records("pa") == ds.ema_records("pa")
+    np.testing.assert_array_equal(again.ema["pa"], answers)
+    assert again.ema["pa"].dtype == np.int8
 
 
 def test_sensor_writer_formats_rows_as_csv_writer_does(tmp_path):
@@ -256,7 +284,8 @@ def test_sensor_writer_formats_rows_as_csv_writer_does(tmp_path):
     sensors["p,1"][1, 0, 0] = 0.1
     sensors['p"2'][1, 5, 23] = 2.5e-8
     sensors["p\n3"][0, CALL, 3] = 7.0
-    ds = Dataset(patients=tuple(make_patient(pid=pid, n_days=2) for pid in ids), sensors=sensors, ema={})
+    patients = tuple(make_patient(pid=pid, n_days=2) for pid in ids)
+    ds = Dataset(patients=patients, sensors=sensors, ema={pid: no_answers(2) for pid in ids})
     paths = write_dataset(ds, tmp_path)
 
     expected = io.StringIO(newline="")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import extraction_oracle as oracle
-from conftest import day, make_constant_dataset, make_patient
+from conftest import day, make_constant_dataset, make_patient, no_answers
 from relapsekit import features
 from relapsekit.dataio import Dataset
 from relapsekit.features import extract_all, extract_cohort
@@ -17,11 +17,10 @@ from relapsekit.model import (
     FEATURE_INDEX,
     FEATURE_NAMES,
     SIGNALS,
-    EmaRecord,
     Signal,
     signal_feature_indices,
 )
-from relapsekit.windowing import WindowingConfig, window_at
+from relapsekit.windowing import EXCLUDED_INSUFFICIENT_DATA, WindowingConfig, window_at
 
 CONFIG = WindowingConfig()
 
@@ -82,7 +81,7 @@ def test_no_ema_records_leaves_all_20_missing():
 def test_single_ema_record_mean_and_zero_std():
     patient = make_patient(n_days=42)
     ds = make_constant_dataset([patient], ema_every_day=False)
-    ds.ema["p1"] = {day(3): EmaRecord("p1", day(3), (2,) * 10)}
+    ds.ema["p1"][3] = 2
     row = extract_all(ds, CONFIG).values[0]
     for item in range(1, 11):
         assert feature(row, f"ema_{item:02d}_mean") == 2.0
@@ -92,14 +91,23 @@ def test_single_ema_record_mean_and_zero_std():
 def test_ema_outside_window_not_counted():
     patient = make_patient(n_days=42)
     ds = make_constant_dataset([patient], ema_every_day=False)
-    ds.ema["p1"] = {
-        day(0): EmaRecord("p1", day(0), (0,) * 10),  # inside first feature window
-        day(27): EmaRecord("p1", day(27), (2,) * 10),  # boundary day, inside
-        day(28): EmaRecord("p1", day(28), (3,) * 10),  # prediction week, outside
-    }
+    ds.ema["p1"][0] = 0  # inside first feature window
+    ds.ema["p1"][27] = 2  # boundary day, inside
+    ds.ema["p1"][28] = 3  # prediction week, outside
     row = extract_all(ds, CONFIG).values[0]
     assert feature(row, "ema_01_mean") == 1.0  # mean of {0, 2}
     assert feature(row, "ema_01_std") == 1.0
+
+
+def test_ema_days_are_not_sensor_coverage():
+    # An answer every day, sensor data every fifth day: 5 or 6 days in each
+    # 28-day window, under the 7 that make a window evaluable.
+    patient = make_patient(n_days=70)
+    ds = make_constant_dataset([patient], ema_every_day=True)
+    ds.sensors["p1"][np.arange(70) % 5 != 0] = np.nan
+    table, candidates = extract_cohort(ds, CONFIG)
+    assert len(candidates) == 6 and len(table) == 0
+    assert all(spec.exclusion == EXCLUDED_INSUFFICIENT_DATA for spec in candidates)
 
 
 def test_demographics_always_present():
@@ -148,12 +156,8 @@ def shift_dataset(ds: Dataset, days: int) -> Dataset:
         )
         for p in ds.patients
     )
-    ema = {
-        pid: {d + delta: EmaRecord(pid, d + delta, r.items) for d, r in records.items()}
-        for pid, records in ds.ema.items()
-    }
-    # Day 0 of each sensor array is the (shifted) observation start.
-    return Dataset(patients=patients, sensors=ds.sensors, ema=ema)
+    # Day 0 of each day array is the (shifted) observation start.
+    return Dataset(patients=patients, sensors=ds.sensors, ema=ds.ema)
 
 
 def test_date_shift_leaves_feature_values_identical(rng):
@@ -174,13 +178,10 @@ def varied_dataset(rng, pid: str = "p1", n_days: int = 50) -> Dataset:
         for d in range(n_days):
             sensors[d, si] = rng.gamma(2.0, 2.0, size=24)
             sensors[d, si, rng.random(24) < 0.2] = np.nan
-    ema = {
-        pid: {
-            day(d): EmaRecord(pid, day(d), tuple(int(v) for v in rng.integers(0, 4, size=10)))
-            for d in range(0, n_days, 3)
-        }
-    }
-    return Dataset(patients=(patient,), sensors={pid: sensors}, ema=ema)
+    answers = no_answers(n_days)
+    for d in range(0, n_days, 3):
+        answers[d] = rng.integers(0, 4, size=10)
+    return Dataset(patients=(patient,), sensors={pid: sensors}, ema={pid: answers})
 
 
 def test_scaling_one_signal_only_touches_its_non_distance_features(rng):
@@ -236,6 +237,14 @@ def test_sensor_array_shorter_than_the_span_is_an_error_not_padding():
         extract_all(short, CONFIG)
 
 
+def test_ema_array_without_the_sensor_days_is_an_error_not_misaligned():
+    # A second patient in the block: its answers would be read a day early.
+    ds = make_constant_dataset([make_patient(pid="p1", n_days=42), make_patient(pid="p2", n_days=42)])
+    short = Dataset(patients=ds.patients, sensors=ds.sensors, ema={**ds.ema, "p1": ds.ema["p1"][1:]})
+    with pytest.raises(ValueError, match="p1: the EMA array does not have the 42 sensor days"):
+        extract_all(short, CONFIG)
+
+
 # -- batched extraction against the per-window oracle ------------------------------
 
 
@@ -283,11 +292,11 @@ def cohorts(draw) -> tuple[Dataset, WindowingConfig]:
         patients.append(make_patient(pid=pid, n_days=n_days, relapse_days=relapses, age=20 + k))
         kinds = [draw(st.sampled_from(SIGNAL_KINDS)) for _ in SIGNALS]
         sensors[pid] = np.stack([sensor_signal(rng, n_days, kind) for kind in kinds], axis=1)
-        # Answers on drawn days, inserted out of date order.
+        # Answers on a drawn subset of days.
         answered = rng.permutation(n_days)[: int(rng.integers(0, n_days + 1))].tolist()
-        ema[pid] = {
-            day(d): EmaRecord(pid, day(d), tuple(int(v) for v in rng.integers(0, 4, size=10))) for d in answered
-        }
+        ema[pid] = no_answers(n_days)
+        for d in answered:
+            ema[pid][d] = rng.integers(0, 4, size=10)
     return Dataset(patients=tuple(patients), sensors=sensors, ema=ema), config
 
 
@@ -312,13 +321,13 @@ def test_blocks_hold_whole_patients_in_order_up_to_the_start_limit():
     ds = make_constant_dataset(patients)
     sizes = []
     with mock.patch.object(features, "BLOCK_STARTS", 3):
-        real = features._rhythm_features
+        real = features._block_days
 
-        def spy(dataset, block, config):
+        def spy(block, config):
             sizes.append([(own.patient.patient_id, len(own.starts)) for own in block])
-            return real(dataset, block, config)
+            return real(block, config)
 
-        with mock.patch.object(features, "_rhythm_features", spy):
+        with mock.patch.object(features, "_block_days", spy):
             table = extract_all(ds, CONFIG)
     # One to four windows, and as many starts, each; p3's four are more than a block.
     assert sizes == [[("p0", 1), ("p1", 2)], [("p2", 3)], [("p3", 4)], [("p4", 1), ("p5", 2)]]

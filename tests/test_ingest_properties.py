@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import make_patient
+from conftest import make_patient, no_answers
 from relapsekit.dataio import Dataset, load_dataset, write_dataset
 
 SETTINGS = settings(max_examples=15, deadline=None, derandomize=True)
@@ -35,7 +35,8 @@ def cohorts(draw) -> Dataset:
         sensors[pid] = cube
     patients.append(make_patient(pid="pz", n_days=3))
     sensors["pz"] = np.full((3, 6, 24), np.nan)
-    return Dataset(patients=tuple(patients), sensors=sensors, ema={})
+    ema = {pid: no_answers(len(cube)) for pid, cube in sensors.items()}
+    return Dataset(patients=tuple(patients), sensors=sensors, ema=ema)
 
 
 def load_dir(path) -> Dataset:
@@ -113,7 +114,9 @@ def test_inferred_spans_load_the_declared_arrays_sliced_to_the_rows(tmp_path_fac
     inferred = load_dir(inferred_dir)
 
     assert sorted(inferred.sensors) == sorted(with_rows)
+    inferred_start = {p.patient_id: p.observation_start for p in inferred.patients}
+    declared_start = {p.patient_id: p.observation_start for p in declared.patients}
     for pid, cube in inferred.sensors.items():
         days = np.flatnonzero(~np.isnan(declared.sensors[pid]).all(axis=(1, 2)))
         assert cube.tobytes() == declared.sensors[pid][days[0] : days[-1] + 1].tobytes(), pid
-        assert (inferred.patient(pid).observation_start - declared.patient(pid).observation_start).days == days[0]
+        assert (inferred_start[pid] - declared_start[pid]).days == days[0]

@@ -10,7 +10,6 @@ from relapsekit.model import (
     FEATURES_PER_SIGNAL,
     SIGNALS,
     TEMPLATE_FEATURE_COUNT,
-    EmaRecord,
     Patient,
     canonical_feature_names,
     demographic_feature_indices,
@@ -81,14 +80,6 @@ def test_ema_and_demographic_indices():
 )
 def test_modality_candidate_counts(modality, with_demo, expected):
     assert len(feature_indices_for_modality(modality, with_demo)) == expected
-
-
-def test_ema_record_validation():
-    EmaRecord("p", Date(2021, 1, 1), (0, 1, 2, 3, 0, 1, 2, 3, 0, 1))
-    with pytest.raises(ValueError):
-        EmaRecord("p", Date(2021, 1, 1), (0,) * 9)
-    with pytest.raises(ValueError):
-        EmaRecord("p", Date(2021, 1, 1), (0,) * 9 + (4,))
 
 
 def test_patient_validation():

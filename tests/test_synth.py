@@ -97,7 +97,7 @@ def test_zero_noise_zero_missing_reproduces_base_rhythm_exactly():
 def test_ema_rate_roughly_three_per_week():
     config = small_config(patient_count=4, days_per_patient=70, ema_per_week=3.0)
     ds = generate(config)
-    counts = [len(ds.ema_records(p.patient_id)) for p in ds.patients]
+    counts = [int((ds.ema[p.patient_id][:, 0] >= 0).sum()) for p in ds.patients]
     expected = 70 * 3 / 7
     sigma = (70 * (3 / 7) * (4 / 7)) ** 0.5
     for c in counts:

@@ -17,8 +17,13 @@ from relapsekit.windowing import (
 FULL = WindowingConfig()
 
 
-def full_coverage(n_days: int) -> set:
-    return {day(k) for k in range(n_days)}
+def full_coverage(n_days: int) -> list[bool]:
+    return [True] * n_days
+
+
+def covering(n_days: int, covered_days) -> list[bool]:
+    """The has-data vector of an `n_days` span with data on `covered_days`."""
+    return [k in covered_days for k in range(n_days)]
 
 
 def starts(windows) -> list[int]:
@@ -27,7 +32,7 @@ def starts(windows) -> list[int]:
 
 def test_window_geometry():
     patient = make_patient(n_days=40)
-    windows = enumerate_windows(patient, (), full_coverage(40), FULL)
+    windows = enumerate_windows(patient, full_coverage(40), FULL)
     w = windows[0]
     assert (w.feature_end - w.feature_start).days == 27
     assert (w.predict_start - w.feature_end).days == 1
@@ -44,7 +49,7 @@ def test_relapse_at_day_70_hand_enumeration():
     ends with the relapse window.
     """
     patient = make_patient(n_days=120, relapse_days=(70,))
-    windows = enumerate_windows(patient, patient.relapse_dates, full_coverage(120), FULL)
+    windows = enumerate_windows(patient, full_coverage(120), FULL)
 
     emitted = evaluable_windows(windows)
     assert starts(emitted) == [0, 7, 14, 21, 28, 35, 42]
@@ -64,14 +69,14 @@ def test_relapse_at_day_70_hand_enumeration():
 
 def test_longer_observation_resumes_after_cooloff():
     patient = make_patient(n_days=150, relapse_days=(70,))
-    windows = enumerate_windows(patient, patient.relapse_dates, full_coverage(150), FULL)
+    windows = enumerate_windows(patient, full_coverage(150), FULL)
     emitted = starts(evaluable_windows(windows))
     assert [s for s in emitted if s > 42] == [105, 112]
 
 
 def test_no_relapse_70_days_full_data_gives_six_windows():
     patient = make_patient(n_days=70)
-    windows = enumerate_windows(patient, (), full_coverage(70), FULL)
+    windows = enumerate_windows(patient, full_coverage(70), FULL)
     assert starts(windows) == [0, 7, 14, 21, 28, 35]
     assert all(w.evaluable and w.label == NON_RELAPSE for w in windows)
 
@@ -79,22 +84,22 @@ def test_no_relapse_70_days_full_data_gives_six_windows():
 def test_early_relapse_never_labeled():
     # A 28-day feature window cannot precede a relapse on day 10.
     patient = make_patient(n_days=70, relapse_days=(10,))
-    windows = enumerate_windows(patient, patient.relapse_dates, full_coverage(70), FULL)
+    windows = enumerate_windows(patient, full_coverage(70), FULL)
     assert all(w.label == NON_RELAPSE for w in windows)
 
 
 def test_cooloff_zero_and_no_min_days_gives_plain_grid():
     config = WindowingConfig(cooloff_days=0, min_days_with_data=0)
     patient = make_patient(n_days=120, relapse_days=(70,))
-    windows = enumerate_windows(patient, patient.relapse_dates, set(), config)
+    windows = enumerate_windows(patient, [], config)
     assert starts(windows) == list(range(0, 85, 7))
     assert all(w.evaluable for w in windows)
 
 
 def test_insufficient_data_exclusion():
     patient = make_patient(n_days=70)
-    coverage = {day(k) for k in range(40, 70)}  # first windows nearly empty
-    windows = enumerate_windows(patient, (), coverage, FULL)
+    coverage = covering(70, range(40, 70))  # first windows nearly empty
+    windows = enumerate_windows(patient, coverage, FULL)
     reasons = {s: w.exclusion for s, w in zip(starts(windows), windows)}
     assert reasons[0] == EXCLUDED_INSUFFICIENT_DATA
     assert reasons[35] is None  # feature days 35..62 has 23 covered days
@@ -102,8 +107,8 @@ def test_insufficient_data_exclusion():
 
 def test_relapse_window_excluded_for_data_still_opens_cooloff():
     patient = make_patient(n_days=150, relapse_days=(70,))
-    coverage = full_coverage(150) - {day(k) for k in range(42, 70)}  # starve window 42
-    windows = enumerate_windows(patient, patient.relapse_dates, coverage, FULL)
+    coverage = covering(150, set(range(150)) - set(range(42, 70)))  # starve window 42
+    windows = enumerate_windows(patient, coverage, FULL)
     by_start = {s: w for s, w in zip(starts(windows), windows)}
     assert by_start[42].label == RELAPSE
     assert by_start[42].exclusion == EXCLUDED_INSUFFICIENT_DATA
@@ -118,7 +123,7 @@ def test_relapse_labels_bounded_by_relapse_dates(rng):
         n_relapses = int(rng.integers(0, 4))
         relapse_days = tuple(sorted(rng.choice(n_days, size=n_relapses, replace=False).tolist()))
         patient = make_patient(n_days=n_days, relapse_days=relapse_days)
-        windows = enumerate_windows(patient, patient.relapse_dates, full_coverage(n_days), FULL)
+        windows = enumerate_windows(patient, full_coverage(n_days), FULL)
         emitted = evaluable_windows(windows)
 
         assert sum(w.label for w in emitted) <= len(relapse_days)
@@ -133,7 +138,7 @@ def test_relapse_labels_bounded_by_relapse_dates(rng):
 
 def test_exclusion_helpers_partition():
     patient = make_patient(n_days=120, relapse_days=(70,))
-    windows = enumerate_windows(patient, patient.relapse_dates, full_coverage(120), FULL)
+    windows = enumerate_windows(patient, full_coverage(120), FULL)
     assert len(evaluable_windows(windows)) + len([w for w in windows if not w.evaluable]) == len(windows)
 
 
@@ -173,16 +178,18 @@ def windowing_cases(draw):
     )
     days = st.integers(0, n_days - 1)
     relapse_days = tuple(sorted(draw(st.sets(days, max_size=4))))
-    covered_days = draw(st.sets(st.integers(-5, n_days + 5), max_size=n_days + 10))
-    return n_days, relapse_days, covered_days, config
+    # As long as the span, or shorter (its tail has no data) or longer.
+    length = draw(st.one_of(st.just(n_days), st.integers(0, n_days + 5)))
+    has_data = draw(st.lists(st.booleans(), min_size=length, max_size=length))
+    return n_days, relapse_days, has_data, config
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(windowing_cases())
 def test_enumerate_windows_matches_day_by_day_oracle(case):
-    n_days, relapse_days, covered_days, config = case
+    n_days, relapse_days, has_data, config = case
     patient = make_patient(n_days=n_days, relapse_days=relapse_days)
-    windows = enumerate_windows(patient, patient.relapse_dates, {day(k) for k in covered_days}, config)
+    windows = enumerate_windows(patient, has_data, config)
     got = [
         (
             (w.feature_start - day(0)).days,
@@ -194,4 +201,5 @@ def test_enumerate_windows_matches_day_by_day_oracle(case):
         )
         for w in windows
     ]
+    covered_days = {k for k, covered in enumerate(has_data) if covered}
     assert got == oracle_windows(n_days, set(relapse_days), covered_days, config)
