@@ -30,7 +30,7 @@ from .dataio import (
     write_predictions,
 )
 from .evaluate import CLASSIFIER_KINDS, GRIDS, EvalReport, ExperimentConfig, run_grid, run_lopo
-from .features import extract_cohort
+from .features import extract_all, extract_cohort
 from .model import SIGNALS, Signal
 from .synth import ProdromalSpec, SynthConfig, generate
 from .windowing import WindowingConfig
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     _windowing_flags(p_feat)
     p_feat.add_argument("--out", type=Path, default=Path("features.csv"), help="feature matrix output")
     p_feat.add_argument(
-        "--exclusions", type=Path, default=Path("exclusions.csv"), help="window exclusion log output"
+        "--exclusions", type=Path, default=None, help="window exclusion log; None: exclusions.csv next to --out"
     )
 
     p_eval = sub.add_parser("evaluate", help="LOPO evaluation with one classifier", formatter_class=fmt)
@@ -269,10 +269,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_features(args: argparse.Namespace) -> int:
     config = _windowing_config(args)
-    with _output_dirs(args.out.parent, args.exclusions.parent):
+    exclusions = args.exclusions or args.out.with_name("exclusions.csv")
+    with _output_dirs(args.out.parent, exclusions.parent):
         table, candidates = extract_cohort(_load(args), config)
         write_feature_matrix(table, args.out)
-        write_exclusions(candidates, args.exclusions)
+        write_exclusions(candidates, exclusions)
     print(f"windows={len(table)}")
     print(f"relapse_windows={int(table.labels.sum())}")
     print(f"excluded={sum(1 for w in candidates if not w.evaluable)}")
@@ -283,11 +284,11 @@ def _cmd_features(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _experiment_config(args, classifier=args.classifier)
     with _output_dirs(args.metrics.parent, args.predictions.parent):
-        report = run_lopo(_load(args), config)
+        report = run_lopo(extract_all(_load(args), config.windowing), config)
         write_metrics(report, args.metrics)
         write_predictions(report, args.predictions)
     print(f"classifier={report.classifier}")
-    print(f"windows={len(report.rows)}")
+    print(f"windows={len(report.specs)}")
     _print_report(report)
     return 0
 

@@ -721,17 +721,16 @@ def write_predictions(report: "EvalReport", path: str | Path) -> None:
                 "score",
             ]
         )
-        for row in report.rows:
-            spec = row.spec
+        for spec, predicted, score in zip(report.specs, report.predicted.tolist(), report.scores.tolist()):
             writer.writerow(
                 [
                     spec.patient_id,
                     spec.feature_start.isoformat(),
                     spec.feature_end.isoformat(),
                     f"{spec.predict_start.isoformat()}/{spec.predict_end.isoformat()}",
-                    row.label,
-                    row.predicted,
-                    _fmt(row.score),
+                    spec.label,
+                    predicted,
+                    _fmt(score),
                 ]
             )
 

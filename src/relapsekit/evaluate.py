@@ -5,12 +5,15 @@ the age-matched feature selection, and the classifier on the remaining
 patients only, then predicts the held-out patient's windows sequentially.
 Confusion counts are pooled over folds (micro-averaged) before computing
 precision, recall, and F2. Folds run one after another, in patient order.
-Reports are deterministic given (dataset, config, seed).
+Reports are deterministic given (table, config, seed).
 
-Folds run over one `WindowTable`: a fold's training rows are those whose
-patient index is not the held-out patient's. A fold's binning model
-depends only on its training rows and `bins`, and its selection subsample
-only on them and `selection_pool`; no grid arm changes those. So
+Evaluation reads one `WindowTable` and nothing else: a fold's training rows
+are those whose patient index is not the held-out patient's, and its test
+rows are that patient's own, contiguous in the table. The age the selection
+subsample matches is the held-out patient's `age` column, read from their
+first row. A fold's binning model depends only on its training rows and
+`bins`, and its selection subsample only on them, that age and
+`selection_pool`; no grid arm changes those. So
 `_plan_folds` fits each fold's bins and ranks every feature on its
 subsample once, and `run_grid` hands that plan to every arm. An arm keeps
 the head of that ranking among its candidates, which is what ranking them
@@ -37,7 +40,7 @@ from . import classifiers as clf
 from .dataio import Dataset
 from .features import WindowTable, extract_all
 from .metrics import f2_from_counts, f2_score
-from .model import FEATURE_COUNT, FEATURE_NAMES, SIGNALS, feature_indices_for_modality
+from .model import AGE_INDEX, FEATURE_COUNT, FEATURE_NAMES, SIGNALS, feature_indices_for_modality
 from .transform import BinningModel, SelectionModel, apply_bins, build_selection_subsample, fit_bins, select_features
 from .windowing import WindowSpec, WindowingConfig
 
@@ -85,14 +88,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class PredictionRow:
-    spec: WindowSpec
-    label: int
-    predicted: int
-    score: float
-
-
-@dataclass(frozen=True)
 class FoldReport:
     patient_id: str
     tp: int
@@ -111,7 +106,9 @@ class EvalReport:
     experiment: str
     arm: str
     classifier: str
-    rows: list[PredictionRow]
+    specs: tuple[WindowSpec, ...]  # the evaluated windows, in table row order
+    predicted: np.ndarray  # int64, one per window
+    scores: np.ndarray  # float64, one per window
     tp: float
     fp: float
     fn: float
@@ -125,8 +122,8 @@ class EvalReport:
     metric_std: dict | None = None
 
     def to_dict(self) -> dict:
-        """Every field but `rows`; `metric_std` only when set."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
+        """Every field but the per-window predictions; `metric_std` only when set."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("specs", "predicted", "scores")}
         doc["folds"] = [dict(vars(fold)) for fold in self.folds]  # shallow: fields are immutable
         if self.metric_std is None:
             del doc["metric_std"]
@@ -177,11 +174,12 @@ def _confusion(labels: np.ndarray, predicted: np.ndarray) -> tuple[int, int, int
 FoldPlan = tuple[BinningModel, SelectionModel]  # bins, every feature ranked on the subsample
 
 
-def _plan_folds(dataset: Dataset, table: WindowTable, config: ExperimentConfig) -> list[FoldPlan | None]:
+def _plan_folds(table: WindowTable, config: ExperimentConfig) -> list[FoldPlan | None]:
     """Each held-out patient's binning model and every feature ranked on its
-    selection subsample, in table order, from that fold's training rows only;
-    None for a single-class fold, whose warning is logged here, once."""
-    ages = {p.patient_id: float(p.age) for p in dataset.patients}
+    selection subsample, in table order, from that fold's training rows and
+    the patient's age (the `age` column of their first row) only; None for a
+    single-class fold, whose warning is logged here, once."""
+    ages = table.values[np.searchsorted(table.patients, range(len(table.patient_ids))), AGE_INDEX]
     plan: list[FoldPlan | None] = []
     for k, patient_id in enumerate(table.patient_ids):
         train = table.patients != k
@@ -193,7 +191,7 @@ def _plan_folds(dataset: Dataset, table: WindowTable, config: ExperimentConfig) 
         train_matrix = table.values[train]
         # `fit_bins` and friends resolve on this module at call time.
         bins = fit_bins(train_matrix, config.bins)
-        picked = build_selection_subsample(train_matrix, ytr, ages[patient_id], config.selection_pool)
+        picked = build_selection_subsample(train_matrix, ytr, ages[k], config.selection_pool)
         codes = apply_bins(bins, train_matrix[picked])
         plan.append((bins, select_features(codes, ytr[picked], FEATURE_COUNT, range(FEATURE_COUNT))))
     return plan
@@ -204,7 +202,8 @@ def _run_fold(
     table: WindowTable,
     k: int,
     fold: FoldPlan | None,
-) -> tuple[list[PredictionRow], FoldReport]:
+) -> tuple[np.ndarray, np.ndarray, FoldReport]:
+    """Patient k's predictions and scores, in table order, and its report."""
     patient_id = table.patient_ids[k]
     train = table.patients != k
     test = ~train
@@ -232,11 +231,6 @@ def _run_fold(
         codes = apply_bins(chosen_bins, table.values[:, chosen])
         predicted, scores = _fit_and_predict(config, codes[train], ytr, codes[test], k)
 
-    test_specs = [table.specs[i] for i in np.flatnonzero(test)]
-    rows = [
-        PredictionRow(spec=spec, label=spec.label, predicted=int(p), score=float(s))
-        for spec, p, s in zip(test_specs, predicted, scores)
-    ]
     tp, fp, fn, tn = _confusion(yte, predicted)
     report = FoldReport(
         patient_id=patient_id,
@@ -250,40 +244,37 @@ def _run_fold(
         selected_scores=selected_scores,
         warning=warning,
     )
-    return rows, report
+    return predicted, scores, report
 
 
 def run_lopo(
-    dataset: Dataset,
+    table: WindowTable,
     config: ExperimentConfig,
     experiment: str = "evaluate",
     arm: str | None = None,
-    table: WindowTable | None = None,
     folds: list[FoldPlan | None] | None = None,
 ) -> EvalReport:
-    """Leave-one-patient-out evaluation of one experiment arm, its folds run
-    in patient order.
+    """Leave-one-patient-out evaluation of one experiment arm over the window
+    table of `config.windowing`, its folds run in patient order.
 
-    `table` may carry a precomputed window table (matching
-    config.windowing) to share extraction across arms. `folds` may carry
-    the `_plan_folds` plan of the same dataset and table, built with this
-    config's `bins` and `selection_pool`, to share its bins and rankings.
+    `folds` may carry the `_plan_folds` plan of the same table, built with
+    this config's `bins` and `selection_pool`, to share its bins and
+    rankings across arms.
     """
-    if table is None:
-        table = extract_all(dataset, config.windowing)
     if not table.labels.any():
         raise ValueError("no_positive_class: dataset has no relapse-labeled windows")
 
     if config.classifier == "random":
         return _run_random_baseline(config, table, experiment, arm)
     if folds is None:
-        folds = _plan_folds(dataset, table, config)
+        folds = _plan_folds(table, config)
 
-    rows: list[PredictionRow] = []
+    predicted = np.empty(len(table), dtype=np.int64)
+    scores = np.empty(len(table))
     reports: list[FoldReport] = []
     for k, fold in enumerate(folds):
-        fold_rows, fold_report = _run_fold(config, table, k, fold)
-        rows.extend(fold_rows)
+        test = table.patients == k
+        predicted[test], scores[test], fold_report = _run_fold(config, table, k, fold)
         reports.append(fold_report)
     tp = sum(f.tp for f in reports)
     fp = sum(f.fp for f in reports)
@@ -294,7 +285,9 @@ def run_lopo(
         experiment=experiment,
         arm=arm or config.classifier,
         classifier=config.classifier,
-        rows=rows,
+        specs=table.specs,
+        predicted=predicted,
+        scores=scores,
         tp=tp,
         fp=fp,
         fn=fn,
@@ -331,7 +324,9 @@ def _run_random_baseline(
         experiment=experiment,
         arm=arm or "random",
         classifier="random",
-        rows=[],
+        specs=(),
+        predicted=np.empty(0, dtype=np.int64),
+        scores=np.empty(0),
         tp=result.tp,
         fp=result.fp,
         fn=result.fn,
@@ -384,21 +379,15 @@ GRIDS: dict[str, Grid] = {
 
 def run_grid(experiment: str, dataset: Dataset, base_config: ExperimentConfig) -> list[EvalReport]:
     """Every arm of GRIDS[experiment], one `run_lopo` per arm in grid order,
-    over one shared feature extraction and one fold plan (each fold's bins
-    and feature ranking)."""
+    over one window table and one fold plan (each fold's bins and feature
+    ranking). Its one `extract_all` call is the only place evaluation reads
+    a `Dataset`."""
     grid = GRIDS[experiment]
     table = extract_all(dataset, base_config.windowing)
     # Without a relapse window the first arm raises before any fold is planned.
-    folds = _plan_folds(dataset, table, base_config) if table.labels.any() else None
+    folds = _plan_folds(table, base_config) if table.labels.any() else None
     reports = [
-        run_lopo(
-            dataset,
-            replace(base_config, **overrides),
-            experiment=experiment,
-            arm=arm,
-            table=table,
-            folds=folds,
-        )
+        run_lopo(table, replace(base_config, **overrides), experiment=experiment, arm=arm, folds=folds)
         for arm, overrides in grid.arms
     ]
     if grid.ranked:
@@ -412,7 +401,6 @@ __all__ = [
     "ExperimentConfig",
     "FoldReport",
     "GRIDS",
-    "PredictionRow",
     "f2_from_counts",
     "f2_score",
     "run_grid",

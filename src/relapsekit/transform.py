@@ -11,9 +11,11 @@ Every function takes arrays: a float `(windows, features)` matrix and int64
 labels, rows in the (patient, window start) order of a
 `features.WindowTable`. The subsample is a vector of row indices, drawn by
 one stable `np.argsort`. Neither `fit_bins` nor
-`build_selection_subsample` depends on anything but the training fold and
-its own count (`n_bins`, `n_nonrelapse`), so LOPO fits each once per fold
-and shares it across experiment arms (see `evaluate._plan_folds`).
+`build_selection_subsample` depends on anything but the training fold, its
+own count (`n_bins`, `n_nonrelapse`) and, for the subsample, the held-out
+patient's age, which LOPO reads from that patient's `age` column in the
+table. So LOPO fits each once per fold and shares it across experiment
+arms (see `evaluate._plan_folds`).
 `select_features` ranks `apply_bins` codes; LOPO ranks all 100 once per fold.
 `mutual_information_columns` scores every candidate column in one pass;
 its sums run in the same order as a per-column table over the present

@@ -252,8 +252,9 @@ def test_criterion_7_synthetic_power_check():
     assert cohort.prodrome.magnitude == 3.0 and len(cohort.prodrome.signals) == 2
     ds = generate(cohort)
 
-    nb = run_lopo(ds, ExperimentConfig(seed=5))
-    baseline = run_lopo(ds, ExperimentConfig(classifier="random", seed=5))
+    table = extract_all(ds, ExperimentConfig().windowing)
+    nb = run_lopo(table, ExperimentConfig(seed=5))
+    baseline = run_lopo(table, ExperimentConfig(classifier="random", seed=5))
     assert baseline.config["baseline_runs"] == 1000
     threshold = baseline.f2 + 2.0 * baseline.metric_std["f2"]
     assert nb.f2 > threshold, f"NB f2 {nb.f2} vs baseline threshold {threshold}"
@@ -262,8 +263,9 @@ def test_criterion_7_synthetic_power_check():
         patient_count=40, days_per_patient=180, seed=2024, prodrome=ProdromalSpec(magnitude=0.0)
     )
     ds_null = generate(null_cfg)
-    nb_null = run_lopo(ds_null, ExperimentConfig(seed=5))
-    base_null = run_lopo(ds_null, ExperimentConfig(classifier="random", seed=5))
+    table_null = extract_all(ds_null, ExperimentConfig().windowing)
+    nb_null = run_lopo(table_null, ExperimentConfig(seed=5))
+    base_null = run_lopo(table_null, ExperimentConfig(classifier="random", seed=5))
     lo = base_null.f2 - 3.0 * base_null.metric_std["f2"]
     hi = base_null.f2 + 3.0 * base_null.metric_std["f2"]
     assert lo <= nb_null.f2 <= hi, f"null NB f2 {nb_null.f2} outside [{lo}, {hi}]"

@@ -140,6 +140,17 @@ def test_features_dump(cohort_dir, tmp_path, capsys):
     assert exclusions.read_text().splitlines()[0] == "patient_id,window_start,reason"
 
 
+def test_features_exclusions_default_next_to_out(cohort_dir, tmp_path, capsys, monkeypatch):
+    workdir = tmp_path / "cwd"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    out = tmp_path / "elsewhere" / "f.csv"
+    assert main(["features", "--data", str(cohort_dir), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert (out.parent / "exclusions.csv").read_text().splitlines()[0] == "patient_id,window_start,reason"
+    assert list(workdir.iterdir()) == []
+
+
 def test_features_enumerates_each_patients_windows_once(cohort_dir, tmp_path, capsys, monkeypatch):
     calls = []
 

@@ -20,12 +20,12 @@ from relapsekit.dataio import (
     write_predictions,
 )
 from relapsekit.cli import main
-from relapsekit.evaluate import EvalReport, PredictionRow
+from relapsekit.evaluate import EvalReport
 from relapsekit.features import extract_cohort
 from relapsekit.model import SIGNALS, Signal
 from relapsekit.synth import SynthConfig, generate
 from relapsekit.templates import HOURS_PER_DAY
-from relapsekit.windowing import WindowingConfig, window_at
+from relapsekit.windowing import WindowingConfig, WindowSpec, window_at
 
 SENSOR_HEADER = "patient_id,date,hour,signal,value\n"
 EMA_HEADER = "patient_id,date," + ",".join(f"item_{i}" for i in range(1, 11)) + "\n"
@@ -301,16 +301,18 @@ def test_sensor_writer_formats_rows_as_csv_writer_does(tmp_path):
         np.testing.assert_array_equal(again.sensors[pid], sensors[pid])
 
 
-def make_report(rows) -> EvalReport:
+def make_report(specs: tuple[WindowSpec, ...]) -> EvalReport:
     return EvalReport(
         experiment="evaluate",
         arm="nb",
         classifier="nb",
-        rows=rows,
+        specs=specs,
+        predicted=np.zeros(len(specs), dtype=np.int64),
+        scores=np.full(len(specs), 0.25),
         tp=1,
         fp=0,
         fn=0,
-        tn=len(rows) - 1 if rows else 0,
+        tn=len(specs) - 1 if specs else 0,
         precision=1.0,
         recall=1.0,
         f2=1.0,
@@ -320,19 +322,14 @@ def make_report(rows) -> EvalReport:
     )
 
 
-def prediction_rows(n: int) -> list[PredictionRow]:
+def prediction_rows(n: int) -> tuple[WindowSpec, ...]:
     config = WindowingConfig()
-    return [
-        PredictionRow(
-            spec=window_at("pa", day(7 * i), (), config), label=i == 0, predicted=0, score=0.25
-        )
-        for i in range(n)
-    ]
+    return tuple(window_at("pa", day(7 * i), (), config) for i in range(n))
 
 
 def test_write_predictions_empty_report_is_header_only(tmp_path):
     path = tmp_path / "pred.csv"
-    write_predictions(make_report([]), path)
+    write_predictions(make_report(()), path)
     lines = path.read_text().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("patient_id,window_start,")

@@ -11,6 +11,7 @@ from relapsekit.evaluate import (
     run_grid,
     run_lopo,
 )
+from relapsekit.features import extract_all
 from relapsekit.synth import SynthConfig, generate
 
 BASE = ExperimentConfig(seed=13)
@@ -20,6 +21,11 @@ BASE = ExperimentConfig(seed=13)
 def cohort():
     """Small separable synthetic cohort: prodromal shift in call + distance."""
     return generate(SynthConfig(patient_count=8, days_per_patient=100, seed=11))
+
+
+@pytest.fixture(scope="module")
+def table(cohort):
+    return extract_all(cohort, BASE.windowing)
 
 
 # -- metrics -----------------------------------------------------------------
@@ -54,24 +60,25 @@ def test_f2_rejects_negative_counts():
 # -- fold structure -----------------------------------------------------------
 
 
-def two_patient_dataset():
+def two_patient_table():
     pa = make_patient(pid="pa", n_days=120, relapse_days=(70,))
     pb = make_patient(pid="pb", n_days=70)
-    return make_constant_dataset([pa, pb])
+    return extract_all(make_constant_dataset([pa, pb]), BASE.windowing)
 
 
 def test_two_patient_fixture_gives_two_folds_each_window_once():
-    ds = two_patient_dataset()
-    report = run_lopo(ds, BASE)
+    table = two_patient_table()
+    report = run_lopo(table, BASE)
     assert [f.patient_id for f in report.folds] == ["pa", "pb"]
     # pa emits 7 windows (relapse at 42 then cool-off), pb emits 6
-    seen = [(r.spec.patient_id, r.spec.feature_start) for r in report.rows]
+    seen = [(spec.patient_id, spec.feature_start) for spec in report.specs]
     assert len(seen) == len(set(seen)) == 13
+    assert report.specs == table.specs
+    assert len(report.predicted) == len(report.scores) == len(table)
 
 
 def test_training_never_includes_heldout_windows():
-    ds = two_patient_dataset()
-    report = run_lopo(ds, BASE)
+    report = run_lopo(two_patient_table(), BASE)
     windows_of = {"pa": 7, "pb": 6}
     for fold in report.folds:
         other = "pb" if fold.patient_id == "pa" else "pa"
@@ -79,73 +86,69 @@ def test_training_never_includes_heldout_windows():
 
 
 def test_pooled_counts_equal_fold_sums():
-    ds = two_patient_dataset()
-    report = run_lopo(ds, BASE)
+    report = run_lopo(two_patient_table(), BASE)
     assert report.tp == sum(f.tp for f in report.folds)
     assert report.fp == sum(f.fp for f in report.folds)
     assert report.fn == sum(f.fn for f in report.folds)
     assert report.tn == sum(f.tn for f in report.folds)
-    assert report.tp + report.fn == sum(r.label for r in report.rows)
+    assert report.tp + report.fn == sum(spec.label for spec in report.specs)
 
 
 def test_no_positive_class_rejected():
     ds = make_constant_dataset([make_patient(pid="pa", n_days=70), make_patient(pid="pb", n_days=70)])
     with pytest.raises(ValueError, match="no_positive_class"):
-        run_lopo(ds, BASE)
+        run_lopo(extract_all(ds, BASE.windowing), BASE)
 
 
 def test_single_class_training_fold_degrades_with_warning():
     # pa holds every relapse window; its fold must fall back to majority.
-    ds = two_patient_dataset()
-    report = run_lopo(ds, BASE)
+    report = run_lopo(two_patient_table(), BASE)
     fold_pa = next(f for f in report.folds if f.patient_id == "pa")
     assert fold_pa.warning == "single_class_training"
-    pa_rows = [r for r in report.rows if r.spec.patient_id == "pa"]
-    assert all(r.predicted == 0 for r in pa_rows)
+    pa_rows = [p for spec, p in zip(report.specs, report.predicted) if spec.patient_id == "pa"]
+    assert all(p == 0 for p in pa_rows)
 
 
-def test_selection_on_uses_exactly_five_features_per_fold(cohort):
-    report = run_lopo(cohort, BASE)
+def test_selection_on_uses_exactly_five_features_per_fold(table):
+    report = run_lopo(table, BASE)
     for fold in report.folds:
         if fold.warning is None:
             assert len(fold.selected) == 5
 
 
-def test_selection_off_completes_and_differs(cohort):
-    on = run_lopo(cohort, BASE)
-    off = run_lopo(cohort, ExperimentConfig(seed=13, selection=False))
+def test_selection_off_completes_and_differs(table):
+    on = run_lopo(table, BASE)
+    off = run_lopo(table, ExperimentConfig(seed=13, selection=False))
     assert all(f.selected is None for f in off.folds)
     assert on.config["selection"] and not off.config["selection"]
 
 
-def test_reports_deterministic_given_seed(cohort):
-    a = run_lopo(cohort, BASE)
-    b = run_lopo(cohort, BASE)
+def test_reports_deterministic_given_seed(table):
+    a = run_lopo(table, BASE)
+    b = run_lopo(table, BASE)
     assert a.to_dict() == b.to_dict()
-    assert [(r.spec, r.predicted, r.score) for r in a.rows] == [
-        (r.spec, r.predicted, r.score) for r in b.rows
-    ]
+    assert a.specs == b.specs
+    np.testing.assert_array_equal(a.predicted, b.predicted)
+    np.testing.assert_array_equal(a.scores, b.scores)
 
 
 # -- experiments ----------------------------------------------------------------
 
 
-def test_nb_beats_matched_random_baseline_on_separable_cohort(cohort):
-    nb = run_lopo(cohort, BASE)
-    baseline = run_lopo(cohort, ExperimentConfig(classifier="random", seed=13))
+def test_nb_beats_matched_random_baseline_on_separable_cohort(table):
+    nb = run_lopo(table, BASE)
+    baseline = run_lopo(table, ExperimentConfig(classifier="random", seed=13))
     assert baseline.metric_std is not None
     assert nb.f2 > baseline.f2 + 2 * baseline.metric_std["f2"]
 
 
-def test_random_baseline_report_shape(cohort):
-    from relapsekit.features import extract_all
-
-    report = run_lopo(cohort, ExperimentConfig(classifier="random", seed=13))
-    assert report.rows == []
+def test_random_baseline_report_shape(table):
+    report = run_lopo(table, ExperimentConfig(classifier="random", seed=13))
+    assert report.specs == ()
+    assert len(report.predicted) == len(report.scores) == 0
     assert set(report.metric_std) == {"precision", "recall", "f2"}
     assert np.isfinite([report.tp, report.fp, report.fn, report.tn]).all()
     # counts are means over runs; tp + fn still equals the relapse windows
-    table = extract_all(cohort, BASE.windowing)
     assert report.tp + report.fn == pytest.approx(table.labels.sum())
 
 

@@ -12,7 +12,7 @@ from relapsekit import evaluate
 from relapsekit.cli import main
 from relapsekit.evaluate import GRIDS, ExperimentConfig, run_grid, run_lopo
 from relapsekit.features import WindowTable, extract_all
-from relapsekit.model import FEATURE_NAMES, feature_indices_for_modality
+from relapsekit.model import AGE_INDEX, FEATURE_NAMES, feature_indices_for_modality
 from relapsekit.synth import SynthConfig, generate
 from relapsekit.transform import apply_bins, build_selection_subsample, fit_bins, select_features
 
@@ -29,7 +29,9 @@ def cohort():
 def standalone(cohort):
     """Each arm of each grid run on its own, with its own extraction and fold plan."""
     return {
-        (name, arm): run_lopo(cohort, replace(BASE, **overrides), experiment=name, arm=arm)
+        (name, arm): run_lopo(
+            extract_all(cohort, BASE.windowing), replace(BASE, **overrides), experiment=name, arm=arm
+        )
         for name, grid in GRIDS.items()
         for arm, overrides in grid.arms
     }
@@ -70,16 +72,18 @@ def test_every_grid_arm_equals_its_standalone_run(cohort, standalone, experiment
     for report in reports:
         alone = standalone[(experiment, report.arm)]
         assert report.to_dict() == alone.to_dict()
-        assert report.rows == alone.rows
+        assert report.specs == alone.specs
+        np.testing.assert_array_equal(report.predicted, alone.predicted)
+        np.testing.assert_array_equal(report.scores, alone.scores)
     fitted = {f.patient_id for r in reports if r.classifier != "random" for f in r.folds if f.warning is None}
     assert len(fits) == len(fitted) > 0
 
 
-def selection_oracle(dataset, table: WindowTable, config: ExperimentConfig, k: int) -> tuple[tuple, tuple]:
+def selection_oracle(table: WindowTable, config: ExperimentConfig, k: int) -> tuple[tuple, tuple]:
     """Fold k's selection ranked on its own: bins, subsample and only this arm's candidates."""
     train = table.patients != k
     matrix, labels = table.values[train], table.labels[train]
-    age = {p.patient_id: p.age for p in dataset.patients}[table.patient_ids[k]]
+    age = table.values[table.patients == k][0, AGE_INDEX]
     picked = build_selection_subsample(matrix, labels, age, config.selection_pool)
     codes = apply_bins(fit_bins(matrix, config.bins), matrix[picked])
     candidates = feature_indices_for_modality(config.modality, config.include_demographics)
@@ -97,25 +101,26 @@ def test_each_arm_selects_as_if_ranking_its_candidates_on_the_fold_subsample(coh
         config = replace(base, **dict(GRIDS[experiment].arms)[report.arm])
         for k, fold in enumerate(report.folds):
             if config.selection and fold.warning is None:
-                assert (fold.selected, fold.selected_scores) == selection_oracle(cohort, table, config, k)
+                assert (fold.selected, fold.selected_scores) == selection_oracle(table, config, k)
                 checked += 1
     assert checked > 0
 
 
-def poison(table: WindowTable, patient_id: str) -> WindowTable:
-    """That patient's feature values (age included) replaced by huge alternating values."""
+def poison(table: WindowTable, patient_id: str, spare: tuple[int, ...] = ()) -> WindowTable:
+    """That patient's feature values, but the `spare` columns, replaced by huge alternating values."""
     values = table.values.copy()
-    rows = table.patients == table.patient_ids.index(patient_id)
-    values[rows] = np.where(np.arange(values.shape[1]) % 2, -1e12, 1e12)
+    rows = np.flatnonzero(table.patients == table.patient_ids.index(patient_id))
+    columns = np.setdiff1d(np.arange(values.shape[1]), spare)
+    values[np.ix_(rows, columns)] = np.where(columns % 2, -1e12, 1e12)
     return replace(table, values=values)
 
 
-def grid_folds(dataset, experiment: str, table: WindowTable) -> dict[str, dict]:
+def grid_folds(experiment: str, table: WindowTable, base: ExperimentConfig = BASE) -> dict[str, dict]:
     """run_grid over a given table: every arm's folds by patient, one shared fold plan."""
-    folds = evaluate._plan_folds(dataset, table, BASE)
+    folds = evaluate._plan_folds(table, base)
     out = {}
     for arm, overrides in GRIDS[experiment].arms:
-        report = run_lopo(dataset, replace(BASE, **overrides), table=table, folds=folds)
+        report = run_lopo(table, replace(base, **overrides), folds=folds)
         out[arm] = {f.patient_id: f for f in report.folds}
     return out
 
@@ -127,8 +132,8 @@ def test_poisoned_patient_cannot_reach_its_own_folds_selection(cohort, experimen
     # The last fold: a plan fitted on every row, or on another fold's
     # training rows, would hand this fold bins fitted with the poisoned values.
     target = patient_ids[-1]
-    before = grid_folds(cohort, experiment, clean)
-    after = grid_folds(cohort, experiment, poison(clean, target))
+    before = grid_folds(experiment, clean)
+    after = grid_folds(experiment, poison(clean, target))
     assert any(before[arm][target].selected for arm in before)
     others_moved = False
     for arm in before:
@@ -141,3 +146,26 @@ def test_poisoned_patient_cannot_reach_its_own_folds_selection(cohort, experimen
         )
     # The poison does reach the other folds' selection.
     assert others_moved
+
+
+@pytest.mark.parametrize("experiment", sorted(GRIDS))
+def test_poisoned_patient_cannot_reach_its_own_folds_subsample(cohort, experiment):
+    # A pool of 5 draws a few of each fold's training rows, so the selection
+    # also shows which rows the subsample drew, not only the bins. The
+    # held-out patient's age stays clean: it is the one value of theirs a
+    # fold plan reads, to match the subsample to it.
+    base = replace(BASE, selection_pool=5)
+    clean = extract_all(cohort, base.windowing)
+    target = clean.patient_ids[-1]
+    before = grid_folds(experiment, clean, base)
+    after = grid_folds(experiment, poison(clean, target, spare=(AGE_INDEX,)), base)
+    assert any(before[arm][target].selected for arm in before)
+    for arm in before:
+        assert after[arm][target].selected == before[arm][target].selected
+        assert after[arm][target].selected_scores == before[arm][target].selected_scores
+    assert any(
+        after[arm][pid].selected_scores != before[arm][pid].selected_scores
+        for arm in before
+        for pid in clean.patient_ids
+        if pid != target
+    )
