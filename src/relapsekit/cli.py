@@ -6,6 +6,9 @@ Subcommands: `synth` generates a cohort as the four interchange files;
 `compare-classifiers`, `ablate-modality`, and `ablate-selection` run the
 experiment grids. One `--seed` flag controls all randomness. Exit codes:
 0 success, 1 validation error, 2 usage error.
+
+Settings flags take their types and defaults from the config classes,
+so each default is written once, in its dataclass.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import logging
 import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TypeVar
 
 from .dataio import (
     EMA_FILE,
@@ -31,65 +34,108 @@ from .dataio import (
 )
 from .evaluate import CLASSIFIER_KINDS, GRIDS, EvalReport, ExperimentConfig, run_grid, run_lopo
 from .features import extract_all, extract_cohort
-from .model import SIGNALS, Signal
+from .model import MODALITIES, Signal
 from .synth import ProdromalSpec, SynthConfig, generate
 from .windowing import WindowingConfig
 
 logger = logging.getLogger(__name__)
 
+T = TypeVar("T")
+
+
+# Settings flags, one table per config class: (flag, field, help). Each
+# flag takes its type and default from the field of a default instance of
+# that class, and the field name as its dest. A bool field is true by
+# default, and its `--no-*` switch turns it off.
+Flags = tuple[tuple[str, str, str], ...]
+
+WINDOWING_FLAGS: Flags = (
+    ("--window-days", "window_days", "feature window length in days"),
+    ("--horizon-days", "horizon_days", "prediction window length in days"),
+    ("--stride-days", "stride_days", "window grid stride in days"),
+    ("--cooloff-days", "cooloff_days", "gap after a relapse window"),
+    ("--min-days-with-data", "min_days_with_data", "minimum feature days with sensor data"),
+)
+# `--classifier` is evaluate's alone; a grid's arms set the classifier or keep its default.
+EXPERIMENT_FLAGS: Flags = (
+    ("--classifier", "classifier", "model to evaluate"),
+    ("--bins", "bins", "categories per feature"),
+    ("--selection-n", "selection_pool", "non-relapse windows in the selection subsample"),
+    ("--selection-m", "selection_top", "features kept by selection"),
+    ("--no-selection", "selection", "disable feature selection"),
+    ("--no-demographics", "include_demographics", "drop age/education from candidates"),
+    ("--modality", "modality", "restrict candidate features to one modality"),
+    ("--nb-alpha", "nb_alpha", "Naive Bayes smoothing"),
+    ("--brf-trees", "brf_trees", "balanced random forest size"),
+    ("--ee-bags", "ee_bags", "EasyEnsemble bag count"),
+    ("--ee-rounds", "ee_rounds", "boosting rounds per bag"),
+    ("--iforest-trees", "iforest_trees", "isolation forest size"),
+    ("--iforest-subsample", "iforest_subsample", "isolation tree subsample"),
+    ("--threshold", "decision_threshold", "decision threshold for BRF/EE scores"),
+    ("--baseline-runs", "baseline_runs", "random baseline repetitions"),
+    ("--seed", "seed", "seed for all randomness"),
+)
+SYNTH_FLAGS: Flags = (
+    ("--patients", "patient_count", "cohort size"),
+    ("--days", "days_per_patient", "observation days per patient"),
+    ("--relapse-fraction", "relapse_fraction", "fraction of patients with a relapse"),
+    ("--ema-per-week", "ema_per_week", "expected EMA responses per week"),
+    ("--missing-rate", "missing_rate", "hourly sample drop probability"),
+    ("--seed", "seed", "seed for all randomness"),
+)
+PRODROME_FLAGS: Flags = (
+    ("--shift-magnitude", "magnitude", "pre-relapse shift in noise-std units"),
+    ("--onset-days", "onset_days", "shift onset before the relapse date"),
+    ("--peak-shift", "peak_shift_hours", "pre-relapse rhythm peak shift in hours"),
+)
+CHOICES = {"classifier": CLASSIFIER_KINDS, "modality": MODALITIES}
+INPUT_FILES = {"sensors": SENSORS_FILE, "ema": EMA_FILE, "patients": PATIENTS_FILE, "relapses": RELAPSES_FILE}
+
+
+def _add_flags(parser: argparse.ArgumentParser | argparse._ArgumentGroup, defaults: object, rows: Flags) -> None:
+    for flag, name, help in rows:
+        default = getattr(defaults, name)
+        if isinstance(default, bool):
+            parser.add_argument(flag, dest=name, action="store_false", help=help)
+        elif name in CHOICES:
+            parser.add_argument(flag, dest=name, default=default, choices=CHOICES[name], help=help)
+        else:
+            metavar = flag.removeprefix("--").upper().replace("-", "_")
+            parser.add_argument(flag, dest=name, type=type(default), default=default, metavar=metavar, help=help)
+
+
+def _config(cls: type[T], args: argparse.Namespace, rows: Flags, **nested: object) -> T:
+    """A `cls` with the fields `rows` set read from `args`, and `nested`."""
+    return cls(**{name: getattr(args, name) for _, name, _ in rows}, **nested)
+
+
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Shows each flag's default; a `--no-*` switch's is False (not passed),
+    not the default of the field it turns off."""
+
+    def _get_help_string(self, action: argparse.Action) -> str:
+        if action.const is False:
+            return f"{action.help} (default: False)"
+        return super()._get_help_string(action)
+
 
 def _data_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("input data")
     group.add_argument("--data", type=Path, default=None, help="directory holding the four CSV files")
-    group.add_argument("--sensors", type=Path, default=None, help="sensors.csv path")
-    group.add_argument("--ema", type=Path, default=None, help="ema.csv path")
-    group.add_argument("--patients", type=Path, default=None, help="patients.csv path")
-    group.add_argument("--relapses", type=Path, default=None, help="relapses.csv path")
+    for name, file in INPUT_FILES.items():
+        group.add_argument(f"--{name}", type=Path, default=None, help=f"{file} path")
 
 
-def _windowing_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("windowing")
-    group.add_argument("--window-days", type=int, default=28, help="feature window length in days")
-    group.add_argument("--horizon-days", type=int, default=7, help="prediction window length in days")
-    group.add_argument("--stride-days", type=int, default=7, help="window grid stride in days")
-    group.add_argument("--cooloff-days", type=int, default=28, help="gap after a relapse window")
-    group.add_argument(
-        "--min-days-with-data", type=int, default=7, help="minimum feature days with sensor data"
-    )
-
-
-def _pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("pipeline")
-    group.add_argument("--bins", type=int, default=15, help="categories per feature")
-    group.add_argument("--selection-n", type=int, default=100, help="non-relapse windows in the selection subsample")
-    group.add_argument("--selection-m", type=int, default=5, help="features kept by selection")
-    group.add_argument("--no-selection", action="store_true", help="disable feature selection")
-    group.add_argument("--no-demographics", action="store_true", help="drop age/education from candidates")
-    group.add_argument(
-        "--modality",
-        default="all",
-        choices=["all", "ema"] + [s.value for s in SIGNALS],
-        help="restrict candidate features to one modality",
-    )
-    group.add_argument("--nb-alpha", type=float, default=1.0, help="Naive Bayes smoothing")
-    group.add_argument("--brf-trees", type=int, default=51, help="balanced random forest size")
-    group.add_argument("--ee-bags", type=int, default=101, help="EasyEnsemble bag count")
-    group.add_argument("--ee-rounds", type=int, default=10, help="boosting rounds per bag")
-    group.add_argument("--iforest-trees", type=int, default=101, help="isolation forest size")
-    group.add_argument("--iforest-subsample", type=int, default=256, help="isolation tree subsample")
-    group.add_argument("--threshold", type=float, default=0.5, help="decision threshold for BRF/EE scores")
-    group.add_argument("--baseline-runs", type=int, default=1000, help="random baseline repetitions")
-
-
-def _run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        choices=[1],
-        help="folds run in one thread; kept so scripts that pass --threads 1 still run",
-    )
+def _experiment_flags(parser: argparse.ArgumentParser) -> None:
+    """The input, windowing and pipeline flags, `--seed`, `--threads` and `--metrics`."""
+    _data_flags(parser)
+    _add_flags(parser.add_argument_group("windowing"), WindowingConfig(), WINDOWING_FLAGS)
+    experiment = ExperimentConfig()
+    _add_flags(parser.add_argument_group("pipeline"), experiment, EXPERIMENT_FLAGS[1:-1])
+    _add_flags(parser, experiment, EXPERIMENT_FLAGS[-1:])  # --seed, outside the pipeline group
+    threads = "folds run in one thread; kept so scripts that pass --threads 1 still run"
+    parser.add_argument("--threads", type=int, default=1, choices=[1], help=threads)
+    parser.add_argument("--metrics", type=Path, default=Path("metrics.json"), help="metrics output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,87 +144,55 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sequential relapse prediction from behavioral rhythms, EMA, and demographics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    synth, prodrome = SynthConfig(), ProdromalSpec()
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic cohort", formatter_class=fmt)
-    p_synth.add_argument("--patients", type=int, default=20, help="cohort size")
-    p_synth.add_argument("--days", type=int, default=120, help="observation days per patient")
-    p_synth.add_argument("--relapse-fraction", type=float, default=0.5, help="fraction of patients with a relapse")
+    p_synth = sub.add_parser("synth", help="generate a synthetic cohort", formatter_class=_HelpFormatter)
+    # --help lists the prodrome's flags after the cohort's size and relapse fraction.
+    _add_flags(p_synth, synth, SYNTH_FLAGS[:3])
     p_synth.add_argument(
         "--shift-signals",
-        default="call_duration,distance_traveled",
+        default=",".join(signal.value for signal in prodrome.signals),
         help="comma-separated signals shifted before a relapse",
     )
-    p_synth.add_argument("--shift-magnitude", type=float, default=3.0, help="pre-relapse shift in noise-std units")
-    p_synth.add_argument("--onset-days", type=int, default=21, help="shift onset before the relapse date")
-    p_synth.add_argument("--peak-shift", type=float, default=0.0, help="pre-relapse rhythm peak shift in hours")
-    p_synth.add_argument("--ema-per-week", type=float, default=3.0, help="expected EMA responses per week")
-    p_synth.add_argument("--missing-rate", type=float, default=0.1, help="hourly sample drop probability")
-    p_synth.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    _add_flags(p_synth, prodrome, PRODROME_FLAGS)
+    _add_flags(p_synth, synth, SYNTH_FLAGS[3:])
     p_synth.add_argument("--out", type=Path, required=True, help="output directory for the four CSV files")
 
     p_feat = sub.add_parser(
-        "features", help="dump the feature matrix and exclusion log", formatter_class=fmt
+        "features", help="dump the feature matrix and exclusion log", formatter_class=_HelpFormatter
     )
     _data_flags(p_feat)
-    _windowing_flags(p_feat)
+    _add_flags(p_feat.add_argument_group("windowing"), WindowingConfig(), WINDOWING_FLAGS)
     p_feat.add_argument("--out", type=Path, default=Path("features.csv"), help="feature matrix output")
     p_feat.add_argument(
         "--exclusions", type=Path, default=None, help="window exclusion log; None: exclusions.csv next to --out"
     )
 
-    p_eval = sub.add_parser("evaluate", help="LOPO evaluation with one classifier", formatter_class=fmt)
-    p_eval.add_argument("--classifier", default="nb", choices=CLASSIFIER_KINDS, help="model to evaluate")
-    _data_flags(p_eval)
-    _windowing_flags(p_eval)
-    _pipeline_flags(p_eval)
-    _run_flags(p_eval)
-    p_eval.add_argument("--metrics", type=Path, default=Path("metrics.json"), help="metrics output")
+    p_eval = sub.add_parser("evaluate", help="LOPO evaluation with one classifier", formatter_class=_HelpFormatter)
+    _add_flags(p_eval, ExperimentConfig(), EXPERIMENT_FLAGS[:1])
+    _experiment_flags(p_eval)
     p_eval.add_argument(
         "--predictions", type=Path, default=Path("predictions.csv"), help="per-window predictions output"
     )
 
     for name, grid in GRIDS.items():
-        p_exp = sub.add_parser(name, help=grid.help, formatter_class=fmt)
-        _data_flags(p_exp)
-        _windowing_flags(p_exp)
-        _pipeline_flags(p_exp)
-        _run_flags(p_exp)
-        p_exp.add_argument("--metrics", type=Path, default=Path("metrics.json"), help="metrics output")
-        p_exp.add_argument(
-            "--predictions-dir", type=Path, default=None, help="optional per-arm prediction files"
-        )
+        p_exp = sub.add_parser(name, help=grid.help, formatter_class=_HelpFormatter)
+        _experiment_flags(p_exp)
+        p_exp.add_argument("--predictions-dir", type=Path, default=None, help="optional per-arm prediction files")
 
     return parser
 
 
-def _resolve_paths(args: argparse.Namespace) -> tuple[Path, Path, Path, Path]:
+def _load(args: argparse.Namespace):
     base = args.data
-    sensors = args.sensors or (base / SENSORS_FILE if base else None)
-    ema = args.ema or (base / EMA_FILE if base else None)
-    patients = args.patients or (base / PATIENTS_FILE if base else None)
-    relapses = args.relapses or (base / RELAPSES_FILE if base else None)
-    missing = [
-        name
-        for name, path in [
-            ("--sensors", sensors),
-            ("--ema", ema),
-            ("--patients", patients),
-            ("--relapses", relapses),
-        ]
-        if path is None
-    ]
+    paths = {name: getattr(args, name) or (base / file if base else None) for name, file in INPUT_FILES.items()}
+    missing = [f"--{name}" for name, path in paths.items() if path is None]
     if missing:
         raise ValueError(f"missing input paths: pass --data DIR or {', '.join(missing)}")
-    return sensors, ema, patients, relapses
-
-
-def _load(args: argparse.Namespace):
-    sensors, ema, patients, relapses = _resolve_paths(args)
-    for path in (sensors, ema, patients, relapses):
+    for path in paths.values():
         if not path.exists():
             raise ValueError(f"input file not found: {path}")
-    dataset = load_dataset(sensors, ema, patients, relapses)
+    dataset = load_dataset(*paths.values())
     print(f"ingest_excluded={len(dataset.ingest_exclusions)}")
     return dataset
 
@@ -201,36 +215,8 @@ def _output_dirs(*dirs: Path | None) -> Iterator[None]:
         raise
 
 
-def _windowing_config(args: argparse.Namespace) -> WindowingConfig:
-    return WindowingConfig(
-        window_days=args.window_days,
-        horizon_days=args.horizon_days,
-        stride_days=args.stride_days,
-        cooloff_days=args.cooloff_days,
-        min_days_with_data=args.min_days_with_data,
-    )
-
-
-def _experiment_config(args: argparse.Namespace, classifier: str = "nb") -> ExperimentConfig:
-    return ExperimentConfig(
-        classifier=classifier,
-        windowing=_windowing_config(args),
-        bins=args.bins,
-        selection=not args.no_selection,
-        selection_pool=args.selection_n,
-        selection_top=args.selection_m,
-        include_demographics=not args.no_demographics,
-        modality=args.modality,
-        seed=args.seed,
-        nb_alpha=args.nb_alpha,
-        brf_trees=args.brf_trees,
-        ee_bags=args.ee_bags,
-        ee_rounds=args.ee_rounds,
-        iforest_trees=args.iforest_trees,
-        iforest_subsample=args.iforest_subsample,
-        decision_threshold=args.threshold,
-        baseline_runs=args.baseline_runs,
-    )
+def _experiment_config(args: argparse.Namespace, rows: Flags) -> ExperimentConfig:
+    return _config(ExperimentConfig, args, rows, windowing=_config(WindowingConfig, args, WINDOWING_FLAGS))
 
 
 def _print_report(report: EvalReport, prefix: str = "") -> None:
@@ -246,20 +232,8 @@ def _print_report(report: EvalReport, prefix: str = "") -> None:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     signals = tuple(Signal(s.strip()) for s in args.shift_signals.split(",") if s.strip())
-    config = SynthConfig(
-        patient_count=args.patients,
-        days_per_patient=args.days,
-        relapse_fraction=args.relapse_fraction,
-        prodrome=ProdromalSpec(
-            signals=signals,
-            onset_days=args.onset_days,
-            magnitude=args.shift_magnitude,
-            peak_shift_hours=args.peak_shift,
-        ),
-        ema_per_week=args.ema_per_week,
-        missing_rate=args.missing_rate,
-        seed=args.seed,
-    )
+    prodrome = _config(ProdromalSpec, args, PRODROME_FLAGS, signals=signals)
+    config = _config(SynthConfig, args, SYNTH_FLAGS, prodrome=prodrome)
     dataset = generate(config, out_dir=args.out)
     print(f"patients={len(dataset.patients)}")
     print(f"relapses={sum(len(p.relapse_dates) for p in dataset.patients)}")
@@ -268,7 +242,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_features(args: argparse.Namespace) -> int:
-    config = _windowing_config(args)
+    config = _config(WindowingConfig, args, WINDOWING_FLAGS)
     exclusions = args.exclusions or args.out.with_name("exclusions.csv")
     with _output_dirs(args.out.parent, exclusions.parent):
         table, candidates = extract_cohort(_load(args), config)
@@ -282,7 +256,7 @@ def _cmd_features(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _experiment_config(args, classifier=args.classifier)
+    config = _experiment_config(args, EXPERIMENT_FLAGS)
     with _output_dirs(args.metrics.parent, args.predictions.parent):
         report = run_lopo(extract_all(_load(args), config.windowing), config)
         write_metrics(report, args.metrics)
@@ -294,13 +268,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    flags = argparse.ArgumentParser()
-    _pipeline_flags(flags)
-    fields = {"no_selection": "selection", "no_demographics": "include_demographics", "modality": "modality"}
-    for flag, name in fields.items():
-        if getattr(args, flag) != flags.get_default(flag) and all(name in arm for _, arm in GRIDS[args.command].arms):
-            logger.warning("--%s is ignored by %s: every arm sets %s", flag.replace("_", "-"), args.command, name)
-    config = _experiment_config(args)
+    rows = EXPERIMENT_FLAGS[1:]  # every flag but --classifier
+    config = _experiment_config(args, rows)
+    defaults, arms = ExperimentConfig(), [arm for _, arm in GRIDS[args.command].arms]
+    for flag, name, _ in rows:
+        if getattr(config, name) != getattr(defaults, name) and all(name in arm for arm in arms):
+            logger.warning("%s is ignored by %s: every arm sets %s", flag, args.command, name)
     with _output_dirs(args.metrics.parent, args.predictions_dir):
         reports = run_grid(args.command, _load(args), config)
         write_metrics(reports, args.metrics)

@@ -32,7 +32,8 @@ loadtxt strips around a number and `float()` rejects), or when any row
 fails its checks. Both paths feed one resolver, so every block gives the
 `str.split` path's result or IngestError. A file holding a quote, CR or NUL
 byte (which change how `csv.reader` splits rows) or a line longer than
-csv's field limit takes its rows from `csv.reader`, in blocks of rows.
+csv's field limit takes its rows from `csv.reader`, in blocks of rows; a
+row that csv rejects raises IngestError, as in the other three files.
 
 Each distinct date, hour and signal string is parsed once, with the same
 calls a row-by-row reader makes. A patient's rows are summed into a float64
@@ -60,7 +61,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import date as Date
 from datetime import timedelta
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -203,9 +204,15 @@ class _RawPatient:
 
 
 def _open_rows(path: Path) -> Iterable[tuple[int, list[str]]]:
+    """Each `csv.reader` row, numbered from 1. A row that csv rejects (a
+    field longer than its limit) raises IngestError under its number."""
+    line_no = 0
     with path.open(newline="", encoding="utf-8") as handle:
-        for line_no, row in enumerate(csv.reader(handle), start=1):
-            yield line_no, row
+        try:
+            for line_no, row in enumerate(csv.reader(handle), start=1):
+                yield line_no, row
+        except csv.Error as exc:
+            raise IngestError(str(path), line_no + 1, str(exc)) from exc
 
 
 def _outside_span(raw: _RawPatient, date: Date) -> bool:
@@ -296,12 +303,23 @@ def _read_sensors(
 
 def _sensor_blocks(path: Path) -> Iterator[bytes | list[list[str]]]:
     """sensors.csv a block at a time: whole lines of bytes or, from a file
-    that `_split_lines` could split otherwise, rows as `csv.reader` gives them."""
+    that `_split_lines` could split otherwise, rows as `_open_rows` gives
+    them. A row that csv rejects ends its block, and its IngestError comes
+    after that block, so an earlier row's error is raised first."""
     if _needs_csv_reader(path):
-        with path.open(newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            while rows := list(islice(reader, max(SENSOR_BLOCK_BYTES // 64, 1))):
+        rows: list[list[str]] = []
+        try:
+            for _, row in _open_rows(path):
+                rows.append(row)
+                if len(rows) == max(SENSOR_BLOCK_BYTES // 64, 1):
+                    yield rows
+                    rows = []
+        except IngestError:
+            if rows:
                 yield rows
+            raise
+        if rows:
+            yield rows
         return
     with path.open("rb") as handle:
         tail = b""

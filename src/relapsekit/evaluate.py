@@ -40,7 +40,7 @@ from . import classifiers as clf
 from .dataio import Dataset
 from .features import WindowTable, extract_all
 from .metrics import f2_from_counts, f2_score
-from .model import AGE_INDEX, FEATURE_COUNT, FEATURE_NAMES, SIGNALS, feature_indices_for_modality
+from .model import AGE_INDEX, FEATURE_COUNT, FEATURE_NAMES, MODALITIES, feature_indices_for_modality
 from .transform import BinningModel, SelectionModel, apply_bins, build_selection_subsample, fit_bins, select_features
 from .windowing import WindowSpec, WindowingConfig
 
@@ -74,8 +74,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.classifier not in CLASSIFIER_KINDS:
             raise ValueError(f"unknown classifier {self.classifier!r}")
-        valid_modalities = {"all", "ema"} | {s.value for s in SIGNALS}
-        if self.modality not in valid_modalities:
+        if self.modality not in MODALITIES:
             raise ValueError(f"unknown modality {self.modality!r}")
         for name in ("bins", "selection_pool", "selection_top", "nb_alpha", "brf_trees", "ee_bags",
                      "ee_rounds", "iforest_trees", "iforest_subsample", "baseline_runs"):
@@ -362,7 +361,7 @@ GRIDS: dict[str, Grid] = {
         "run one arm per signal modality plus EMA",
         tuple(
             (modality, {"modality": modality, "include_demographics": True})
-            for modality in [s.value for s in SIGNALS] + ["ema"]
+            for modality in (*MODALITIES[2:], "ema")  # every signal, then EMA
         ),
         ranked=True,
     ),

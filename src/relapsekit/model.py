@@ -25,6 +25,10 @@ class Signal(str, Enum):
 
 SIGNALS: tuple[Signal, ...] = tuple(Signal)
 
+# The candidate features an experiment arm may keep: all of them ("all"),
+# the self-report ones ("ema"), or one signal's.
+MODALITIES: tuple[str, ...] = ("all", "ema", *(signal.value for signal in SIGNALS))
+
 EMA_ITEM_COUNT = 10
 
 # Per-signal template feature suffixes, in canonical order: six statistics of

@@ -11,6 +11,7 @@ seed, so the same configuration always produces byte-identical files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import date as Date
 from datetime import timedelta
@@ -76,6 +77,9 @@ class SynthConfig:
             raise ValueError("missing_rate must be in [0, 1]")
         if not 0.0 <= self.ema_per_week / 7.0 <= 1.0:
             raise ValueError("ema_per_week must be in [0, 7]")
+        for name in ("magnitude", "peak_shift_hours"):
+            if not math.isfinite(getattr(self.prodrome, name)):
+                raise ValueError(f"prodromal {name} must be finite")
         if self.prodrome.magnitude < 0:
             raise ValueError("prodromal magnitude must be >= 0")
         if self.prodrome.onset_days < 0:

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 import pytest
 
 import relapsekit
 import relapsekit.features
+from relapsekit import cli
 from relapsekit.cli import build_parser, main
-from relapsekit.windowing import enumerate_windows
+from relapsekit.evaluate import GRIDS, ExperimentConfig
+from relapsekit.synth import SynthConfig
+from relapsekit.windowing import WindowingConfig, enumerate_windows
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +70,103 @@ def test_help_lists_defaults(capsys):
         "--cooloff-days",
     ):
         assert fragment in text
+
+
+# Every settings flag and the config field it sets, written out here rather
+# than read from the flag tables, so that the tables are checked against it.
+WINDOWING = {
+    "--window-days": "window_days",
+    "--horizon-days": "horizon_days",
+    "--stride-days": "stride_days",
+    "--cooloff-days": "cooloff_days",
+    "--min-days-with-data": "min_days_with_data",
+}
+PIPELINE = {
+    "--bins": "bins",
+    "--selection-n": "selection_pool",
+    "--selection-m": "selection_top",
+    "--no-selection": "selection",
+    "--no-demographics": "include_demographics",
+    "--modality": "modality",
+    "--nb-alpha": "nb_alpha",
+    "--brf-trees": "brf_trees",
+    "--ee-bags": "ee_bags",
+    "--ee-rounds": "ee_rounds",
+    "--iforest-trees": "iforest_trees",
+    "--iforest-subsample": "iforest_subsample",
+    "--threshold": "decision_threshold",
+    "--baseline-runs": "baseline_runs",
+    "--seed": "seed",
+    **{flag: f"windowing.{name}" for flag, name in WINDOWING.items()},
+}
+SETTINGS = {
+    "synth": {
+        "--patients": "patient_count",
+        "--days": "days_per_patient",
+        "--relapse-fraction": "relapse_fraction",
+        "--shift-magnitude": "prodrome.magnitude",
+        "--onset-days": "prodrome.onset_days",
+        "--peak-shift": "prodrome.peak_shift_hours",
+        "--ema-per-week": "ema_per_week",
+        "--missing-rate": "missing_rate",
+        "--seed": "seed",
+    },
+    "features": WINDOWING,
+    "evaluate": {"--classifier": "classifier", **PIPELINE},
+    **dict.fromkeys(GRIDS, PIPELINE),
+}
+DEFAULT_CONFIGS = {
+    "synth": SynthConfig(),
+    "features": WindowingConfig(),
+    **dict.fromkeys(("evaluate", *GRIDS), ExperimentConfig()),
+}
+
+
+def test_settings_name_every_row_of_the_flag_tables():
+    tables = (cli.WINDOWING_FLAGS, cli.EXPERIMENT_FLAGS, cli.SYNTH_FLAGS, cli.PRODROME_FLAGS)
+    rows = {flag for table in tables for flag, _, _ in table}
+    assert rows == {flag for flags in SETTINGS.values() for flag in flags}
+
+
+def _config_of(monkeypatch, argv: list[str]):
+    """The config `main(argv)` hands to the first stage it calls."""
+    seen = []
+
+    def stop(*args, **kwargs):
+        seen.extend(arg for arg in args if is_dataclass(arg))
+        raise ValueError("stopped")
+
+    monkeypatch.setattr(cli, "_load", lambda args: None)
+    monkeypatch.setattr(cli, "extract_all", lambda dataset, windowing: None)
+    for stage in ("generate", "extract_cohort", "run_lopo", "run_grid"):
+        monkeypatch.setattr(cli, stage, stop)
+    assert main(argv) == 1
+    (config,) = seen
+    return config
+
+
+@pytest.mark.parametrize(
+    "command, flag, field",
+    [(command, flag, field) for command, flags in SETTINGS.items() for flag, field in flags.items()],
+)
+def test_each_settings_flag_sets_its_field_and_no_other(tmp_path, monkeypatch, capsys, command, flag, field):
+    monkeypatch.chdir(tmp_path)  # default output paths land here
+    expected = asdict(DEFAULT_CONFIGS[command])
+    parent, _, name = field.rpartition(".")
+    holder = expected[parent] if parent else expected
+    default = holder[name]
+    if isinstance(default, bool):  # a switch turns its field off
+        value = False
+    elif isinstance(default, str):  # one of the flag's choices
+        value = {"classifier": "brf", "modality": "ema"}[name]
+    else:
+        value = default + (0.25 if isinstance(default, float) else 1)
+    holder[name] = value
+    argv = [command, flag] if isinstance(default, bool) else [command, flag, str(value)]
+    if command == "synth":
+        argv += ["--out", str(tmp_path / "cohort")]
+    assert asdict(_config_of(monkeypatch, argv)) == expected
+    capsys.readouterr()
 
 
 def test_evaluate_rerun_is_byte_identical(cohort_dir, tmp_path, capsys):
@@ -322,11 +424,36 @@ def test_thread_count_other_than_one_exits_2_before_loading(
     assert list(tmp_path.iterdir()) == []
 
 
-def test_synth_negative_onset_days_exits_1_naming_the_field(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--onset-days", "-3", "onset_days must be >= 0"),
+        ("--shift-magnitude", "inf", "magnitude must be finite"),
+        ("--shift-magnitude", "nan", "magnitude must be finite"),
+        ("--peak-shift", "nan", "peak_shift_hours must be finite"),
+        ("--peak-shift", "inf", "peak_shift_hours must be finite"),
+    ],
+)
+def test_synth_negative_onset_days_exits_1_naming_the_field(tmp_path, capsys, flag, value, message):
     out = tmp_path / "cohort"
-    assert main(["synth", "--patients", "2", "--days", "40", "--onset-days", "-3", "--out", str(out)]) == 1
-    assert "onset_days must be >= 0" in capsys.readouterr().err
+    assert main(["synth", "--patients", "2", "--days", "40", flag, value, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, row", [("sensors.csv", "p1,2021-01-04,3,call_duration,{}"), ("ema.csv", "p1,2021-01-04,{}" + ",0" * 9)]
+)
+def test_a_field_over_the_csv_limit_exits_1_naming_file_and_row(tmp_path, capsys, name, row):
+    data = tmp_path / "cohort"
+    assert main(["synth", "--patients", "2", "--days", "40", "--seed", "3", "--out", str(data)]) == 0
+    path = data / name
+    rows = len(path.read_text().splitlines())
+    with path.open("a") as handle:
+        handle.write(row.format("1" * (csv.field_size_limit() + 1)) + "\n")
+    capsys.readouterr()
+    assert main(["features", "--data", str(data), "--out", str(tmp_path / "f.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:{rows + 1}: field larger than field limit")
 
 
 def _imports_module(module: str, argv: list[str]) -> bool:

@@ -256,6 +256,16 @@ def test_line_over_the_csv_field_limit_raises_as_row_by_row(tmp_path_factory):
         assert blocks == oracle
 
 
+def test_bad_row_before_a_line_over_the_csv_field_limit_raises_first(tmp_path_factory):
+    # Both rows fall in one block of csv rows; the bad hour on line 2 comes first.
+    value = "0" * csv.field_size_limit() + "1.5"
+    text = f"{HEADER}\npa,2021-01-04,24,call_duration,1\npb,2021-01-04,3,call_duration,{value}\n"
+    path = write(tmp_path_factory, text)
+    oracle, blocks = read_both(path, block_bytes=1 << 16)
+    assert oracle == ("raised", IngestError, f"{path}:2: hour out of range: 24")
+    assert blocks == oracle
+
+
 # -- numpy's C parser ------------------------------------------------------------
 #
 # Blocks of plain lines are read by `np.loadtxt` into fixed-width `S` fields.
