@@ -37,12 +37,16 @@ row that csv rejects raises IngestError, as in the other three files.
 
 Each distinct date, hour and signal string is parsed once, with the same
 calls a row-by-row reader makes. A patient's rows are summed into a float64
-`(days, 6, 24)` array, the layout of its hourly means, and counted in an
-integer one, with `np.add.at`: int32 when sensors.csv is smaller than 2**31
-bytes, so that no cell can reach 2**31 rows, and int64 otherwise. It adds
-in file order, so every hourly sum is the one a row-by-row `+=` gives (a
-per-block `np.bincount` would sum one cell's rows of a block before adding
-earlier blocks' rows). Declared spans
+`(days, 6, 24)` array, the layout of its hourly means, and counted in a
+uint8 one, with `np.add.at`. Nearly every count is 0 or 1, so uint8 keeps
+the counts at an eighth of the sums. Before a block's rows are counted,
+a patient's counts are widened to int64 if the block could take a cell
+past 255: the largest count at the block's cells plus the most rows the
+block gives one cell (a `np.bincount` over the block's cells) decide it.
+A widened patient stays int64. Sums add in file order, so every hourly
+sum is the one a row-by-row `+=` gives (a per-block `np.bincount` would
+sum one cell's rows of a block before adding earlier blocks' rows), and
+every mean is unchanged by the counts' dtype. Declared spans
 are disjoint views of one sums buffer and one counts buffer, allocated
 before the first row; an inferred span grows toward the side a row falls
 on, at least doubling. A block that fails on both paths is walked again row
@@ -398,7 +402,7 @@ class _SensorSums:
         days = [(raw.span[1] - raw.span[0]).days + 1 if raw.span else 0 for raw in patients.values()]
         ends = list(accumulate(days, initial=0))
         sums = np.zeros((ends[-1], len(SIGNALS), HOURS_PER_DAY))
-        counts = np.zeros(sums.shape, np.int32 if path.stat().st_size < 2**31 else np.int64)
+        counts = np.zeros(sums.shape, np.uint8)  # widened per patient by `_counts_for`
         self.first = {pid: raw.span[0].toordinal() if raw.span else 0 for pid, raw in patients.items()}
         self.sums = {pid: sums[lo:hi] for pid, lo, hi in zip(patients, ends, ends[1:])}
         self.counts = {pid: counts[lo:hi] for pid, lo, hi in zip(patients, ends, ends[1:])}
@@ -445,7 +449,7 @@ class _SensorSums:
             outside[rows[out]] = True
             at = days[~out] * _DAY_CELLS + cells[rows[~out]]
             np.add.at(self.sums[pid].reshape(-1), at, values[rows[~out]])
-            counts = self.counts[pid]
+            counts = self._counts_for(pid, at)
             np.add.at(counts.reshape(-1), at, counts.dtype.type(1))  # a Python 1 leaves numpy's fast path
         exclusions.extend(
             IngestExclusion(str(self.path), line_no, EXCLUDED_OUTSIDE_SPAN)
@@ -514,6 +518,18 @@ class _SensorSums:
         day_of_row = np.repeat(np.array([self.dates[text] for text in run_dates]), run_lengths)
         cells = signal_index[signal_of_row] * HOURS_PER_DAY + hour_index[hour_of_row]
         return pid_texts, np.repeat(pid_of_run, run_lengths), day_of_row, cells, values
+
+    def _counts_for(self, pid: str, at: np.ndarray) -> np.ndarray:
+        """A patient's counts, widened from uint8 to int64 first if one more
+        row at each flat cell of `at` could take a cell past 255: if the
+        largest count at those cells plus the most entries `at` has for one
+        cell is over 255."""
+        counts = self.counts[pid]
+        if counts.dtype == np.uint8 and len(at):
+            most = int(counts.reshape(-1)[at].max()) + int(np.bincount(at - at.min()).max())
+            if most > np.iinfo(np.uint8).max:
+                counts = self.counts[pid] = counts.astype(np.int64)
+        return counts
 
     def _cover(self, pid: str, lo: int, hi: int) -> None:
         """Grow a patient's arrays to hold days `lo..hi` (date ordinals): empty

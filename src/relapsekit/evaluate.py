@@ -82,8 +82,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
         if self.seed < 0:  # as SeedSequence requires, checked here for the arms that draw nothing too
             raise ValueError("seed must be non-negative")
-        if not math.isfinite(self.decision_threshold):
-            raise ValueError("decision_threshold must be finite")
+        for name in ("nb_alpha", "decision_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -380,9 +381,12 @@ def run_grid(experiment: str, dataset: Dataset, base_config: ExperimentConfig) -
     """Every arm of GRIDS[experiment], one `run_lopo` per arm in grid order,
     over one window table and one fold plan (each fold's bins and feature
     ranking). Its one `extract_all` call is the only place evaluation reads
-    a `Dataset`."""
+    a `Dataset`, which it drops once the table exists."""
     grid = GRIDS[experiment]
     table = extract_all(dataset, base_config.windowing)
+    # The CLI passes a Dataset it keeps no reference to: dropping this one
+    # frees the sensor arrays before the fold plan and the arms allocate.
+    del dataset
     # Without a relapse window the first arm raises before any fold is planned.
     folds = _plan_folds(table, base_config) if table.labels.any() else None
     reports = [

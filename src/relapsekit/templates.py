@@ -21,7 +21,8 @@ reductions keep the summation order of a single template, bit for bit:
   order, to the front of a `(rows, count)` array (`present_groups`), so
   each row gets the same contiguous pairwise `.mean()`/`.sum()`/`.std()`
   as its present values alone;
-- the skewness/kurtosis tail of `mdt_stats` stays in Python floats.
+- `mdt_stats` raises the variance to its skewness and kurtosis powers in
+  Python floats.
 """
 
 from __future__ import annotations
@@ -114,33 +115,29 @@ def mdt_stats(template: np.ndarray) -> np.ndarray:
     template. Skewness and kurtosis are 0 for a constant template.
     """
     flat, present = _rows(template)
-    out = np.full((len(flat), 6), np.nan)
+    # Each row's mean, max, min and 2nd-4th central moments, each reduced
+    # over its present values alone; NaN for an all-missing row.
+    moments = np.full((6, len(flat)), np.nan)
     for rows, values in present_groups(flat, present):
         mean = values.mean(axis=1)
         centered = values - mean[:, None]
-        moments = zip(
-            mean.tolist(),
-            values.max(axis=1).tolist(),
-            values.min(axis=1).tolist(),
-            (centered**2).mean(axis=1).tolist(),
-            (centered**3).mean(axis=1).tolist(),
-            (centered**4).mean(axis=1).tolist(),
-        )
-        out[rows] = [_shape_stats(*moment) for moment in moments]
+        central = ((centered**k).mean(axis=1) for k in (2, 3, 4))
+        moments[:, rows] = [mean, values.max(axis=1), values.min(axis=1), *central]
+    mean, maximum, minimum, m2, m3, m4 = moments
+    # A constant template, or one whose spread rounds to 0, has no shape.
+    varies = maximum > minimum
+    shaped = varies & (m2 != 0.0)
+    out = np.zeros((len(flat), 6))
+    out[:, 0], out[:, 2] = mean, maximum
+    out[varies, 3] = (maximum - minimum)[varies]
+    out[shaped, 1] = np.sqrt(m2[shaped])
+    # Python floats for the powers: numpy's vectorized `** 1.5` and `** 2`
+    # can differ from Python's in the last bit.
+    spread = m2[shaped].tolist()
+    out[shaped, 4] = m3[shaped] / np.array([m**1.5 for m in spread])
+    out[shaped, 5] = m4[shaped] / np.array([m**2 for m in spread]) - 3.0
+    out[~present.any(axis=1)] = np.nan
     return out.reshape(np.shape(template)[:-1] + (6,))
-
-
-def _shape_stats(mean: float, maximum: float, minimum: float, m2: float, m3: float, m4: float) -> list[float]:
-    """The six statistics from one template's moments, in Python floats:
-    numpy's vectorized `** 1.5` and `** 2` can differ from Python's in the
-    last bit."""
-    if maximum == minimum:
-        return [mean, 0.0, maximum, 0.0, 0.0, 0.0]
-    rng = maximum - minimum
-    m2 = max(m2, 0.0)
-    if m2 == 0.0:
-        return [mean, 0.0, maximum, rng, 0.0, 0.0]
-    return [mean, math.sqrt(m2), maximum, rng, m3 / m2**1.5, m4 / m2**2 - 3.0]
 
 
 def max_abs_diff(mdt: np.ndarray, mxdt: np.ndarray) -> np.ndarray:

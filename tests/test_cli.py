@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 
 import relapsekit
 import relapsekit.features
-from relapsekit import cli
+from relapsekit import cli, evaluate
 from relapsekit.cli import build_parser, main
 from relapsekit.evaluate import GRIDS, ExperimentConfig
 from relapsekit.synth import SynthConfig
@@ -472,6 +473,30 @@ def test_commands_do_not_import_numpy_ma(cohort_dir, tmp_path, command):
     assert not _imports_module("numpy.ma", argv)
 
 
+@pytest.mark.parametrize("command", ["compare-classifiers", "ablate-modality"])
+def test_grid_frees_the_dataset_before_the_fold_plan(cohort_dir, tmp_path, capsys, monkeypatch, command):
+    # The arms read the window table alone, so the Dataset and its sensor
+    # arrays must be gone once the table exists, not held until the last arm.
+    loaded, alive = [], []
+    load, plan = cli.load_dataset, evaluate._plan_folds
+
+    def loading(*paths):
+        dataset = load(*paths)
+        loaded.append(weakref.ref(dataset))
+        return dataset
+
+    def planning(*args, **kwargs):
+        alive.append(loaded[0]() is not None)
+        return plan(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_dataset", loading)
+    monkeypatch.setattr(evaluate, "_plan_folds", planning)
+    small = ["--brf-trees", "3", "--ee-bags", "3", "--iforest-trees", "3", "--baseline-runs", "10"]
+    assert main([command, "--data", str(cohort_dir), *small, "--metrics", str(tmp_path / "m.json")]) == 0
+    capsys.readouterr()
+    assert alive == [False]
+
+
 @pytest.mark.parametrize(
     "command, draws",
     [("evaluate", False), ("ablate-modality", False), ("ablate-selection", False), ("compare-classifiers", True)],
@@ -525,6 +550,7 @@ def test_output_path_under_a_file_exits_1_before_loading(cohort_dir, tmp_path, c
         ("--threshold=nan", "decision_threshold must be finite"),
         ("--threshold=inf", "decision_threshold must be finite"),
         ("--threshold=-inf", "decision_threshold must be finite"),
+        ("--nb-alpha=inf", "nb_alpha must be finite"),
         ("--seed=-1", "seed must be non-negative"),  # also for Naive Bayes, which builds no seed
     ],
 )

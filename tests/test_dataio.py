@@ -215,8 +215,9 @@ def test_ema_features_do_not_depend_on_ema_csv_row_order(tmp_path, capsys):
 
 def test_load_dataset_peak_memory_stays_near_the_arrays_it_returns(tmp_path):
     # With declared spans ingest holds each patient's sums, which become its
-    # means, and int32 counts of half their bytes; the blocks in flight add a
-    # little (1.81x in all). One more copy of either would take the peak past 2.2x.
+    # means, and uint8 counts of an eighth of their bytes; the blocks in flight
+    # add a little (1.44x in all). int16 counts would take the peak past 1.5x,
+    # and int32 ones to 1.81x.
     generate(SynthConfig(patient_count=10, days_per_patient=180, seed=7), out_dir=tmp_path)
     paths = {name: tmp_path / f"{name}.csv" for name in ("sensors", "ema", "patients", "relapses")}
     tracemalloc.start()
@@ -226,7 +227,7 @@ def test_load_dataset_peak_memory_stays_near_the_arrays_it_returns(tmp_path):
     finally:
         tracemalloc.stop()
     held = sum(cube.nbytes for cube in ds.sensors.values())
-    assert peak < 2.2 * held, f"peak {peak / held:.2f}x the returned arrays"
+    assert peak < 1.5 * held, f"peak {peak / held:.2f}x the returned arrays"
 
 
 def test_extraction_peak_memory_stays_near_the_table_it_returns():

@@ -101,9 +101,10 @@ def days_with_rows(sums: dataio._SensorSums) -> dict[str, dict[Date, np.ndarray]
     days: dict[str, dict[Date, np.ndarray]] = {}
     for pid, first in sums.first.items():
         total, count = sums.sums[pid], sums.counts[pid]
-        # Below 2**31 bytes no cell can reach 2**31 rows, so int32 counts are exact.
-        count_dtype = np.int32 if sums.path.stat().st_size < 2**31 else np.int64
-        assert total.dtype == np.float64 and count.dtype == count_dtype and total.shape == count.shape
+        # Counts are uint8 until a block could take a cell past 255, which
+        # takes more than 255 of the patient's rows; then int64.
+        assert count.dtype == np.uint8 or (count.dtype == np.int64 and count.sum() > 255)
+        assert total.dtype == np.float64 and total.shape == count.shape
         assert total.shape[1:] == (len(SIGNALS), HOURS_PER_DAY)
         has_rows = count.any(axis=(1, 2))
         assert not total[~has_rows].any() and not count[~has_rows].any()
@@ -387,7 +388,6 @@ def test_plain_blocks_take_the_c_parser(tmp_path):
     # the split lines give.
     # "pééé", the longest id, is 7 bytes of UTF-8 and fits its field.
     patients = {**FAST_PATIENTS, "pééé": _RawPatient(30, 9, None, 5)}
-    (tmp_path / "sensors.csv").touch()  # its size picks the counts dtype
     sums = dataio._SensorSums(tmp_path / "sensors.csv", patients)
     block = "".join(f"{pid},2021-01-0{d},{h},call_duration,{d * h / 7!r}\n" for pid in patients for d in (4, 5) for h in (0, 23))
     fast = sums._parse(block.encode("utf-8"))
@@ -403,7 +403,6 @@ def test_declared_spans_share_one_buffer_per_array_allocated_once(tmp_path):
     # buffer and their counts of another, both allocated before the first
     # row and never regrown.
     patients = {pid: _RawPatient(40, 10, (Date(2021, 1, 4), Date(2021, 1, 4 + i)), 2 + i) for i, pid in enumerate(["pa", "pb"])}
-    (tmp_path / "sensors.csv").touch()  # its size picks the counts dtype
     sums = dataio._SensorSums(tmp_path / "sensors.csv", patients)
     held = {pid: (sums.sums[pid], sums.counts[pid]) for pid in patients}
     for arrays in (sums.sums, sums.counts):
@@ -423,7 +422,6 @@ def test_inferred_span_grows_toward_earlier_dates_at_least_doubling(tmp_path):
     # One row per block, latest date first: the arrays keep their last day
     # and grow only toward earlier dates, each time to at least twice their
     # length, so 40 days take 7 allocations.
-    (tmp_path / "sensors.csv").touch()  # its size picks the counts dtype
     sums = dataio._SensorSums(tmp_path / "sensors.csv", {"pb": _RawPatient(50, 12, None, 2)})
     last = Date(2021, 2, 10)
     held = []
@@ -439,15 +437,79 @@ def test_inferred_span_grows_toward_earlier_dates_at_least_doubling(tmp_path):
     assert sums.counts["pb"].sum() == 40
 
 
-@pytest.mark.parametrize("size, dtype", [(0, np.int32), (2**31 - 1, np.int32), (2**31, np.int64)])
-def test_counts_dtype_follows_the_file_size(tmp_path, size, dtype):
-    # A row takes at least one byte, so below 2**31 bytes no cell reaches
-    # 2**31 rows. The file is sparse: sizing it reads and writes nothing.
-    path = tmp_path / "sensors.csv"
-    with path.open("wb") as handle:
-        handle.truncate(size)
-    sums = dataio._SensorSums(path, {"pb": _RawPatient(50, 12, (Date(2021, 1, 4), Date(2021, 1, 5)), 2)})
-    assert sums.counts["pb"].dtype == dtype
-    sums.add(b"pb,2021-01-05,3,light_level,2.5\n", 2, [])
+def crowded_cells(rows: int) -> str:
+    """`rows` rows in one cell of p01 (declared span) and in one of p0123
+    (inferred span), between rows of other cells; values whose sums depend
+    on the order they are added in."""
+    lines = [HEADER]
+    for i in range(rows):
+        value = (0.1, 0.2, 0.3, 1e16)[i % 4]
+        lines.append(f"p01,2021-01-05,3,light_level,{value!r}")
+        lines.append(f"p0123,2021-01-0{2 + i % 3},{i % 24},call_duration,{value!r}")
+        lines.append(f"p0123,2021-01-07,5,light_level,{value!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rows", [255, 256, 600])
+@pytest.mark.parametrize("block_bytes", [64, 1 << 20])
+def test_more_than_255_rows_in_a_cell_read_as_row_by_row(tmp_path_factory, rows, block_bytes):
+    # 64-byte blocks split a cell's rows over hundreds of blocks; a 1 MiB
+    # block holds all of them.
+    path = write(tmp_path_factory, crowded_cells(rows))
+    oracle, blocks = read_both(path, block_bytes, FAST_PATIENTS)
+    assert oracle[0]["p01"][Date(2021, 1, 5)][1][dataio._SIGNAL_INDEX["light_level"]][3] == rows
+    assert blocks == oracle
+    with mock.patch.object(dataio, "SENSOR_BLOCK_BYTES", block_bytes):
+        sums = dataio._read_sensors(path, FAST_PATIENTS, [])
+    if rows > 255:
+        assert sums.counts["p01"].dtype == sums.counts["p0123"].dtype == np.int64
+    elif block_bytes == 1 << 20:  # 0 + 255 rows of a cell in one block fit in uint8
+        assert sums.counts["p01"].dtype == sums.counts["p0123"].dtype == np.uint8
+
+
+@pytest.mark.parametrize("rows", [255, 256, 600])
+@pytest.mark.parametrize("block_bytes", [64, 1 << 20])
+def test_more_than_255_rows_in_a_cell_load_the_row_by_row_means(tmp_path, rows, block_bytes):
+    (tmp_path / "sensors.csv").write_text(crowded_cells(rows))
+    (tmp_path / "ema.csv").write_text("patient_id,date," + ",".join(f"item_{i}" for i in range(1, 11)) + "\n")
+    (tmp_path / "patients.csv").write_text("patient_id,age,education_years\np01,40,10\np0123,50,12\n")
+    (tmp_path / "relapses.csv").write_text("patient_id,relapse_date\n")
+    patients = {pid: _RawPatient(40, 10, None, 2) for pid in ("p01", "p0123")}
+    expected = oracle_read_sensors(tmp_path / "sensors.csv", patients, [])
+    with mock.patch.object(dataio, "SENSOR_BLOCK_BYTES", block_bytes):
+        ds = dataio.load_dataset(*(tmp_path / name for name in ("sensors.csv", "ema.csv", "patients.csv", "relapses.csv")))
+    for patient in ds.patients:
+        by_date = expected[patient.patient_id]
+        assert (patient.observation_start, patient.observation_end) == (min(by_date), max(by_date))
+        total, count = np.zeros((2, *ds.sensors[patient.patient_id].shape))
+        for date, acc in by_date.items():
+            day = (date - patient.observation_start).days
+            total[day], count[day] = acc
+        with np.errstate(invalid="ignore"):  # 0/0, as in the reader: NaN with the same bits
+            assert ds.sensors[patient.patient_id].tobytes() == (total / count).tobytes()
+
+
+def test_counts_widen_only_when_a_block_could_pass_255(tmp_path):
+    # The largest count at a block's cells plus the most rows it gives one
+    # cell decide: 200 + 55 and 0 + 255 stay in uint8, 255 + 1 widens.
+    sums = dataio._SensorSums(tmp_path / "sensors.csv", {"pb": _RawPatient(50, 12, (Date(2021, 1, 4), Date(2021, 1, 5)), 2)})
+    sums.add(b"pb,2021-01-05,3,light_level,1\n" * 200, 2, [])
+    sums.add(b"pb,2021-01-05,3,light_level,1\n" * 55, 202, [])
+    sums.add(b"pb,2021-01-04,3,light_level,1\n" * 255, 257, [])
+    assert sums.counts["pb"].dtype == np.uint8
+    sums.add(b"pb,2021-01-04,3,light_level,1\npb,2021-01-05,4,light_level,1\n", 512, [])
+    assert sums.counts["pb"].dtype == np.int64
     light = dataio._SIGNAL_INDEX["light_level"]
-    assert sums.counts["pb"].dtype == dtype and sums.means("pb", Date(2021, 1, 5), Date(2021, 1, 5))[0, light, 3] == 2.5
+    assert sums.counts["pb"][:, light, 3].tolist() == [256, 255] and sums.counts["pb"][1, light, 4] == 1
+
+
+def test_widened_counts_of_an_inferred_span_stay_int64_as_it_grows(tmp_path):
+    sums = dataio._SensorSums(tmp_path / "sensors.csv", {"pb": _RawPatient(50, 12, None, 2)})
+    sums.add(b"pb,2021-02-10,3,light_level,0.1\n" * 300, 2, [])
+    assert sums.counts["pb"].dtype == np.int64 and len(sums.counts["pb"]) == 1
+    sums.add(b"pb,2021-01-01,4,light_level,2.5\n", 302, [])  # 40 days earlier: the arrays grow
+    light = dataio._SIGNAL_INDEX["light_level"]
+    assert sums.counts["pb"].dtype == np.int64 and len(sums.counts["pb"]) == 41
+    assert sums.counts["pb"][[0, -1], light].tolist() == [[0] * 4 + [1] + [0] * 19, [0] * 3 + [300] + [0] * 20]
+    means = sums.means("pb", Date(2021, 1, 1), Date(2021, 2, 10))
+    assert means[0, light, 4] == 2.5 and means[-1, light, 3] == sum([0.1] * 300) / 300
