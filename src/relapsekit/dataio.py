@@ -7,7 +7,9 @@ Input files are UTF-8 CSV with a header row and ISO-8601 dates:
     patients.csv  patient_id,age,education_years[,observation_start,observation_end]
     relapses.csv  patient_id,relapse_date
 
-Validation failures raise IngestError naming the file and line. Rows that
+One reader, `_records`, checks every header, and the field counts and blank
+rows of the three small files. Validation failures, a zero-byte file and a
+byte that is not UTF-8 raise IngestError naming the file and line. Rows that
 are valid but fall outside an explicitly declared observation span are
 excluded as they are read, never silently: each exclusion is recorded, in
 file order, with a reason code. Sensor rows are averaged per
@@ -23,17 +25,18 @@ sensors.csv, by far the largest file, is read in blocks of
 fields for patient_id, date, hour and signal, and float64 values. Each `S`
 field is one byte wider than its longest valid text (the longest declared
 id in UTF-8 bytes, the longest signal name, "YYYY-MM-DD", "23"), so a field
-that fills its width may have been cut short. A block takes the `str.split`
-path instead (decode, split at newlines and commas, `float()` per value)
-when loadtxt rejects it (as it does "1_0" and "٣", which `float()` reads),
-when a field fills its width, when it has a blank line (which loadtxt
-skips, shifting line numbers), when it holds a byte 0x1C-0x1F (which
-loadtxt strips around a number and `float()` rejects), or when any row
-fails its checks. Both paths feed one resolver, so every block gives the
-`str.split` path's result or IngestError. A file holding a quote, CR or NUL
+that fills its width may have been cut short. A block takes its rows from
+`csv.reader` over the decoded block instead (`float()` per value) when
+loadtxt rejects it (as it does "1_0" and "٣", which `float()` reads), when
+a field fills its width, when it has a blank line (which loadtxt skips,
+shifting line numbers), when it holds a byte 0x1C-0x1F (which loadtxt
+strips around a number and `float()` rejects), or when any row fails its
+checks. Both paths feed one resolver, so every block gives the result of
+its `csv.reader` rows or IngestError. A file holding a quote, CR or NUL
 byte (which change how `csv.reader` splits rows) or a line longer than
-csv's field limit takes its rows from `csv.reader`, in blocks of rows; a
-row that csv rejects raises IngestError, as in the other three files.
+csv's field limit takes its rows from one `csv.reader` over the whole
+file, in blocks of rows; a row that csv rejects raises IngestError, as in
+the other three files.
 
 Each distinct date, hour and signal string is parsed once, with the same
 calls a row-by-row reader makes. A patient's rows are summed into a float64
@@ -65,7 +68,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import date as Date
 from datetime import timedelta
-from itertools import accumulate, repeat
+from itertools import accumulate, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -207,9 +210,10 @@ class _RawPatient:
     line: int
 
 
-def _open_rows(path: Path) -> Iterable[tuple[int, list[str]]]:
-    """Each `csv.reader` row, numbered from 1. A row that csv rejects (a
-    field longer than its limit) raises IngestError under its number."""
+def _open_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """Each `csv.reader` row, numbered from 1. A zero-byte file, a row that
+    csv rejects (a field longer than its limit) and a byte that is not
+    UTF-8 raise IngestError."""
     line_no = 0
     with path.open(newline="", encoding="utf-8") as handle:
         try:
@@ -217,16 +221,44 @@ def _open_rows(path: Path) -> Iterable[tuple[int, list[str]]]:
                 yield line_no, row
         except csv.Error as exc:
             raise IngestError(str(path), line_no + 1, str(exc)) from exc
+        except UnicodeDecodeError:  # decoded ahead in chunks: find the byte's line
+            _decode(path, path.read_bytes(), 1)
+            raise
+    if not line_no:
+        raise IngestError(str(path), None, "empty file")
+
+
+def _decode(path: Path, data: bytes, first_line: int) -> str:
+    """`data`, whose first line is `first_line` of `path`, as UTF-8 text;
+    IngestError names the line that holds its first undecodable byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(str(path), first_line + data.count(b"\n", 0, exc.start), "invalid UTF-8") from exc
+
+
+def _records(path: Path, *headers: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank rows after a CSV file's header, numbered as
+    `_open_rows` numbers them, each with as many fields as the header. The
+    header is one of `headers`; a second one adds optional columns."""
+    rows = _open_rows(path)
+    _, header = next(rows)
+    if header not in headers:
+        expected = ",".join(headers[0])
+        if len(headers) > 1:
+            expected += f" with optional {','.join(headers[1][len(headers[0]) :])}"
+        raise IngestError(str(path), 1, f"malformed header: expected {expected}")
+    for line_no, row in rows:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise IngestError(str(path), line_no, f"expected {len(header)} fields, got {len(row)}")
+        yield line_no, row
 
 
 def _outside_span(raw: _RawPatient, date: Date) -> bool:
     """True for a date outside a declared span; inferred spans exclude nothing."""
     return raw.span is not None and not raw.span[0] <= date <= raw.span[1]
-
-
-def _check_header(path: Path, row: list[str], expected: list[str]) -> None:
-    if row != expected:
-        raise IngestError(str(path), 1, f"malformed header: expected {','.join(expected)}")
 
 
 def _parse_date(path: Path, line: int, text: str, what: str = "date") -> Date:
@@ -238,26 +270,7 @@ def _parse_date(path: Path, line: int, text: str, what: str = "date") -> Date:
 
 def _read_patients(path: Path) -> dict[str, _RawPatient]:
     patients: dict[str, _RawPatient] = {}
-    has_span: bool | None = None
-    for line_no, row in _open_rows(path):
-        if line_no == 1:
-            if row == _PATIENT_HEADER_FULL:
-                has_span = True
-            elif row == _PATIENT_HEADER:
-                has_span = False
-            else:
-                raise IngestError(
-                    str(path),
-                    1,
-                    f"malformed header: expected {','.join(_PATIENT_HEADER)}"
-                    " with optional observation_start,observation_end",
-                )
-            continue
-        if not row:
-            continue
-        expected_len = 5 if has_span else 3
-        if len(row) != expected_len:
-            raise IngestError(str(path), line_no, f"expected {expected_len} fields, got {len(row)}")
+    for line_no, row in _records(path, _PATIENT_HEADER, _PATIENT_HEADER_FULL):
         pid = row[0]
         if pid in patients:
             raise IngestError(str(path), line_no, f"duplicate patient_id {pid}")
@@ -267,15 +280,13 @@ def _read_patients(path: Path) -> dict[str, _RawPatient]:
         except ValueError as exc:
             raise IngestError(str(path), line_no, f"non-integer age/education: {exc}") from exc
         span = None
-        if has_span:
+        if len(row) == len(_PATIENT_HEADER_FULL):
             start = _parse_date(path, line_no, row[3], "observation_start")
             end = _parse_date(path, line_no, row[4], "observation_end")
             if start > end:
                 raise IngestError(str(path), line_no, "observation_start after observation_end")
             span = (start, end)
         patients[pid] = _RawPatient(age, education, span, line_no)
-    if has_span is None:
-        raise IngestError(str(path), None, "empty file")
     return patients
 
 
@@ -290,30 +301,24 @@ def _read_sensors(
     path: Path, patients: dict[str, _RawPatient], exclusions: list[IngestExclusion]
 ) -> _SensorSums:
     """The hourly sums and counts of sensors.csv, per patient."""
+    next(_records(path, _SENSOR_HEADER), None)  # raises for a bad header or a zero-byte file
     sums = _SensorSums(path, patients)
-    line_no = 1
+    line_no = 2
     for block in _sensor_blocks(path):
-        if line_no == 1:
-            if isinstance(block, bytes):
-                cut = block.index(b"\n") + 1
-                header, block = _split_lines(block[:cut])[0], block[cut:]
-            else:
-                header, block = block[0], block[1:]
-            _check_header(path, header, _SENSOR_HEADER)
-            line_no = 2
         line_no = sums.add(block, line_no, exclusions)
     return sums
 
 
 def _sensor_blocks(path: Path) -> Iterator[bytes | list[list[str]]]:
-    """sensors.csv a block at a time: whole lines of bytes or, from a file
-    that `_split_lines` could split otherwise, rows as `_open_rows` gives
-    them. A row that csv rejects ends its block, and its IngestError comes
-    after that block, so an earlier row's error is raised first."""
+    """sensors.csv after its header a block at a time: whole lines of bytes
+    or, from a file whose lines `csv.reader` could split otherwise than at
+    commas, rows as `_open_rows` gives them. A row that csv rejects ends its
+    block, and its IngestError comes after that block, so an earlier row's
+    error is raised first."""
     if _needs_csv_reader(path):
         rows: list[list[str]] = []
         try:
-            for _, row in _open_rows(path):
+            for _, row in islice(_open_rows(path), 1, None):
                 rows.append(row)
                 if len(rows) == max(SENSOR_BLOCK_BYTES // 64, 1):
                     yield rows
@@ -326,6 +331,7 @@ def _sensor_blocks(path: Path) -> Iterator[bytes | list[list[str]]]:
             yield rows
         return
     with path.open("rb") as handle:
+        handle.readline()  # the header, which `_records` checked
         tail = b""
         while block := handle.read(SENSOR_BLOCK_BYTES):
             block = tail + block
@@ -335,16 +341,6 @@ def _sensor_blocks(path: Path) -> Iterator[bytes | list[list[str]]]:
                 yield block[:cut]
         if tail:
             yield tail + b"\n"
-
-
-def _split_lines(block: bytes) -> list[list[str]]:
-    """Whole lines as `csv.reader` splits them when nothing is quoted; a
-    blank line is the empty row []."""
-    lines = block.decode("utf-8").split("\n")
-    lines.pop()
-    if "" in lines:
-        return [line.split(",") if line else [] for line in lines]
-    return list(map(str.split, lines, repeat(",")))
 
 
 def _needs_csv_reader(path: Path) -> bool:
@@ -417,13 +413,15 @@ class _SensorSums:
     def add(self, block: bytes | list[list[str]], first_line: int, exclusions: list[IngestExclusion]) -> int:
         """Add one block, whole lines of bytes or csv rows, the first on csv
         row `first_line`; return the csv row after the block."""
-        columns = self._parse(block) if isinstance(block, bytes) and block else None
+        columns = self._parse(block) if isinstance(block, bytes) else None
         resolved = None if columns is None else self._resolve(*columns)
         if resolved is not None:
             end = first_line + len(columns[4])
             line_nos = np.arange(first_line, end)
-        else:  # the `str.split` path, and its errors
-            rows = _split_lines(block) if isinstance(block, bytes) else block
+        else:  # `csv.reader` rows, and their errors
+            rows = block
+            if isinstance(block, bytes):
+                rows = list(csv.reader(io.StringIO(_decode(self.path, block, first_line))))
             end = first_line + len(rows)
             line_nos = np.arange(first_line, end)
             if [] in rows:  # blank rows count for line numbers only
@@ -460,7 +458,7 @@ class _SensorSums:
     def _parse(self, block: bytes) -> tuple[np.ndarray, ...] | None:
         """A block's five columns as numpy's C parser reads them, four of
         `S` bytes and the float values; None where they could differ from
-        `_text_columns` on `_split_lines`."""
+        `_text_columns` on the block's `csv.reader` rows."""
         lines = np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))  # faster than bytes.count
         if lines == len(block) or any(byte in block for byte in _INFO_SEPARATORS):
             return None  # all lines blank (loadtxt would warn), or a separator byte
@@ -595,16 +593,7 @@ def _read_ema(
     days: dict[str, list[int]] = {}
     answers: dict[str, list[int]] = {}
     seen: set[tuple[str, Date]] = set()
-    for line_no, row in _open_rows(path):
-        if line_no == 1:
-            _check_header(path, row, _EMA_HEADER)
-            continue
-        if not row:
-            continue
-        if len(row) != 2 + EMA_ITEM_COUNT:
-            raise IngestError(
-                str(path), line_no, f"expected {2 + EMA_ITEM_COUNT} fields, got {len(row)}"
-            )
+    for line_no, row in _records(path, _EMA_HEADER):
         pid = row[0]
         if pid not in patients:
             raise IngestError(str(path), line_no, f"unknown patient_id {pid}")
@@ -646,14 +635,7 @@ def _ema_days(answered: tuple[np.ndarray, np.ndarray] | None, start: Date, end: 
 
 def _read_relapses(path: Path, known: set[str]) -> dict[str, list[tuple[Date, int]]]:
     relapses: dict[str, list[tuple[Date, int]]] = {}
-    for line_no, row in _open_rows(path):
-        if line_no == 1:
-            _check_header(path, row, _RELAPSE_HEADER)
-            continue
-        if not row:
-            continue
-        if len(row) != 2:
-            raise IngestError(str(path), line_no, f"expected 2 fields, got {len(row)}")
+    for line_no, row in _records(path, _RELAPSE_HEADER):
         pid, date_text = row
         if pid not in known:
             raise IngestError(str(path), line_no, f"unknown patient_id {pid}")
@@ -674,6 +656,13 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _csv_field(text: str) -> str:
     """`text` as `csv.writer` writes it in a row of several fields."""
     line = io.StringIO()
@@ -692,24 +681,17 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
         "relapses": out / RELAPSES_FILE,
     }
 
-    with paths["patients"].open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_PATIENT_HEADER_FULL)
-        for p in sorted(dataset.patients, key=lambda p: p.patient_id):
-            writer.writerow(
-                [
-                    p.patient_id,
-                    p.age,
-                    p.education_years,
-                    p.observation_start.isoformat(),
-                    p.observation_end.isoformat(),
-                ]
-            )
+    patients = sorted(dataset.patients, key=lambda p: p.patient_id)
+    rows = (
+        [p.patient_id, p.age, p.education_years, p.observation_start.isoformat(), p.observation_end.isoformat()]
+        for p in patients
+    )
+    _write_csv(paths["patients"], _PATIENT_HEADER_FULL, rows)
 
     with paths["sensors"].open("w", newline="", encoding="utf-8") as handle:
         csv.writer(handle, lineterminator="\n").writerow(_SENSOR_HEADER)
         cells = [f",{hour},{s.value}," for s in SIGNALS for hour in range(HOURS_PER_DAY)]
-        for p in sorted(dataset.patients, key=lambda p: p.patient_id):
+        for p in patients:
             cube = dataset.sensors[p.patient_id]
             present = ~np.isnan(cube)
             if not present.any():
@@ -721,52 +703,34 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
             prefixes = map(str.__add__, map(days.__getitem__, day.tolist()), map(cells.__getitem__, cell.tolist()))
             handle.write("\n".join(map(str.__add__, prefixes, map(repr, cube[present].tolist()))) + "\n")
 
-    with paths["ema"].open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_EMA_HEADER)
-        for p in sorted(dataset.patients, key=lambda p: p.patient_id):
-            answers = dataset.ema[p.patient_id]
-            for d in np.flatnonzero(answers[:, 0] >= 0).tolist():
-                date = p.observation_start + timedelta(days=d)
-                writer.writerow([p.patient_id, date.isoformat(), *answers[d].tolist()])
-
-    with paths["relapses"].open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_RELAPSE_HEADER)
-        for p in sorted(dataset.patients, key=lambda p: p.patient_id):
-            for date in p.relapse_dates:
-                writer.writerow([p.patient_id, date.isoformat()])
+    rows = (
+        [p.patient_id, (p.observation_start + timedelta(days=d)).isoformat(), *dataset.ema[p.patient_id][d].tolist()]
+        for p in patients
+        for d in np.flatnonzero(dataset.ema[p.patient_id][:, 0] >= 0).tolist()
+    )
+    _write_csv(paths["ema"], _EMA_HEADER, rows)
+    rows = ([p.patient_id, date.isoformat()] for p in patients for date in p.relapse_dates)
+    _write_csv(paths["relapses"], _RELAPSE_HEADER, rows)
 
     return paths
 
 
 def write_predictions(report: "EvalReport", path: str | Path) -> None:
     """One row per evaluated window: identity, dates, label, prediction, score."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            [
-                "patient_id",
-                "window_start",
-                "window_end",
-                "prediction_date_range",
-                "label",
-                "predicted",
-                "score",
-            ]
-        )
-        for spec, predicted, score in zip(report.specs, report.predicted.tolist(), report.scores.tolist()):
-            writer.writerow(
-                [
-                    spec.patient_id,
-                    spec.feature_start.isoformat(),
-                    spec.feature_end.isoformat(),
-                    f"{spec.predict_start.isoformat()}/{spec.predict_end.isoformat()}",
-                    spec.label,
-                    predicted,
-                    _fmt(score),
-                ]
-            )
+    header = ["patient_id", "window_start", "window_end", "prediction_date_range", "label", "predicted", "score"]
+    rows = (
+        [
+            spec.patient_id,
+            spec.feature_start.isoformat(),
+            spec.feature_end.isoformat(),
+            f"{spec.predict_start.isoformat()}/{spec.predict_end.isoformat()}",
+            spec.label,
+            predicted,
+            _fmt(score),
+        ]
+        for spec, predicted, score in zip(report.specs, report.predicted.tolist(), report.scores.tolist())
+    )
+    _write_csv(path, header, rows)
 
 
 def write_metrics(report: "EvalReport | Sequence[EvalReport]", path: str | Path) -> None:
@@ -781,19 +745,14 @@ def write_metrics(report: "EvalReport | Sequence[EvalReport]", path: str | Path)
 
 def write_feature_matrix(table: "WindowTable", path: str | Path) -> None:
     """Delimited dump of a window table's rows; missing values become empty fields."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["patient_id", "window_start", "label", *FEATURE_NAMES])
-        for spec, row in zip(table.specs, table.values):
-            cells = ["" if np.isnan(v) else _fmt(v) for v in row]
-            writer.writerow([spec.patient_id, spec.feature_start.isoformat(), spec.label, *cells])
+    rows = (
+        [spec.patient_id, spec.feature_start.isoformat(), spec.label, *["" if np.isnan(v) else _fmt(v) for v in row]]
+        for spec, row in zip(table.specs, table.values)
+    )
+    _write_csv(path, ["patient_id", "window_start", "label", *FEATURE_NAMES], rows)
 
 
 def write_exclusions(windows: Iterable[WindowSpec], path: str | Path) -> None:
     """Sidecar log of excluded candidate windows and their reason codes."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["patient_id", "window_start", "reason"])
-        for w in windows:
-            if not w.evaluable:
-                writer.writerow([w.patient_id, w.feature_start.isoformat(), w.exclusion])
+    rows = ([w.patient_id, w.feature_start.isoformat(), w.exclusion] for w in windows if not w.evaluable)
+    _write_csv(path, ["patient_id", "window_start", "reason"], rows)

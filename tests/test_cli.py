@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 import weakref
@@ -455,6 +456,34 @@ def test_a_field_over_the_csv_limit_exits_1_naming_file_and_row(tmp_path, capsys
     capsys.readouterr()
     assert main(["features", "--data", str(data), "--out", str(tmp_path / "f.csv")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}:{rows + 1}: field larger than field limit")
+
+
+@pytest.mark.parametrize("name", ["sensors.csv", "ema.csv", "patients.csv", "relapses.csv"])
+def test_a_zero_byte_input_file_exits_1_naming_it(cohort_dir, tmp_path, capsys, name):
+    data = tmp_path / "cohort"
+    shutil.copytree(cohort_dir, data)
+    (data / name).write_bytes(b"")
+    assert main(["features", "--data", str(data), "--out", str(tmp_path / "f.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {data / name}: empty file\n"
+
+
+@pytest.mark.parametrize(
+    "name, quoted",
+    [("sensors.csv", False), ("sensors.csv", True), ("ema.csv", False), ("patients.csv", False), ("relapses.csv", False)],
+)
+def test_an_undecodable_byte_exits_1_naming_file_and_line(cohort_dir, tmp_path, capsys, name, quoted):
+    # A quoted field sends sensors.csv through `csv.reader` as a whole file,
+    # which decodes ahead of the row it returns.
+    data = tmp_path / "cohort"
+    shutil.copytree(cohort_dir, data)
+    lines = (data / name).read_bytes().split(b"\n")
+    if quoted:
+        lines[1] = b'"' + lines[1].replace(b",", b'",', 1)
+    bad = len(lines) // 2
+    lines[bad] = lines[bad][:1] + b"\xff" + lines[bad][1:]
+    (data / name).write_bytes(b"\n".join(lines))
+    assert main(["features", "--data", str(data), "--out", str(tmp_path / "f.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {data / name}:{bad + 1}: invalid UTF-8\n"
 
 
 def _imports_module(module: str, argv: list[str]) -> bool:

@@ -130,6 +130,46 @@ def test_malformed_header_rejected(tmp_path):
         load(paths)
 
 
+@pytest.mark.parametrize(
+    "name, header, message",
+    [
+        (
+            "patients",
+            "patient_id,age,years\n",
+            "patient_id,age,education_years with optional observation_start,observation_end",
+        ),
+        ("ema", EMA_HEADER.replace("item_10", "item_11"), EMA_HEADER.rstrip("\n")),
+        ("relapses", "patient_id,date\n", "patient_id,relapse_date"),
+    ],
+)
+def test_malformed_small_file_header_names_line_1(tmp_path, name, header, message):
+    paths = write_fixture(tmp_path)
+    paths[name].write_text(header)
+    with pytest.raises(IngestError) as err:
+        load(paths)
+    assert str(err.value) == f"{paths[name]}:1: malformed header: expected {message}"
+
+
+@pytest.mark.parametrize(
+    "name, rows, line, message",
+    [
+        ("patients", "pa,40,10\n\npb,55\n", 4, "expected 3 fields, got 2"),
+        ("patients", "pa,40,10\n\n\npa,55,8\n", 5, "duplicate patient_id pa"),
+        ("ema", "pa,2021-01-04" + ",0" * 10 + "\n\npa,2021-01-05,0\n", 4, "expected 12 fields, got 3"),
+        ("ema", "\n\npx,2021-01-04" + ",0" * 10 + "\n", 4, "unknown patient_id px"),
+        ("relapses", "pa,2021-01-04\n\npa\n", 4, "expected 2 fields, got 1"),
+        ("relapses", "pa,2021-01-04\n \n", 3, "expected 2 fields, got 1"),
+        ("relapses", "\npa,2021-02-30\n", 3, "invalid relapse_date '2021-02-30'"),
+    ],
+)
+def test_small_file_row_errors_count_blank_rows_in_the_line(tmp_path, name, rows, line, message):
+    # A blank row is skipped but keeps its line; a row of spaces is not blank.
+    paths = write_fixture(tmp_path, **{name: rows})
+    with pytest.raises(IngestError) as err:
+        load(paths)
+    assert str(err.value) == f"{paths[name]}:{line}: {message}"
+
+
 def test_relapse_outside_span_rejected(tmp_path):
     paths = write_fixture(
         tmp_path,

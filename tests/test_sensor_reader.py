@@ -10,6 +10,7 @@ every exclusion and every error message must still be the oracle's.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from datetime import date as Date
 from datetime import timedelta
@@ -26,7 +27,6 @@ from relapsekit.dataio import (
     EXCLUDED_OUTSIDE_SPAN,
     IngestError,
     IngestExclusion,
-    _check_header,
     _open_rows,
     _outside_span,
     _parse_date,
@@ -55,7 +55,8 @@ def oracle_read_sensors(
 
     for line_no, row in _open_rows(path):
         if line_no == 1:
-            _check_header(path, row, dataio._SENSOR_HEADER)
+            if row != dataio._SENSOR_HEADER:
+                raise IngestError(str(path), 1, f"malformed header: expected {','.join(dataio._SENSOR_HEADER)}")
             continue
         if not row:
             continue
@@ -233,8 +234,9 @@ def test_empty_and_header_only_files_read_as_row_by_row(tmp_path_factory, text):
     assert blocks == oracle
 
 
-def test_zero_byte_sensor_file_loads_with_no_rows(tmp_path):
-    (tmp_path / "sensors.csv").write_bytes(b"")
+@pytest.mark.parametrize("end", ["", "\n"])
+def test_header_only_files_load_with_no_rows(tmp_path, end):
+    (tmp_path / "sensors.csv").write_text(HEADER + end)
     (tmp_path / "ema.csv").write_text("patient_id,date," + ",".join(f"item_{i}" for i in range(1, 11)) + "\n")
     (tmp_path / "patients.csv").write_text(
         "patient_id,age,education_years,observation_start,observation_end\npa,40,10,2021-01-04,2021-01-10\n"
@@ -270,7 +272,7 @@ def test_bad_row_before_a_line_over_the_csv_field_limit_raises_first(tmp_path_fa
 # -- numpy's C parser ------------------------------------------------------------
 #
 # Blocks of plain lines are read by `np.loadtxt` into fixed-width `S` fields.
-# Each form below parts from `str.split` with `float`/`int` somewhere: the C
+# Each form below parts from `csv.reader` with `float`/`int` somewhere: the C
 # float parser rejects what `float()` accepts (underscores, non-ASCII digits
 # and spaces), `S` fields cut long text short, and `loadtxt` skips blank
 # lines. A block holding one must read exactly as the oracle reads it.
@@ -385,14 +387,14 @@ def test_blank_lines_inside_a_block_keep_line_numbers(tmp_path_factory, blank, l
 
 def test_plain_blocks_take_the_c_parser(tmp_path):
     # The fast path must actually run on a plain file, and give the columns
-    # the split lines give.
+    # the block's `csv.reader` rows give.
     # "pééé", the longest id, is 7 bytes of UTF-8 and fits its field.
     patients = {**FAST_PATIENTS, "pééé": _RawPatient(30, 9, None, 5)}
     sums = dataio._SensorSums(tmp_path / "sensors.csv", patients)
     block = "".join(f"{pid},2021-01-0{d},{h},call_duration,{d * h / 7!r}\n" for pid in patients for d in (4, 5) for h in (0, 23))
     fast = sums._parse(block.encode("utf-8"))
     assert fast is not None and [c.dtype.kind for c in fast] == ["S", "S", "S", "S", "f"]
-    text = dataio._text_columns(dataio._split_lines(block.encode("utf-8")))
+    text = dataio._text_columns(list(csv.reader(io.StringIO(block))))
     for got, want in zip(fast[:4], text[:4]):
         assert [b.decode("utf-8") for b in got.tolist()] == want.tolist()
     assert fast[4].tobytes() == text[4].tobytes()
