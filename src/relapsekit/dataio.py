@@ -7,10 +7,12 @@ Input files are UTF-8 CSV with a header row and ISO-8601 dates:
     patients.csv  patient_id,age,education_years[,observation_start,observation_end]
     relapses.csv  patient_id,relapse_date
 
-One reader, `_records`, checks every header, and the field counts and blank
-rows of the three small files. Validation failures, a zero-byte file and a
-byte that is not UTF-8 raise IngestError naming the file and line. Rows that
-are valid but fall outside an explicitly declared observation span are
+Every file is read in blocks of whole lines (`_CsvReader`), into the rows
+of one `csv.reader` over the file. One reader, `_records`, checks every
+header, and the field counts and blank rows of the three small files.
+Validation failures, a zero-byte file and a byte that is not UTF-8 raise
+IngestError naming the file and line of the first fault. Rows that are
+valid but fall outside an explicitly declared observation span are
 excluded as they are read, never silently: each exclusion is recorded, in
 file order, with a reason code. Sensor rows are averaged per
 (patient, date, signal, hour) into one dense `(days, 6, 24)` array per
@@ -19,24 +21,19 @@ array per patient (`Dataset.ema`) with the same days, once the spans are
 known. All writers are deterministic — the same in-memory object always
 produces byte-identical files.
 
-sensors.csv, by far the largest file, is read in blocks of
-`SENSOR_BLOCK_BYTES` cut at their last newline. numpy's C parser
-(`np.loadtxt`, no comments, no quoting) reads a block into fixed-width `S`
-fields for patient_id, date, hour and signal, and float64 values. Each `S`
-field is one byte wider than its longest valid text (the longest declared
-id in UTF-8 bytes, the longest signal name, "YYYY-MM-DD", "23"), so a field
-that fills its width may have been cut short. A block takes its rows from
-`csv.reader` over the decoded block instead (`float()` per value) when
-loadtxt rejects it (as it does "1_0" and "٣", which `float()` reads), when
-a field fills its width, when it has a blank line (which loadtxt skips,
-shifting line numbers), when it holds a byte 0x1C-0x1F (which loadtxt
-strips around a number and `float()` rejects), or when any row fails its
-checks. Both paths feed one resolver, so every block gives the result of
-its `csv.reader` rows or IngestError. A file holding a quote, CR or NUL
-byte (which change how `csv.reader` splits rows) or a line longer than
-csv's field limit takes its rows from one `csv.reader` over the whole
-file, in blocks of rows; a row that csv rejects raises IngestError, as in
-the other three files.
+In sensors.csv, by far the largest file, a block after the header's is
+`SENSOR_BLOCK_BYTES` and the rest of the line they end in. numpy's C
+parser (`np.loadtxt`, no comments, no quoting) reads it into fixed-width
+`S` fields for patient_id, date, hour and signal, and float64 values. A
+block takes its rows from `csv.reader` instead when loadtxt rejects it (as
+it does "1_0" and "٣", which `float()` reads), when a field fills its
+width and so may have been cut short, when it has a blank line (which
+loadtxt skips, shifting line numbers) or no final newline, when it holds a
+byte 0x1C-0x1F (which loadtxt strips around a number and `float()`
+rejects), a quote, CR, NUL or non-UTF-8 byte, when a line could pass csv's
+field limit, or when any row fails its checks. Both paths feed one
+resolver, so every block gives the result of its `csv.reader` rows or
+IngestError.
 
 Each distinct date, hour and signal string is parsed once, with the same
 calls a row-by-row reader makes. A patient's rows are summed into a float64
@@ -55,8 +52,7 @@ before the first row; an inferred span grows toward the side a row falls
 on, at least doubling. A block that fails on both paths is walked again row
 by row through `_check_sensor_row`, which raises the IngestError of its
 first bad row. Blocks are small, because a block's parsed fields and index
-arrays are alive at once; 128 KiB is also the largest block
-`_needs_csv_reader` can scan against csv's default field limit.
+arrays are alive at once.
 """
 
 from __future__ import annotations
@@ -68,9 +64,9 @@ import math
 from dataclasses import dataclass, field
 from datetime import date as Date
 from datetime import timedelta
-from itertools import accumulate, islice
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -211,43 +207,89 @@ class _RawPatient:
 
 
 def _open_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
-    """Each `csv.reader` row, numbered from 1. A zero-byte file, a row that
-    csv rejects (a field longer than its limit) and a byte that is not
-    UTF-8 raise IngestError."""
+    """Each row of a file as `csv.reader` reads it opened with `newline=""`,
+    numbered from 1. A zero-byte file, a row that csv rejects and a byte
+    that is not UTF-8 raise IngestError."""
     line_no = 0
-    with path.open(newline="", encoding="utf-8") as handle:
+    for block in (reader := _CsvReader(path)):
+        for line_no, row in enumerate(reader.rows(block, line_no + 1), start=line_no + 1):
+            yield line_no, row
+
+
+class _CsvReader:
+    """A CSV file, open while iterated, in blocks of whole lines: the first
+    line, then `SENSOR_BLOCK_BYTES` and the rest of their last line. `rows`
+    gives a block's rows as `csv.reader` gives them from the whole file."""
+
+    handle: BinaryIO
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.skew = 0  # "\n" lines less csv rows before the next block
+
+    def __iter__(self) -> Iterator[bytes]:
+        with self.path.open("rb") as self.handle:
+            yield self.handle.readline()  # the header: the C parser rejects it
+            while block := self.handle.read(SENSOR_BLOCK_BYTES):
+                yield block + self.handle.readline()
+
+    def rows(self, block: bytes, first_row: int) -> Iterator[list[str]]:
+        """The rows of `block`, whose first row is `first_row`, read on
+        through the line that ends a quoted field crossing its end. A row
+        csv rejects or with a non-UTF-8 byte raises IngestError."""
+        if not block:  # the first block of a zero-byte file
+            raise IngestError(str(self.path), None, "empty file")
+        line = first_row + self.skew + block.count(b"\n")  # the "\n" line after the block
+        row_start = 0  # `reader.line_num` as the current row starts
+
+        def more() -> Iterator[str]:  # while a quoted field crosses the block's end
+            nonlocal line
+            while reader.line_num > row_start and (text := self.handle.readline()):
+                yield from self._lines(text, line)
+                line += 1
+
+        reader = csv.reader(chain(self._lines(block, first_row + self.skew), more()))
+        row = first_row
         try:
-            for line_no, row in enumerate(csv.reader(handle), start=1):
-                yield line_no, row
+            for fields in reader:
+                yield fields
+                row, row_start = row + 1, reader.line_num
         except csv.Error as exc:
-            raise IngestError(str(path), line_no + 1, str(exc)) from exc
-        except UnicodeDecodeError:  # decoded ahead in chunks: find the byte's line
-            _decode(path, path.read_bytes(), 1)
-            raise
-    if not line_no:
-        raise IngestError(str(path), None, "empty file")
+            raise IngestError(str(self.path), row, str(exc)) from exc
+        self.skew = line - row
+
+    def _lines(self, data: bytes, line: int) -> Iterator[str]:
+        """`data`'s lines, as a `newline=""` file splits them; reading the
+        one with a non-UTF-8 byte raises IngestError naming it, counted at
+        "\n" from `line`."""
+        good, error = len(data), None
+        if not data.isascii():
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                good = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
+                error = IngestError(str(self.path), line + data.count(b"\n", 0, exc.start), "invalid UTF-8")
+        yield from io.TextIOWrapper(io.BytesIO(data[:good]), encoding="utf-8", newline="")
+        if error:
+            raise error
 
 
-def _decode(path: Path, data: bytes, first_line: int) -> str:
-    """`data`, whose first line is `first_line` of `path`, as UTF-8 text;
-    IngestError names the line that holds its first undecodable byte."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise IngestError(str(path), first_line + data.count(b"\n", 0, exc.start), "invalid UTF-8") from exc
+def _check_header(path: Path, row: list[str], *headers: list[str]) -> None:
+    """Raise unless `row` is one of `headers`; a second one adds optional columns."""
+    if row not in headers:
+        expected = ",".join(headers[0])
+        if len(headers) > 1:
+            expected += f" with optional {','.join(headers[1][len(headers[0]) :])}"
+        raise IngestError(str(path), 1, f"malformed header: expected {expected}")
 
 
 def _records(path: Path, *headers: list[str]) -> Iterator[tuple[int, list[str]]]:
     """The non-blank rows after a CSV file's header, numbered as
     `_open_rows` numbers them, each with as many fields as the header. The
-    header is one of `headers`; a second one adds optional columns."""
+    header is one of `headers`."""
     rows = _open_rows(path)
     _, header = next(rows)
-    if header not in headers:
-        expected = ",".join(headers[0])
-        if len(headers) > 1:
-            expected += f" with optional {','.join(headers[1][len(headers[0]) :])}"
-        raise IngestError(str(path), 1, f"malformed header: expected {expected}")
+    _check_header(path, header, *headers)
     for line_no, row in rows:
         if not row:
             continue
@@ -293,76 +335,20 @@ def _read_patients(path: Path) -> dict[str, _RawPatient]:
 SENSOR_BLOCK_BYTES = 1 << 17
 _SIGNAL_INDEX = {s.value: i for i, s in enumerate(SIGNALS)}
 _DAY_CELLS = len(SIGNALS) * HOURS_PER_DAY  # one day of a patient's (days, 6, 24) arrays
-# loadtxt strips these around a number as whitespace; float() rejects them.
-_INFO_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# A block holding one of these takes `csv.reader`: loadtxt strips 0x1C-0x1F
+# around a number, and reads a quote, CR or NUL otherwise than csv.
+_CSV_ONLY_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f", b'"', b"\r", b"\0")
 
 
 def _read_sensors(
     path: Path, patients: dict[str, _RawPatient], exclusions: list[IngestExclusion]
 ) -> _SensorSums:
     """The hourly sums and counts of sensors.csv, per patient."""
-    next(_records(path, _SENSOR_HEADER), None)  # raises for a bad header or a zero-byte file
     sums = _SensorSums(path, patients)
-    line_no = 2
-    for block in _sensor_blocks(path):
+    line_no = 1
+    for block in sums.reader:
         line_no = sums.add(block, line_no, exclusions)
     return sums
-
-
-def _sensor_blocks(path: Path) -> Iterator[bytes | list[list[str]]]:
-    """sensors.csv after its header a block at a time: whole lines of bytes
-    or, from a file whose lines `csv.reader` could split otherwise than at
-    commas, rows as `_open_rows` gives them. A row that csv rejects ends its
-    block, and its IngestError comes after that block, so an earlier row's
-    error is raised first."""
-    if _needs_csv_reader(path):
-        rows: list[list[str]] = []
-        try:
-            for _, row in islice(_open_rows(path), 1, None):
-                rows.append(row)
-                if len(rows) == max(SENSOR_BLOCK_BYTES // 64, 1):
-                    yield rows
-                    rows = []
-        except IngestError:
-            if rows:
-                yield rows
-            raise
-        if rows:
-            yield rows
-        return
-    with path.open("rb") as handle:
-        handle.readline()  # the header, which `_records` checked
-        tail = b""
-        while block := handle.read(SENSOR_BLOCK_BYTES):
-            block = tail + block
-            cut = block.rfind(b"\n") + 1
-            tail = block[cut:]
-            if cut:
-                yield block[:cut]
-        if tail:
-            yield tail + b"\n"
-
-
-def _needs_csv_reader(path: Path) -> bool:
-    """True if splitting lines at newlines and fields at commas could give
-    other rows than `csv.reader`: the file holds a quote, CR or NUL byte, or
-    a line longer than csv's field limit (which csv rejects)."""
-    limit = csv.field_size_limit()
-    if limit < SENSOR_BLOCK_BYTES:
-        return True
-    run = 0  # bytes since the last newline
-    with path.open("rb") as handle:
-        while block := handle.read(SENSOR_BLOCK_BYTES):
-            if b'"' in block or b"\r" in block or b"\0" in block:
-                return True
-            first = block.find(b"\n")
-            if first < 0:
-                run += len(block)
-            elif run + first > limit:
-                return True
-            else:
-                run = len(block) - block.rfind(b"\n") - 1
-    return run > limit
 
 
 def _text_columns(rows: list[list[str]]) -> tuple[np.ndarray, ...] | None:
@@ -392,6 +378,7 @@ class _SensorSums:
     def __init__(self, path: Path, patients: dict[str, _RawPatient]) -> None:
         self.path = path
         self.patients = patients
+        self.reader = _CsvReader(path)
         self.dates: dict[str, int] = {}  # date ordinals, parsed once per distinct string
         self.hours: dict[str, int] = {}
         # An inferred span holds no days until `_cover` grows it.
@@ -410,31 +397,37 @@ class _SensorSums:
         self.fields = np.dtype([*((name, f"S{width}") for name, width in zip(_SENSOR_HEADER, widths)), ("value", "f8")])
         self.last_bytes = np.cumsum(widths) - 1  # of each `S` field in a parsed row
 
-    def add(self, block: bytes | list[list[str]], first_line: int, exclusions: list[IngestExclusion]) -> int:
-        """Add one block, whole lines of bytes or csv rows, the first on csv
-        row `first_line`; return the csv row after the block."""
-        columns = self._parse(block) if isinstance(block, bytes) else None
+    def add(self, block: bytes, first_line: int, exclusions: list[IngestExclusion]) -> int:
+        """Add one block of whole lines, the first on csv row `first_line`;
+        return the csv row after the block. Row 1 is the header."""
+        columns = self._parse(block) if first_line > 1 else None
         resolved = None if columns is None else self._resolve(*columns)
         if resolved is not None:
             end = first_line + len(columns[4])
             line_nos = np.arange(first_line, end)
         else:  # `csv.reader` rows, and their errors
-            rows = block
-            if isinstance(block, bytes):
-                rows = list(csv.reader(io.StringIO(_decode(self.path, block, first_line))))
+            rows, error = [], None
+            try:
+                for row in self.reader.rows(block, first_line):
+                    rows.append(row)
+            except IngestError as exc:  # raised after the rows before it
+                error = exc
             end = first_line + len(rows)
             line_nos = np.arange(first_line, end)
+            if first_line == 1 and rows:  # the header
+                _check_header(self.path, rows[0], _SENSOR_HEADER)
+                rows, line_nos = rows[1:], line_nos[1:]
             if [] in rows:  # blank rows count for line numbers only
                 kept = [i for i, row in enumerate(rows) if row]
                 rows, line_nos = [rows[i] for i in kept], line_nos[kept]
-            if not rows:
+            if not rows and not error:
                 return end
-            columns = _text_columns(rows)
+            columns = None if error else _text_columns(rows)
             resolved = None if columns is None else self._resolve(*columns)
             if resolved is None:
                 for line_no, row in zip(line_nos.tolist(), rows):
                     _check_sensor_row(self.path, line_no, row, self.patients)
-                raise AssertionError(f"{self.path}: block at line {first_line} failed in bulk but not row by row")
+                raise error or AssertionError(f"{self.path}: block at line {first_line} failed in bulk but not row by row")
         pid_texts, pid_of_row, day_of_row, cells, values = resolved
         outside = np.zeros(len(values), dtype=bool)
         for k, pid in enumerate(pid_texts):
@@ -460,15 +453,21 @@ class _SensorSums:
         `S` bytes and the float values; None where they could differ from
         `_text_columns` on the block's `csv.reader` rows."""
         lines = np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))  # faster than bytes.count
-        if lines == len(block) or any(byte in block for byte in _INFO_SEPARATORS):
-            return None  # all lines blank (loadtxt would warn), or a separator byte
+        if lines == len(block) or any(byte in block for byte in _CSV_ONLY_BYTES):
+            return None  # all lines blank (loadtxt would warn), or a byte above
         try:  # latin1 keeps every byte, so a non-ASCII field holds its UTF-8 bytes
+            if not block.isascii():  # loadtxt strips latin1 0x85 and 0xA0
+                block.decode("utf-8")  # a UnicodeDecodeError is a ValueError
             table = np.loadtxt(
                 io.BytesIO(block), self.fields, delimiter=",", comments=None, quotechar=None, encoding="latin1", ndmin=1
             )
         except ValueError:
             return None
-        if len(table) != lines:  # loadtxt skipped a blank line
+        if len(table) != lines:  # loadtxt skipped a blank line, or the last lacks "\n"
+            return None
+        # No line is longer than this, as every other one holds four commas and
+        # a value; csv rejects a field over its limit.
+        if len(block) - 6 * (lines - 1) > csv.field_size_limit():
             return None
         if table.view(np.uint8).reshape(len(table), -1)[:, self.last_bytes].any():
             return None

@@ -486,6 +486,31 @@ def test_an_undecodable_byte_exits_1_naming_file_and_line(cohort_dir, tmp_path, 
     assert capsys.readouterr().err == f"error: {data / name}:{bad + 1}: invalid UTF-8\n"
 
 
+@pytest.mark.parametrize(
+    "name, field_line, field, value, byte_line, message",
+    [
+        ("ema.csv", 2, 0, b"px", 4, "2: unknown patient_id px"),
+        ("sensors.csv", 2, 2, b"24", 4, "2: hour out of range: 24"),
+        ("sensors.csv", 4, 2, b"24", 2, "2: invalid UTF-8"),
+    ],
+)
+def test_the_first_fault_in_file_order_wins_against_an_undecodable_byte(
+    cohort_dir, tmp_path, capsys, name, field_line, field, value, byte_line, message
+):
+    # Both faults fall in one block of the file; the row or byte that comes
+    # first is reported, whichever kind it is.
+    data = tmp_path / "cohort"
+    shutil.copytree(cohort_dir, data)
+    lines = (data / name).read_bytes().split(b"\n")
+    fields = lines[field_line - 1].split(b",")
+    fields[field] = value
+    lines[field_line - 1] = b",".join(fields)
+    lines[byte_line - 1] = lines[byte_line - 1][:1] + b"\xff" + lines[byte_line - 1][1:]
+    (data / name).write_bytes(b"\n".join(lines))
+    assert main(["features", "--data", str(data), "--out", str(tmp_path / "f.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {data / name}:{message}\n"
+
+
 def _imports_module(module: str, argv: list[str]) -> bool:
     """Whether `module` is in `sys.modules` after `main(argv)` in a fresh interpreter."""
     script = f"import sys; from relapsekit.cli import main; main(sys.argv[1:]); print({module!r} in sys.modules)"

@@ -269,6 +269,138 @@ def test_bad_row_before_a_line_over_the_csv_field_limit_raises_first(tmp_path_fa
     assert blocks == oracle
 
 
+# -- `_open_rows` against `csv.reader` over the whole file ------------------------
+#
+# The oracle reads through `_open_rows`, which reads a block at a time, so
+# `_open_rows` is checked here on its own, against `csv.reader` over the file.
+
+
+def csv_reader_rows(path: Path) -> tuple[list[list[str]], tuple[int, str] | None]:
+    """The rows `csv.reader` gives, and the row and message of its error."""
+    rows: list[list[str]] = []
+    with path.open(newline="", encoding="utf-8") as handle:
+        try:
+            for row in csv.reader(handle):
+                rows.append(row)
+        except csv.Error as exc:
+            return rows, (len(rows) + 1, str(exc))
+    return rows, None
+
+
+def open_rows(path: Path) -> tuple[list[list[str]], tuple[int, str] | None]:
+    """The rows `_open_rows` gives, and the line and reason of its error."""
+    rows: list[list[str]] = []
+    try:
+        for line_no, row in _open_rows(path):
+            assert line_no == len(rows) + 1
+            rows.append(row)
+    except IngestError as exc:
+        return rows, (exc.line, exc.reason)
+    return rows, None
+
+
+LIMIT = csv.field_size_limit()
+CSV_TEXTS = [
+    'a,"b\nc",d\ne,f\n',  # a quoted field holding "\n"
+    'a,"b\r\nc",d\r\ne,f\r\n',  # ... and "\r\n"
+    'a,"b\n\n\nc\n"\n"d\ne"',  # several lines, and no final newline
+    'a,"b\nc',  # a quote left open at the end
+    "a,b\rc,d\ne\n",  # a bare CR in the middle of a line
+    "a,b\nc,d\r",  # ... and at the end
+    "a\r\rb\r\n\rc\n",
+    "a,\0b\nc\0\n",  # NUL
+    "a,b\r\nc,d\r\ne\r\n",  # CRLF
+    "a\n\n\nb\n\r\n\n",  # blank lines
+    *(f"a,b\nc,{'x' * width}\nd\n" for width in (LIMIT - 1, LIMIT, LIMIT + 1)),
+    f'a\n"{"x" * LIMIT}\n"\nb\n',  # a quoted field over the limit across lines
+]
+
+
+@pytest.mark.parametrize("text", CSV_TEXTS, ids=range(len(CSV_TEXTS)))
+@pytest.mark.parametrize("block_bytes", [1, 5, 64, 1 << 17])
+def test_open_rows_reads_as_csv_reader_over_the_file(tmp_path, text, block_bytes):
+    path = tmp_path / "rows.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with mock.patch.object(dataio, "SENSOR_BLOCK_BYTES", block_bytes):
+        assert open_rows(path) == csv_reader_rows(path)
+
+
+# A quoted patient id that holds a newline, and a bare CR, which `csv.reader`
+# takes as a line end, on each side of a 64-byte block's cut: each row starts
+# one byte later than in the file before, over more than 64 bytes.
+CUT_PATIENTS = {**PATIENTS, "p\nd": _RawPatient(70, 9, None, 5), "p\r\ne": _RawPatient(70, 9, None, 6)}
+
+
+@pytest.mark.parametrize("block_bytes", [64, 1 << 16])
+@pytest.mark.parametrize("pid", ["p\nd", "p\r\ne"])
+def test_rows_across_a_block_cut_read_as_row_by_row(tmp_path_factory, block_bytes, pid):
+    for shift in range(80):
+        rows = [
+            f"pa,2021-01-05,1,light_level,{'0' * shift}1.5",
+            f'"{pid}",2021-01-05,2,light_level,2.5',
+            "pb,2021-01-06,3,light_level,0.1\rpb,2021-01-06,3,light_level,0.2",
+            f'"{pid}",2021-01-07,2,light_level,3.5\r',
+        ]
+        path = write(tmp_path_factory, "\n".join([HEADER, *rows, "pb,2021-01-06,3,light_level,0.3\r"]))
+        oracle = read_both(path, 1 << 20, CUT_PATIENTS)[0]
+        assert oracle[0] != "raised"
+        assert read_both(path, block_bytes, CUT_PATIENTS)[1] == oracle
+
+
+@pytest.mark.parametrize("block_bytes", [64, 1 << 16])
+@pytest.mark.parametrize(
+    "last, message",
+    [
+        (b"pb,2021-01-06,3,light_level,\xff1", "{line}: invalid UTF-8"),
+        # A bare CR ends the bad row before the byte's line does.
+        (b"pb,2021-01-06,24,light_level,1\rpb,2021-01-06,3,light_level,\xff1", "{row}: hour out of range: 24"),
+    ],
+)
+def test_an_undecodable_byte_names_its_line_counted_at_newlines(tmp_path, block_bytes, last, message):
+    # Quoted newlines and bare CRs in the blocks before it leave four more
+    # lines, counted at "\n", than csv rows.
+    rows = [f'"p\nd",2021-01-05,{h},light_level,1' for h in range(6)] + ["pb,2021-01-06,1,light_level,1\rpb,2021-01-06,2,light_level,1"] * 2
+    data = "\n".join([HEADER, *rows, ""]).encode("utf-8") + last + b"\n"
+    path = tmp_path / "sensors.csv"
+    path.write_bytes(data)
+    expected = message.format(line=data.count(b"\n", 0, data.index(b"\xff")) + 1, row=2 + 6 + 2 * 2)
+    assert data.count(b"\n", 0, data.index(b"\xff")) + 1 == 2 + 6 + 2 * 2 + 4
+    oracle, blocks = read_both(path, block_bytes, CUT_PATIENTS)
+    assert oracle == ("raised", IngestError, f"{path}:{expected}")
+    assert blocks == oracle
+
+
+@pytest.mark.parametrize("end", ["\r\r\n", "\r\n\r\n", "\r"])
+def test_a_cr_ends_a_row_that_counts_for_line_numbers(tmp_path_factory, end):
+    # csv reads the line a second CR or CRLF ends as a blank row, so the
+    # excluded row after it is on line 4; a lone CR only ends its row.
+    outside = VALID.replace("2021-01-05", "2021-01-09")
+    path = write(tmp_path_factory, f"{HEADER}\n{VALID}{end}{outside}\n")
+    oracle, blocks = read_both(path, 1 << 16, FAST_PATIENTS)
+    assert [e.line for e in oracle[1]] == [3 if end == "\r" else 4]
+    assert blocks == oracle
+
+
+def test_a_header_that_reads_as_a_data_row_is_malformed(tmp_path_factory):
+    row = "pa,2021-01-04,3,call_duration,1"
+    path = write(tmp_path_factory, f"{row}\n{row}\n")
+    oracle, blocks = read_both(path, 1 << 16)
+    assert oracle == ("raised", IngestError, f"{path}:1: malformed header: expected {HEADER}")
+    assert blocks == oracle
+
+
+@pytest.mark.parametrize("value", [b"1.5\x85", b"\xa01.5", b"1.5\xa0"])
+def test_a_lone_byte_that_loadtxt_strips_is_invalid_utf8(tmp_path, value):
+    # loadtxt reads latin1 and strips 0x85 and 0xA0 around a number, but
+    # neither byte is UTF-8 on its own. The row comes after 8 KiB of valid ones.
+    rows = [VALID] * 300 + [VALID.replace("1.5", value.decode("latin1"))]
+    path = tmp_path / "sensors.csv"
+    path.write_bytes("\n".join([HEADER, *rows, ""]).encode("latin1"))
+    oracle, blocks = read_both(path, 1 << 16, FAST_PATIENTS)
+    assert oracle == ("raised", IngestError, f"{path}:{len(rows) + 1}: invalid UTF-8")
+    assert blocks == oracle
+
+
 # -- numpy's C parser ------------------------------------------------------------
 #
 # Blocks of plain lines are read by `np.loadtxt` into fixed-width `S` fields.
