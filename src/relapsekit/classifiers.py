@@ -1,11 +1,16 @@
 """From-scratch classifiers over 15-level categorical features.
 
-Four models share one contract — fit on a categorical matrix with binary
-labels, predict (label, score) per row — plus a prevalence-matched random
-baseline. Category codes come from monotone binning of real features, so
-the tree learners treat them as ordinals and split on thresholds. All
-randomness flows from one explicit seed, split deterministically per
-tree / bag / run, so results reproduce bit-for-bit across platforms.
+Four models share one contract — `<kind>_fit(X, y, **settings)` on a
+categorical matrix with binary labels, and `<kind>_predict_many(model, X)`
+giving (labels, scores) per row — plus a prevalence-matched random
+baseline. `KINDS` names each kind's settings: the `ExperimentConfig` field
+each fit keyword reads, and whether the fit draws and so takes a `seed`.
+No fit parameter has a default, so each setting's default lives in
+`ExperimentConfig` alone. Category codes come from monotone binning of
+real features, so the tree learners treat them as ordinals and split on
+thresholds. All randomness flows from one explicit seed, split
+deterministically per tree / bag / run, so results reproduce bit-for-bit
+across platforms.
 
 Both forests are one `_Forest`: flat node arrays shared by its trees, with
 one root per tree, walked by one traversal over (tree, row) pairs.
@@ -35,13 +40,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .metrics import f2_from_counts
 
 EULER_GAMMA = 0.5772156649015329
+
+
+class Kind(NamedTuple):
+    settings: dict[str, str]  # fit keyword -> the `ExperimentConfig` field it reads
+    draws: bool  # the fit also takes a `seed`
+
+
+KINDS = {
+    "nb": Kind({"alpha": "nb_alpha", "n_categories": "bins"}, draws=False),
+    "brf": Kind({"trees": "brf_trees", "decision_threshold": "decision_threshold"}, draws=True),
+    "ee": Kind({"bags": "ee_bags", "rounds": "ee_rounds", "decision_threshold": "decision_threshold"}, draws=True),
+    "iforest": Kind({"trees": "iforest_trees", "subsample": "iforest_subsample"}, draws=True),
+}
 
 
 def _seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
@@ -83,7 +101,7 @@ class CategoricalNBModel:
     feature_log_likelihood: np.ndarray  # (n_features, n_categories, 2)
 
 
-def nb_fit(X: np.ndarray, y: np.ndarray, alpha: float = 1.0, n_categories: int = 15) -> CategoricalNBModel:
+def nb_fit(X: np.ndarray, y: np.ndarray, *, alpha: float, n_categories: int) -> CategoricalNBModel:
     """Fit class priors and Laplace-smoothed per-category likelihoods.
 
     likelihood(f, v | c) = (count(f=v, c) + alpha) / (count(c) + K * alpha).
@@ -105,17 +123,13 @@ def nb_fit(X: np.ndarray, y: np.ndarray, alpha: float = 1.0, n_categories: int =
     return CategoricalNBModel(log_prior, log_lik.transpose(1, 2, 0))
 
 
-def nb_joint_log_likelihood(model: CategoricalNBModel, X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.int64))
-    n_features = model.feature_log_likelihood.shape[0]
-    per_feature = model.feature_log_likelihood[np.arange(n_features)[None, :], X, :]
-    return model.class_log_prior + per_feature.sum(axis=1)
-
-
 def nb_predict_many(model: CategoricalNBModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Labels by posterior argmax (exact ties go to non-relapse) and relapse
     posterior probabilities."""
-    jll = nb_joint_log_likelihood(model, X)
+    X = np.atleast_2d(np.asarray(X, dtype=np.int64))
+    n_features = model.feature_log_likelihood.shape[0]
+    per_feature = model.feature_log_likelihood[np.arange(n_features)[None, :], X, :]
+    jll = model.class_log_prior + per_feature.sum(axis=1)  # joint log-likelihood per (row, class)
     labels = (jll[:, 1] > jll[:, 0]).astype(np.int64)
     with np.errstate(over="ignore"):
         scores = 1.0 / (1.0 + np.exp(jll[:, 0] - jll[:, 1]))
@@ -329,15 +343,16 @@ def _gini_split(rows: np.ndarray, mtry: int, rngs: list[np.random.Generator]):
 @dataclass
 class BalancedRandomForestModel:
     forest: _Forest
-    decision_threshold: float = 0.5
+    decision_threshold: float
 
 
 def brf_fit(
     X: np.ndarray,
     y: np.ndarray,
-    trees: int = 51,
-    seed: int | np.random.SeedSequence = 0,
-    decision_threshold: float = 0.5,
+    *,
+    trees: int,
+    seed: int | np.random.SeedSequence,
+    decision_threshold: float,
 ) -> BalancedRandomForestModel:
     """CART trees (`_gini_split`), each on a balanced bootstrap with
     sqrt-feature splits, grown until pure or unsplittable; leaves hold the
@@ -389,7 +404,7 @@ class EasyEnsembleModel:
     feature: np.ndarray
     threshold: np.ndarray
     sign: np.ndarray
-    decision_threshold: float = 0.5
+    decision_threshold: float
 
 
 def _sort_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -439,10 +454,11 @@ def _best_stumps(
 def ee_fit(
     X: np.ndarray,
     y: np.ndarray,
-    bags: int = 101,
-    rounds: int = 10,
-    seed: int | np.random.SeedSequence = 0,
-    decision_threshold: float = 0.5,
+    *,
+    bags: int,
+    rounds: int,
+    seed: int | np.random.SeedSequence,
+    decision_threshold: float,
 ) -> EasyEnsembleModel:
     """Adaptive-boosting chains of decision stumps, one chain per balanced bag.
 
@@ -522,7 +538,7 @@ def ee_predict_many(model: EasyEnsembleModel, X: np.ndarray) -> tuple[np.ndarray
 class IsolationForestModel:
     forest: _Forest
     sample_size: int
-    threshold: float = 0.5
+    threshold: float
 
 
 def average_path_length(n: int) -> float:
@@ -633,9 +649,10 @@ def _isolation_split(rows: np.ndarray, draws: _TreeDraws):
 def iforest_fit(
     X: np.ndarray,
     y: np.ndarray,
-    trees: int = 101,
-    subsample: int = 256,
-    seed: int | np.random.SeedSequence = 0,
+    *,
+    trees: int,
+    subsample: int,
+    seed: int | np.random.SeedSequence,
 ) -> IsolationForestModel:
     """Isolation trees over the feature matrix; labels only set the threshold.
 
@@ -671,28 +688,24 @@ def iforest_fit(
         grows=lambda depth, count: depth < limit,
         split=_isolation_split(distinct, draws),
     )
-    model = IsolationForestModel(forest, psi)
-
-    train_scores = _path_scores(model, _leaf_values(forest, distinct, inverse))
+    train_scores = _path_scores(psi, _leaf_values(forest, distinct, inverse))
     flagged = int(round(float(y.mean()) * n)) if n else 0
-    model.threshold = float(np.sort(train_scores)[::-1][flagged - 1]) if flagged > 0 else math.inf
-    return model
+    threshold = float(np.sort(train_scores)[::-1][flagged - 1]) if flagged > 0 else math.inf
+    return IsolationForestModel(forest, psi, threshold)
 
 
-def iforest_scores(model: IsolationForestModel, X: np.ndarray) -> np.ndarray:
+def _path_scores(sample_size: int, paths: np.ndarray) -> np.ndarray:
     """2^(-mean path / c(psi)) per row. The mean is taken over the trees of a
     C-contiguous (trees, rows) matrix, the layout numpy reduces in one fixed
     order for a given row count."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.int64))
-    return _path_scores(model, _leaf_values(model.forest, *_distinct_rows(X)))
-
-
-def _path_scores(model: IsolationForestModel, paths: np.ndarray) -> np.ndarray:
-    return np.exp2(-paths.mean(axis=0) / (average_path_length(model.sample_size) or 1.0))
+    return np.exp2(-paths.mean(axis=0) / (average_path_length(sample_size) or 1.0))
 
 
 def iforest_predict_many(model: IsolationForestModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    scores = iforest_scores(model, X)
+    """Labels and anomaly scores; a row is flagged when it scores at or above
+    the model's threshold."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.int64))
+    scores = _path_scores(model.sample_size, _leaf_values(model.forest, *_distinct_rows(X)))
     return (scores >= model.threshold).astype(np.int64), scores
 
 

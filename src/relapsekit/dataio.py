@@ -8,18 +8,19 @@ Input files are UTF-8 CSV with a header row and ISO-8601 dates:
     relapses.csv  patient_id,relapse_date
 
 Every file is read in blocks of whole lines (`_CsvReader`), into the rows
-of one `csv.reader` over the file. One reader, `_records`, checks every
-header, and the field counts and blank rows of the three small files.
-Validation failures, a zero-byte file and a byte that is not UTF-8 raise
-IngestError naming the file and line of the first fault. Rows that are
-valid but fall outside an explicitly declared observation span are
-excluded as they are read, never silently: each exclusion is recorded, in
-file order, with a reason code. Sensor rows are averaged per
-(patient, date, signal, hour) into one dense `(days, 6, 24)` array per
-patient (`Dataset.sensors`), and EMA answers are laid into one `(days, 10)`
-array per patient (`Dataset.ema`) with the same days, once the spans are
-known. All writers are deterministic — the same in-memory object always
-produces byte-identical files.
+of one `csv.reader` over the file. A block ends at "\n" or at a "\r" that
+no "\n" follows, so LF, CRLF and CR-only files are all read a block at a
+time. One reader, `_records`, checks every header, and the field counts
+and blank rows of the three small files. Validation failures, a zero-byte
+file and a byte that is not UTF-8 raise IngestError naming the file and
+line of the first fault. Rows that are valid but fall outside an
+explicitly declared observation span are excluded as they are read, never
+silently: each exclusion is recorded, in file order, with a reason code.
+Sensor rows are averaged per (patient, date, signal, hour) into one dense
+`(days, 6, 24)` array per patient (`Dataset.sensors`), and EMA answers are
+laid into one `(days, 10)` array per patient (`Dataset.ema`) with the same
+days, once the spans are known. All writers are deterministic — the same
+in-memory object always produces byte-identical files.
 
 In sensors.csv, by far the largest file, a block after the header's is
 `SENSOR_BLOCK_BYTES` and the rest of the line they end in. numpy's C
@@ -30,8 +31,10 @@ it does "1_0" and "٣", which `float()` reads), when a field fills its
 width and so may have been cut short, when it has a blank line (which
 loadtxt skips, shifting line numbers) or no final newline, when it holds a
 byte 0x1C-0x1F (which loadtxt strips around a number and `float()`
-rejects), a quote, CR, NUL or non-UTF-8 byte, when a line could pass csv's
-field limit, or when any row fails its checks. Both paths feed one
+rejects), a quote, NUL or non-UTF-8 byte, or a CR that does not end a CRLF
+(loadtxt rejects one inside a line and ends a line at a final one), when a
+line could pass csv's field limit, or when any row fails its checks. CRLF
+lines take loadtxt, which reads them as csv does. Both paths feed one
 resolver, so every block gives the result of its `csv.reader` rows or
 IngestError.
 
@@ -218,20 +221,37 @@ def _open_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
 
 class _CsvReader:
     """A CSV file, open while iterated, in blocks of whole lines: the first
-    line, then `SENSOR_BLOCK_BYTES` and the rest of their last line. `rows`
-    gives a block's rows as `csv.reader` gives them from the whole file."""
+    line (and any others in its first few bytes), then blocks of
+    `SENSOR_BLOCK_BYTES` and the rest of their last line. A line ends at
+    "\n", or at a "\r" that no "\n" follows, so a file of bare CRs is cut as
+    often as one of LFs. `rows` gives a block's rows as `csv.reader` gives
+    them from the whole file."""
 
     handle: BinaryIO
 
     def __init__(self, path: Path) -> None:
         self.path = path
         self.skew = 0  # "\n" lines less csv rows before the next block
+        self.held = b""  # read past the last block's end
 
     def __iter__(self) -> Iterator[bytes]:
         with self.path.open("rb") as self.handle:
-            yield self.handle.readline()  # the header: the C parser rejects it
-            while block := self.handle.read(SENSOR_BLOCK_BYTES):
-                yield block + self.handle.readline()
+            yield self._whole_lines(1)  # the header, perhaps with a row: the C parser rejects it
+            while block := self._whole_lines(SENSOR_BLOCK_BYTES):
+                yield block
+
+    def _whole_lines(self, size: int) -> bytes:
+        """At least `size` more bytes, cut after their last line end, or the
+        rest of the file. A final "\r" waits for the byte after it, which
+        may be its "\n"; what follows the cut is held for the next call."""
+        data = self.held
+        while chunk := self.handle.read(max(size, len(data))):
+            data += chunk
+            if end := max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1:
+                self.held = data[end:]
+                return data[:end]
+        self.held = b""
+        return data
 
     def rows(self, block: bytes, first_row: int) -> Iterator[list[str]]:
         """The rows of `block`, whose first row is `first_row`, read on
@@ -244,9 +264,9 @@ class _CsvReader:
 
         def more() -> Iterator[str]:  # while a quoted field crosses the block's end
             nonlocal line
-            while reader.line_num > row_start and (text := self.handle.readline()):
+            while reader.line_num > row_start and (text := self._whole_lines(1)):
                 yield from self._lines(text, line)
-                line += 1
+                line += text.count(b"\n")
 
         reader = csv.reader(chain(self._lines(block, first_row + self.skew), more()))
         row = first_row
@@ -336,8 +356,8 @@ SENSOR_BLOCK_BYTES = 1 << 17
 _SIGNAL_INDEX = {s.value: i for i, s in enumerate(SIGNALS)}
 _DAY_CELLS = len(SIGNALS) * HOURS_PER_DAY  # one day of a patient's (days, 6, 24) arrays
 # A block holding one of these takes `csv.reader`: loadtxt strips 0x1C-0x1F
-# around a number, and reads a quote, CR or NUL otherwise than csv.
-_CSV_ONLY_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f", b'"', b"\r", b"\0")
+# around a number, and reads a quote or NUL otherwise than csv.
+_CSV_ONLY_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f", b'"', b"\0")
 
 
 def _read_sensors(
@@ -455,6 +475,8 @@ class _SensorSums:
         lines = np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))  # faster than bytes.count
         if lines == len(block) or any(byte in block for byte in _CSV_ONLY_BYTES):
             return None  # all lines blank (loadtxt would warn), or a byte above
+        if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
+            return None  # loadtxt rejects a bare CR inside a line and ends a line at one after it
         try:  # latin1 keeps every byte, so a non-ASCII field holds its UTF-8 bytes
             if not block.isascii():  # loadtxt strips latin1 0x85 and 0xA0
                 block.decode("utf-8")  # a UnicodeDecodeError is a ValueError

@@ -20,6 +20,7 @@ the head of that ranking among its candidates, which is what ranking them
 alone gives: ties go by index, and no column's score depends on the
 others. It then bins only the columns its classifier reads.
 
+Each fit reads the config fields `classifiers.KINDS` names for its kind.
 Only the classifiers that draw (`brf`, `ee`, `iforest` and the `random`
 baseline) get a seed: fold k's is `SeedSequence(seed, spawn_key=(k,))`,
 which equals child k of `SeedSequence(seed).spawn(...)`, and the baseline's
@@ -32,7 +33,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .windowing import WindowSpec, WindowingConfig
 
 logger = logging.getLogger(__name__)
 
-CLASSIFIER_KINDS = ("nb", "brf", "ee", "iforest", "random")
+CLASSIFIER_KINDS = (*clf.KINDS, "random")
 
 
 @dataclass(frozen=True)
@@ -135,20 +136,6 @@ def _fold_seed(config: ExperimentConfig, k: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(config.seed, spawn_key=(k,))
 
 
-# Fit keyword arguments per classifier kind, from the arm config and fold index.
-FIT_KWARGS: dict[str, Callable[[ExperimentConfig, int], dict[str, Any]]] = {
-    "nb": lambda c, k: {"alpha": c.nb_alpha, "n_categories": c.bins},
-    "brf": lambda c, k: {"trees": c.brf_trees, "seed": _fold_seed(c, k), "decision_threshold": c.decision_threshold},
-    "ee": lambda c, k: {
-        "bags": c.ee_bags,
-        "rounds": c.ee_rounds,
-        "seed": _fold_seed(c, k),
-        "decision_threshold": c.decision_threshold,
-    },
-    "iforest": lambda c, k: {"trees": c.iforest_trees, "subsample": c.iforest_subsample, "seed": _fold_seed(c, k)},
-}
-
-
 def _fit_and_predict(
     config: ExperimentConfig,
     Xtr: np.ndarray,
@@ -156,10 +143,15 @@ def _fit_and_predict(
     Xte: np.ndarray,
     k: int,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Fit `config.classifier` on fold k's training rows with the settings
+    `classifiers.KINDS` names, and predict its test rows."""
     kind = config.classifier
+    settings = {keyword: getattr(config, name) for keyword, name in clf.KINDS[kind].settings.items()}
+    if clf.KINDS[kind].draws:
+        settings["seed"] = _fold_seed(config, k)
     # Resolved on the module at call time, so wrappers installed on
     # `classifiers.<kind>_fit` / `_predict_many` see every call.
-    model = getattr(clf, f"{kind}_fit")(Xtr, ytr, **FIT_KWARGS[kind](config, k))
+    model = getattr(clf, f"{kind}_fit")(Xtr, ytr, **settings)
     return getattr(clf, f"{kind}_predict_many")(model, Xte)
 
 

@@ -48,7 +48,6 @@ from .templates import (
     max_abs_diff,
     mdt_stats,
     normalize_template,
-    present_groups,
     template_distance,
 )
 from .windowing import WindowingConfig, WindowSpec, enumerate_windows, evaluable_windows
@@ -212,16 +211,12 @@ def _rhythm_features(
 
 def _ema_features(dataset: Dataset, spans: list[tuple[str, int, int]], window_rows: np.ndarray) -> np.ndarray:
     """The `(windows, 20)` per-item mean and population std of the answers
-    on the `window_rows` days of each window of a block, in date order; NaN
-    without answers."""
-    answers = np.concatenate([dataset.ema[pid][lo:hi] for pid, lo, hi in spans])
-    out = np.full((len(window_rows), 2 * EMA_ITEM_COUNT), np.nan)
-    # Windows grouped by answered-day count; each item's answers contiguous, (g, 10, n).
-    for rows, picked in present_groups(window_rows, answers[window_rows, 0] >= 0):
-        items = np.ascontiguousarray(answers[picked].transpose(0, 2, 1), dtype=float)
-        out[rows, 0::2] = items.mean(axis=-1)
-        out[rows, 1::2] = items.std(axis=-1)
-    return out
+    on the `window_rows` days of each window of a block, in date order, by
+    `average_stats` over the days with answers; NaN without answers."""
+    answers = np.concatenate([dataset.ema[pid][lo:hi] for pid, lo, hi in spans]).astype(float)
+    answers[answers[:, 0] < 0] = np.nan  # a day without an answer
+    mean, std = average_stats(answers[window_rows].transpose(0, 2, 1))  # per (window, item)
+    return np.stack((mean, std), axis=-1).reshape(len(window_rows), 2 * EMA_ITEM_COUNT)
 
 
 def extract_cohort(dataset: Dataset, config: WindowingConfig) -> tuple[WindowTable, list[WindowSpec]]:

@@ -17,7 +17,6 @@ from relapsekit.classifiers import (
     ee_predict_many,
     iforest_fit,
     iforest_predict_many,
-    iforest_scores,
     nb_fit,
     nb_predict_many,
 )
@@ -78,7 +77,7 @@ def test_nb_fit_is_bit_equal_to_the_per_class_per_feature_loop(rng):
 
 def test_nb_laplace_smoothing_hand_example():
     # X=[[0],[0],[1],[1]], y=[0,0,1,1]: P(x=0 | y=0) = (2+1)/(2+15) = 3/17
-    model = nb_fit(np.array([[0], [0], [1], [1]]), np.array([0, 0, 1, 1]), alpha=1.0)
+    model = nb_fit(np.array([[0], [0], [1], [1]]), np.array([0, 0, 1, 1]), alpha=1.0, n_categories=15)
     assert math.exp(model.feature_log_likelihood[0, 0, 0]) == pytest.approx(3 / 17, abs=1e-12)
     np.testing.assert_allclose(np.exp(model.class_log_prior), [0.5, 0.5])
 
@@ -86,13 +85,13 @@ def test_nb_laplace_smoothing_hand_example():
 def test_nb_likelihoods_sum_to_one_per_feature_and_class(rng):
     X = rng.integers(0, 15, size=(30, 4))
     y = np.array([0, 1] * 15)
-    model = nb_fit(X, y)
+    model = nb_fit(X, y, alpha=1.0, n_categories=15)
     sums = np.exp(model.feature_log_likelihood).sum(axis=1)
     np.testing.assert_allclose(sums, 1.0, rtol=1e-12)
 
 
 def test_nb_unseen_category_has_positive_likelihood():
-    model = nb_fit(np.array([[0], [0], [1], [1]]), np.array([0, 0, 1, 1]))
+    model = nb_fit(np.array([[0], [0], [1], [1]]), np.array([0, 0, 1, 1]), alpha=1.0, n_categories=15)
     # category 9 never observed: likelihood = alpha / (2 + 15) > 0
     assert math.exp(model.feature_log_likelihood[0, 9, 0]) == pytest.approx(1 / 17, abs=1e-12)
     (label,), (score,) = nb_predict_many(model, np.array([[9]]))
@@ -101,14 +100,14 @@ def test_nb_unseen_category_has_positive_likelihood():
 
 def test_nb_single_class_rejected():
     with pytest.raises(ValueError, match="single_class"):
-        nb_fit(np.array([[0], [1]]), np.array([0, 0]))
+        nb_fit(np.array([[0], [1]]), np.array([0, 0]), alpha=1.0, n_categories=15)
 
 
 def test_nb_tie_goes_to_non_relapse():
     # Perfectly symmetric training data and a symmetric query.
     X = np.array([[0, 1], [1, 0]])
     y = np.array([0, 1])
-    model = nb_fit(X, y)
+    model = nb_fit(X, y, alpha=1.0, n_categories=15)
     (label,), (score,) = nb_predict_many(model, np.array([[2, 2]]))
     assert score == pytest.approx(0.5)
     assert label == 0
@@ -117,7 +116,7 @@ def test_nb_tie_goes_to_non_relapse():
 def test_nb_trained_on_class_zero_pattern_predicts_zero():
     X = np.array([[3, 3], [3, 3], [9, 9], [9, 9]])
     y = np.array([0, 0, 1, 1])
-    model = nb_fit(X, y)
+    model = nb_fit(X, y, alpha=1.0, n_categories=15)
     labels, _ = nb_predict_many(model, np.array([[3, 3], [9, 9]]))
     np.testing.assert_array_equal(labels, [0, 1])
 
@@ -130,7 +129,7 @@ def test_nb_matches_bruteforce_oracle_on_random_toys(rng):
         y = rng.integers(0, 2, size=n)
         if len(np.unique(y)) < 2:
             continue
-        model = nb_fit(X, y)
+        model = nb_fit(X, y, alpha=1.0, n_categories=15)
         for row in X[: min(10, n)]:
             (label,), _ = nb_predict_many(model, row[None, :])
             assert label == nb_oracle_label(X.tolist(), y.tolist(), row.tolist())
@@ -140,8 +139,8 @@ def test_nb_permuting_features_leaves_predictions_unchanged(rng):
     X = rng.integers(0, 15, size=(40, 6))
     y = np.array([0, 1] * 20)
     perm = rng.permutation(6)
-    a = nb_fit(X, y)
-    b = nb_fit(X[:, perm], y)
+    a = nb_fit(X, y, alpha=1.0, n_categories=15)
+    b = nb_fit(X[:, perm], y, alpha=1.0, n_categories=15)
     la, sa = nb_predict_many(a, X)
     lb, sb = nb_predict_many(b, X[:, perm])
     np.testing.assert_array_equal(la, lb)
@@ -184,7 +183,7 @@ def separable_toy(rng, n=40, m=5):
 
 def test_brf_perfect_on_separable_toy(rng):
     X, y = separable_toy(rng)
-    model = brf_fit(X, y, trees=51, seed=3)
+    model = brf_fit(X, y, trees=51, seed=3, decision_threshold=0.5)
     labels, scores = brf_predict_many(model, X)
     np.testing.assert_array_equal(labels, y)
 
@@ -192,14 +191,14 @@ def test_brf_perfect_on_separable_toy(rng):
 def test_brf_same_seed_identical_different_seed_may_differ(rng):
     X = rng.integers(0, 15, size=(60, 8))
     y = np.array([0, 1] * 30)
-    a = brf_predict_many(brf_fit(X, y, trees=11, seed=5), X)
-    b = brf_predict_many(brf_fit(X, y, trees=11, seed=5), X)
+    a = brf_predict_many(brf_fit(X, y, trees=11, seed=5, decision_threshold=0.5), X)
+    b = brf_predict_many(brf_fit(X, y, trees=11, seed=5, decision_threshold=0.5), X)
     np.testing.assert_array_equal(a[1], b[1])
 
 
 def test_brf_single_class_rejected():
     with pytest.raises(ValueError, match="single_class"):
-        brf_fit(np.zeros((4, 2), dtype=int), np.zeros(4, dtype=int))
+        brf_fit(np.zeros((4, 2), dtype=int), np.zeros(4, dtype=int), trees=51, seed=0, decision_threshold=0.5)
 
 
 # -- EasyEnsemble ----------------------------------------------------------------------
@@ -207,7 +206,7 @@ def test_brf_single_class_rejected():
 
 def test_ee_perfect_stump_scores_one_on_relapse_rows(rng):
     X, y = separable_toy(rng)
-    model = ee_fit(X, y, bags=11, rounds=10, seed=2)
+    model = ee_fit(X, y, bags=11, rounds=10, seed=2, decision_threshold=0.5)
     # every chain stops after its first (perfect) stump
     assert ((model.alpha != 0).sum(axis=1) == 1).all()
     assert (model.alpha[:, 0] == 1.0).all()
@@ -220,7 +219,7 @@ def test_ee_perfect_stump_scores_one_on_relapse_rows(rng):
 def test_ee_single_bag_single_round_is_one_stump(rng):
     X = rng.integers(0, 15, size=(30, 4))
     y = np.array([0, 1] * 15)
-    model = ee_fit(X, y, bags=1, rounds=1, seed=9)
+    model = ee_fit(X, y, bags=1, rounds=1, seed=9, decision_threshold=0.5)
     for array in (model.alpha, model.feature, model.threshold, model.sign):
         assert array.shape == (1, 1)
 
@@ -231,7 +230,7 @@ def test_ee_single_bag_single_round_is_one_stump(rng):
 @pytest.mark.parametrize("y", [[0, 1, 0, 1, 0, 0], [0, 1, 0, 1, 1, 0]])
 def test_ee_constant_features_give_empty_chains_scoring_half(y):
     X = np.full((6, 3), 7)
-    model = ee_fit(X, np.array(y), bags=5, rounds=4, seed=1)
+    model = ee_fit(X, np.array(y), bags=5, rounds=4, seed=1, decision_threshold=0.5)
     assert (model.alpha == 0).all() and (model.sign == 0).all()
     labels, scores = ee_predict_many(model, np.array([[7, 7, 7], [0, 9, 14]]))
     assert scores.tolist() == [0.5, 0.5]
@@ -241,34 +240,34 @@ def test_ee_constant_features_give_empty_chains_scoring_half(y):
 @pytest.mark.parametrize("bags, rounds", [(0, 10), (101, 0)])
 def test_ee_needs_a_bag_and_a_round(bags, rounds):
     with pytest.raises(ValueError, match="at least 1"):
-        ee_fit(np.arange(4)[:, None], np.array([0, 1, 0, 1]), bags=bags, rounds=rounds)
+        ee_fit(np.arange(4)[:, None], np.array([0, 1, 0, 1]), bags=bags, rounds=rounds, seed=0, decision_threshold=0.5)
 
 
 @pytest.mark.parametrize(
     "fit, counts",
     [
-        (brf_fit, {"trees": 0}),
-        (iforest_fit, {"trees": 0}),
-        (iforest_fit, {"subsample": 0}),
-        (iforest_fit, {"subsample": -2}),
+        (brf_fit, {"trees": 0, "decision_threshold": 0.5}),
+        (iforest_fit, {"trees": 0, "subsample": 256}),
+        (iforest_fit, {"trees": 101, "subsample": 0}),
+        (iforest_fit, {"trees": 101, "subsample": -2}),
     ],
 )
 def test_forests_need_a_tree_and_a_row(fit, counts):
     with pytest.raises(ValueError, match="at least 1"):
-        fit(np.arange(4)[:, None], np.array([0, 1, 0, 1]), **counts)
+        fit(np.arange(4)[:, None], np.array([0, 1, 0, 1]), seed=0, **counts)
 
 
 def test_ee_determinism(rng):
     X = rng.integers(0, 15, size=(50, 6))
     y = np.array([0, 1] * 25)
-    a = ee_predict_many(ee_fit(X, y, bags=21, rounds=5, seed=4), X)
-    b = ee_predict_many(ee_fit(X, y, bags=21, rounds=5, seed=4), X)
+    a = ee_predict_many(ee_fit(X, y, bags=21, rounds=5, seed=4, decision_threshold=0.5), X)
+    b = ee_predict_many(ee_fit(X, y, bags=21, rounds=5, seed=4, decision_threshold=0.5), X)
     np.testing.assert_array_equal(a[1], b[1])
 
 
 def test_ee_single_class_rejected():
     with pytest.raises(ValueError, match="single_class"):
-        ee_fit(np.zeros((4, 2), dtype=int), np.ones(4, dtype=int))
+        ee_fit(np.zeros((4, 2), dtype=int), np.ones(4, dtype=int), bags=101, rounds=10, seed=0, decision_threshold=0.5)
 
 
 # -- Isolation Forest --------------------------------------------------------------------
@@ -291,14 +290,14 @@ def test_iforest_inlier_scores_below_half(rng):
     X = np.vstack([cluster, outliers])
     y = np.array([0] * 200 + [1, 1])
     model = iforest_fit(X, y, trees=101, subsample=64, seed=3)
-    inlier, outlier = iforest_scores(model, np.array([[7, 7, 7, 7], [14, 0, 14, 0]]))
+    _, (inlier, outlier) = iforest_predict_many(model, np.array([[7, 7, 7, 7], [14, 0, 14, 0]]))
     assert inlier < 0.5
     assert outlier > inlier
 
 
 def test_iforest_single_row_training_defined():
     model = iforest_fit(np.array([[3, 3]]), np.array([0]), trees=5, subsample=256, seed=1)
-    (score,) = iforest_scores(model, np.array([3, 3]))
+    _, (score,) = iforest_predict_many(model, np.array([3, 3]))
     assert math.isfinite(score) and 0.0 < score <= 1.0
 
 
@@ -308,7 +307,7 @@ def test_iforest_threshold_flags_training_prevalence(rng):
     y = np.zeros(n, dtype=int)
     y[:3] = 1  # 1% prevalence
     model = iforest_fit(X, y, trees=51, subsample=128, seed=7)
-    scores = iforest_scores(model, X)
+    _, scores = iforest_predict_many(model, X)
     flagged = np.sort(scores[scores >= model.threshold])[::-1]
     # k = round(prevalence * n) = 3; ties at the cut may flag more, but only
     # rows scoring exactly the cut.
@@ -319,7 +318,7 @@ def test_iforest_threshold_flags_training_prevalence(rng):
 def test_iforest_zero_prevalence_never_flags(rng):
     X = rng.integers(0, 15, size=(50, 3))
     model = iforest_fit(X, np.zeros(50, dtype=int), trees=11, subsample=32, seed=2)
-    assert (iforest_scores(model, X) >= model.threshold).sum() == 0
+    assert (iforest_predict_many(model, X)[1] >= model.threshold).sum() == 0
     assert iforest_predict_many(model, X[:1])[0][0] == 0
 
 
@@ -327,7 +326,7 @@ def test_iforest_score_monotone_in_path_length(rng):
     X = rng.integers(0, 15, size=(100, 4))
     model = iforest_fit(X, np.array([0] * 99 + [1]), trees=21, subsample=64, seed=5)
     # score = 2^(-path / c): strictly decreasing in the average path length
-    scores = iforest_scores(model, X)
+    _, scores = iforest_predict_many(model, X)
     paths = -np.log2(scores) * average_path_length(model.sample_size)
     order = np.argsort(paths)
     assert (np.diff(scores[order]) <= 1e-12).all()
@@ -338,24 +337,24 @@ def test_iforest_determinism(rng):
     y = np.array([0] * 76 + [1] * 4)
     a = iforest_fit(X, y, trees=31, subsample=64, seed=11)
     b = iforest_fit(X, y, trees=31, subsample=64, seed=11)
-    np.testing.assert_array_equal(iforest_scores(a, X), iforest_scores(b, X))
+    np.testing.assert_array_equal(iforest_predict_many(a, X)[1], iforest_predict_many(b, X)[1])
     assert a.threshold == b.threshold
 
 
 def test_iforest_codes_past_2_53():
     # 2**53 and 2**53 + 1 are one float: no split can part them, so no tree splits.
     X = np.array([[2**53], [2**53 + 1]])
-    model = iforest_fit(X, np.array([0, 1]), trees=3, seed=0)
+    model = iforest_fit(X, np.array([0, 1]), trees=3, subsample=256, seed=0)
     assert (model.forest.left == -1).all()
-    scores = iforest_scores(model, X)
+    _, scores = iforest_predict_many(model, X)
     assert np.isfinite(scores).all() and scores[0] == scores[1]
     # 2**53 + 4 is the next float but one: every root still splits them apart.
     X = np.array([[2**53], [2**53 + 4]])
-    model = iforest_fit(X, np.array([0, 1]), trees=3, seed=0)
+    model = iforest_fit(X, np.array([0, 1]), trees=3, subsample=256, seed=0)
     forest = model.forest
     assert (forest.left[forest.roots] != -1).all()
     assert (forest.threshold[forest.roots] >= 2**53).all() and (forest.threshold[forest.roots] < 2**53 + 4).all()
-    assert np.isfinite(iforest_scores(model, X)).all()
+    assert np.isfinite(iforest_predict_many(model, X)[1]).all()
 
 
 # -- random baseline ------------------------------------------------------------------------

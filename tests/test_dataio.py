@@ -5,12 +5,14 @@ import io
 import shutil
 import tracemalloc
 from datetime import date as Date
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import day, make_patient, no_answers
-from relapsekit import features
+from relapsekit import dataio, features
 from relapsekit.dataio import (
     Dataset,
     IngestError,
@@ -268,6 +270,66 @@ def test_load_dataset_peak_memory_stays_near_the_arrays_it_returns(tmp_path):
         tracemalloc.stop()
     held = sum(cube.nbytes for cube in ds.sensors.values())
     assert peak < 1.5 * held, f"peak {peak / held:.2f}x the returned arrays"
+
+
+def cr_only_copy(lf, cr) -> None:
+    """A copy of the cohort at `lf` whose every "\\n" is a bare "\\r"."""
+    shutil.copytree(lf, cr)
+    for path in cr.glob("*.csv"):
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+
+
+@pytest.mark.parametrize("block_bytes", [64, 1 << 17])
+@pytest.mark.parametrize("bad", [False, True])
+def test_a_cr_only_cohort_loads_as_its_lf_copy(tmp_path, block_bytes, bad):
+    # Two rows outside p1's declared span, then (if `bad`) an hour 24, so the
+    # exclusions and the error carry line numbers from the middle of the file.
+    lf = tmp_path / "lf"
+    generate(SynthConfig(patient_count=2, days_per_patient=12, seed=5), out_dir=lf)
+    lines = (lf / "sensors.csv").read_text().splitlines(keepends=True)
+    odd = ["p1,2020-12-31,3,light_level,1.5\n", "p1,2021-01-16,4,light_level,2.5\n"]
+    odd += ["p2,2021-01-05,24,light_level,1\n"] if bad else []
+    (lf / "sensors.csv").write_text("".join(lines[:1000] + odd + lines[1000:]))
+    cr_only_copy(lf, tmp_path / "cr")
+    outcomes = []
+    with mock.patch.object(dataio, "SENSOR_BLOCK_BYTES", block_bytes):
+        for root in (lf, tmp_path / "cr"):
+            try:
+                ds = load({name: root / f"{name}.csv" for name in ("sensors", "ema", "patients", "relapses")})
+            except IngestError as exc:
+                outcomes.append((Path(exc.file).name, exc.line, exc.reason))
+            else:
+                outcomes.append((
+                    ds.patients,
+                    {pid: cube.tobytes() for pid, cube in ds.sensors.items()},
+                    {pid: answers.tobytes() for pid, answers in ds.ema.items()},
+                    [(Path(e.file).name, e.line, e.reason) for e in ds.ingest_exclusions],
+                ))
+    if bad:
+        assert outcomes[0] == ("sensors.csv", 1003, "hour out of range: 24")
+    else:
+        assert [line for _, line, _ in outcomes[0][3]] == [1001, 1002]
+    assert outcomes[1] == outcomes[0]
+
+
+def test_cr_only_sensors_peak_memory_does_not_grow_with_the_file(tmp_path):
+    # A CR-only file is read a block at a time, like an LF one: four copies
+    # of the rows (the same cells) peak where one does. Read as one line,
+    # the copies would take the peak up about fourfold.
+    generate(SynthConfig(patient_count=2, days_per_patient=30, seed=5), out_dir=tmp_path)
+    header, *rows = (tmp_path / "sensors.csv").read_bytes().splitlines(keepends=True)
+    patients = dataio._read_patients(tmp_path / "patients.csv")
+    peaks = []
+    for copies in (1, 4):
+        path = tmp_path / f"sensors{copies}.csv"
+        path.write_bytes((header + b"".join(rows) * copies).replace(b"\n", b"\r"))
+        tracemalloc.start()
+        try:
+            dataio._read_sensors(path, patients, [])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], f"peak {peaks[1] / peaks[0]:.2f}x with four copies of the rows"
 
 
 def test_extraction_peak_memory_stays_near_the_table_it_returns():

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 from conftest import make_constant_dataset, make_patient
+from relapsekit import classifiers, evaluate
 from relapsekit.evaluate import (
+    CLASSIFIER_KINDS,
     ExperimentConfig,
     f2_from_counts,
     f2_score,
@@ -205,3 +210,49 @@ def test_unknown_classifier_rejected():
 def test_unknown_modality_rejected():
     with pytest.raises(ValueError, match="unknown modality"):
         ExperimentConfig(modality="gps")
+
+
+# -- the classifier table ----------------------------------------------------
+
+
+def test_classifier_table_names_config_fields_and_fit_keywords_without_defaults():
+    config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert CLASSIFIER_KINDS == (*classifiers.KINDS, "random")
+    for kind, (settings, draws) in classifiers.KINDS.items():
+        assert set(settings.values()) <= config_fields
+        params = inspect.signature(getattr(classifiers, f"{kind}_fit")).parameters
+        assert list(params)[:2] == ["X", "y"]
+        assert set(params) - {"X", "y"} == set(settings) | ({"seed"} if draws else set())
+        assert all(p.default is inspect.Parameter.empty for p in params.values()), kind
+        # Each kind exposes exactly one fit and one predict.
+        assert [name for name in dir(classifiers) if name.startswith(f"{kind}_")] == [f"{kind}_fit", f"{kind}_predict_many"]
+
+
+# Every setting off its default, so a keyword fed from the wrong field shows.
+OFF_DEFAULT = ExperimentConfig(
+    seed=3, bins=7, nb_alpha=0.25, brf_trees=5, ee_bags=6, ee_rounds=2, iforest_trees=9, iforest_subsample=11,
+    decision_threshold=0.375,
+)
+FIT_SETTINGS = {
+    "nb": {"alpha": 0.25, "n_categories": 7},
+    "brf": {"trees": 5, "decision_threshold": 0.375},
+    "ee": {"bags": 6, "rounds": 2, "decision_threshold": 0.375},
+    "iforest": {"trees": 9, "subsample": 11},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FIT_SETTINGS))
+def test_each_fit_gets_its_settings_from_the_config_and_a_fold_seed_if_it_draws(monkeypatch, kind):
+    calls = []
+    monkeypatch.setattr(classifiers, f"{kind}_fit", lambda X, y, **settings: calls.append(settings) or "model")
+    monkeypatch.setattr(classifiers, f"{kind}_predict_many", lambda model, X: (model, X))
+    Xte = np.zeros((2, 1), dtype=np.int64)
+    config = dataclasses.replace(OFF_DEFAULT, classifier=kind)
+    assert evaluate._fit_and_predict(config, np.zeros((4, 1)), np.array([0, 1, 0, 1]), Xte, 2) == ("model", Xte)
+    (settings,) = calls
+    seed = settings.pop("seed", None)
+    assert settings == FIT_SETTINGS[kind]
+    if kind == "nb":
+        assert seed is None
+    else:  # child 2 of SeedSequence(3)
+        assert (seed.entropy, seed.spawn_key) == (3, (2,))

@@ -476,15 +476,17 @@ def fast_rows(draw) -> str:
     return ",".join(row)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 @SETTINGS
 @given(lines=st.lists(fast_rows(), min_size=1, max_size=40), block_bytes=st.sampled_from([64, 256, 1 << 16]))
-def test_c_parser_blocks_read_as_row_by_row(tmp_path_factory, lines, block_bytes):
-    text = "\n".join([HEADER, *lines]) + "\n"
+def test_c_parser_blocks_read_as_row_by_row(tmp_path_factory, newline, lines, block_bytes):
+    text = newline.join([HEADER, *lines]) + newline
     oracle, blocks = read_both(write(tmp_path_factory, text), block_bytes, FAST_PATIENTS)
     assert blocks == oracle
 
 
 VALID = "p01,2021-01-05,3,light_level,1.5"
+OUTSIDE = VALID.replace("2021-01-05", "2021-01-09")  # of p01's span
 
 
 @pytest.mark.parametrize(
@@ -517,19 +519,59 @@ def test_blank_lines_inside_a_block_keep_line_numbers(tmp_path_factory, blank, l
     assert blocks == oracle
 
 
-def test_plain_blocks_take_the_c_parser(tmp_path):
-    # The fast path must actually run on a plain file, and give the columns
-    # the block's `csv.reader` rows give.
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_plain_blocks_take_the_c_parser(tmp_path, newline):
+    # The fast path must actually run on a plain file, LF or CRLF, and give
+    # the columns the block's `csv.reader` rows give.
     # "pééé", the longest id, is 7 bytes of UTF-8 and fits its field.
     patients = {**FAST_PATIENTS, "pééé": _RawPatient(30, 9, None, 5)}
     sums = dataio._SensorSums(tmp_path / "sensors.csv", patients)
-    block = "".join(f"{pid},2021-01-0{d},{h},call_duration,{d * h / 7!r}\n" for pid in patients for d in (4, 5) for h in (0, 23))
+    block = "".join(f"{pid},2021-01-0{d},{h},call_duration,{d * h / 7!r}{newline}" for pid in patients for d in (4, 5) for h in (0, 23))
     fast = sums._parse(block.encode("utf-8"))
     assert fast is not None and [c.dtype.kind for c in fast] == ["S", "S", "S", "S", "f"]
     text = dataio._text_columns(list(csv.reader(io.StringIO(block))))
     for got, want in zip(fast[:4], text[:4]):
         assert [b.decode("utf-8") for b in got.tolist()] == want.tolist()
     assert fast[4].tobytes() == text[4].tobytes()
+
+
+@pytest.mark.parametrize("block_bytes", [64, 1 << 16])
+@pytest.mark.parametrize("last", [VALID, VALID.replace(",3,", ",24,")])
+def test_crlf_rows_across_a_block_cut_read_as_row_by_row(tmp_path_factory, block_bytes, last):
+    # Each file's rows start one byte later than the file before's, over
+    # more than 64 bytes, so a 64-byte read ends at every byte of a row, its
+    # CR and its LF among them. Blank lines and rows outside p01's span come
+    # on both sides of the cut.
+    for shift in range(80):
+        lines = [VALID.replace("1.5", "0" * shift + "1.5"), "", OUTSIDE, VALID, "", OUTSIDE, VALID, last]
+        path = write(tmp_path_factory, "\r\n".join([HEADER, *lines, ""]))
+        oracle, blocks = read_both(path, block_bytes, FAST_PATIENTS)
+        assert oracle[0] == "raised" or [e.line for e in oracle[1]] == [4, 7]
+        assert blocks == oracle
+
+
+@pytest.mark.parametrize("block_bytes", [64, 1 << 16])
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("\r", "\n"),  # loadtxt rejects a CR inside a line
+        ("\n\n", "\r"),  # but ends a line at a block's final CR, as csv does
+        ("\r\n\r\n", "\r"),
+        ("\r\r\n", "\r\n"),
+    ],
+)
+def test_bare_crs_read_as_row_by_row(tmp_path_factory, block_bytes, first, second):
+    # Where loadtxt reads a block of these, it reads as many rows as "\n"s,
+    # skipping blank lines; csv reads one more, so the C parser would number
+    # the excluded row, or the rows after the block, one line early. Each
+    # file's rows start one byte later than the file before's, so a 64-byte
+    # block ends at each of the CRs.
+    body = f"{VALID}{first}{OUTSIDE}{second}"
+    assert dataio._SensorSums(Path("sensors.csv"), FAST_PATIENTS)._parse(body.encode("utf-8")) is None
+    for shift in range(80):
+        text = f"{HEADER}\n{VALID.replace('1.5', '0' * shift + '1.5')}{first}{OUTSIDE}{second}{OUTSIDE}\n"
+        oracle, blocks = read_both(write(tmp_path_factory, text), block_bytes, FAST_PATIENTS)
+        assert blocks == oracle
 
 
 def test_declared_spans_share_one_buffer_per_array_allocated_once(tmp_path):

@@ -44,7 +44,7 @@ from relapsekit.classifiers import (
     ee_fit,
     ee_predict_many,
     iforest_fit,
-    iforest_scores,
+    iforest_predict_many,
 )
 from relapsekit.features import extract_all
 from relapsekit.synth import SynthConfig, generate
@@ -394,7 +394,8 @@ def boosting_cases(draw):
 def test_ee_matches_bag_at_a_time_fit(case):
     X, y, bags, rounds, entropy, key, queries = case
     # spawn() advances a SeedSequence, so each fit gets a fresh, equal one
-    model = ee_fit(X, y, bags=bags, rounds=rounds, seed=np.random.SeedSequence(entropy, spawn_key=key))
+    seed = np.random.SeedSequence(entropy, spawn_key=key)
+    model = ee_fit(X, y, bags=bags, rounds=rounds, seed=seed, decision_threshold=0.5)
     chains = oracle_ee_fit(X, y, bags, rounds, np.random.SeedSequence(entropy, spawn_key=key))
     for got, expected in zip((model.alpha, model.feature, model.threshold, model.sign), padded(chains, rounds)):
         assert got.dtype == expected.dtype
@@ -418,7 +419,7 @@ def test_best_threshold_matches_scan_of_every_cut(X, data):
 def test_tree_predict_matches_scalar_walk(X, queries, seed):
     y = np.arange(X.shape[0]) % 2
     Q = np.resize(queries, (queries.shape[0], X.shape[1]))
-    for forest in (brf_fit(X, y, trees=3, seed=seed).forest, iforest_fit(X, y, trees=3, subsample=8, seed=seed).forest):
+    for forest in (brf_fit(X, y, trees=3, seed=seed, decision_threshold=0.5).forest, iforest_fit(X, y, trees=3, subsample=8, seed=seed).forest):
         expected = [[scalar_walk(forest, root, q) for q in Q] for root in forest.roots]
         np.testing.assert_array_equal(forest.predict(Q), np.array(expected, dtype=float))
 
@@ -455,7 +456,7 @@ def test_iforest_matches_recursive_grower(case):
     assert [subtree_size(model.forest, root) for root in model.forest.roots] == [len(nodes) for nodes in grown]
     assert model.threshold == threshold
     for Q in [X, *queries]:
-        assert iforest_scores(model, Q).tolist() == oracle_iforest_scores(grown, psi, Q).tolist()
+        assert iforest_predict_many(model, Q)[1].tolist() == oracle_iforest_scores(grown, psi, Q).tolist()
 
 
 def test_isolation_growth_steps_only_through_splitting_nodes(monkeypatch):
@@ -476,7 +477,7 @@ def test_isolation_growth_steps_only_through_splitting_nodes(monkeypatch):
 
     monkeypatch.setattr(classifiers, "_isolation_split", counting_split)
     X = np.random.default_rng(1).integers(0, 15, (121, 5))
-    forest = iforest_fit(X, np.arange(121) % 10 == 0, trees=101, seed=1).forest
+    forest = iforest_fit(X, np.arange(121) % 10 == 0, trees=101, subsample=256, seed=1).forest
     internal = [subtree_size(forest, root) // 2 for root in forest.roots]  # full binary trees
     assert steps == max(internal) == 73
 
@@ -507,7 +508,7 @@ def forest_cases(draw):
 
 
 def assert_brf_matches_recursive_grower(X, y, trees, seed, queries):
-    model = brf_fit(X, y, trees=trees, seed=seed)
+    model = brf_fit(X, y, trees=trees, seed=seed, decision_threshold=0.5)
     grown = oracle_brf(X, y, trees, seed)
     assert [subtree_size(model.forest, root) for root in model.forest.roots] == [len(nodes) for nodes in grown]
     for Q in [X, *queries]:
@@ -544,17 +545,17 @@ def test_brf_matches_recursive_grower_on_a_binned_fold():
 def test_brf_splits_codes_of_any_sign_and_size():
     X = np.array([[0, 5], [1, 5], [2, 6], [3, 6], [4, 7], [5, 7]])
     y = np.array([0, 1, 0, 1, 1, 0])
-    expected = brf_predict_many(brf_fit(X, y, trees=9, seed=1), X)[1].tolist()
+    expected = brf_predict_many(brf_fit(X, y, trees=9, seed=1, decision_threshold=0.5), X)[1].tolist()
     # an increasing recoding of the columns keeps every count, so every tree and score
     for recoded in (X - 9, X * 10**12 - 3, X * 2**40):
-        assert brf_predict_many(brf_fit(recoded, y, trees=9, seed=1), recoded)[1].tolist() == expected
+        assert brf_predict_many(brf_fit(recoded, y, trees=9, seed=1, decision_threshold=0.5), recoded)[1].tolist() == expected
 
 
 def test_isolation_leaf_holds_average_path_length_of_its_rows():
     # On x86-64 numpy's vectorized np.log(9170.0) is one ulp off math.log(9170),
     # so a leaf of 9171 rows shows which of the two its value was built with.
     n = 9171
-    model = iforest_fit(np.zeros((n, 2), dtype=np.int64), np.zeros(n, dtype=np.int64), trees=1, subsample=n)
+    model = iforest_fit(np.zeros((n, 2), dtype=np.int64), np.zeros(n, dtype=np.int64), trees=1, subsample=n, seed=0)
     assert model.forest.value.tolist() == [average_path_length(n)]
 
 
@@ -562,7 +563,7 @@ def test_isolation_leaf_holds_average_path_length_of_its_rows():
 @given(X=coded_matrices(min_rows=2, max_rows=30), trees=st.sampled_from([1, 9, 51]), seed=st.integers(0, 99))
 def test_brf_scores_add_the_trees_in_order(X, trees, seed):
     y = np.arange(X.shape[0]) % 2
-    model = brf_fit(X, y, trees=trees, seed=seed)
+    model = brf_fit(X, y, trees=trees, seed=seed, decision_threshold=0.5)
     for Q in [X, X[:1], np.repeat(X[-1:], 2, axis=0)]:
         expected = np.zeros(Q.shape[0])
         for root in model.forest.roots:
