@@ -8,19 +8,29 @@ Input files are UTF-8 CSV with a header row and ISO-8601 dates:
     relapses.csv  patient_id,relapse_date
 
 Every file is read in blocks of whole lines (`_CsvReader`), into the rows
-of one `csv.reader` over the file. A block ends at "\n" or at a "\r" that
-no "\n" follows, so LF, CRLF and CR-only files are all read a block at a
-time. One reader, `_records`, checks every header, and the field counts
-and blank rows of the three small files. Validation failures, a zero-byte
-file and a byte that is not UTF-8 raise IngestError naming the file and
-line of the first fault. Rows that are valid but fall outside an
-explicitly declared observation span are excluded as they are read, never
-silently: each exclusion is recorded, in file order, with a reason code.
+of one `csv.reader` over the file. A line, and so a block, ends at "\n"
+or at a "\r" that no "\n" follows, so LF, CRLF and CR-only files are all
+read a block at a time and numbered alike. One reader, `_records`, checks
+every header, and the field counts and blank rows of the three small
+files. Validation failures, a zero-byte file and a byte that is not UTF-8
+raise IngestError naming the file and line of the first fault. Rows that
+are valid but fall outside an explicitly declared observation span are
+excluded as they are read, never silently: each exclusion is recorded, in
+file order, with a reason code.
 Sensor rows are averaged per (patient, date, signal, hour) into one dense
 `(days, 6, 24)` array per patient (`Dataset.sensors`), and EMA answers are
 laid into one `(days, 10)` array per patient (`Dataset.ema`) with the same
-days, once the spans are known. All writers are deterministic — the same
-in-memory object always produces byte-identical files.
+days, once the spans are known.
+
+All writers are deterministic — the same in-memory object always produces
+byte-identical files — and write what `csv.writer` writes, most through
+`_write_csv`. `write_dataset` builds each patient's `sensors.csv`
+lines as one `(rows, 4)` array of strings, joined once: the day field
+(`patient_id,YYYY-MM-DD`, the id quoted as csv quotes it), one of 144 fixed
+`,hour,signal,` fields, `repr` of the value (the shortest string that reads
+back as the same float, and the only per-row work left) and the newline.
+`ema.csv` lines are built the same way, from a table of the four answers.
+The strings stay Python strings, so an id may hold any character.
 
 In sensors.csv, by far the largest file, a block after the header's is
 `SENSOR_BLOCK_BYTES` and the rest of the line they end in. numpy's C
@@ -231,7 +241,7 @@ class _CsvReader:
 
     def __init__(self, path: Path) -> None:
         self.path = path
-        self.skew = 0  # "\n" lines less csv rows before the next block
+        self.skew = 0  # lines less csv rows before the next block
         self.held = b""  # read past the last block's end
 
     def __iter__(self) -> Iterator[bytes]:
@@ -259,14 +269,14 @@ class _CsvReader:
         csv rejects or with a non-UTF-8 byte raises IngestError."""
         if not block:  # the first block of a zero-byte file
             raise IngestError(str(self.path), None, "empty file")
-        line = first_row + self.skew + block.count(b"\n")  # the "\n" line after the block
+        line = first_row + self.skew + _line_ends(block)  # the line after the block
         row_start = 0  # `reader.line_num` as the current row starts
 
         def more() -> Iterator[str]:  # while a quoted field crosses the block's end
             nonlocal line
             while reader.line_num > row_start and (text := self._whole_lines(1)):
                 yield from self._lines(text, line)
-                line += text.count(b"\n")
+                line += _line_ends(text)
 
         reader = csv.reader(chain(self._lines(block, first_row + self.skew), more()))
         row = first_row
@@ -280,18 +290,27 @@ class _CsvReader:
 
     def _lines(self, data: bytes, line: int) -> Iterator[str]:
         """`data`'s lines, as a `newline=""` file splits them; reading the
-        one with a non-UTF-8 byte raises IngestError naming it, counted at
-        "\n" from `line`."""
+        one with a non-UTF-8 byte raises IngestError naming it, counted
+        from `line`."""
         good, error = len(data), None
         if not data.isascii():
             try:
                 data.decode("utf-8")
             except UnicodeDecodeError as exc:
                 good = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
-                error = IngestError(str(self.path), line + data.count(b"\n", 0, exc.start), "invalid UTF-8")
+                error = IngestError(str(self.path), line + _line_ends(data, exc.start), "invalid UTF-8")
         yield from io.TextIOWrapper(io.BytesIO(data[:good]), encoding="utf-8", newline="")
         if error:
             raise error
+
+
+def _line_ends(data: bytes, end: int | None = None) -> int:
+    """The line ends in `data[:end]`: each "\n", and each "\r" that no "\n"
+    follows. A block or a cut before a bad byte never splits a CRLF."""
+    ends = data.count(b"\n", 0, end)
+    if crs := data.count(b"\r", 0, end):
+        ends += crs - data.count(b"\r\n", 0, end)
+    return ends
 
 
 def _check_header(path: Path, row: list[str], *headers: list[str]) -> None:
@@ -691,6 +710,43 @@ def _csv_field(text: str) -> str:
     return line.getvalue()[:-2]
 
 
+# `,hour,signal,` for each cell of a day, in flat (signal, hour) order.
+_CELL_FIELDS = np.array([f",{hour},{s.value}," for s in SIGNALS for hour in range(HOURS_PER_DAY)], dtype=object)
+_ANSWER_FIELDS = np.array([f",{answer}" for answer in range(4)], dtype=object)
+
+
+def _day_fields(patient: Patient, days: int) -> np.ndarray:
+    """`patient_id,YYYY-MM-DD` for each of the patient's first `days` days."""
+    pid = _csv_field(patient.patient_id)
+    start = patient.observation_start
+    return np.array([f"{pid},{(start + timedelta(days=d)).isoformat()}" for d in range(days)], dtype=object)
+
+
+def _sensor_lines(cube: np.ndarray, day_fields: np.ndarray) -> str:
+    """One `sensors.csv` line per present hour of `cube`, in file order."""
+    at = np.flatnonzero(~np.isnan(cube))  # flat C order is (date, signal, hour): the file order
+    day, cell = np.divmod(at, _DAY_CELLS)
+    lines = np.empty((at.size, 4), dtype=object)
+    lines[:, 0] = day_fields[day]
+    lines[:, 1] = _CELL_FIELDS[cell]
+    lines[:, 2] = list(map(repr, np.take(cube, at).tolist()))
+    lines[:, 3] = "\n"
+    return "".join(lines.ravel().tolist())
+
+
+def _ema_lines(answers: np.ndarray, day_fields: np.ndarray) -> str:
+    """One `ema.csv` line per answered day of `answers`, in date order."""
+    answered = np.flatnonzero(answers[:, 0] >= 0)
+    items = answers[answered]
+    if items.size and not 0 <= items.min() <= items.max() <= 3:
+        raise ValueError("EMA answers of an answered day must be in 0..3")
+    lines = np.empty((answered.size, EMA_ITEM_COUNT + 2), dtype=object)
+    lines[:, 0] = day_fields[answered]
+    lines[:, 1:-1] = _ANSWER_FIELDS[items]
+    lines[:, -1] = "\n"
+    return "".join(lines.ravel().tolist())
+
+
 def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
     """Emit the four interchange files for a dataset; returns their paths."""
     out = Path(out_dir)
@@ -709,27 +765,17 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
     )
     _write_csv(paths["patients"], _PATIENT_HEADER_FULL, rows)
 
-    with paths["sensors"].open("w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle, lineterminator="\n").writerow(_SENSOR_HEADER)
-        cells = [f",{hour},{s.value}," for s in SIGNALS for hour in range(HOURS_PER_DAY)]
+    with paths["sensors"].open("w", newline="", encoding="utf-8") as sensors, paths["ema"].open(
+        "w", newline="", encoding="utf-8"
+    ) as ema:
+        csv.writer(sensors, lineterminator="\n").writerow(_SENSOR_HEADER)
+        csv.writer(ema, lineterminator="\n").writerow(_EMA_HEADER)
         for p in patients:
-            cube = dataset.sensors[p.patient_id]
-            present = ~np.isnan(cube)
-            if not present.any():
-                continue
-            pid = _csv_field(p.patient_id)
-            days = [f"{pid},{(p.observation_start + timedelta(days=d)).isoformat()}" for d in range(len(cube))]
-            # Flat C order is (date, signal, hour): the file order.
-            day, cell = np.divmod(np.flatnonzero(present), len(cells))
-            prefixes = map(str.__add__, map(days.__getitem__, day.tolist()), map(cells.__getitem__, cell.tolist()))
-            handle.write("\n".join(map(str.__add__, prefixes, map(repr, cube[present].tolist()))) + "\n")
+            cube, answers = dataset.sensors[p.patient_id], dataset.ema[p.patient_id]
+            day_fields = _day_fields(p, max(len(cube), len(answers)))
+            sensors.write(_sensor_lines(cube, day_fields))
+            ema.write(_ema_lines(answers, day_fields))
 
-    rows = (
-        [p.patient_id, (p.observation_start + timedelta(days=d)).isoformat(), *dataset.ema[p.patient_id][d].tolist()]
-        for p in patients
-        for d in np.flatnonzero(dataset.ema[p.patient_id][:, 0] >= 0).tolist()
-    )
-    _write_csv(paths["ema"], _EMA_HEADER, rows)
     rows = ([p.patient_id, date.isoformat()] for p in patients for date in p.relapse_dates)
     _write_csv(paths["relapses"], _RELAPSE_HEADER, rows)
 

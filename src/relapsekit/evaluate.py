@@ -156,10 +156,7 @@ def _fit_and_predict(
 
 
 def _confusion(labels: np.ndarray, predicted: np.ndarray) -> tuple[int, int, int, int]:
-    tp = int(((labels == 1) & (predicted == 1)).sum())
-    fp = int(((labels == 0) & (predicted == 1)).sum())
-    fn = int(((labels == 1) & (predicted == 0)).sum())
-    tn = int(((labels == 0) & (predicted == 0)).sum())
+    tn, fp, fn, tp = np.bincount(2 * labels + predicted, minlength=4).tolist()
     return tp, fp, fn, tn
 
 

@@ -163,9 +163,9 @@ def select_features(codes: np.ndarray, labels: np.ndarray, top: int, candidates:
     if labels.min() == labels.max():
         raise ValueError("selection_degenerate: subsample contains a single class")
 
-    candidates = list(candidates)
+    candidates = np.asarray(candidates, dtype=np.intp)
     scores = np.full(codes.shape[1], np.nan)
-    if candidates:
+    if candidates.size:
         scores[candidates] = mutual_information_columns(codes[:, candidates], labels)
-    ranked = sorted(candidates, key=lambda f: (-scores[f], f))
-    return SelectionModel(selected=tuple(ranked[:top]), scores=scores)
+    ranked = candidates[np.lexsort((candidates, -scores[candidates]))]  # score descending, then index
+    return SelectionModel(selected=tuple(ranked[:top].tolist()), scores=scores)

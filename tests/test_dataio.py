@@ -312,6 +312,22 @@ def test_a_cr_only_cohort_loads_as_its_lf_copy(tmp_path, block_bytes, bad):
     assert outcomes[1] == outcomes[0]
 
 
+@pytest.mark.parametrize("block_bytes", [64, 1 << 17])
+def test_an_undecodable_byte_in_a_cr_only_cohort_names_its_line(tmp_path, block_bytes):
+    # A bare CR ends a line as "\n" does, so both copies name line 501.
+    lf = tmp_path / "lf"
+    generate(SynthConfig(patient_count=2, days_per_patient=12, seed=5), out_dir=lf)
+    lines = (lf / "sensors.csv").read_bytes().splitlines(keepends=True)
+    lines[500] = lines[500].replace(b",", b",\xff", 4)
+    (lf / "sensors.csv").write_bytes(b"".join(lines))
+    cr_only_copy(lf, tmp_path / "cr")
+    with mock.patch.object(dataio, "SENSOR_BLOCK_BYTES", block_bytes):
+        for root in (lf, tmp_path / "cr"):
+            with pytest.raises(IngestError) as err:
+                load({name: root / f"{name}.csv" for name in ("sensors", "ema", "patients", "relapses")})
+            assert (Path(err.value.file).name, err.value.line, err.value.reason) == ("sensors.csv", 501, "invalid UTF-8")
+
+
 def test_cr_only_sensors_peak_memory_does_not_grow_with_the_file(tmp_path):
     # A CR-only file is read a block at a time, like an LF one: four copies
     # of the rows (the same cells) peak where one does. Read as one line,
@@ -402,6 +418,40 @@ def test_sensor_writer_formats_rows_as_csv_writer_does(tmp_path):
     again = load_dataset(paths["sensors"], paths["ema"], paths["patients"], paths["relapses"])
     for pid in ids:
         np.testing.assert_array_equal(again.sensors[pid], sensors[pid])
+
+
+def test_ema_writer_formats_rows_as_csv_writer_does(tmp_path):
+    # Ids that csv.writer must quote, or that hold a NUL, days without
+    # answers, and a patient without any; every answer 0..3 appears.
+    ids = ["p,1", 'p"2', "p\r3", "p4", "", "p\x005"]
+    ema = {pid: no_answers(3) for pid in ids}
+    ema["p,1"][0] = (0, 1, 2, 3, 0, 1, 2, 3, 0, 1)
+    ema["p,1"][2] = 3
+    ema['p"2'][1] = (3, 2, 1, 0, 3, 2, 1, 0, 3, 2)
+    ema[""][2] = 0
+    ema["p\x005"][0] = 1
+    patients = tuple(make_patient(pid=pid, n_days=3) for pid in ids)
+    sensors = {pid: np.full((3, 6, 24), np.nan) for pid in ids}
+    paths = write_dataset(Dataset(patients=patients, sensors=sensors, ema=ema), tmp_path)
+
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["patient_id", "date", *(f"item_{i}" for i in range(1, 11))])
+    for pid in sorted(ids):
+        for d in range(3):
+            if ema[pid][d, 0] >= 0:
+                writer.writerow([pid, day(d).isoformat(), *ema[pid][d].tolist()])
+    assert paths["ema"].read_bytes() == expected.getvalue().encode("utf-8")
+
+
+def test_ema_writer_rejects_an_answer_outside_0_to_3(tmp_path):
+    for bad in (4, -1):
+        answers = no_answers(2)
+        answers[1] = 2
+        answers[1, 9] = bad
+        ds = Dataset(patients=(make_patient(pid="pa", n_days=2),), sensors={"pa": np.full((2, 6, 24), np.nan)}, ema={"pa": answers})
+        with pytest.raises(ValueError, match="0..3"):
+            write_dataset(ds, tmp_path)
 
 
 def make_report(specs: tuple[WindowSpec, ...]) -> EvalReport:

@@ -36,6 +36,21 @@ def table(cohort):
 # -- metrics -----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
+def test_confusion_counts_match_the_four_masks(n):
+    rng = np.random.default_rng(n)
+    for labels in (np.zeros(n, np.int64), np.ones(n, np.int64), rng.integers(0, 2, n)):
+        for predicted in (np.zeros(n, np.int64), np.ones(n, np.int64), labels, 1 - labels, rng.integers(0, 2, n)):
+            counts = evaluate._confusion(labels, predicted)
+            assert counts == (
+                int(((labels == 1) & (predicted == 1)).sum()),
+                int(((labels == 0) & (predicted == 1)).sum()),
+                int(((labels == 1) & (predicted == 0)).sum()),
+                int(((labels == 0) & (predicted == 0)).sum()),
+            )
+            assert all(type(c) is int for c in counts)
+
+
 def test_f2_perfect_counts():
     assert f2_from_counts(5, 0, 0) == (1.0, 1.0, 1.0)
 

@@ -357,14 +357,16 @@ def test_rows_across_a_block_cut_read_as_row_by_row(tmp_path_factory, block_byte
     ],
 )
 def test_an_undecodable_byte_names_its_line_counted_at_newlines(tmp_path, block_bytes, last, message):
-    # Quoted newlines and bare CRs in the blocks before it leave four more
-    # lines, counted at "\n", than csv rows.
+    # Quoted newlines in the blocks before it leave six more lines than csv
+    # rows. A bare CR ends a line, as it ends a row.
     rows = [f'"p\nd",2021-01-05,{h},light_level,1' for h in range(6)] + ["pb,2021-01-06,1,light_level,1\rpb,2021-01-06,2,light_level,1"] * 2
     data = "\n".join([HEADER, *rows, ""]).encode("utf-8") + last + b"\n"
     path = tmp_path / "sensors.csv"
     path.write_bytes(data)
-    expected = message.format(line=data.count(b"\n", 0, data.index(b"\xff")) + 1, row=2 + 6 + 2 * 2)
-    assert data.count(b"\n", 0, data.index(b"\xff")) + 1 == 2 + 6 + 2 * 2 + 4
+    first = data[: -len(last) - 1]  # the lines before `last`'s
+    line = first.count(b"\n") + first.count(b"\r") + 1
+    assert line == 2 + 6 + 2 * 2 + 6
+    expected = message.format(line=line, row=2 + 6 + 2 * 2)
     oracle, blocks = read_both(path, block_bytes, CUT_PATIENTS)
     assert oracle == ("raised", IngestError, f"{path}:{expected}")
     assert blocks == oracle
