@@ -23,14 +23,13 @@ laid into one `(days, 10)` array per patient (`Dataset.ema`) with the same
 days, once the spans are known.
 
 All writers are deterministic — the same in-memory object always produces
-byte-identical files — and write what `csv.writer` writes, most through
-`_write_csv`. `write_dataset` builds each patient's `sensors.csv`
-lines as one `(rows, 4)` array of strings, joined once: the day field
-(`patient_id,YYYY-MM-DD`, the id quoted as csv quotes it), one of 144 fixed
-`,hour,signal,` fields, `repr` of the value (the shortest string that reads
-back as the same float, and the only per-row work left) and the newline.
-`ema.csv` lines are built the same way, from a table of the four answers.
-The strings stay Python strings, so an id may hold any character.
+byte-identical files — and write what `csv.writer` writes, every file but
+`sensors.csv` through `_write_csv`. `write_dataset` builds each patient's
+`sensors.csv` lines as one `(rows, 4)` array of strings, joined once: the
+day field (`patient_id,YYYY-MM-DD`, the id quoted as csv quotes it), one of
+144 fixed `,hour,signal,` fields, `repr` of the value (the shortest string
+that reads back as the same float, and the only per-row work left) and the
+newline. The strings stay Python strings, so an id may hold any character.
 
 In sensors.csv, by far the largest file, a block after the header's is
 `SENSOR_BLOCK_BYTES` and the rest of the line they end in. numpy's C
@@ -712,18 +711,13 @@ def _csv_field(text: str) -> str:
 
 # `,hour,signal,` for each cell of a day, in flat (signal, hour) order.
 _CELL_FIELDS = np.array([f",{hour},{s.value}," for s in SIGNALS for hour in range(HOURS_PER_DAY)], dtype=object)
-_ANSWER_FIELDS = np.array([f",{answer}" for answer in range(4)], dtype=object)
 
 
-def _day_fields(patient: Patient, days: int) -> np.ndarray:
-    """`patient_id,YYYY-MM-DD` for each of the patient's first `days` days."""
+def _sensor_lines(patient: Patient, cube: np.ndarray) -> str:
+    """One `sensors.csv` line per present hour of the patient's `cube`, in file order."""
     pid = _csv_field(patient.patient_id)
     start = patient.observation_start
-    return np.array([f"{pid},{(start + timedelta(days=d)).isoformat()}" for d in range(days)], dtype=object)
-
-
-def _sensor_lines(cube: np.ndarray, day_fields: np.ndarray) -> str:
-    """One `sensors.csv` line per present hour of `cube`, in file order."""
+    day_fields = np.array([f"{pid},{(start + timedelta(days=d)).isoformat()}" for d in range(len(cube))], dtype=object)
     at = np.flatnonzero(~np.isnan(cube))  # flat C order is (date, signal, hour): the file order
     day, cell = np.divmod(at, _DAY_CELLS)
     lines = np.empty((at.size, 4), dtype=object)
@@ -731,19 +725,6 @@ def _sensor_lines(cube: np.ndarray, day_fields: np.ndarray) -> str:
     lines[:, 1] = _CELL_FIELDS[cell]
     lines[:, 2] = list(map(repr, np.take(cube, at).tolist()))
     lines[:, 3] = "\n"
-    return "".join(lines.ravel().tolist())
-
-
-def _ema_lines(answers: np.ndarray, day_fields: np.ndarray) -> str:
-    """One `ema.csv` line per answered day of `answers`, in date order."""
-    answered = np.flatnonzero(answers[:, 0] >= 0)
-    items = answers[answered]
-    if items.size and not 0 <= items.min() <= items.max() <= 3:
-        raise ValueError("EMA answers of an answered day must be in 0..3")
-    lines = np.empty((answered.size, EMA_ITEM_COUNT + 2), dtype=object)
-    lines[:, 0] = day_fields[answered]
-    lines[:, 1:-1] = _ANSWER_FIELDS[items]
-    lines[:, -1] = "\n"
     return "".join(lines.ravel().tolist())
 
 
@@ -765,17 +746,17 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
     )
     _write_csv(paths["patients"], _PATIENT_HEADER_FULL, rows)
 
-    with paths["sensors"].open("w", newline="", encoding="utf-8") as sensors, paths["ema"].open(
-        "w", newline="", encoding="utf-8"
-    ) as ema:
-        csv.writer(sensors, lineterminator="\n").writerow(_SENSOR_HEADER)
-        csv.writer(ema, lineterminator="\n").writerow(_EMA_HEADER)
+    with paths["sensors"].open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerow(_SENSOR_HEADER)
         for p in patients:
-            cube, answers = dataset.sensors[p.patient_id], dataset.ema[p.patient_id]
-            day_fields = _day_fields(p, max(len(cube), len(answers)))
-            sensors.write(_sensor_lines(cube, day_fields))
-            ema.write(_ema_lines(answers, day_fields))
+            handle.write(_sensor_lines(p, dataset.sensors[p.patient_id]))
 
+    rows = (
+        [p.patient_id, (p.observation_start + timedelta(days=d)).isoformat(), *dataset.ema[p.patient_id][d].tolist()]
+        for p in patients
+        for d in np.flatnonzero(dataset.ema[p.patient_id][:, 0] >= 0).tolist()
+    )
+    _write_csv(paths["ema"], _EMA_HEADER, rows)
     rows = ([p.patient_id, date.isoformat()] for p in patients for date in p.relapse_dates)
     _write_csv(paths["relapses"], _RELAPSE_HEADER, rows)
 

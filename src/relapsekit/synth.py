@@ -7,19 +7,6 @@ chosen fraction of patients receives one relapse date; in the days leading
 up to it, affected signals shift upward by a multiple of their noise level
 and self-report answers drift higher. Everything is a pure function of the
 seed, so the same configuration always produces byte-identical files.
-
-Each patient draws from its own generator, spawned from the seed, in one
-fixed order: age, education, the relapse day (relapsing patients only);
-then per signal, in `SIGNALS` order, a `(days, 24)` block of normals (the
-noise, if the signal has any) and a `(days, 24)` block of uniforms (the
-missing mask); then one uniform per day (whether it has a self-report) and
-the answered days' ten answers, day by day. That order is the contract
-that keeps every file byte-identical. The rest draws nothing and is
-batched around it: the rhythm curves are built once per configuration, and
-the shift, clip and missing mask run elementwise on the whole
-`(days, 6, 24)` cube. One `binomial` call with a `(k, 1)` column of
-per-day probabilities makes, in row order, the draws of `k` calls of ten,
-so each patient's answers take one call.
 """
 
 from __future__ import annotations
@@ -132,21 +119,6 @@ def generate(config: SynthConfig, out_dir: str | Path | None = None) -> Dataset:
     start = config.start_date
     end = start + timedelta(days=days - 1)
 
-    prodrome = config.prodrome
-    specs = [config.rhythms[signal] for signal in SIGNALS]
-    # Each signal's (6, 24) day, ordinary and prodromal, once per config.
-    curves = np.array([_rhythm_curve(spec) for spec in specs])
-    prodromal_curves = np.array(
-        [
-            _rhythm_curve(spec, prodrome.peak_shift_hours) + prodrome.magnitude * spec.noise_std
-            if signal in prodrome.signals
-            else curve
-            for signal, spec, curve in zip(SIGNALS, specs, curves)
-        ]
-    )
-    base_p = 0.25
-    shift_p = min(0.1 * prodrome.magnitude, 1.0 - base_p)
-
     for p in range(n):
         pid = f"p{p + 1:0{width}d}"
         rng = np.random.default_rng(patient_seeds[p])
@@ -160,23 +132,33 @@ def generate(config: SynthConfig, out_dir: str | Path | None = None) -> Dataset:
             hi = max(int(0.8 * days), lo + 1)
             relapse_day = int(rng.integers(lo, hi))
             relapse_dates = (start + timedelta(days=relapse_day),)
-            onset = max(relapse_day - prodrome.onset_days, 0)
+            onset = max(relapse_day - config.prodrome.onset_days, 0)
             prodromal[onset:relapse_day] = True
 
-        cube = np.where(prodromal[:, None, None], prodromal_curves, curves)
-        uniforms = np.empty_like(cube)
-        for si, spec in enumerate(specs):
+        cube = np.empty((days, len(SIGNALS), HOURS_PER_DAY))
+        for si, signal in enumerate(SIGNALS):
+            spec = config.rhythms[signal]
+            curve = _rhythm_curve(spec)
+            shifted_curve = _rhythm_curve(spec, config.prodrome.peak_shift_hours)
+            affected = signal in config.prodrome.signals
+
+            values = np.tile(curve, (days, 1))
+            if affected and prodromal.any():
+                values[prodromal] = shifted_curve + config.prodrome.magnitude * spec.noise_std
             if spec.noise_std > 0:
-                cube[:, si] += rng.normal(0.0, spec.noise_std, size=(days, HOURS_PER_DAY))
-            uniforms[:, si] = rng.random((days, HOURS_PER_DAY))
-        np.clip(cube, 0.0, None, out=cube)
-        cube[uniforms < config.missing_rate] = np.nan
+                values = values + rng.normal(0.0, spec.noise_std, size=(days, HOURS_PER_DAY))
+            values = np.clip(values, 0.0, None)
+            present = rng.random((days, HOURS_PER_DAY)) >= config.missing_rate
+            cube[:, si] = np.where(present, values, np.nan)
         sensors[pid] = cube
 
-        responded = np.flatnonzero(rng.random(days) < config.ema_per_week / 7.0)
-        p_item = base_p + np.where(prodromal[responded], shift_p, 0.0)
+        responded = rng.random(days) < config.ema_per_week / 7.0
+        base_p = 0.25
+        shift_p = min(0.1 * config.prodrome.magnitude, 1.0 - base_p)
         answers = np.full((days, EMA_ITEM_COUNT), -1, dtype=np.int8)
-        answers[responded] = rng.binomial(3, p_item[:, None], size=(responded.size, EMA_ITEM_COUNT))
+        for d in np.flatnonzero(responded).tolist():
+            p_item = base_p + (shift_p if prodromal[d] else 0.0)
+            answers[d] = rng.binomial(3, p_item, size=EMA_ITEM_COUNT)
         ema[pid] = answers
 
         patients.append(

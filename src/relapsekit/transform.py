@@ -163,9 +163,9 @@ def select_features(codes: np.ndarray, labels: np.ndarray, top: int, candidates:
     if labels.min() == labels.max():
         raise ValueError("selection_degenerate: subsample contains a single class")
 
-    candidates = np.asarray(candidates, dtype=np.intp)
+    candidates = list(candidates)
     scores = np.full(codes.shape[1], np.nan)
-    if candidates.size:
+    if candidates:
         scores[candidates] = mutual_information_columns(codes[:, candidates], labels)
-    ranked = candidates[np.lexsort((candidates, -scores[candidates]))]  # score descending, then index
-    return SelectionModel(selected=tuple(ranked[:top].tolist()), scores=scores)
+    ranked = sorted(candidates, key=lambda f: (-scores[f], f))
+    return SelectionModel(selected=tuple(ranked[:top]), scores=scores)

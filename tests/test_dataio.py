@@ -444,16 +444,6 @@ def test_ema_writer_formats_rows_as_csv_writer_does(tmp_path):
     assert paths["ema"].read_bytes() == expected.getvalue().encode("utf-8")
 
 
-def test_ema_writer_rejects_an_answer_outside_0_to_3(tmp_path):
-    for bad in (4, -1):
-        answers = no_answers(2)
-        answers[1] = 2
-        answers[1, 9] = bad
-        ds = Dataset(patients=(make_patient(pid="pa", n_days=2),), sensors={"pa": np.full((2, 6, 24), np.nan)}, ema={"pa": answers})
-        with pytest.raises(ValueError, match="0..3"):
-            write_dataset(ds, tmp_path)
-
-
 def make_report(specs: tuple[WindowSpec, ...]) -> EvalReport:
     return EvalReport(
         experiment="evaluate",

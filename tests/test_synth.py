@@ -1,10 +1,7 @@
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
-import synth_oracle
 
 from relapsekit.dataio import load_dataset
 from relapsekit.model import SIGNALS, Signal
@@ -142,49 +139,3 @@ def test_null_magnitude_keeps_prodromal_days_unshifted():
     assert changed > 0  # call_duration prodromal days moved
     light = SIGNALS.index(Signal.LIGHT_LEVEL)
     np.testing.assert_array_equal(base_sensors[:, light], null_sensors[:, light])
-
-
-def assert_same_cohort(ds, oracle) -> None:
-    """Bit for bit: patients, every sensor cube (NaNs included) and EMA array."""
-    assert ds.patients == oracle.patients
-    assert list(ds.sensors) == list(oracle.sensors) == list(ds.ema) == list(oracle.ema)
-    for pid in oracle.sensors:
-        for got, want in ((ds.sensors[pid], oracle.sensors[pid]), (ds.ema[pid], oracle.ema[pid])):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-
-
-# A 30-day span joins the 1- and 2-day ones: in those the relapse falls on
-# day 0, so no day is prodromal and the magnitude and peak shift go unused.
-@pytest.mark.parametrize("magnitude", [0.0, 0.1, 3.0, 7.5])  # 7.5 puts the EMA p at 1.0
-@pytest.mark.parametrize("peak_shift", [0.0, 2.5])
-def test_generate_matches_the_per_signal_per_day_oracle(magnitude, peak_shift):
-    prodrome = ProdromalSpec(magnitude=magnitude, peak_shift_hours=peak_shift)
-    for ema_per_week, missing_rate, relapse_fraction, days, patients in itertools.product(
-        [0.0, 7.0], [0.0, 0.85, 1.0], [0.0, 1.0], [1, 2, 30], [1, 12]
-    ):
-        config = SynthConfig(
-            patient_count=patients,
-            days_per_patient=days,
-            relapse_fraction=relapse_fraction,
-            prodrome=prodrome,
-            ema_per_week=ema_per_week,
-            missing_rate=missing_rate,
-            seed=days * 100 + patients,
-        )
-        assert_same_cohort(generate(config), synth_oracle.generate(config))
-
-
-def test_generate_matches_the_oracle_with_noiseless_and_default_signals():
-    # A noiseless signal draws no normals; one in the prodrome shifts by 0.
-    rhythms = dict(DEFAULT_RHYTHMS)
-    rhythms[Signal.CALL_DURATION] = RhythmSpec(base=0.0, amplitude=6.0, peak_hour=19, width_hours=3, noise_std=0.0)
-    rhythms[Signal.SOUND_LEVEL] = RhythmSpec(base=-5.0, amplitude=25.0, peak_hour=2, width_hours=6, noise_std=0.0)
-    configs = [
-        small_config(rhythms=rhythms, relapse_fraction=1.0, missing_rate=0.3),
-        small_config(prodrome=ProdromalSpec(signals=tuple(SIGNALS), onset_days=0, peak_shift_hours=-30.0)),
-        small_config(prodrome=ProdromalSpec(signals=(), onset_days=100), relapse_fraction=1.0),
-        SynthConfig(patient_count=10, days_per_patient=180, relapse_fraction=1.0, seed=7),
-    ]
-    for config in configs:
-        assert_same_cohort(generate(config), synth_oracle.generate(config))

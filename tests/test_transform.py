@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import day
-from relapsekit import transform
 from relapsekit.features import WindowTable
 from relapsekit.model import AGE_INDEX, FEATURE_COUNT, SIGNALS, feature_indices_for_modality
 from relapsekit.transform import (
@@ -376,30 +374,6 @@ def test_selection_is_deterministic(rng):
     b = select_features(codes, labels, top=5, candidates=ALL)
     assert a.selected == b.selected
     np.testing.assert_array_equal(a.scores, b.scores)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    scores=st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.5000000000000001, 1.0]), min_size=1, max_size=12),
-    data=st.data(),
-)
-@example(scores=[0.0, -0.0, 0.0, -0.0], data=None)
-def test_ranking_matches_a_sort_on_score_then_index(scores, data):
-    # Tie-heavy scores, ±0.0 among them, over candidates in any order or none.
-    n = len(scores)
-    if data is None:
-        candidates, top = [3, 1, 0, 2], 3
-    else:
-        candidates = data.draw(st.permutations(range(n)).flatmap(lambda p: st.integers(0, n).map(lambda k: p[:k])))
-        top = data.draw(st.integers(0, n + 1))
-    codes = np.zeros((2, n), dtype=np.int64)
-    with mock.patch.object(transform, "mutual_information_columns", return_value=np.array(scores)[candidates]):
-        model = select_features(codes, np.array([0, 1]), top, candidates)
-    old_scores = np.full(n, np.nan)
-    old_scores[candidates] = np.array(scores)[candidates]
-    assert model.selected == tuple(sorted(candidates, key=lambda f: (-old_scores[f], f))[:top])
-    assert all(type(f) is int for f in model.selected)
-    assert model.scores.tobytes() == old_scores.tobytes()
 
 
 ARMS = [
