@@ -10,13 +10,13 @@ Input files are UTF-8 CSV with a header row and ISO-8601 dates:
 Every file is read in blocks of whole lines (`_CsvReader`), into the rows
 of one `csv.reader` over the file. A line, and so a block, ends at "\n"
 or at a "\r" that no "\n" follows, so LF, CRLF and CR-only files are all
-read a block at a time and numbered alike. One reader, `_records`, checks
-every header, and the field counts and blank rows of the three small
-files. Validation failures, a zero-byte file and a byte that is not UTF-8
-raise IngestError naming the file and line of the first fault. Rows that
-are valid but fall outside an explicitly declared observation span are
-excluded as they are read, never silently: each exclusion is recorded, in
-file order, with a reason code.
+read a block at a time and numbered alike. One generator,
+`_CsvReader.records`, checks every file's header, field counts and blank
+rows, a block at a time. Validation failures, a zero-byte file and a byte
+that is not UTF-8 raise IngestError naming the file and line of the first
+fault. Rows that are valid but fall outside an explicitly declared
+observation span are excluded as they are read, never silently: each
+exclusion is recorded, in file order, with a reason code.
 Sensor rows are averaged per (patient, date, signal, hour) into one dense
 `(days, 6, 24)` array per patient (`Dataset.sensors`), and EMA answers are
 laid into one `(days, 10)` array per patient (`Dataset.ema`) with the same
@@ -32,39 +32,38 @@ that reads back as the same float, and the only per-row work left) and the
 newline. The strings stay Python strings, so an id may hold any character.
 
 In sensors.csv, by far the largest file, a block after the header's is
-`SENSOR_BLOCK_BYTES` and the rest of the line they end in. numpy's C
-parser (`np.loadtxt`, no comments, no quoting) reads it into fixed-width
-`S` fields for patient_id, date, hour and signal, and float64 values. A
-block takes its rows from `csv.reader` instead when loadtxt rejects it (as
-it does "1_0" and "٣", which `float()` reads), when a field fills its
-width and so may have been cut short, when it has a blank line (which
-loadtxt skips, shifting line numbers) or no final newline, when it holds a
-byte 0x1C-0x1F (which loadtxt strips around a number and `float()`
-rejects), a quote, NUL or non-UTF-8 byte, or a CR that does not end a CRLF
-(loadtxt rejects one inside a line and ends a line at a final one), when a
-line could pass csv's field limit, or when any row fails its checks. CRLF
-lines take loadtxt, which reads them as csv does. Both paths feed one
-resolver, so every block gives the result of its `csv.reader` rows or
-IngestError.
+`SENSOR_BLOCK_BYTES` and the rest of the line they end in. It takes one of
+two paths. numpy's C parser (`np.loadtxt`, no comments, no quoting) reads
+it into fixed-width `S` fields for patient_id, date, hour and signal, and
+float64 values. A block takes its rows from `csv.reader` instead when
+loadtxt rejects it (as it does "1_0" and "٣", which `float()` reads), when
+a field fills its width and so may have been cut short, when it has a
+blank line (which loadtxt skips, shifting line numbers) or no final
+newline, when it holds a byte 0x1C-0x1F (which loadtxt strips around a
+number and `float()` rejects), a quote, NUL or non-UTF-8 byte, or a CR
+that does not end a CRLF (loadtxt rejects one inside a line and ends a
+line at a final one), when a line could pass csv's field limit, or when
+any row fails its checks. CRLF lines take loadtxt, which reads them as csv
+does. On the row path, `_parse_row` reads each row in file order and
+raises the IngestError of the first bad one, so every block gives the
+result of its `csv.reader` rows or that error. On the C parser's path,
+each distinct date, hour and signal string is parsed once, with the same
+calls `_parse_row` makes.
 
-Each distinct date, hour and signal string is parsed once, with the same
-calls a row-by-row reader makes. A patient's rows are summed into a float64
-`(days, 6, 24)` array, the layout of its hourly means, and counted in a
-uint8 one, with `np.add.at`. Nearly every count is 0 or 1, so uint8 keeps
-the counts at an eighth of the sums. Before a block's rows are counted,
-a patient's counts are widened to int64 if the block could take a cell
-past 255: the largest count at the block's cells plus the most rows the
-block gives one cell (a `np.bincount` over the block's cells) decide it.
-A widened patient stays int64. Sums add in file order, so every hourly
-sum is the one a row-by-row `+=` gives (a per-block `np.bincount` would
-sum one cell's rows of a block before adding earlier blocks' rows), and
-every mean is unchanged by the counts' dtype. Declared spans
-are disjoint views of one sums buffer and one counts buffer, allocated
-before the first row; an inferred span grows toward the side a row falls
-on, at least doubling. A block that fails on both paths is walked again row
-by row through `_check_sensor_row`, which raises the IngestError of its
-first bad row. Blocks are small, because a block's parsed fields and index
-arrays are alive at once.
+A patient's rows are summed into a float64 `(days, 6, 24)` array, the
+layout of its hourly means, and counted in a uint8 one, with `np.add.at`.
+Nearly every count is 0 or 1, so uint8 keeps the counts at an eighth of
+the sums. Before a block's rows are counted, a patient's counts are
+widened to int64 if the block could take a cell past 255: the largest
+count at the block's cells plus the most rows the block gives one cell (a
+`np.bincount` over the block's cells) decide it. A widened patient stays
+int64. Sums add in file order, so every hourly sum is the one a row-by-row
+`+=` gives (a per-block `np.bincount` would sum one cell's rows of a block
+before adding earlier blocks' rows), and every mean is unchanged by the
+counts' dtype. Declared spans are disjoint views of one sums buffer and
+one counts buffer, allocated before the first row; an inferred span grows
+toward the side a row falls on, at least doubling. Blocks are small,
+because a block's parsed fields and index arrays are alive at once.
 """
 
 from __future__ import annotations
@@ -218,29 +217,23 @@ class _RawPatient:
     line: int
 
 
-def _open_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
-    """Each row of a file as `csv.reader` reads it opened with `newline=""`,
-    numbered from 1. A zero-byte file, a row that csv rejects and a byte
-    that is not UTF-8 raise IngestError."""
-    line_no = 0
-    for block in (reader := _CsvReader(path)):
-        for line_no, row in enumerate(reader.rows(block, line_no + 1), start=line_no + 1):
-            yield line_no, row
-
-
 class _CsvReader:
     """A CSV file, open while iterated, in blocks of whole lines: the first
     line (and any others in its first few bytes), then blocks of
     `SENSOR_BLOCK_BYTES` and the rest of their last line. A line ends at
     "\n", or at a "\r" that no "\n" follows, so a file of bare CRs is cut as
     often as one of LFs. `rows` gives a block's rows as `csv.reader` gives
-    them from the whole file."""
+    them from the whole file, and `records` the rows after the header, one
+    of `headers`."""
 
     handle: BinaryIO
 
-    def __init__(self, path: Path) -> None:
+    def __init__(self, path: Path, *headers: list[str]) -> None:
         self.path = path
+        self.headers = headers
+        self.width = 0  # fields in the header, once read
         self.skew = 0  # lines less csv rows before the next block
+        self.next_row = 1  # the csv row after the last block `rows` read
         self.held = b""  # read past the last block's end
 
     def __iter__(self) -> Iterator[bytes]:
@@ -285,7 +278,20 @@ class _CsvReader:
                 row, row_start = row + 1, reader.line_num
         except csv.Error as exc:
             raise IngestError(str(self.path), row, str(exc)) from exc
-        self.skew = line - row
+        self.skew, self.next_row = line - row, row
+
+    def records(self, block: bytes, first_row: int) -> Iterator[tuple[int, list[str]]]:
+        """The non-blank rows of `block` after the header, numbered from
+        `first_row`, each with as many fields as the header. Row 1 is the
+        header, which must be one of `headers`."""
+        for row_no, row in enumerate(self.rows(block, first_row), start=first_row):
+            if row_no == 1:
+                _check_header(self.path, row, *self.headers)
+                self.width = len(row)
+            elif row:
+                if len(row) != self.width:
+                    raise IngestError(str(self.path), row_no, f"expected {self.width} fields, got {len(row)}")
+                yield row_no, row
 
     def _lines(self, data: bytes, line: int) -> Iterator[str]:
         """`data`'s lines, as a `newline=""` file splits them; reading the
@@ -322,18 +328,11 @@ def _check_header(path: Path, row: list[str], *headers: list[str]) -> None:
 
 
 def _records(path: Path, *headers: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """The non-blank rows after a CSV file's header, numbered as
-    `_open_rows` numbers them, each with as many fields as the header. The
-    header is one of `headers`."""
-    rows = _open_rows(path)
-    _, header = next(rows)
-    _check_header(path, header, *headers)
-    for line_no, row in rows:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise IngestError(str(path), line_no, f"expected {len(header)} fields, got {len(row)}")
-        yield line_no, row
+    """`_CsvReader.records` of every block of a CSV file, numbered from 1
+    as `csv.reader` counts rows."""
+    reader = _CsvReader(path, *headers)
+    for block in reader:
+        yield from reader.records(block, reader.next_row)
 
 
 def _outside_span(raw: _RawPatient, date: Date) -> bool:
@@ -376,6 +375,9 @@ _DAY_CELLS = len(SIGNALS) * HOURS_PER_DAY  # one day of a patient's (days, 6, 24
 # A block holding one of these takes `csv.reader`: loadtxt strips 0x1C-0x1F
 # around a number, and reads a quote or NUL otherwise than csv.
 _CSV_ONLY_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f", b'"', b"\0")
+# A row `_SensorSums._parse_row` read: its line, patient (an index into the
+# block's ids), date ordinal, `signal * 24 + hour` cell and value.
+_PARSED_ROW = np.dtype([("line", "i8"), ("pid", "i8"), ("day", "i8"), ("cell", "i8"), ("value", "f8")])
 
 
 def _read_sensors(
@@ -389,24 +391,9 @@ def _read_sensors(
     return sums
 
 
-def _text_columns(rows: list[list[str]]) -> tuple[np.ndarray, ...] | None:
-    """Rows' five columns, four of str objects and the float values; None
-    if a row lacks five fields or a value is not a float."""
-    if set(map(len, rows)) != {5}:
-        return None
-    *texts, value_texts = zip(*rows)
-    try:
-        values = np.fromiter(map(float, value_texts), float, len(rows))
-    except ValueError:
-        return None
-    return (*(np.array(column, dtype=object) for column in texts), values)
-
-
 def _texts(column: np.ndarray) -> list[str]:
-    """A column's entries as str; `S` bytes are UTF-8."""
-    if column.dtype.kind == "S":
-        return [text.decode("utf-8") for text in column.tolist()]
-    return column.tolist()
+    """An `S` column's UTF-8 entries as str."""
+    return [text.decode("utf-8") for text in column.tolist()]
 
 
 class _SensorSums:
@@ -416,7 +403,7 @@ class _SensorSums:
     def __init__(self, path: Path, patients: dict[str, _RawPatient]) -> None:
         self.path = path
         self.patients = patients
-        self.reader = _CsvReader(path)
+        self.reader = _CsvReader(path, _SENSOR_HEADER)
         self.dates: dict[str, int] = {}  # date ordinals, parsed once per distinct string
         self.hours: dict[str, int] = {}
         # An inferred span holds no days until `_cover` grows it.
@@ -443,29 +430,12 @@ class _SensorSums:
         if resolved is not None:
             end = first_line + len(columns[4])
             line_nos = np.arange(first_line, end)
-        else:  # `csv.reader` rows, and their errors
-            rows, error = [], None
-            try:
-                for row in self.reader.rows(block, first_line):
-                    rows.append(row)
-            except IngestError as exc:  # raised after the rows before it
-                error = exc
-            end = first_line + len(rows)
-            line_nos = np.arange(first_line, end)
-            if first_line == 1 and rows:  # the header
-                _check_header(self.path, rows[0], _SENSOR_HEADER)
-                rows, line_nos = rows[1:], line_nos[1:]
-            if [] in rows:  # blank rows count for line numbers only
-                kept = [i for i, row in enumerate(rows) if row]
-                rows, line_nos = [rows[i] for i in kept], line_nos[kept]
-            if not rows and not error:
-                return end
-            columns = None if error else _text_columns(rows)
-            resolved = None if columns is None else self._resolve(*columns)
-            if resolved is None:
-                for line_no, row in zip(line_nos.tolist(), rows):
-                    _check_sensor_row(self.path, line_no, row, self.patients)
-                raise error or AssertionError(f"{self.path}: block at line {first_line} failed in bulk but not row by row")
+        else:  # `csv.reader` rows, parsed in file order: the first fault raises
+            pids: dict[str, int] = {}
+            records = self.reader.records(block, first_line)
+            parsed = np.fromiter((self._parse_row(line_no, row, pids) for line_no, row in records), _PARSED_ROW)
+            end, line_nos = self.reader.next_row, parsed["line"]
+            resolved = list(pids), parsed["pid"], parsed["day"], parsed["cell"], parsed["value"]
         pid_texts, pid_of_row, day_of_row, cells, values = resolved
         outside = np.zeros(len(values), dtype=bool)
         for k, pid in enumerate(pid_texts):
@@ -489,7 +459,7 @@ class _SensorSums:
     def _parse(self, block: bytes) -> tuple[np.ndarray, ...] | None:
         """A block's five columns as numpy's C parser reads them, four of
         `S` bytes and the float values; None where they could differ from
-        `_text_columns` on the block's `csv.reader` rows."""
+        the block's `csv.reader` rows."""
         lines = np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))  # faster than bytes.count
         if lines == len(block) or any(byte in block for byte in _CSV_ONLY_BYTES):
             return None  # all lines blank (loadtxt would warn), or a byte above
@@ -517,8 +487,8 @@ class _SensorSums:
         self, pids: np.ndarray, dates: np.ndarray, hours: np.ndarray, signals: np.ndarray, values: np.ndarray
     ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
         """The block's patient ids, and each row's index into them, date
-        ordinal, `signal * 24 + hour` cell and value, from five columns of
-        `_parse` or `_text_columns`; None if any row fails `_check_sensor_row`."""
+        ordinal, `signal * 24 + hour` cell and value, from `_parse`'s five
+        columns; None if any row fails `_parse_row`."""
         if not (np.isfinite(values) & (values >= 0)).all():
             return None
         # Rows of one (patient, date), and of one signal, mostly come in runs:
@@ -530,11 +500,9 @@ class _SensorSums:
         signal_runs = np.flatnonzero(np.r_[True, signals[1:] != signals[:-1]])
         signal_keys, signal_of_run = np.unique(signals[signal_runs], return_inverse=True)
         signal_of_row = np.repeat(signal_of_run, np.diff(signal_runs, append=len(values)))
-        if hours.dtype.kind == "S":  # `_parse`'s `S3`: group by the bytes as one integer, not by a string sort
-            codes, hour_of_row = np.unique(hours.astype("S4").view(">u4"), return_inverse=True)
-            hour_keys = codes.view("S4")
-        else:
-            hour_keys, hour_of_row = np.unique(hours, return_inverse=True)
+        # Group the `S3` hours by their bytes as one integer, not by a string sort.
+        codes, hour_of_row = np.unique(hours.astype("S4").view(">u4"), return_inverse=True)
+        hour_keys = codes.view("S4")
         try:  # a UnicodeDecodeError is a ValueError
             pid_texts, run_dates = _texts(pid_keys), _texts(dates[starts])
             signal_texts, hour_texts = _texts(signal_keys), _texts(hour_keys)
@@ -555,6 +523,31 @@ class _SensorSums:
         day_of_row = np.repeat(np.array([self.dates[text] for text in run_dates]), run_lengths)
         cells = signal_index[signal_of_row] * HOURS_PER_DAY + hour_index[hour_of_row]
         return pid_texts, np.repeat(pid_of_run, run_lengths), day_of_row, cells, values
+
+    def _parse_row(self, line_no: int, row: list[str], pids: dict[str, int]) -> tuple[int, int, int, int, float]:
+        """A sensors.csv row's line, patient (its index in `pids`, added if
+        new), date ordinal, cell and value; raise the row's IngestError if
+        it has one."""
+        pid, date_text, hour_text, signal_text, value_text = row
+        if pid not in self.patients:
+            raise IngestError(str(self.path), line_no, f"unknown patient_id {pid}")
+        day = _parse_date(self.path, line_no, date_text).toordinal()
+        try:
+            hour = int(hour_text)
+        except ValueError as exc:
+            raise IngestError(str(self.path), line_no, f"non-integer hour {hour_text!r}") from exc
+        if not 0 <= hour <= HOURS_PER_DAY - 1:
+            raise IngestError(str(self.path), line_no, f"hour out of range: {hour}")
+        if signal_text not in _SIGNAL_INDEX:
+            raise IngestError(str(self.path), line_no, f"unknown signal name {signal_text!r}")
+        try:
+            value = float(value_text)
+        except ValueError as exc:
+            raise IngestError(str(self.path), line_no, f"non-numeric value {value_text!r}") from exc
+        if not math.isfinite(value) or value < 0:
+            raise IngestError(str(self.path), line_no, f"value must be finite and >= 0, got {value_text}")
+        cell = _SIGNAL_INDEX[signal_text] * HOURS_PER_DAY + hour
+        return line_no, pids.setdefault(pid, len(pids)), day, cell, value
 
     def _counts_for(self, pid: str, at: np.ndarray) -> np.ndarray:
         """A patient's counts, widened from uint8 to int64 first if one more
@@ -598,30 +591,6 @@ class _SensorSums:
         sums = self.sums[pid]
         with np.errstate(invalid="ignore"):  # 0/0 -> NaN: no samples in that hour
             return np.divide(sums[span], self.counts[pid][span], out=sums[span] if len(sums) == hi + 1 - lo else None)
-
-
-def _check_sensor_row(path: Path, line_no: int, row: list[str], patients: dict[str, _RawPatient]) -> None:
-    """Raise the IngestError of one non-blank sensors.csv row, if it has one."""
-    if len(row) != 5:
-        raise IngestError(str(path), line_no, f"expected 5 fields, got {len(row)}")
-    pid, date_text, hour_text, signal_text, value_text = row
-    if pid not in patients:
-        raise IngestError(str(path), line_no, f"unknown patient_id {pid}")
-    _parse_date(path, line_no, date_text)
-    try:
-        hour = int(hour_text)
-    except ValueError as exc:
-        raise IngestError(str(path), line_no, f"non-integer hour {hour_text!r}") from exc
-    if not 0 <= hour <= HOURS_PER_DAY - 1:
-        raise IngestError(str(path), line_no, f"hour out of range: {hour}")
-    if signal_text not in _SIGNAL_INDEX:
-        raise IngestError(str(path), line_no, f"unknown signal name {signal_text!r}")
-    try:
-        value = float(value_text)
-    except ValueError as exc:
-        raise IngestError(str(path), line_no, f"non-numeric value {value_text!r}") from exc
-    if not math.isfinite(value) or value < 0:
-        raise IngestError(str(path), line_no, f"value must be finite and >= 0, got {value_text}")
 
 
 def _read_ema(

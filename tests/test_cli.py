@@ -472,8 +472,8 @@ def test_a_zero_byte_input_file_exits_1_naming_it(cohort_dir, tmp_path, capsys, 
     [("sensors.csv", False), ("sensors.csv", True), ("ema.csv", False), ("patients.csv", False), ("relapses.csv", False)],
 )
 def test_an_undecodable_byte_exits_1_naming_file_and_line(cohort_dir, tmp_path, capsys, name, quoted):
-    # A quoted field sends sensors.csv through `csv.reader` as a whole file,
-    # which decodes ahead of the row it returns.
+    # The quoted row sends its sensors.csv block through `csv.reader`'s rows;
+    # the blocks after it still name the undecodable byte's line.
     data = tmp_path / "cohort"
     shutil.copytree(cohort_dir, data)
     lines = (data / name).read_bytes().split(b"\n")

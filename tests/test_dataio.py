@@ -279,9 +279,18 @@ def cr_only_copy(lf, cr) -> None:
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
 
 
+def quoted_copy(lf, quoted) -> None:
+    """A copy of the cohort at `lf` whose sensors.csv quotes every field,
+    the header's too, so that every block takes `csv.reader`'s rows."""
+    shutil.copytree(lf, quoted)
+    lines = (lf / "sensors.csv").read_text().splitlines()
+    (quoted / "sensors.csv").write_text("".join(",".join(f'"{f}"' for f in line.split(",")) + "\n" for line in lines))
+
+
+@pytest.mark.parametrize("copy", [cr_only_copy, quoted_copy], ids=["cr", "quoted"])
 @pytest.mark.parametrize("block_bytes", [64, 1 << 17])
 @pytest.mark.parametrize("bad", [False, True])
-def test_a_cr_only_cohort_loads_as_its_lf_copy(tmp_path, block_bytes, bad):
+def test_a_cr_only_cohort_loads_as_its_lf_copy(tmp_path, copy, block_bytes, bad):
     # Two rows outside p1's declared span, then (if `bad`) an hour 24, so the
     # exclusions and the error carry line numbers from the middle of the file.
     lf = tmp_path / "lf"
@@ -290,10 +299,10 @@ def test_a_cr_only_cohort_loads_as_its_lf_copy(tmp_path, block_bytes, bad):
     odd = ["p1,2020-12-31,3,light_level,1.5\n", "p1,2021-01-16,4,light_level,2.5\n"]
     odd += ["p2,2021-01-05,24,light_level,1\n"] if bad else []
     (lf / "sensors.csv").write_text("".join(lines[:1000] + odd + lines[1000:]))
-    cr_only_copy(lf, tmp_path / "cr")
+    copy(lf, tmp_path / "copy")
     outcomes = []
     with mock.patch.object(dataio, "SENSOR_BLOCK_BYTES", block_bytes):
-        for root in (lf, tmp_path / "cr"):
+        for root in (lf, tmp_path / "copy"):
             try:
                 ds = load({name: root / f"{name}.csv" for name in ("sensors", "ema", "patients", "relapses")})
             except IngestError as exc:

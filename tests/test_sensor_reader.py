@@ -15,6 +15,7 @@ import math
 from datetime import date as Date
 from datetime import timedelta
 from pathlib import Path
+from typing import Iterator
 from unittest import mock
 
 import numpy as np
@@ -27,7 +28,6 @@ from relapsekit.dataio import (
     EXCLUDED_OUTSIDE_SPAN,
     IngestError,
     IngestExclusion,
-    _open_rows,
     _outside_span,
     _parse_date,
     _RawPatient,
@@ -46,6 +46,14 @@ PATIENTS = {
 }
 
 
+def read_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """Each row of a file as `csv.reader` reads it opened with `newline=""`,
+    numbered from 1, read a block at a time by `_CsvReader`."""
+    reader = dataio._CsvReader(path)
+    for block in reader:
+        yield from enumerate(reader.rows(block, reader.next_row), start=reader.next_row)
+
+
 def oracle_read_sensors(
     path: Path, patients: dict[str, _RawPatient], exclusions: list[IngestExclusion]
 ) -> dict[str, dict[Date, np.ndarray]]:
@@ -53,7 +61,7 @@ def oracle_read_sensors(
     days: dict[str, dict[Date, np.ndarray]] = {}
     signal_index = {s.value: i for i, s in enumerate(SIGNALS)}
 
-    for line_no, row in _open_rows(path):
+    for line_no, row in read_rows(path):
         if line_no == 1:
             if row != dataio._SENSOR_HEADER:
                 raise IngestError(str(path), 1, f"malformed header: expected {','.join(dataio._SENSOR_HEADER)}")
@@ -269,10 +277,10 @@ def test_bad_row_before_a_line_over_the_csv_field_limit_raises_first(tmp_path_fa
     assert blocks == oracle
 
 
-# -- `_open_rows` against `csv.reader` over the whole file ------------------------
+# -- `read_rows` against `csv.reader` over the whole file -------------------------
 #
-# The oracle reads through `_open_rows`, which reads a block at a time, so
-# `_open_rows` is checked here on its own, against `csv.reader` over the file.
+# The oracle reads through `read_rows`, which reads a block at a time, so
+# `read_rows` is checked here on its own, against `csv.reader` over the file.
 
 
 def csv_reader_rows(path: Path) -> tuple[list[list[str]], tuple[int, str] | None]:
@@ -288,10 +296,10 @@ def csv_reader_rows(path: Path) -> tuple[list[list[str]], tuple[int, str] | None
 
 
 def open_rows(path: Path) -> tuple[list[list[str]], tuple[int, str] | None]:
-    """The rows `_open_rows` gives, and the line and reason of its error."""
+    """The rows `read_rows` gives, and the line and reason of its error."""
     rows: list[list[str]] = []
     try:
-        for line_no, row in _open_rows(path):
+        for line_no, row in read_rows(path):
             assert line_no == len(rows) + 1
             rows.append(row)
     except IngestError as exc:
@@ -531,10 +539,10 @@ def test_plain_blocks_take_the_c_parser(tmp_path, newline):
     block = "".join(f"{pid},2021-01-0{d},{h},call_duration,{d * h / 7!r}{newline}" for pid in patients for d in (4, 5) for h in (0, 23))
     fast = sums._parse(block.encode("utf-8"))
     assert fast is not None and [c.dtype.kind for c in fast] == ["S", "S", "S", "S", "f"]
-    text = dataio._text_columns(list(csv.reader(io.StringIO(block))))
-    for got, want in zip(fast[:4], text[:4]):
-        assert [b.decode("utf-8") for b in got.tolist()] == want.tolist()
-    assert fast[4].tobytes() == text[4].tobytes()
+    rows = list(csv.reader(io.StringIO(block)))
+    for got, want in zip(fast[:4], zip(*rows)):
+        assert [b.decode("utf-8") for b in got.tolist()] == list(want)
+    assert fast[4].tobytes() == np.array([float(row[4]) for row in rows]).tobytes()
 
 
 @pytest.mark.parametrize("block_bytes", [64, 1 << 16])
