@@ -258,11 +258,12 @@ def _cmd_features(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _experiment_config(args, EXPERIMENT_FLAGS)
     with _output_dirs(args.metrics.parent, args.predictions.parent):
-        report = run_lopo(extract_all(_load(args), config.windowing), config)
+        table = extract_all(_load(args), config.windowing)
+        report = run_lopo(table, config)
         write_metrics(report, args.metrics)
         write_predictions(report, args.predictions)
     print(f"classifier={report.classifier}")
-    print(f"windows={len(report.specs)}")
+    print(f"windows={len(table)}")  # the random baseline predicts no single window
     _print_report(report)
     return 0
 

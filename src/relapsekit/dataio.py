@@ -531,7 +531,9 @@ class _SensorSums:
         pid, date_text, hour_text, signal_text, value_text = row
         if pid not in self.patients:
             raise IngestError(str(self.path), line_no, f"unknown patient_id {pid}")
-        day = _parse_date(self.path, line_no, date_text).toordinal()
+        day = self.dates.get(date_text)
+        if day is None:
+            day = self.dates[date_text] = _parse_date(self.path, line_no, date_text).toordinal()
         try:
             hour = int(hour_text)
         except ValueError as exc:

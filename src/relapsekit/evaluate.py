@@ -7,6 +7,12 @@ Confusion counts are pooled over folds (micro-averaged) before computing
 precision, recall, and F2. Folds run one after another, in patient order.
 Reports are deterministic given (table, config, seed).
 
+`run_lopo` builds every arm's report one way, the random baseline's too:
+each fold's training window and relapse counts come from one `bincount`
+of the table, and each `FoldReport` and the `EvalReport` are built in one
+place. A classifier arm adds each fold's confusion counts and selection;
+the baseline adds only its pooled mean counts and their `metric_std`.
+
 Evaluation reads one `WindowTable` and nothing else: a fold's training rows
 are those whose patient index is not the held-out patient's, and its test
 rows are that patient's own, contiguous in the table. The age the selection
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Collection
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, NamedTuple
 
@@ -191,49 +198,29 @@ def _run_fold(
     table: WindowTable,
     k: int,
     fold: FoldPlan | None,
-) -> tuple[np.ndarray, np.ndarray, FoldReport]:
-    """Patient k's predictions and scores, in table order, and its report."""
-    patient_id = table.patient_ids[k]
+    candidates: Collection[int],
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...] | None, tuple[float, ...] | None, str | None]:
+    """Patient k's predictions and scores, in table order, then the fold's
+    selected features, their scores and its warning. `candidates` are the
+    arm's features, in order, or as a set when the arm selects among them."""
     train = table.patients != k
-    test = ~train
-    ytr, yte = table.labels[train], table.labels[test]
-    train_relapse = int(ytr.sum())
-    selected_names: tuple[str, ...] | None = None
-    selected_scores: tuple[float, ...] | None = None
-    warning = None
-
+    ytr = table.labels[train]
+    size = len(table) - ytr.size
     if fold is None:
         # No second class to learn from: fall back to majority prediction.
         majority = int(np.bincount(ytr, minlength=2).argmax())
-        warning = "single_class_training"
-        predicted = np.full(yte.size, majority, dtype=np.int64)
-        scores = np.full(yte.size, float(ytr.mean()) if ytr.size else 0.0)
+        score = float(ytr.mean()) if ytr.size else 0.0
+        return np.full(size, majority, dtype=np.int64), np.full(size, score), None, None, "single_class_training"
+    bins, ranking = fold
+    if config.selection:
+        chosen = [f for f in ranking.selected if f in candidates][: config.selection_top]
+        names = tuple(FEATURE_NAMES[f] for f in chosen)
+        chosen_scores = tuple(float(ranking.scores[f]) for f in chosen)
     else:
-        bins, ranking = fold
-        chosen = list(feature_indices_for_modality(config.modality, config.include_demographics))
-        if config.selection:
-            candidates = set(chosen)
-            chosen = [f for f in ranking.selected if f in candidates][: config.selection_top]
-            selected_names = tuple(FEATURE_NAMES[f] for f in chosen)
-            selected_scores = tuple(float(ranking.scores[f]) for f in chosen)
-        chosen_bins = replace(bins, impute=bins.impute[chosen], edges=bins.edges[chosen])
-        codes = apply_bins(chosen_bins, table.values[:, chosen])
-        predicted, scores = _fit_and_predict(config, codes[train], ytr, codes[test], k)
-
-    tp, fp, fn, tn = _confusion(yte, predicted)
-    report = FoldReport(
-        patient_id=patient_id,
-        tp=tp,
-        fp=fp,
-        fn=fn,
-        tn=tn,
-        train_windows=int(ytr.size),
-        train_relapse_windows=train_relapse,
-        selected=selected_names,
-        selected_scores=selected_scores,
-        warning=warning,
-    )
-    return predicted, scores, report
+        chosen, names, chosen_scores = list(candidates), None, None
+    chosen_bins = replace(bins, impute=bins.impute[chosen], edges=bins.edges[chosen])
+    codes = apply_bins(chosen_bins, table.values[:, chosen])
+    return (*_fit_and_predict(config, codes[train], ytr, codes[~train], k), names, chosen_scores, None)
 
 
 def run_lopo(
@@ -246,6 +233,12 @@ def run_lopo(
     """Leave-one-patient-out evaluation of one experiment arm over the window
     table of `config.windowing`, its folds run in patient order.
 
+    Every arm reports each fold's training window and relapse counts. A
+    classifier arm predicts every window and adds each fold's confusion
+    counts and selection. The `random` arm draws prevalence-matched coin
+    flips, pooled per run across folds, and reports their mean counts and
+    `metric_std` over `baseline_runs` runs, with no per-window predictions.
+
     `folds` may carry the `_plan_folds` plan of the same table, built with
     this config's `bins` and `selection_pool`, to share its bins and
     rankings across arms.
@@ -253,28 +246,47 @@ def run_lopo(
     if not table.labels.any():
         raise ValueError("no_positive_class: dataset has no relapse-labeled windows")
 
+    n_folds = len(table.patient_ids)
+    # Each patient's (non-relapse, relapse) windows; a fold trains on everyone else's.
+    held_out = np.bincount(2 * table.patients + table.labels, minlength=2 * n_folds).reshape(n_folds, 2)
+    trained = held_out.sum(axis=0) - held_out
+    train_windows, train_relapse = trained.sum(axis=1), trained[:, 1]
     if config.classifier == "random":
-        return _run_random_baseline(config, table, experiment, arm)
-    if folds is None:
-        folds = _plan_folds(table, config)
-
-    predicted = np.empty(len(table), dtype=np.int64)
-    scores = np.empty(len(table))
-    reports: list[FoldReport] = []
-    for k, fold in enumerate(folds):
-        test = table.patients == k
-        predicted[test], scores[test], fold_report = _run_fold(config, table, k, fold)
-        reports.append(fold_report)
-    tp = sum(f.tp for f in reports)
-    fp = sum(f.fp for f in reports)
-    fn = sum(f.fn for f in reports)
-    tn = sum(f.tn for f in reports)
-    precision, recall, f2 = f2_from_counts(tp, fp, fn)
+        prevalence = np.divide(train_relapse, train_windows, out=np.zeros(n_folds), where=train_windows > 0)
+        rng = np.random.default_rng(_fold_seed(config, n_folds))
+        ratios = np.repeat(prevalence, held_out.sum(axis=1))
+        result = clf.baseline_over_runs(table.labels, ratios, config.baseline_runs, rng)
+        specs, predicted, scores = (), np.empty(0, dtype=np.int64), np.empty(0)
+        confusion, extras = [(0, 0, 0, 0)] * n_folds, [(None, None, None)] * n_folds
+        tp, fp, fn, tn = result.tp, result.fp, result.fn, result.tn
+        precision, recall, f2 = result.precision, result.recall, result.f2
+        metric_std = {"precision": result.precision_std, "recall": result.recall_std, "f2": result.f2_std}
+    else:
+        if folds is None:
+            folds = _plan_folds(table, config)
+        candidates: Collection[int] = feature_indices_for_modality(config.modality, config.include_demographics)
+        if config.selection:  # once per arm: membership is all that selection asks of them
+            candidates = frozenset(candidates)
+        specs, predicted, scores = table.specs, np.empty(len(table), dtype=np.int64), np.empty(len(table))
+        confusion, extras, metric_std = [], [], None
+        for k, fold in enumerate(folds):
+            test = table.patients == k
+            predicted[test], scores[test], *extra = _run_fold(config, table, k, fold, candidates)
+            confusion.append(_confusion(table.labels[test], predicted[test]))
+            extras.append(extra)
+        tp, fp, fn, tn = (sum(counts) for counts in zip(*confusion))
+        precision, recall, f2 = f2_from_counts(tp, fp, fn)
+    fold_reports = [
+        FoldReport(patient_id, *counts, windows, relapse, *extra)
+        for patient_id, counts, windows, relapse, extra in zip(
+            table.patient_ids, confusion, train_windows.tolist(), train_relapse.tolist(), extras
+        )
+    ]
     return EvalReport(
         experiment=experiment,
         arm=arm or config.classifier,
         classifier=config.classifier,
-        specs=table.specs,
+        specs=specs,
         predicted=predicted,
         scores=scores,
         tp=tp,
@@ -284,53 +296,10 @@ def run_lopo(
         precision=precision,
         recall=recall,
         f2=f2,
-        folds=reports,
+        folds=fold_reports,
         config=asdict(config),
         seed=config.seed,
-    )
-
-
-def _run_random_baseline(
-    config: ExperimentConfig,
-    table: WindowTable,
-    experiment: str,
-    arm: str | None,
-) -> EvalReport:
-    """Prevalence-matched coin flips, pooled per run across folds, averaged over runs."""
-    n_folds = len(table.patient_ids)
-    test_windows = np.bincount(table.patients, minlength=n_folds)
-    train_windows = len(table) - test_windows
-    train_relapse = int(table.labels.sum()) - np.bincount(table.patients[table.labels == 1], minlength=n_folds)
-    prevalence = np.divide(train_relapse, train_windows, out=np.zeros(n_folds), where=train_windows > 0)
-    folds = [
-        FoldReport(patient_id=pid, tp=0, fp=0, fn=0, tn=0, train_windows=windows, train_relapse_windows=relapse)
-        for pid, windows, relapse in zip(table.patient_ids, train_windows.tolist(), train_relapse.tolist())
-    ]
-
-    rng = np.random.default_rng(_fold_seed(config, n_folds))
-    result = clf.baseline_over_runs(table.labels, np.repeat(prevalence, test_windows), config.baseline_runs, rng)
-    return EvalReport(
-        experiment=experiment,
-        arm=arm or "random",
-        classifier="random",
-        specs=(),
-        predicted=np.empty(0, dtype=np.int64),
-        scores=np.empty(0),
-        tp=result.tp,
-        fp=result.fp,
-        fn=result.fn,
-        tn=result.tn,
-        precision=result.precision,
-        recall=result.recall,
-        f2=result.f2,
-        folds=folds,
-        config=asdict(config),
-        seed=config.seed,
-        metric_std={
-            "precision": result.precision_std,
-            "recall": result.recall_std,
-            "f2": result.f2_std,
-        },
+        metric_std=metric_std,
     )
 
 

@@ -230,6 +230,20 @@ def test_evaluate_stdout_key_value_lines(cohort_dir, tmp_path, capsys):
         assert expected in keys
 
 
+def test_evaluate_random_prints_the_windows_it_evaluated(tmp_path, capsys):
+    cohort = tmp_path / "cohort"
+    assert main(["synth", "--patients", "4", "--days", "60", "--seed", "1", "--out", str(cohort)]) == 0
+    printed = {}
+    for kind in ("nb", "random"):
+        capsys.readouterr()
+        argv = ["evaluate", "--data", str(cohort), "--classifier", kind, "--metrics", str(tmp_path / f"{kind}.json")]
+        assert main([*argv, "--predictions", str(tmp_path / f"{kind}.csv")]) == 0
+        printed[kind] = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert printed["random"]["windows"] == printed["nb"]["windows"] == "13"
+    # the baseline's mean counts cover the same windows
+    assert sum(float(printed["random"][key]) for key in ("tp", "fp", "fn", "tn")) == pytest.approx(13)
+
+
 def test_features_dump(cohort_dir, tmp_path, capsys):
     out = tmp_path / "features.csv"
     exclusions = tmp_path / "exclusions.csv"

@@ -337,6 +337,25 @@ def test_an_undecodable_byte_in_a_cr_only_cohort_names_its_line(tmp_path, block_
             assert (Path(err.value.file).name, err.value.line, err.value.reason) == ("sensors.csv", 501, "invalid UTF-8")
 
 
+def test_the_row_path_parses_each_distinct_sensor_date_once(tmp_path):
+    # Every block of a quoted copy takes `csv.reader`'s rows; each row looks
+    # its date up among those already parsed, as the C parser's blocks do.
+    lf = tmp_path / "lf"
+    generate(SynthConfig(patient_count=4, days_per_patient=60, seed=1), out_dir=lf)
+    quoted_copy(lf, tmp_path / "quoted")
+    rows = (lf / "sensors.csv").read_text().splitlines()[1:]
+    parsed, parse_date = [], dataio._parse_date
+
+    def counting(path, line, text, what="date"):
+        if Path(path).name == "sensors.csv":
+            parsed.append(text)
+        return parse_date(path, line, text, what)
+
+    with mock.patch.object(dataio, "_parse_date", counting):
+        load({name: tmp_path / "quoted" / f"{name}.csv" for name in ("sensors", "ema", "patients", "relapses")})
+    assert sorted(parsed) == sorted({row.split(",")[1] for row in rows})
+
+
 def test_cr_only_sensors_peak_memory_does_not_grow_with_the_file(tmp_path):
     # A CR-only file is read a block at a time, like an LF one: four copies
     # of the rows (the same cells) peak where one does. Read as one line,

@@ -5,6 +5,7 @@ inferred span."""
 from __future__ import annotations
 
 import csv
+import json
 import logging
 import shutil
 from datetime import date as Date
@@ -125,6 +126,25 @@ def test_single_relapse_patient_trains_its_own_fold_single_class_and_is_byte_sta
     assert runs[0] == runs[1]
     labelled = [row for row in csv.DictReader(runs[0][Path("e.csv")].decode().splitlines()) if row["label"] == "1"]
     assert labelled and {row["patient_id"] for row in labelled} == {pid}
+
+
+def test_every_arm_reports_the_same_training_counts_per_fold_on_a_single_relapse_cohort(tmp_path):
+    data, metrics = tmp_path / "data", tmp_path / "metrics.json"
+    synth = ["synth", "--patients", "5", "--days", "120", "--relapse-fraction", "0.2", "--seed", "3"]
+    assert main([*synth, "--out", str(data)]) == 0
+    small = ["--brf-trees", "5", "--ee-bags", "3", "--ee-rounds", "2", "--iforest-trees", "5", "--baseline-runs", "20"]
+    assert main(["compare-classifiers", "--data", str(data), *small, "--metrics", str(metrics)]) == 0
+    table = extract_all(load_dir(data), WindowingConfig())
+    expected = [
+        (pid, int((table.patients != k).sum()), int(table.labels[table.patients != k].sum()))
+        for k, pid in enumerate(table.patient_ids)
+    ]
+    assert [count for _, _, count in expected].count(0) == 1  # the relapsing patient's fold is single-class
+    doc = json.loads(metrics.read_text())
+    assert [arm["arm"] for arm in doc] == ["nb", "brf", "ee", "iforest", "random"]
+    for arm in doc:
+        folds = [(f["patient_id"], f["train_windows"], f["train_relapse_windows"]) for f in arm["folds"]]
+        assert folds == expected, arm["arm"]
 
 
 def test_relapse_after_last_data_row_of_an_inferred_span_names_its_line(tmp_path, capsys):
