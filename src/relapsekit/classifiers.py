@@ -3,8 +3,11 @@
 Four models share one contract — `<kind>_fit(X, y, **settings)` on a
 categorical matrix with binary labels, and `<kind>_predict_many(model, X)`
 giving (labels, scores) per row — plus a prevalence-matched random
-baseline. `KINDS` names each kind's settings: the `ExperimentConfig` field
-each fit keyword reads, and whether the fit draws and so takes a `seed`.
+baseline. `X` is a 2-D int64 array of category codes and `y` an int64
+array of 0/1 labels, as `evaluate._fit_and_predict` passes them; neither
+is coerced. `KINDS` names each kind's settings: the `ExperimentConfig` field
+each fit keyword reads, and whether the fit draws and so takes a `seed`,
+any seed `np.random.default_rng` takes (LOPO passes a `SeedSequence`).
 No fit parameter has a default, so each setting's default lives in
 `ExperimentConfig` alone. Category codes come from monotone binning of
 real features, so the tree learners treat them as ordinals and split on
@@ -62,12 +65,6 @@ KINDS = {
 }
 
 
-def _seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
 def _check_two_classes(y: np.ndarray) -> None:
     if y.size == 0 or y.min() == y.max():
         raise ValueError("single_class_training: both classes are required to fit")
@@ -106,8 +103,6 @@ def nb_fit(X: np.ndarray, y: np.ndarray, *, alpha: float, n_categories: int) -> 
 
     likelihood(f, v | c) = (count(f=v, c) + alpha) / (count(c) + K * alpha).
     """
-    X = np.asarray(X, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
     _check_two_classes(y)
     if X.min() < 0 or X.max() >= n_categories:
         raise ValueError(f"categories must be in 0..{n_categories - 1}")
@@ -126,7 +121,6 @@ def nb_fit(X: np.ndarray, y: np.ndarray, *, alpha: float, n_categories: int) -> 
 def nb_predict_many(model: CategoricalNBModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Labels by posterior argmax (exact ties go to non-relapse) and relapse
     posterior probabilities."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.int64))
     n_features = model.feature_log_likelihood.shape[0]
     per_feature = model.feature_log_likelihood[np.arange(n_features)[None, :], X, :]
     jll = model.class_log_prior + per_feature.sum(axis=1)  # joint log-likelihood per (row, class)
@@ -358,12 +352,10 @@ def brf_fit(
     sqrt-feature splits, grown until pure or unsplittable; leaves hold the
     class-1 fraction. Each tree's Generator draws its bootstrap, then every
     split's feature order, and all trees grow in lockstep (`_grow_forest`)."""
-    X = np.asarray(X, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
     _check_two_classes(y)
     if trees < 1:
         raise ValueError("trees must be at least 1")
-    rngs = [np.random.default_rng(child) for child in _seed_sequence(seed).spawn(trees)]
+    rngs = np.random.default_rng(seed).spawn(trees)
     idx = balanced_bootstraps(y, rngs)
     # Bootstrap repeats merge per tree; merging equal rows of X too costs more than it saves.
     forest = _grow_forest(
@@ -383,7 +375,6 @@ def brf_predict_many(model: BalancedRandomForestModel, X: np.ndarray) -> tuple[n
     The leaf values are summed tree by tree (`cumsum`), never pairwise, so
     a score does not depend on how many rows are scored together.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.int64))
     scores = _leaf_values(model.forest, *_distinct_rows(X)).cumsum(axis=0)[-1] / model.forest.roots.size
     return (scores >= model.decision_threshold).astype(np.int64), scores
 
@@ -474,12 +465,10 @@ def ee_fit(
     `_best_stumps`), with the same sums, in the same order, as a bag at a
     time.
     """
-    X = np.asarray(X, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
     _check_two_classes(y)
     if bags < 1 or rounds < 1:
         raise ValueError("bags and rounds must be at least 1")
-    idx = balanced_bootstraps(y, [np.random.default_rng(child) for child in _seed_sequence(seed).spawn(bags)])
+    idx = balanced_bootstraps(y, np.random.default_rng(seed).spawn(bags))
     n = idx.shape[1]
     k = n // 2
     y_pm = np.repeat([1, -1], k)
@@ -518,7 +507,6 @@ def ee_predict_many(model: EasyEnsembleModel, X: np.ndarray) -> tuple[np.ndarray
     Votes and alphas are added round by round (`cumsum`), so a bag's margin
     does not depend on how many rows are scored together.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.int64))
     left = X.T[model.feature] <= model.threshold[:, :, None]  # (bags, rounds, rows)
     sign = model.sign[:, :, None]
     vote = (model.alpha[:, :, None] * np.where(left, sign, -sign)).cumsum(axis=1)[:, -1]
@@ -667,15 +655,13 @@ def iforest_fit(
     equal scores common, so ties at that cut can flag more than k training
     rows. With k = 0 the threshold is infinite and nothing is flagged.
     """
-    X = np.asarray(X, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
     if trees < 1 or subsample < 1:
         raise ValueError("trees and subsample must be at least 1")
     n = X.shape[0]
     psi = min(subsample, n)
     limit = math.ceil(math.log2(max(psi, 2)))
     path_length = np.array([average_path_length(k) for k in range(psi + 1)])
-    rngs = [np.random.default_rng(child) for child in _seed_sequence(seed).spawn(trees)]
+    rngs = np.random.default_rng(seed).spawn(trees)
     picks = np.array([rng.choice(n, size=psi, replace=False) for rng in rngs], dtype=np.intp).reshape(trees, psi)
     # A tree makes at most psi - 1 splits, of at most 1.5 words each.
     draws = _TreeDraws(rngs, 2 * psi)
@@ -704,7 +690,6 @@ def _path_scores(sample_size: int, paths: np.ndarray) -> np.ndarray:
 def iforest_predict_many(model: IsolationForestModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Labels and anomaly scores; a row is flagged when it scores at or above
     the model's threshold."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.int64))
     scores = _path_scores(model.sample_size, _leaf_values(model.forest, *_distinct_rows(X)))
     return (scores >= model.threshold).astype(np.int64), scores
 

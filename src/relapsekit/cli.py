@@ -34,7 +34,7 @@ from .dataio import (
 )
 from .evaluate import CLASSIFIER_KINDS, GRIDS, EvalReport, ExperimentConfig, run_grid, run_lopo
 from .features import extract_all, extract_cohort
-from .model import MODALITIES, Signal
+from .model import MODALITIES, SIGNALS, Signal
 from .synth import ProdromalSpec, SynthConfig, generate
 from .windowing import WindowingConfig
 
@@ -119,6 +119,16 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         return super()._get_help_string(action)
 
 
+def _signals(text: str) -> tuple[Signal, ...]:
+    """The signals a comma-separated `--shift-signals` list names; empty entries are skipped."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    valid = [signal.value for signal in SIGNALS]
+    for name in names:
+        if name not in valid:
+            raise argparse.ArgumentTypeError(f"invalid choice: {name!r} (choose from {', '.join(map(repr, valid))})")
+    return tuple(map(Signal, names))
+
+
 def _data_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("input data")
     group.add_argument("--data", type=Path, default=None, help="directory holding the four CSV files")
@@ -151,6 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p_synth, synth, SYNTH_FLAGS[:3])
     p_synth.add_argument(
         "--shift-signals",
+        type=_signals,
         default=",".join(signal.value for signal in prodrome.signals),
         help="comma-separated signals shifted before a relapse",
     )
@@ -231,8 +242,7 @@ def _print_report(report: EvalReport, prefix: str = "") -> None:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    signals = tuple(Signal(s.strip()) for s in args.shift_signals.split(",") if s.strip())
-    prodrome = _config(ProdromalSpec, args, PRODROME_FLAGS, signals=signals)
+    prodrome = _config(ProdromalSpec, args, PRODROME_FLAGS, signals=args.shift_signals)
     config = _config(SynthConfig, args, SYNTH_FLAGS, prodrome=prodrome)
     dataset = generate(config, out_dir=args.out)
     print(f"patients={len(dataset.patients)}")

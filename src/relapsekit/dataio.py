@@ -40,15 +40,15 @@ loadtxt rejects it (as it does "1_0" and "٣", which `float()` reads), when
 a field fills its width and so may have been cut short, when it has a
 blank line (which loadtxt skips, shifting line numbers) or no final
 newline, when it holds a byte 0x1C-0x1F (which loadtxt strips around a
-number and `float()` rejects), a quote, NUL or non-UTF-8 byte, or a CR
-that does not end a CRLF (loadtxt rejects one inside a line and ends a
-line at a final one), when a line could pass csv's field limit, or when
-any row fails its checks. CRLF lines take loadtxt, which reads them as csv
-does. On the row path, `_parse_row` reads each row in file order and
-raises the IngestError of the first bad one, so every block gives the
-result of its `csv.reader` rows or that error. On the C parser's path,
-each distinct date, hour and signal string is parsed once, with the same
-calls `_parse_row` makes.
+number and `float()` rejects), a quote, NUL or non-UTF-8 byte, when a line
+could pass csv's field limit, or when any row fails its checks. Before
+loadtxt reads a block, each CRLF and bare CR in it becomes "\n": each ends
+one line, as "\n" does, so LF, CRLF and CR-only lines all take the C
+parser and are numbered alike. On the row path, `_parse_row` reads each
+row in file order and raises the IngestError of the first bad one, so
+every block gives the result of its `csv.reader` rows or that error. On
+the C parser's path, each distinct date, hour and signal string is parsed
+once, with the same calls `_parse_row` makes.
 
 A patient's rows are summed into a float64 `(days, 6, 24)` array, the
 layout of its hourly means, and counted in a uint8 one, with `np.add.at`.
@@ -460,11 +460,11 @@ class _SensorSums:
         """A block's five columns as numpy's C parser reads them, four of
         `S` bytes and the float values; None where they could differ from
         the block's `csv.reader` rows."""
+        if b"\r" in block:  # a CR ends a line, as "\n" does (`_CsvReader`); loadtxt rejects a bare one
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         lines = np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))  # faster than bytes.count
         if lines == len(block) or any(byte in block for byte in _CSV_ONLY_BYTES):
             return None  # all lines blank (loadtxt would warn), or a byte above
-        if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
-            return None  # loadtxt rejects a bare CR inside a line and ends a line at one after it
         try:  # latin1 keeps every byte, so a non-ASCII field holds its UTF-8 bytes
             if not block.isascii():  # loadtxt strips latin1 0x85 and 0xA0
                 block.decode("utf-8")  # a UnicodeDecodeError is a ValueError

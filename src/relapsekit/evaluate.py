@@ -47,7 +47,7 @@ import numpy as np
 from . import classifiers as clf
 from .dataio import Dataset
 from .features import WindowTable, extract_all
-from .metrics import f2_from_counts, f2_score
+from .metrics import f2_from_counts
 from .model import AGE_INDEX, FEATURE_COUNT, FEATURE_NAMES, MODALITIES, feature_indices_for_modality
 from .transform import BinningModel, SelectionModel, apply_bins, build_selection_subsample, fit_bins, select_features
 from .windowing import WindowSpec, WindowingConfig
@@ -218,7 +218,7 @@ def _run_fold(
         chosen_scores = tuple(float(ranking.scores[f]) for f in chosen)
     else:
         chosen, names, chosen_scores = list(candidates), None, None
-    chosen_bins = replace(bins, impute=bins.impute[chosen], edges=bins.edges[chosen])
+    chosen_bins = replace(bins, impute=bins.impute[chosen], lo=bins.lo[chosen], hi=bins.hi[chosen])
     codes = apply_bins(chosen_bins, table.values[:, chosen])
     return (*_fit_and_predict(config, codes[train], ytr, codes[~train], k), names, chosen_scores, None)
 
@@ -363,7 +363,6 @@ __all__ = [
     "FoldReport",
     "GRIDS",
     "f2_from_counts",
-    "f2_score",
     "run_grid",
     "run_lopo",
 ]

@@ -7,7 +7,7 @@ defined here. All types are immutable value objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as Date
 from enum import Enum
 
@@ -76,35 +76,21 @@ AGE_INDEX = FEATURE_INDEX["age"]
 EDUCATION_INDEX = FEATURE_INDEX["education_years"]
 
 
-def signal_feature_indices(signal: Signal) -> tuple[int, ...]:
-    """Indices of the 13 template features belonging to one signal."""
-    base = SIGNALS.index(signal) * FEATURES_PER_SIGNAL
-    return tuple(range(base, base + FEATURES_PER_SIGNAL))
-
-
-def ema_feature_indices() -> tuple[int, ...]:
-    return tuple(range(TEMPLATE_FEATURE_COUNT, TEMPLATE_FEATURE_COUNT + EMA_FEATURE_COUNT))
-
-
-def demographic_feature_indices() -> tuple[int, ...]:
-    return (AGE_INDEX, EDUCATION_INDEX)
-
-
 def feature_indices_for_modality(modality: str, include_demographics: bool) -> tuple[int, ...]:
     """Candidate feature indices for one experiment arm.
 
-    `modality` is "all", "ema", or one signal name. Demographics are toggled
-    independently of the modality filter.
+    `modality` is "all" (every template and EMA feature), "ema" (the 20 EMA
+    features), or one signal name (its 13 template features). Demographics
+    are toggled independently of the modality filter.
     """
     if modality == "all":
-        indices = list(range(TEMPLATE_FEATURE_COUNT + EMA_FEATURE_COUNT))
+        indices = range(TEMPLATE_FEATURE_COUNT + EMA_FEATURE_COUNT)
     elif modality == "ema":
-        indices = list(ema_feature_indices())
+        indices = range(TEMPLATE_FEATURE_COUNT, TEMPLATE_FEATURE_COUNT + EMA_FEATURE_COUNT)
     else:
-        indices = list(signal_feature_indices(Signal(modality)))
-    if include_demographics:
-        indices.extend(demographic_feature_indices())
-    return tuple(indices)
+        base = SIGNALS.index(Signal(modality)) * FEATURES_PER_SIGNAL
+        indices = range(base, base + FEATURES_PER_SIGNAL)
+    return (*indices, AGE_INDEX, EDUCATION_INDEX) if include_demographics else tuple(indices)
 
 
 @dataclass(frozen=True)
@@ -114,9 +100,9 @@ class Patient:
     patient_id: str
     age: int
     education_years: int
-    relapse_dates: tuple[Date, ...] = field(default_factory=tuple)
-    observation_start: Date = Date.min
-    observation_end: Date = Date.min
+    relapse_dates: tuple[Date, ...]
+    observation_start: Date
+    observation_end: Date
 
     def __post_init__(self) -> None:
         if self.observation_start > self.observation_end:

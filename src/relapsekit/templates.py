@@ -102,7 +102,6 @@ def present_groups(values: np.ndarray, present: np.ndarray) -> Iterator[tuple[np
 
 def _rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`values` as a 2-D array of last-axis rows, and their present mask."""
-    values = np.asarray(values, dtype=float)
     flat = values.reshape(math.prod(values.shape[:-1]), values.shape[-1])
     return flat, ~np.isnan(flat)
 

@@ -35,10 +35,12 @@ from .templates import present_groups
 
 @dataclass(frozen=True)
 class BinningModel:
-    """Per-feature imputation means and equal-width bin edges (n_bins + 1 each)."""
+    """Per-feature imputation means and training ranges: n_bins equal-width
+    bins span each feature's [lo, hi]."""
 
     impute: np.ndarray
-    edges: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     n_bins: int
 
 
@@ -51,7 +53,7 @@ class SelectionModel:
 
 
 def fit_bins(matrix: np.ndarray, n_bins: int) -> BinningModel:
-    """Fit imputation means and equal-width edges from a training matrix only.
+    """Fit imputation means and equal-width bin ranges from a training matrix only.
 
     A feature that is constant (or entirely missing) in training degenerates
     to a single category. Each column's present values are packed into a
@@ -62,18 +64,12 @@ def fit_bins(matrix: np.ndarray, n_bins: int) -> BinningModel:
         raise ValueError("cannot fit bins on an empty training set")
     columns = matrix.T
     present = ~np.isnan(columns)
-    impute, lo, hi = np.zeros((3, len(columns)))  # all-missing: impute 0, edges all 0
+    impute, lo, hi = np.zeros((3, len(columns)))  # all-missing: impute 0, range [0, 0]
     for cols, values in present_groups(columns, present):
         impute[cols] = values.mean(axis=1)
         lo[cols] = values.min(axis=1)
         hi[cols] = values.max(axis=1)
-    edges = np.zeros((len(columns), n_bins + 1))
-    seen, flat = present.any(axis=1), (hi - lo) / n_bins == 0
-    # `linspace` over several columns takes its step == 0 branch for all of
-    # them if one needs it, so columns with and without a zero step go apart.
-    for group in (seen & ~flat, seen & flat):
-        edges[group] = np.linspace(lo[group], hi[group], n_bins + 1, axis=1)
-    return BinningModel(impute=impute, edges=edges, n_bins=n_bins)
+    return BinningModel(impute=impute, lo=lo, hi=hi, n_bins=n_bins)
 
 
 def apply_bins(model: BinningModel, vectors) -> np.ndarray:
@@ -86,10 +82,9 @@ def apply_bins(model: BinningModel, vectors) -> np.ndarray:
     arr = np.asarray(vectors, dtype=float)
     matrix = np.where(np.isnan(arr), model.impute, arr)
 
-    lo, hi = model.edges[:, 0], model.edges[:, -1]
-    width = (hi - lo) / model.n_bins
+    width = (model.hi - model.lo) / model.n_bins
     with np.errstate(invalid="ignore", divide="ignore"):
-        raw = np.floor((matrix - lo) / width)
+        raw = np.floor((matrix - model.lo) / width)
     raw = np.where(width > 0, raw, 0.0)
     return np.clip(raw, 0, model.n_bins - 1).astype(np.int64)
 

@@ -93,7 +93,7 @@ def enumerate_windows(
     cooloff_days = 0 the cool-off rule is disabled entirely.
     """
     # covered[d]: days with data before day d, so a window's count is one difference.
-    covered = np.concatenate(([0], np.cumsum(np.asarray(has_data, dtype=bool)))).tolist()
+    covered = np.concatenate(([0], np.cumsum(has_data))).tolist()
     last = len(covered) - 1
     windows: list[WindowSpec] = []
     cooloff_until: Date | None = None

@@ -297,7 +297,7 @@ def test_iforest_inlier_scores_below_half(rng):
 
 def test_iforest_single_row_training_defined():
     model = iforest_fit(np.array([[3, 3]]), np.array([0]), trees=5, subsample=256, seed=1)
-    _, (score,) = iforest_predict_many(model, np.array([3, 3]))
+    _, (score,) = iforest_predict_many(model, np.array([[3, 3]]))
     assert math.isfinite(score) and 0.0 < score <= 1.0
 
 

@@ -17,7 +17,8 @@ import relapsekit.features
 from relapsekit import cli, evaluate
 from relapsekit.cli import build_parser, main
 from relapsekit.evaluate import GRIDS, ExperimentConfig
-from relapsekit.synth import SynthConfig
+from relapsekit.model import SIGNALS, Signal
+from relapsekit.synth import ProdromalSpec, SynthConfig
 from relapsekit.windowing import WindowingConfig, enumerate_windows
 
 
@@ -169,6 +170,27 @@ def test_each_settings_flag_sets_its_field_and_no_other(tmp_path, monkeypatch, c
         argv += ["--out", str(tmp_path / "cohort")]
     assert asdict(_config_of(monkeypatch, argv)) == expected
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags, signals",
+    [
+        ([], ProdromalSpec().signals),
+        (["--shift-signals", " light_level, ,sound_level,"], (Signal.LIGHT_LEVEL, Signal.SOUND_LEVEL)),
+    ],
+    ids=["default", "spaces_and_empty_entries"],
+)
+def test_shift_signals_sets_the_prodrome_signals(tmp_path, monkeypatch, capsys, flags, signals):
+    assert _config_of(monkeypatch, ["synth", *flags, "--out", str(tmp_path)]).prodrome.signals == signals
+    capsys.readouterr()
+
+
+def test_unknown_shift_signal_is_a_usage_error(tmp_path, capsys):
+    assert main(["synth", "--shift-signals", "light_level,bogus", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "argument --shift-signals: invalid choice: 'bogus'" in err
+    assert all(repr(signal.value) in err for signal in SIGNALS)
+    assert not any(tmp_path.iterdir())
 
 
 def test_evaluate_rerun_is_byte_identical(cohort_dir, tmp_path, capsys):

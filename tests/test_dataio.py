@@ -356,17 +356,25 @@ def test_the_row_path_parses_each_distinct_sensor_date_once(tmp_path):
     assert sorted(parsed) == sorted({row.split(",")[1] for row in rows})
 
 
-def test_cr_only_sensors_peak_memory_does_not_grow_with_the_file(tmp_path):
-    # A CR-only file is read a block at a time, like an LF one: four copies
-    # of the rows (the same cells) peak where one does. Read as one line,
-    # the copies would take the peak up about fourfold.
+def _quote_fields(text: bytes) -> bytes:
+    return b"".join(b",".join(b'"%s"' % field for field in line.split(b",")) + b"\n" for line in text.splitlines())
+
+
+@pytest.mark.parametrize(
+    "encode", [lambda text: text.replace(b"\n", b"\r"), _quote_fields], ids=["cr_only", "quoted"]
+)
+def test_sensors_peak_memory_does_not_grow_with_the_file(tmp_path, encode):
+    # A CR-only file (the C parser) and a quoted one (the row path) are read
+    # a block at a time, like an LF one: four copies of the rows (the same
+    # cells) peak where one does. Read as one line, or with every block's
+    # rows held, the copies would take the peak up about fourfold.
     generate(SynthConfig(patient_count=2, days_per_patient=30, seed=5), out_dir=tmp_path)
     header, *rows = (tmp_path / "sensors.csv").read_bytes().splitlines(keepends=True)
     patients = dataio._read_patients(tmp_path / "patients.csv")
     peaks = []
     for copies in (1, 4):
         path = tmp_path / f"sensors{copies}.csv"
-        path.write_bytes((header + b"".join(rows) * copies).replace(b"\n", b"\r"))
+        path.write_bytes(encode(header + b"".join(rows) * copies))
         tracemalloc.start()
         try:
             dataio._read_sensors(path, patients, [])

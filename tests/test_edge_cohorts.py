@@ -18,7 +18,7 @@ from conftest import day
 from relapsekit.cli import main
 from relapsekit.dataio import load_dataset
 from relapsekit.features import extract_all
-from relapsekit.model import SIGNALS, Signal, signal_feature_indices
+from relapsekit.model import SIGNALS, Signal, feature_indices_for_modality
 from relapsekit.synth import SynthConfig, generate
 from relapsekit.windowing import WindowingConfig
 
@@ -45,7 +45,7 @@ def test_signal_without_rows_is_missing_and_touches_only_its_13_features(tmp_pat
     config = WindowingConfig()
     a, b = extract_all(full, config), extract_all(gap, config)
     assert a.specs == b.specs
-    own = list(signal_feature_indices(Signal.LIGHT_LEVEL))
+    own = list(feature_indices_for_modality(Signal.LIGHT_LEVEL.value, False))
     others = [i for i in range(a.values.shape[1]) if i not in own]
     assert len(own) == 13 and len(others) == 87
     gap_windows = 0

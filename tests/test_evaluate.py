@@ -12,11 +12,11 @@ from relapsekit.evaluate import (
     CLASSIFIER_KINDS,
     ExperimentConfig,
     f2_from_counts,
-    f2_score,
     run_grid,
     run_lopo,
 )
 from relapsekit.features import extract_all
+from relapsekit.metrics import f2_score
 from relapsekit.synth import SynthConfig, generate
 
 BASE = ExperimentConfig(seed=13)

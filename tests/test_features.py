@@ -18,7 +18,7 @@ from relapsekit.model import (
     FEATURE_NAMES,
     SIGNALS,
     Signal,
-    signal_feature_indices,
+    feature_indices_for_modality,
 )
 from relapsekit.windowing import EXCLUDED_INSUFFICIENT_DATA, WindowingConfig, window_at
 
@@ -192,7 +192,7 @@ def test_scaling_one_signal_only_touches_its_non_distance_features(rng):
 
     a = extract_all(ds, CONFIG)
     b = extract_all(scaled, CONFIG)
-    sound = set(signal_feature_indices(Signal.SOUND_LEVEL))
+    sound = set(feature_indices_for_modality(Signal.SOUND_LEVEL.value, False))
     distance_names = {"dist_mdt", "wdist_mdt", "dist_mxdt"}
     sound_distance = {
         i for i in sound if FEATURE_NAMES[i].removeprefix("sound_level_") in distance_names

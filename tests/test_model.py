@@ -12,10 +12,7 @@ from relapsekit.model import (
     TEMPLATE_FEATURE_COUNT,
     Patient,
     canonical_feature_names,
-    demographic_feature_indices,
-    ema_feature_indices,
     feature_indices_for_modality,
-    signal_feature_indices,
 )
 
 
@@ -56,16 +53,17 @@ def test_last_two_names_are_demographics():
     assert canonical_feature_names()[-2:] == ("age", "education_years")
 
 
-def test_signal_feature_indices_partition_template_block():
+def test_signal_modalities_partition_template_block():
     seen: list[int] = []
     for signal in SIGNALS:
-        seen.extend(signal_feature_indices(signal))
+        seen.extend(feature_indices_for_modality(signal.value, False))
     assert seen == list(range(TEMPLATE_FEATURE_COUNT))
 
 
 def test_ema_and_demographic_indices():
-    assert ema_feature_indices() == tuple(range(78, 98))
-    assert demographic_feature_indices() == (98, 99)
+    assert feature_indices_for_modality("ema", False) == tuple(range(78, 98))
+    assert feature_indices_for_modality("ema", True)[-2:] == (98, 99)
+    assert feature_indices_for_modality("all", True) == tuple(range(100))
 
 
 @pytest.mark.parametrize(
@@ -84,6 +82,8 @@ def test_modality_candidate_counts(modality, with_demo, expected):
 
 def test_patient_validation():
     Patient("p", 18, 0, (), Date(2021, 1, 1), Date(2021, 1, 1))
+    with pytest.raises(TypeError):  # relapse dates and the observation span are required
+        Patient("p", 40, 10)  # type: ignore[call-arg]
     with pytest.raises(ValueError):
         Patient("p", 40, 10, (), Date(2021, 2, 1), Date(2021, 1, 1))
     with pytest.raises(ValueError):

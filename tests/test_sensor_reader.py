@@ -564,20 +564,24 @@ def test_crlf_rows_across_a_block_cut_read_as_row_by_row(tmp_path_factory, block
 @pytest.mark.parametrize(
     "first, second",
     [
-        ("\r", "\n"),  # loadtxt rejects a CR inside a line
-        ("\n\n", "\r"),  # but ends a line at a block's final CR, as csv does
+        ("\r", "\n"),  # a bare CR inside a block ends a line
+        ("\n\n", "\r"),  # and so does a block's final CR
         ("\r\n\r\n", "\r"),
         ("\r\r\n", "\r\n"),
     ],
 )
-def test_bare_crs_read_as_row_by_row(tmp_path_factory, block_bytes, first, second):
-    # Where loadtxt reads a block of these, it reads as many rows as "\n"s,
-    # skipping blank lines; csv reads one more, so the C parser would number
-    # the excluded row, or the rows after the block, one line early. Each
+def test_bare_crs_end_lines_on_both_paths(tmp_path_factory, block_bytes, first, second):
+    # The C parser reads a block's CRs as line ends, as csv does, so it
+    # numbers the excluded row and the rows after the block as csv does.
+    # A blank line, which loadtxt skips, still sends its block to csv. Each
     # file's rows start one byte later than the file before's, so a 64-byte
     # block ends at each of the CRs.
     body = f"{VALID}{first}{OUTSIDE}{second}"
-    assert dataio._SensorSums(Path("sensors.csv"), FAST_PATIENTS)._parse(body.encode("utf-8")) is None
+    columns = dataio._SensorSums(Path("sensors.csv"), FAST_PATIENTS)._parse(body.encode("utf-8"))
+    if first == "\r":
+        assert columns[1].tolist() == [b"2021-01-05", b"2021-01-09"]
+    else:
+        assert columns is None
     for shift in range(80):
         text = f"{HEADER}\n{VALID.replace('1.5', '0' * shift + '1.5')}{first}{OUTSIDE}{second}{OUTSIDE}\n"
         oracle, blocks = read_both(write(tmp_path_factory, text), block_bytes, FAST_PATIENTS)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,9 +52,8 @@ def vectors_with_feature(column: list[float], feature: int = 0) -> np.ndarray:
 
 def test_equal_width_edges_and_midpoint_category():
     model = fit_bins(vectors_with_feature([0.0, 15.0]), 15)
-    np.testing.assert_allclose(model.edges[0], np.arange(16.0))
-    cats = apply_bins(model, vectors_with_feature([7.5]))
-    assert cats[0, 0] == 7
+    cats = apply_bins(model, vectors_with_feature([b + 0.5 for b in range(15)]))
+    assert cats[:, 0].tolist() == list(range(15))  # bin b spans [b, b + 1)
 
 
 def test_extreme_values_clamp():
@@ -109,20 +109,18 @@ def test_fit_bins_rejects_empty():
         fit_bins(np.empty((0, FEATURE_COUNT)), 15)
 
 
-def fit_bins_oracle(matrix: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """The column loop `fit_bins` replaced: impute means and edges."""
-    impute = np.zeros(matrix.shape[1])
-    edges = np.zeros((matrix.shape[1], n_bins + 1))
+def fit_bins_oracle(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The column loop `fit_bins` replaced: impute means, minima and maxima."""
+    impute, lo, hi = np.zeros((3, matrix.shape[1]))
     for f in range(matrix.shape[1]):
         col = matrix[:, f]
         col = col[~np.isnan(col)]
         if col.size:
-            impute[f] = col.mean()
-            edges[f] = np.linspace(col.min(), col.max(), n_bins + 1)
-    return impute, edges
+            impute[f], lo[f], hi[f] = col.mean(), col.min(), col.max()
+    return impute, lo, hi
 
 
-# Signed zeros, a denormal step that rounds to 0 in `linspace`, and values
+# Signed zeros, a denormal range whose bin width rounds to 0, and values
 # whose sums depend on the order they are added in.
 BIN_VALUES = np.array([np.nan, 0.0, -0.0, 5e-324, 1e-300, 0.1, 0.2, 0.3, 1e16, 7.0])
 
@@ -152,9 +150,12 @@ def bin_matrices(draw) -> np.ndarray:
 @given(matrix=bin_matrices(), n_bins=st.sampled_from([1, 2, 15]))
 def test_fit_bins_equals_the_column_loop_bit_for_bit(matrix, n_bins):
     model = fit_bins(matrix, n_bins)
-    impute, edges = fit_bins_oracle(matrix, n_bins)
-    assert (model.impute == impute).all() and (model.edges == edges).all()
-    assert model.impute.tobytes() == impute.tobytes() and model.edges.tobytes() == edges.tobytes()
+    want = np.stack(fit_bins_oracle(matrix))
+    got = np.stack((model.impute, model.lo, model.hi))
+    assert (got == want).all() and got.tobytes() == want.tobytes()
+    # A -0.0 minimum bins as +0.0 does: only a zero `x - lo` changes sign, and it is code 0 either way.
+    unsigned = replace(model, lo=model.lo + 0.0)
+    assert apply_bins(unsigned, matrix).tobytes() == apply_bins(model, matrix).tobytes()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -163,7 +164,7 @@ def test_apply_bins_on_sliced_columns_equals_the_full_matrix_sliced(matrix, n_bi
     # Fit on some rows, bin all of them: values outside the fitted range clamp.
     model = fit_bins(matrix[: max(1, len(matrix) // 2)], n_bins)
     cols = data.draw(st.lists(st.integers(0, matrix.shape[1] - 1), min_size=1, max_size=2 * matrix.shape[1]))
-    sliced = BinningModel(impute=model.impute[cols], edges=model.edges[cols], n_bins=n_bins)
+    sliced = BinningModel(impute=model.impute[cols], lo=model.lo[cols], hi=model.hi[cols], n_bins=n_bins)
     want = apply_bins(model, matrix)[:, cols]
     assert apply_bins(sliced, matrix[:, cols]).tobytes() == want.tobytes()
 

@@ -34,7 +34,6 @@ from relapsekit import classifiers
 from relapsekit.classifiers import (
     _best_stumps,
     _distinct_rows,
-    _seed_sequence,
     _sort_columns,
     _TreeDraws,
     average_path_length,
@@ -141,8 +140,7 @@ def oracle_brf(X, y, trees, seed):
     """Node lists per tree of a tree-at-a-time recursive fit."""
     mtry = math.ceil(math.sqrt(X.shape[1]))
     grown = []
-    for child in _seed_sequence(seed).spawn(trees):
-        rng = np.random.default_rng(child)
+    for rng in np.random.default_rng(seed).spawn(trees):
         idx = balanced_bootstraps(y, [rng])[0]
         grown.append(grow_tree(X[idx], y[idx], rng, mtry, []))
     return grown
@@ -189,8 +187,8 @@ def oracle_best_stump(X, y_pm, w):
 def oracle_ee_fit(X, y, bags, rounds, seed):
     """A bag at a time: per bag, its chain of (alpha, feature, threshold, left sign)."""
     chains = []
-    for child in _seed_sequence(seed).spawn(bags):
-        idx = balanced_bootstraps(y, [np.random.default_rng(child)])[0]
+    for rng in np.random.default_rng(seed).spawn(bags):
+        idx = balanced_bootstraps(y, [rng])[0]
         Xb = X[idx]
         yb = np.where(y[idx] == 1, 1, -1)
         w = np.full(idx.size, 1.0 / idx.size)
@@ -300,8 +298,7 @@ def oracle_iforest(X, y, trees, subsample, seed):
     psi = min(subsample, n)
     limit = math.ceil(math.log2(max(psi, 2)))
     grown = []
-    for child in _seed_sequence(seed).spawn(trees):
-        rng = np.random.default_rng(child)
+    for rng in np.random.default_rng(seed).spawn(trees):
         idx = rng.choice(n, size=psi, replace=False)
         grown.append(oracle_isolation_tree(X[idx], 0, limit, rng, []))
     scores = oracle_iforest_scores(grown, psi, X)
