@@ -6,42 +6,55 @@ rhythm templates and window-level features; categorical quantization and
 age-matched mutual-information feature selection; four from-scratch
 classifiers with a random baseline; and leave-one-patient-out evaluation
 with classifier, modality, and selection/demographics experiment grids.
+
+The public names in `__all__` resolve on first access (PEP 562), each
+from the module `_EXPORTS` names, so `import relapsekit` loads no
+submodule and a command loads only the modules it runs.
 """
 
-from .dataio import Dataset, IngestError, load_dataset, write_metrics, write_predictions
-from .evaluate import GRIDS, EvalReport, ExperimentConfig, run_grid, run_lopo
-from .features import WindowTable, extract_all
-from .metrics import f2_from_counts, f2_score
-from .model import FEATURE_NAMES, Patient, Signal, canonical_feature_names
-from .synth import ProdromalSpec, RhythmSpec, SynthConfig, generate
-from .windowing import WindowSpec, WindowingConfig, enumerate_windows
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Dataset",
-    "EvalReport",
-    "ExperimentConfig",
-    "FEATURE_NAMES",
-    "GRIDS",
-    "IngestError",
-    "Patient",
-    "ProdromalSpec",
-    "RhythmSpec",
-    "Signal",
-    "SynthConfig",
-    "WindowSpec",
-    "WindowTable",
-    "WindowingConfig",
-    "canonical_feature_names",
-    "enumerate_windows",
-    "extract_all",
-    "f2_from_counts",
-    "f2_score",
-    "generate",
-    "load_dataset",
-    "run_grid",
-    "run_lopo",
-    "write_metrics",
-    "write_predictions",
-]
+_EXPORTS = {
+    "Dataset": "dataio",
+    "EvalReport": "evaluate",
+    "ExperimentConfig": "config",
+    "FEATURE_NAMES": "model",
+    "GRIDS": "config",
+    "IngestError": "dataio",
+    "Patient": "model",
+    "ProdromalSpec": "synth",
+    "RhythmSpec": "synth",
+    "Signal": "model",
+    "SynthConfig": "synth",
+    "WindowSpec": "windowing",
+    "WindowTable": "features",
+    "WindowingConfig": "windowing",
+    "canonical_feature_names": "model",
+    "enumerate_windows": "windowing",
+    "extract_all": "features",
+    "f2_from_counts": "metrics",
+    "f2_score": "metrics",
+    "generate": "synth",
+    "load_dataset": "dataio",
+    "run_grid": "evaluate",
+    "run_lopo": "evaluate",
+    "write_metrics": "dataio",
+    "write_predictions": "dataio",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -5,15 +5,15 @@ categorical matrix with binary labels, and `<kind>_predict_many(model, X)`
 giving (labels, scores) per row — plus a prevalence-matched random
 baseline. `X` is a 2-D int64 array of category codes and `y` an int64
 array of 0/1 labels, as `evaluate._fit_and_predict` passes them; neither
-is coerced. `KINDS` names each kind's settings: the `ExperimentConfig` field
-each fit keyword reads, and whether the fit draws and so takes a `seed`,
-any seed `np.random.default_rng` takes (LOPO passes a `SeedSequence`).
-No fit parameter has a default, so each setting's default lives in
-`ExperimentConfig` alone. Category codes come from monotone binning of
-real features, so the tree learners treat them as ordinals and split on
-thresholds. All randomness flows from one explicit seed, split
-deterministically per tree / bag / run, so results reproduce bit-for-bit
-across platforms.
+is coerced. `config.KINDS` names each kind's settings: the
+`ExperimentConfig` field each fit keyword reads, and whether the fit
+draws and so takes a `seed`, any seed `np.random.default_rng` takes
+(LOPO passes a `SeedSequence`). No fit parameter has a default, so each
+setting's default lives in `ExperimentConfig` alone. Category codes come
+from monotone binning of real features, so the tree learners treat them
+as ordinals and split on thresholds. All randomness flows from one
+explicit seed, split deterministically per tree / bag / run, so results
+reproduce bit-for-bit across platforms.
 
 Both forests are one `_Forest`: flat node arrays shared by its trees, with
 one root per tree, walked by one traversal over (tree, row) pairs.
@@ -43,26 +43,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .metrics import f2_from_counts
 
 EULER_GAMMA = 0.5772156649015329
-
-
-class Kind(NamedTuple):
-    settings: dict[str, str]  # fit keyword -> the `ExperimentConfig` field it reads
-    draws: bool  # the fit also takes a `seed`
-
-
-KINDS = {
-    "nb": Kind({"alpha": "nb_alpha", "n_categories": "bins"}, draws=False),
-    "brf": Kind({"trees": "brf_trees", "decision_threshold": "decision_threshold"}, draws=True),
-    "ee": Kind({"bags": "ee_bags", "rounds": "ee_rounds", "decision_threshold": "decision_threshold"}, draws=True),
-    "iforest": Kind({"trees": "iforest_trees", "subsample": "iforest_subsample"}, draws=True),
-}
 
 
 def _check_two_classes(y: np.ndarray) -> None:

@@ -9,17 +9,25 @@ experiment grids. One `--seed` flag controls all randomness. Exit codes:
 
 Settings flags take their types and defaults from the config classes,
 so each default is written once, in its dataclass.
+
+Each command imports only the modules it runs. The parser reads the light
+`config` module, not `evaluate`; `features` and `evaluate` (with
+`transform`) load only when a command that runs them starts, each
+command importing its stage where it runs, and `evaluate` imports
+`classifiers` at the first fit. So `synth` loads `config`, `dataio`,
+`model`, `synth` and `windowing`, and `features` adds `features` and
+`templates`.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Iterator, TypeVar
+from typing import TYPE_CHECKING, Iterator, TypeVar
 
+from .config import CLASSIFIER_KINDS, GRIDS, ExperimentConfig
 from .dataio import (
     EMA_FILE,
     PATIENTS_FILE,
@@ -32,15 +40,23 @@ from .dataio import (
     write_metrics,
     write_predictions,
 )
-from .evaluate import CLASSIFIER_KINDS, GRIDS, EvalReport, ExperimentConfig, run_grid, run_lopo
-from .features import extract_all, extract_cohort
 from .model import MODALITIES, SIGNALS, Signal
 from .synth import ProdromalSpec, SynthConfig, generate
 from .windowing import WindowingConfig
 
-logger = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from .evaluate import EvalReport
+    from .features import WindowTable
 
 T = TypeVar("T")
+
+
+def run_lopo(table: WindowTable, config: ExperimentConfig) -> EvalReport:
+    """`evaluate.run_lopo`, imported when called. The `evaluate` command
+    calls this module's `run_lopo`, so a caller can replace it here."""
+    from .evaluate import run_lopo
+
+    return run_lopo(table, config)
 
 
 # Settings flags, one table per config class: (flag, field, help). Each
@@ -252,6 +268,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_features(args: argparse.Namespace) -> int:
+    from .features import extract_cohort
+
     config = _config(WindowingConfig, args, WINDOWING_FLAGS)
     exclusions = args.exclusions or args.out.with_name("exclusions.csv")
     with _output_dirs(args.out.parent, exclusions.parent):
@@ -266,6 +284,8 @@ def _cmd_features(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .features import extract_all
+
     config = _experiment_config(args, EXPERIMENT_FLAGS)
     with _output_dirs(args.metrics.parent, args.predictions.parent):
         table = extract_all(_load(args), config.windowing)
@@ -279,12 +299,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    import logging  # the grids alone log here; `evaluate` imports it anyway
+
+    from .evaluate import run_grid
+
     rows = EXPERIMENT_FLAGS[1:]  # every flag but --classifier
     config = _experiment_config(args, rows)
     defaults, arms = ExperimentConfig(), [arm for _, arm in GRIDS[args.command].arms]
     for flag, name, _ in rows:
         if getattr(config, name) != getattr(defaults, name) and all(name in arm for arm in arms):
-            logger.warning("%s is ignored by %s: every arm sets %s", flag, args.command, name)
+            logging.getLogger(__name__).warning("%s is ignored by %s: every arm sets %s", flag, args.command, name)
     with _output_dirs(args.metrics.parent, args.predictions_dir):
         reports = run_grid(args.command, _load(args), config)
         write_metrics(reports, args.metrics)

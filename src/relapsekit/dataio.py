@@ -81,8 +81,7 @@ from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .model import EMA_ITEM_COUNT, FEATURE_NAMES, SIGNALS, Patient
-from .templates import HOURS_PER_DAY
+from .model import EMA_ITEM_COUNT, FEATURE_NAMES, HOURS_PER_DAY, SIGNALS, Patient
 from .windowing import WindowSpec
 
 if TYPE_CHECKING:  # pragma: no cover

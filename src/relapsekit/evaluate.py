@@ -26,74 +26,38 @@ the head of that ranking among its candidates, which is what ranking them
 alone gives: ties go by index, and no column's score depends on the
 others. It then bins only the columns its classifier reads.
 
-Each fit reads the config fields `classifiers.KINDS` names for its kind.
-Only the classifiers that draw (`brf`, `ee`, `iforest` and the `random`
-baseline) get a seed: fold k's is `SeedSequence(seed, spawn_key=(k,))`,
-which equals child k of `SeedSequence(seed).spawn(...)`, and the baseline's
-is the child after the last fold's. Each is built when its arm needs it, so
-a Naive Bayes run never imports `numpy.random`.
+`ExperimentConfig`, `GRIDS` and `KINDS` are declared in `config`, which
+imports no evaluation module; this module re-exports the first two. Each
+fit reads the config fields `KINDS` names for its kind. Only the
+classifiers that draw (`brf`, `ee`, `iforest` and the `random` baseline)
+get a seed: fold k's is `SeedSequence(seed, spawn_key=(k,))`, which equals
+child k of `SeedSequence(seed).spawn(...)`, and the baseline's is the
+child after the last fold's. Each is built when its arm needs it, so a
+Naive Bayes run never imports `numpy.random`.
+
+`classifiers` is imported by the first fit or baseline, after the window
+table is built and the commands have freed the `Dataset`, so importing
+that large module (compiled from source where no bytecode is cached)
+does not add to the process's memory peak at the end of extraction.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from collections.abc import Collection
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, NamedTuple
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from . import classifiers as clf
+from .config import CLASSIFIER_KINDS, GRIDS, KINDS, ExperimentConfig
 from .dataio import Dataset
 from .features import WindowTable, extract_all
 from .metrics import f2_from_counts
-from .model import AGE_INDEX, FEATURE_COUNT, FEATURE_NAMES, MODALITIES, feature_indices_for_modality
+from .model import AGE_INDEX, FEATURE_COUNT, FEATURE_NAMES, feature_indices_for_modality
 from .transform import BinningModel, SelectionModel, apply_bins, build_selection_subsample, fit_bins, select_features
-from .windowing import WindowSpec, WindowingConfig
+from .windowing import WindowSpec
 
 logger = logging.getLogger(__name__)
-
-CLASSIFIER_KINDS = (*clf.KINDS, "random")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment arm; the defaults reproduce the main pipeline."""
-
-    classifier: str = "nb"
-    windowing: WindowingConfig = field(default_factory=WindowingConfig)
-    bins: int = 15
-    selection: bool = True
-    selection_pool: int = 100  # non-relapse windows pooled for MI ranking
-    selection_top: int = 5  # features kept per fold
-    include_demographics: bool = True
-    modality: str = "all"  # all | ema | one signal name
-    seed: int = 0
-    nb_alpha: float = 1.0
-    brf_trees: int = 51
-    ee_bags: int = 101
-    ee_rounds: int = 10
-    iforest_trees: int = 101
-    iforest_subsample: int = 256
-    decision_threshold: float = 0.5
-    baseline_runs: int = 1000
-
-    def __post_init__(self) -> None:
-        if self.classifier not in CLASSIFIER_KINDS:
-            raise ValueError(f"unknown classifier {self.classifier!r}")
-        if self.modality not in MODALITIES:
-            raise ValueError(f"unknown modality {self.modality!r}")
-        for name in ("bins", "selection_pool", "selection_top", "nb_alpha", "brf_trees", "ee_bags",
-                     "ee_rounds", "iforest_trees", "iforest_subsample", "baseline_runs"):
-            if not getattr(self, name) > 0:  # every count, and the Naive Bayes smoothing
-                raise ValueError(f"{name} must be positive")
-        if self.seed < 0:  # as SeedSequence requires, checked here for the arms that draw nothing too
-            raise ValueError("seed must be non-negative")
-        for name in ("nb_alpha", "decision_threshold"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-
 
 @dataclass(frozen=True)
 class FoldReport:
@@ -151,10 +115,12 @@ def _fit_and_predict(
     k: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fit `config.classifier` on fold k's training rows with the settings
-    `classifiers.KINDS` names, and predict its test rows."""
+    `KINDS` names, and predict its test rows."""
+    from . import classifiers as clf
+
     kind = config.classifier
-    settings = {keyword: getattr(config, name) for keyword, name in clf.KINDS[kind].settings.items()}
-    if clf.KINDS[kind].draws:
+    settings = {keyword: getattr(config, name) for keyword, name in KINDS[kind].settings.items()}
+    if KINDS[kind].draws:
         settings["seed"] = _fold_seed(config, k)
     # Resolved on the module at call time, so wrappers installed on
     # `classifiers.<kind>_fit` / `_predict_many` see every call.
@@ -252,6 +218,8 @@ def run_lopo(
     trained = held_out.sum(axis=0) - held_out
     train_windows, train_relapse = trained.sum(axis=1), trained[:, 1]
     if config.classifier == "random":
+        from . import classifiers as clf
+
         prevalence = np.divide(train_relapse, train_windows, out=np.zeros(n_folds), where=train_windows > 0)
         rng = np.random.default_rng(_fold_seed(config, n_folds))
         ratios = np.repeat(prevalence, held_out.sum(axis=1))
@@ -301,38 +269,6 @@ def run_lopo(
         seed=config.seed,
         metric_std=metric_std,
     )
-
-
-class Grid(NamedTuple):
-    """One experiment grid: named arms as ExperimentConfig overrides."""
-
-    help: str
-    arms: tuple[tuple[str, dict[str, Any]], ...]
-    ranked: bool = False  # reports sorted by F2, best first
-
-
-GRIDS: dict[str, Grid] = {
-    "compare-classifiers": Grid(
-        "run every classifier plus the random baseline",
-        tuple((kind, {"classifier": kind}) for kind in CLASSIFIER_KINDS),
-    ),
-    "ablate-modality": Grid(
-        "run one arm per signal modality plus EMA",
-        tuple(
-            (modality, {"modality": modality, "include_demographics": True})
-            for modality in (*MODALITIES[2:], "ema")  # every signal, then EMA
-        ),
-        ranked=True,
-    ),
-    "ablate-selection": Grid(
-        "toggle feature selection and demographics",
-        (
-            ("selection_with_demographics", {"selection": True, "include_demographics": True}),
-            ("no_feature_selection", {"selection": False, "include_demographics": True}),
-            ("no_demographics", {"selection": True, "include_demographics": False}),
-        ),
-    ),
-}
 
 
 def run_grid(experiment: str, dataset: Dataset, base_config: ExperimentConfig) -> list[EvalReport]:

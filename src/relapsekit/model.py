@@ -25,6 +25,8 @@ class Signal(str, Enum):
 
 SIGNALS: tuple[Signal, ...] = tuple(Signal)
 
+HOURS_PER_DAY = 24  # the hourly slots of a signal's day: a patient's arrays are (days, 6, 24)
+
 # The candidate features an experiment arm may keep: all of them ("all"),
 # the self-report ones ("ema"), or one signal's.
 MODALITIES: tuple[str, ...] = ("all", "ema", *(signal.value for signal in SIGNALS))

@@ -21,8 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .dataio import Dataset, write_dataset
-from .model import EMA_ITEM_COUNT, SIGNALS, Patient, Signal
-from .templates import HOURS_PER_DAY
+from .model import EMA_ITEM_COUNT, HOURS_PER_DAY, SIGNALS, Patient, Signal
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,9 @@ class SynthConfig:
 
 
 def _circular_hour_distance(hours: np.ndarray, peak: float) -> np.ndarray:
-    raw = np.abs(hours - peak)
+    """Each hour's distance from `peak` around the 24-hour clock, in [0, 12]
+    for any finite `peak`, so a peak shift of s and of s + 24 are the same."""
+    raw = np.abs(hours - peak) % HOURS_PER_DAY
     return np.minimum(raw, HOURS_PER_DAY - raw)
 
 

@@ -33,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-HOURS_PER_DAY = 24
+from .model import HOURS_PER_DAY
 
 # Inclusive hour bounds of the weighted (daytime) distance: 9 AM - 9 PM.
 DAYTIME_HOURS = (9, 21)

@@ -140,8 +140,10 @@ def _config_of(monkeypatch, argv: list[str]):
         raise ValueError("stopped")
 
     monkeypatch.setattr(cli, "_load", lambda args: None)
-    monkeypatch.setattr(cli, "extract_all", lambda dataset, windowing: None)
-    for stage in ("generate", "extract_cohort", "run_lopo", "run_grid"):
+    monkeypatch.setattr(relapsekit.features, "extract_all", lambda dataset, windowing: None)
+    monkeypatch.setattr(relapsekit.features, "extract_cohort", stop)
+    monkeypatch.setattr(evaluate, "run_grid", stop)
+    for stage in ("generate", "run_lopo"):
         monkeypatch.setattr(cli, stage, stop)
     assert main(argv) == 1
     (config,) = seen
@@ -553,6 +555,50 @@ def _imports_module(module: str, argv: list[str]) -> bool:
     env = {**os.environ, "PYTHONPATH": str(Path(relapsekit.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, check=True)
     return done.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize(
+    "command, runs, unused",
+    [
+        ("synth", "relapsekit.synth", ("evaluate", "classifiers", "features", "transform", "templates")),
+        ("features", "relapsekit.features", ("evaluate", "classifiers")),
+    ],
+)
+def test_commands_import_only_the_modules_they_run(cohort_dir, tmp_path, command, runs, unused):
+    # Every CLI run is a fresh interpreter that compiles what it imports, so
+    # synth and features leave the modules they never call unloaded
+    if command == "synth":
+        argv = ["synth", "--patients", "2", "--days", "30", "--seed", "3", "--out", str(tmp_path / "cohort")]
+    else:
+        argv = ["features", "--data", str(cohort_dir), "--out", str(tmp_path / "features.csv")]
+    assert _imports_module(runs, argv)
+    assert [name for name in unused if _imports_module(f"relapsekit.{name}", argv)] == []
+
+
+def test_importing_the_package_imports_no_submodule():
+    script = "import sys, relapsekit; print(sorted(name for name in sys.modules if name.startswith('relapsekit.')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(relapsekit.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ablate-modality"])
+def test_classifiers_load_after_the_window_table(cohort_dir, tmp_path, command):
+    # classifiers is a large module: imported before the table exists, it
+    # would add to the memory held at the end of extraction
+    script = (
+        "import sys; import relapsekit.evaluate as ev; from relapsekit.cli import main\n"
+        "plan = ev._plan_folds\n"
+        "def planning(*args):\n"
+        "    print('at plan', 'relapsekit.classifiers' in sys.modules); return plan(*args)\n"
+        "ev._plan_folds = planning; main(sys.argv[1:])\n"
+        "print('at end', 'relapsekit.classifiers' in sys.modules)\n"
+    )
+    outputs = ["--predictions", str(tmp_path / "p.csv")] if command == "evaluate" else []
+    argv = [command, "--data", str(cohort_dir), "--metrics", str(tmp_path / "m.json"), *outputs]
+    env = {**os.environ, "PYTHONPATH": str(Path(relapsekit.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, check=True)
+    assert [line for line in done.stdout.splitlines() if line.startswith("at ")] == ["at plan False", "at end True"]
 
 
 @pytest.mark.parametrize("command", ["compare-classifiers", "ablate-modality"])

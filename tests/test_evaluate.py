@@ -8,6 +8,7 @@ import pytest
 
 from conftest import make_constant_dataset, make_patient
 from relapsekit import classifiers, evaluate
+from relapsekit.config import KINDS
 from relapsekit.evaluate import (
     CLASSIFIER_KINDS,
     ExperimentConfig,
@@ -232,8 +233,8 @@ def test_unknown_modality_rejected():
 
 def test_classifier_table_names_config_fields_and_fit_keywords_without_defaults():
     config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert CLASSIFIER_KINDS == (*classifiers.KINDS, "random")
-    for kind, (settings, draws) in classifiers.KINDS.items():
+    assert CLASSIFIER_KINDS == (*KINDS, "random")
+    for kind, (settings, draws) in KINDS.items():
         assert set(settings.values()) <= config_fields
         params = inspect.signature(getattr(classifiers, f"{kind}_fit")).parameters
         assert list(params)[:2] == ["X", "y"]

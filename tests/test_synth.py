@@ -139,3 +139,15 @@ def test_null_magnitude_keeps_prodromal_days_unshifted():
     assert changed > 0  # call_duration prodromal days moved
     light = SIGNALS.index(Signal.LIGHT_LEVEL)
     np.testing.assert_array_equal(base_sensors[:, light], null_sensors[:, light])
+
+
+def test_peak_shift_is_circular_over_whole_days(tmp_path):
+    # A rhythm peak moved by s hours and by s plus or minus whole days is the same rhythm.
+    def sensors(shift: float) -> bytes:
+        out = tmp_path / str(shift)
+        generate(small_config(relapse_fraction=1.0, prodrome=ProdromalSpec(peak_shift_hours=shift)), out_dir=out)
+        return (out / "sensors.csv").read_bytes()
+
+    shifted = sensors(4.0)
+    assert shifted != sensors(0.0)
+    assert [sensors(shift) == shifted for shift in (28.0, 100.0, -20.0)] == [True, True, True]
