@@ -24,7 +24,7 @@ _EXPORTS = {
     "ExperimentConfig": "config",
     "FEATURE_NAMES": "model",
     "GRIDS": "config",
-    "IngestError": "dataio",
+    "IngestError": "ingest",
     "Patient": "model",
     "ProdromalSpec": "synth",
     "RhythmSpec": "synth",
@@ -39,7 +39,7 @@ _EXPORTS = {
     "f2_from_counts": "metrics",
     "f2_score": "metrics",
     "generate": "synth",
-    "load_dataset": "dataio",
+    "load_dataset": "ingest",
     "run_grid": "evaluate",
     "run_lopo": "evaluate",
     "write_metrics": "dataio",

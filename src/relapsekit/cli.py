@@ -14,9 +14,11 @@ Each command imports only the modules it runs. The parser reads the light
 `config` module, not `evaluate`; `features` and `evaluate` (with
 `transform`) load only when a command that runs them starts, each
 command importing its stage where it runs, and `evaluate` imports
-`classifiers` at the first fit. So `synth` loads `config`, `dataio`,
-`model`, `synth` and `windowing`, and `features` adds `features` and
-`templates`.
+`classifiers` at the first fit. Any command but `synth` imports the
+reader, `ingest`, before all else: compiled after numpy, its freed parse
+memory would stay between long-lived objects, 0.2 MB at the peak of a
+short grid run. So `synth` loads `config`, `dataio`, `model`, `synth` and
+`windowing`, and `features` adds `ingest`, `features` and `templates`.
 """
 
 from __future__ import annotations
@@ -27,14 +29,13 @@ from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, TypeVar
 
+if sys.argv[1:2] != ["synth"]:
+    from . import ingest  # noqa: F401
+
 from .config import CLASSIFIER_KINDS, GRIDS, ExperimentConfig
 from .dataio import (
-    EMA_FILE,
-    PATIENTS_FILE,
-    RELAPSES_FILE,
-    SENSORS_FILE,
-    IngestError,
-    load_dataset,
+    COHORT_FILES,
+    Dataset,
     write_exclusions,
     write_feature_matrix,
     write_metrics,
@@ -49,6 +50,13 @@ if TYPE_CHECKING:
     from .features import WindowTable
 
 T = TypeVar("T")
+
+
+def load_dataset(*paths: Path) -> Dataset:
+    """`ingest.load_dataset`, imported when called, as `run_lopo` is."""
+    from .ingest import load_dataset
+
+    return load_dataset(*paths)
 
 
 def run_lopo(table: WindowTable, config: ExperimentConfig) -> EvalReport:
@@ -105,7 +113,6 @@ PRODROME_FLAGS: Flags = (
     ("--peak-shift", "peak_shift_hours", "pre-relapse rhythm peak shift in hours"),
 )
 CHOICES = {"classifier": CLASSIFIER_KINDS, "modality": MODALITIES}
-INPUT_FILES = {"sensors": SENSORS_FILE, "ema": EMA_FILE, "patients": PATIENTS_FILE, "relapses": RELAPSES_FILE}
 
 
 def _add_flags(parser: argparse.ArgumentParser | argparse._ArgumentGroup, defaults: object, rows: Flags) -> None:
@@ -148,7 +155,7 @@ def _signals(text: str) -> tuple[Signal, ...]:
 def _data_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("input data")
     group.add_argument("--data", type=Path, default=None, help="directory holding the four CSV files")
-    for name, file in INPUT_FILES.items():
+    for name, file in COHORT_FILES.items():
         group.add_argument(f"--{name}", type=Path, default=None, help=f"{file} path")
 
 
@@ -212,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args: argparse.Namespace):
     base = args.data
-    paths = {name: getattr(args, name) or (base / file if base else None) for name, file in INPUT_FILES.items()}
+    paths = {name: getattr(args, name) or (base / file if base else None) for name, file in COHORT_FILES.items()}
     missing = [f"--{name}" for name, path in paths.items() if path is None]
     if missing:
         raise ValueError(f"missing input paths: pass --data DIR or {', '.join(missing)}")
@@ -225,13 +232,17 @@ def _load(args: argparse.Namespace):
 
 
 @contextmanager
-def _output_dirs(*dirs: Path | None) -> Iterator[None]:
-    """Create missing output directories (None: no directory) before the
-    inputs are read, so a bad output path fails at once, not after the run.
-    If the command then fails, remove those made here that are still empty."""
+def _outputs(files: dict[str, Path]) -> Iterator[None]:
+    """Before the inputs are read, refuse two output files (keyed by flag)
+    that resolve to one, and create missing directories, so a bad output
+    fails at once. If the command then fails, remove those still empty."""
+    seen: dict[Path, str] = {}
+    for flag, path in files.items():
+        if (first := seen.setdefault(path.resolve(), flag)) != flag:
+            raise ValueError(f"{first} and {flag} name the same file: {path}")
     made: list[Path] = []
     try:
-        for directory in filter(None, dirs):
+        for directory in (path.parent for path in files.values()):
             made += [path for path in (directory, *directory.parents) if not path.exists()]
             directory.mkdir(parents=True, exist_ok=True)
         yield
@@ -272,7 +283,7 @@ def _cmd_features(args: argparse.Namespace) -> int:
 
     config = _config(WindowingConfig, args, WINDOWING_FLAGS)
     exclusions = args.exclusions or args.out.with_name("exclusions.csv")
-    with _output_dirs(args.out.parent, exclusions.parent):
+    with _outputs({"--out": args.out, "--exclusions": exclusions}):
         table, candidates = extract_cohort(_load(args), config)
         write_feature_matrix(table, args.out)
         write_exclusions(candidates, exclusions)
@@ -287,7 +298,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     from .features import extract_all
 
     config = _experiment_config(args, EXPERIMENT_FLAGS)
-    with _output_dirs(args.metrics.parent, args.predictions.parent):
+    with _outputs({"--metrics": args.metrics, "--predictions": args.predictions}):
         table = extract_all(_load(args), config.windowing)
         report = run_lopo(table, config)
         write_metrics(report, args.metrics)
@@ -303,13 +314,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
     from .evaluate import run_grid
 
-    rows = EXPERIMENT_FLAGS[1:]  # every flag but --classifier
+    rows, grid = EXPERIMENT_FLAGS[1:], GRIDS[args.command]  # rows: every flag but --classifier
     config = _experiment_config(args, rows)
-    defaults, arms = ExperimentConfig(), [arm for _, arm in GRIDS[args.command].arms]
+    defaults, arms = ExperimentConfig(), [arm for _, arm in grid.arms]
     for flag, name, _ in rows:
         if getattr(config, name) != getattr(defaults, name) and all(name in arm for arm in arms):
             logging.getLogger(__name__).warning("%s is ignored by %s: every arm sets %s", flag, args.command, name)
-    with _output_dirs(args.metrics.parent, args.predictions_dir):
+    outputs = {"--metrics": args.metrics}
+    if args.predictions_dir is not None:
+        outputs.update((f"--predictions-dir/{name}.csv", args.predictions_dir / f"{name}.csv") for name, _ in grid.arms)
+    with _outputs(outputs):
         reports = run_grid(args.command, _load(args), config)
         write_metrics(reports, args.metrics)
         if args.predictions_dir is not None:
@@ -334,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "evaluate":
             return _cmd_evaluate(args)
         return _cmd_experiment(args)
-    except (IngestError, ValueError, OSError) as exc:  # OSError: an input or output path
+    except (ValueError, OSError) as exc:  # ValueError: also an IngestError; OSError: an input or output path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

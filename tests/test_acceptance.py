@@ -17,9 +17,9 @@ import pytest
 
 from conftest import day, make_constant_dataset, make_patient
 from relapsekit.cli import main
-from relapsekit.dataio import load_dataset
 from relapsekit.evaluate import ExperimentConfig, run_grid, run_lopo
 from relapsekit.features import extract_all
+from relapsekit.ingest import load_dataset
 from relapsekit.metrics import f2_from_counts, f2_score
 from relapsekit.model import FEATURE_INDEX, SIGNALS, canonical_feature_names
 from relapsekit.classifiers import nb_fit, nb_predict_many

@@ -560,7 +560,7 @@ def _imports_module(module: str, argv: list[str]) -> bool:
 @pytest.mark.parametrize(
     "command, runs, unused",
     [
-        ("synth", "relapsekit.synth", ("evaluate", "classifiers", "features", "transform", "templates")),
+        ("synth", "relapsekit.synth", ("evaluate", "classifiers", "features", "transform", "templates", "ingest")),
         ("features", "relapsekit.features", ("evaluate", "classifiers")),
     ],
 )
@@ -573,6 +573,16 @@ def test_commands_import_only_the_modules_they_run(cohort_dir, tmp_path, command
         argv = ["features", "--data", str(cohort_dir), "--out", str(tmp_path / "features.csv")]
     assert _imports_module(runs, argv)
     assert [name for name in unused if _imports_module(f"relapsekit.{name}", argv)] == []
+
+
+@pytest.mark.parametrize("command", ["features", "evaluate", "ablate-selection"])
+def test_commands_that_read_a_cohort_import_the_reader(cohort_dir, tmp_path, command):
+    outputs = {
+        "features": ["--out", str(tmp_path / "features.csv")],
+        "evaluate": ["--metrics", str(tmp_path / "m.json"), "--predictions", str(tmp_path / "p.csv")],
+        "ablate-selection": ["--metrics", str(tmp_path / "m.json")],
+    }
+    assert _imports_module("relapsekit.ingest", [command, "--data", str(cohort_dir), *outputs[command]])
 
 
 def test_importing_the_package_imports_no_submodule():
@@ -678,6 +688,31 @@ def test_output_path_under_a_file_exits_1_before_loading(cohort_dir, tmp_path, c
     assert err.startswith("error: ") and str(blocker) in err
     assert "ingest_excluded=" not in out
     assert list(tmp_path.iterdir()) == [blocker]
+
+
+@pytest.mark.parametrize(
+    "command, outputs, same",
+    [
+        ("features", ["--out", "{d}/exclusions.csv"], "--out and --exclusions"),
+        ("features", ["--out", "{d}/f.csv", "--exclusions", "{d}/../d/f.csv"], "--out and --exclusions"),
+        ("evaluate", ["--metrics", "{d}/f", "--predictions", "{d}/f"], "--metrics and --predictions"),
+        (
+            "compare-classifiers",
+            ["--metrics", "{d}/nb.csv", "--predictions-dir", "{d}"],
+            "--metrics and --predictions-dir/nb.csv",
+        ),
+    ],
+    ids=["features-default-exclusions", "features-exclusions", "evaluate", "grid-arm"],
+)
+def test_two_outputs_in_one_file_exit_1_before_loading(cohort_dir, tmp_path, capsys, command, outputs, same):
+    # One output would overwrite the other: the command refuses before it
+    # reads any input or makes a directory.
+    outputs = [arg.format(d=tmp_path / "d") for arg in outputs]
+    assert main([command, "--data", str(cohort_dir), *outputs]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {same} name the same file: ")
+    assert "ingest_excluded=" not in out
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

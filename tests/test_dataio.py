@@ -12,11 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import day, make_patient, no_answers
-from relapsekit import dataio, features
+from relapsekit import features, ingest
 from relapsekit.dataio import (
     Dataset,
-    IngestError,
-    load_dataset,
     write_dataset,
     write_metrics,
     write_predictions,
@@ -24,6 +22,7 @@ from relapsekit.dataio import (
 from relapsekit.cli import main
 from relapsekit.evaluate import EvalReport
 from relapsekit.features import extract_cohort
+from relapsekit.ingest import IngestError, load_dataset
 from relapsekit.model import SIGNALS, Signal
 from relapsekit.synth import SynthConfig, generate
 from relapsekit.templates import HOURS_PER_DAY
@@ -301,7 +300,7 @@ def test_a_cr_only_cohort_loads_as_its_lf_copy(tmp_path, copy, block_bytes, bad)
     (lf / "sensors.csv").write_text("".join(lines[:1000] + odd + lines[1000:]))
     copy(lf, tmp_path / "copy")
     outcomes = []
-    with mock.patch.object(dataio, "SENSOR_BLOCK_BYTES", block_bytes):
+    with mock.patch.object(ingest, "SENSOR_BLOCK_BYTES", block_bytes):
         for root in (lf, tmp_path / "copy"):
             try:
                 ds = load({name: root / f"{name}.csv" for name in ("sensors", "ema", "patients", "relapses")})
@@ -330,7 +329,7 @@ def test_an_undecodable_byte_in_a_cr_only_cohort_names_its_line(tmp_path, block_
     lines[500] = lines[500].replace(b",", b",\xff", 4)
     (lf / "sensors.csv").write_bytes(b"".join(lines))
     cr_only_copy(lf, tmp_path / "cr")
-    with mock.patch.object(dataio, "SENSOR_BLOCK_BYTES", block_bytes):
+    with mock.patch.object(ingest, "SENSOR_BLOCK_BYTES", block_bytes):
         for root in (lf, tmp_path / "cr"):
             with pytest.raises(IngestError) as err:
                 load({name: root / f"{name}.csv" for name in ("sensors", "ema", "patients", "relapses")})
@@ -344,14 +343,14 @@ def test_the_row_path_parses_each_distinct_sensor_date_once(tmp_path):
     generate(SynthConfig(patient_count=4, days_per_patient=60, seed=1), out_dir=lf)
     quoted_copy(lf, tmp_path / "quoted")
     rows = (lf / "sensors.csv").read_text().splitlines()[1:]
-    parsed, parse_date = [], dataio._parse_date
+    parsed, parse_date = [], ingest._parse_date
 
     def counting(path, line, text, what="date"):
         if Path(path).name == "sensors.csv":
             parsed.append(text)
         return parse_date(path, line, text, what)
 
-    with mock.patch.object(dataio, "_parse_date", counting):
+    with mock.patch.object(ingest, "_parse_date", counting):
         load({name: tmp_path / "quoted" / f"{name}.csv" for name in ("sensors", "ema", "patients", "relapses")})
     assert sorted(parsed) == sorted({row.split(",")[1] for row in rows})
 
@@ -370,14 +369,14 @@ def test_sensors_peak_memory_does_not_grow_with_the_file(tmp_path, encode):
     # rows held, the copies would take the peak up about fourfold.
     generate(SynthConfig(patient_count=2, days_per_patient=30, seed=5), out_dir=tmp_path)
     header, *rows = (tmp_path / "sensors.csv").read_bytes().splitlines(keepends=True)
-    patients = dataio._read_patients(tmp_path / "patients.csv")
+    patients = ingest._read_patients(tmp_path / "patients.csv")
     peaks = []
     for copies in (1, 4):
         path = tmp_path / f"sensors{copies}.csv"
         path.write_bytes(encode(header + b"".join(rows) * copies))
         tracemalloc.start()
         try:
-            dataio._read_sensors(path, patients, [])
+            ingest._read_sensors(path, patients, [])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -16,8 +16,8 @@ import numpy as np
 
 from conftest import day
 from relapsekit.cli import main
-from relapsekit.dataio import load_dataset
 from relapsekit.features import extract_all
+from relapsekit.ingest import load_dataset
 from relapsekit.model import SIGNALS, Signal, feature_indices_for_modality
 from relapsekit.synth import SynthConfig, generate
 from relapsekit.windowing import WindowingConfig

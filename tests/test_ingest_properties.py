@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_patient, no_answers
-from relapsekit.dataio import Dataset, load_dataset, write_dataset
+from relapsekit.dataio import Dataset, write_dataset
+from relapsekit.ingest import load_dataset
 
 SETTINGS = settings(max_examples=15, deadline=None, derandomize=True)
 

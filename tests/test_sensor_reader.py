@@ -23,11 +23,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relapsekit import dataio
-from relapsekit.dataio import (
-    EXCLUDED_OUTSIDE_SPAN,
+from relapsekit import ingest
+from relapsekit.dataio import EXCLUDED_OUTSIDE_SPAN, SENSOR_HEADER, IngestExclusion
+from relapsekit.ingest import (
     IngestError,
-    IngestExclusion,
     _outside_span,
     _parse_date,
     _RawPatient,
@@ -49,7 +48,7 @@ PATIENTS = {
 def read_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
     """Each row of a file as `csv.reader` reads it opened with `newline=""`,
     numbered from 1, read a block at a time by `_CsvReader`."""
-    reader = dataio._CsvReader(path)
+    reader = ingest._CsvReader(path)
     for block in reader:
         yield from enumerate(reader.rows(block, reader.next_row), start=reader.next_row)
 
@@ -63,8 +62,8 @@ def oracle_read_sensors(
 
     for line_no, row in read_rows(path):
         if line_no == 1:
-            if row != dataio._SENSOR_HEADER:
-                raise IngestError(str(path), 1, f"malformed header: expected {','.join(dataio._SENSOR_HEADER)}")
+            if row != SENSOR_HEADER:
+                raise IngestError(str(path), 1, f"malformed header: expected {','.join(SENSOR_HEADER)}")
             continue
         if not row:
             continue
@@ -103,7 +102,7 @@ def oracle_read_sensors(
     return days
 
 
-def days_with_rows(sums: dataio._SensorSums) -> dict[str, dict[Date, np.ndarray]]:
+def days_with_rows(sums: ingest._SensorSums) -> dict[str, dict[Date, np.ndarray]]:
     """The block reader's per-patient arrays in the oracle's form: per
     patient and date with rows, a `(2, 6, 24)` array of sums and counts.
     Every other day of the arrays must hold no sums and no counts."""
@@ -125,8 +124,8 @@ def days_with_rows(sums: dataio._SensorSums) -> dict[str, dict[Date, np.ndarray]
 def read_both(path: Path, block_bytes: int = 64, patients: dict[str, _RawPatient] = PATIENTS) -> list[tuple]:
     """What the oracle and the block reader each return or raise."""
     outcomes = []
-    with mock.patch.object(dataio, "SENSOR_BLOCK_BYTES", block_bytes):
-        for reader in (oracle_read_sensors, lambda *args: days_with_rows(dataio._read_sensors(*args))):
+    with mock.patch.object(ingest, "SENSOR_BLOCK_BYTES", block_bytes):
+        for reader in (oracle_read_sensors, lambda *args: days_with_rows(ingest._read_sensors(*args))):
             exclusions: list[IngestExclusion] = []
             try:
                 days = reader(path, patients, exclusions)
@@ -250,7 +249,7 @@ def test_header_only_files_load_with_no_rows(tmp_path, end):
         "patient_id,age,education_years,observation_start,observation_end\npa,40,10,2021-01-04,2021-01-10\n"
     )
     (tmp_path / "relapses.csv").write_text("patient_id,relapse_date\n")
-    ds = dataio.load_dataset(*(tmp_path / name for name in ("sensors.csv", "ema.csv", "patients.csv", "relapses.csv")))
+    ds = ingest.load_dataset(*(tmp_path / name for name in ("sensors.csv", "ema.csv", "patients.csv", "relapses.csv")))
     assert ds.sensors["pa"].shape == (7, 6, 24) and np.isnan(ds.sensors["pa"]).all()
     assert ds.ingest_exclusions == ()
 
@@ -329,7 +328,7 @@ CSV_TEXTS = [
 def test_open_rows_reads_as_csv_reader_over_the_file(tmp_path, text, block_bytes):
     path = tmp_path / "rows.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    with mock.patch.object(dataio, "SENSOR_BLOCK_BYTES", block_bytes):
+    with mock.patch.object(ingest, "SENSOR_BLOCK_BYTES", block_bytes):
         assert open_rows(path) == csv_reader_rows(path)
 
 
@@ -535,7 +534,7 @@ def test_plain_blocks_take_the_c_parser(tmp_path, newline):
     # the columns the block's `csv.reader` rows give.
     # "pééé", the longest id, is 7 bytes of UTF-8 and fits its field.
     patients = {**FAST_PATIENTS, "pééé": _RawPatient(30, 9, None, 5)}
-    sums = dataio._SensorSums(tmp_path / "sensors.csv", patients)
+    sums = ingest._SensorSums(tmp_path / "sensors.csv", patients)
     block = "".join(f"{pid},2021-01-0{d},{h},call_duration,{d * h / 7!r}{newline}" for pid in patients for d in (4, 5) for h in (0, 23))
     fast = sums._parse(block.encode("utf-8"))
     assert fast is not None and [c.dtype.kind for c in fast] == ["S", "S", "S", "S", "f"]
@@ -577,7 +576,7 @@ def test_bare_crs_end_lines_on_both_paths(tmp_path_factory, block_bytes, first, 
     # file's rows start one byte later than the file before's, so a 64-byte
     # block ends at each of the CRs.
     body = f"{VALID}{first}{OUTSIDE}{second}"
-    columns = dataio._SensorSums(Path("sensors.csv"), FAST_PATIENTS)._parse(body.encode("utf-8"))
+    columns = ingest._SensorSums(Path("sensors.csv"), FAST_PATIENTS)._parse(body.encode("utf-8"))
     if first == "\r":
         assert columns[1].tolist() == [b"2021-01-05", b"2021-01-09"]
     else:
@@ -593,7 +592,7 @@ def test_declared_spans_share_one_buffer_per_array_allocated_once(tmp_path):
     # buffer and their counts of another, both allocated before the first
     # row and never regrown.
     patients = {pid: _RawPatient(40, 10, (Date(2021, 1, 4), Date(2021, 1, 4 + i)), 2 + i) for i, pid in enumerate(["pa", "pb"])}
-    sums = dataio._SensorSums(tmp_path / "sensors.csv", patients)
+    sums = ingest._SensorSums(tmp_path / "sensors.csv", patients)
     held = {pid: (sums.sums[pid], sums.counts[pid]) for pid in patients}
     for arrays in (sums.sums, sums.counts):
         assert len({id(array.base) for array in arrays.values()}) == 1
@@ -604,7 +603,7 @@ def test_declared_spans_share_one_buffer_per_array_allocated_once(tmp_path):
     assert sums.add(block.encode("utf-8"), 2, exclusions) == 8
     assert all(sums.sums[pid] is s and sums.counts[pid] is c for pid, (s, c) in held.items())
     assert [e.line for e in exclusions] == [3, 4, 7]
-    light = dataio._SIGNAL_INDEX["light_level"]
+    light = ingest._SIGNAL_INDEX["light_level"]
     assert sums.counts["pa"].sum() == 1 and sums.counts["pb"][:, light, 3].tolist() == [1, 1]
 
 
@@ -612,7 +611,7 @@ def test_inferred_span_grows_toward_earlier_dates_at_least_doubling(tmp_path):
     # One row per block, latest date first: the arrays keep their last day
     # and grow only toward earlier dates, each time to at least twice their
     # length, so 40 days take 7 allocations.
-    sums = dataio._SensorSums(tmp_path / "sensors.csv", {"pb": _RawPatient(50, 12, None, 2)})
+    sums = ingest._SensorSums(tmp_path / "sensors.csv", {"pb": _RawPatient(50, 12, None, 2)})
     last = Date(2021, 2, 10)
     held = []
     for d in range(40):
@@ -622,7 +621,7 @@ def test_inferred_span_grows_toward_earlier_dates_at_least_doubling(tmp_path):
         if not held or len(sums.sums["pb"]) != held[-1]:
             held.append(len(sums.sums["pb"]))
     assert held == [1, 2, 4, 8, 16, 32, 64]
-    light = dataio._SIGNAL_INDEX["light_level"]
+    light = ingest._SIGNAL_INDEX["light_level"]
     assert sums.sums["pb"][-40:, light, 3].tolist() == list(range(39, -1, -1))
     assert sums.counts["pb"].sum() == 40
 
@@ -647,10 +646,10 @@ def test_more_than_255_rows_in_a_cell_read_as_row_by_row(tmp_path_factory, rows,
     # block holds all of them.
     path = write(tmp_path_factory, crowded_cells(rows))
     oracle, blocks = read_both(path, block_bytes, FAST_PATIENTS)
-    assert oracle[0]["p01"][Date(2021, 1, 5)][1][dataio._SIGNAL_INDEX["light_level"]][3] == rows
+    assert oracle[0]["p01"][Date(2021, 1, 5)][1][ingest._SIGNAL_INDEX["light_level"]][3] == rows
     assert blocks == oracle
-    with mock.patch.object(dataio, "SENSOR_BLOCK_BYTES", block_bytes):
-        sums = dataio._read_sensors(path, FAST_PATIENTS, [])
+    with mock.patch.object(ingest, "SENSOR_BLOCK_BYTES", block_bytes):
+        sums = ingest._read_sensors(path, FAST_PATIENTS, [])
     if rows > 255:
         assert sums.counts["p01"].dtype == sums.counts["p0123"].dtype == np.int64
     elif block_bytes == 1 << 20:  # 0 + 255 rows of a cell in one block fit in uint8
@@ -666,8 +665,8 @@ def test_more_than_255_rows_in_a_cell_load_the_row_by_row_means(tmp_path, rows, 
     (tmp_path / "relapses.csv").write_text("patient_id,relapse_date\n")
     patients = {pid: _RawPatient(40, 10, None, 2) for pid in ("p01", "p0123")}
     expected = oracle_read_sensors(tmp_path / "sensors.csv", patients, [])
-    with mock.patch.object(dataio, "SENSOR_BLOCK_BYTES", block_bytes):
-        ds = dataio.load_dataset(*(tmp_path / name for name in ("sensors.csv", "ema.csv", "patients.csv", "relapses.csv")))
+    with mock.patch.object(ingest, "SENSOR_BLOCK_BYTES", block_bytes):
+        ds = ingest.load_dataset(*(tmp_path / name for name in ("sensors.csv", "ema.csv", "patients.csv", "relapses.csv")))
     for patient in ds.patients:
         by_date = expected[patient.patient_id]
         assert (patient.observation_start, patient.observation_end) == (min(by_date), max(by_date))
@@ -682,23 +681,23 @@ def test_more_than_255_rows_in_a_cell_load_the_row_by_row_means(tmp_path, rows, 
 def test_counts_widen_only_when_a_block_could_pass_255(tmp_path):
     # The largest count at a block's cells plus the most rows it gives one
     # cell decide: 200 + 55 and 0 + 255 stay in uint8, 255 + 1 widens.
-    sums = dataio._SensorSums(tmp_path / "sensors.csv", {"pb": _RawPatient(50, 12, (Date(2021, 1, 4), Date(2021, 1, 5)), 2)})
+    sums = ingest._SensorSums(tmp_path / "sensors.csv", {"pb": _RawPatient(50, 12, (Date(2021, 1, 4), Date(2021, 1, 5)), 2)})
     sums.add(b"pb,2021-01-05,3,light_level,1\n" * 200, 2, [])
     sums.add(b"pb,2021-01-05,3,light_level,1\n" * 55, 202, [])
     sums.add(b"pb,2021-01-04,3,light_level,1\n" * 255, 257, [])
     assert sums.counts["pb"].dtype == np.uint8
     sums.add(b"pb,2021-01-04,3,light_level,1\npb,2021-01-05,4,light_level,1\n", 512, [])
     assert sums.counts["pb"].dtype == np.int64
-    light = dataio._SIGNAL_INDEX["light_level"]
+    light = ingest._SIGNAL_INDEX["light_level"]
     assert sums.counts["pb"][:, light, 3].tolist() == [256, 255] and sums.counts["pb"][1, light, 4] == 1
 
 
 def test_widened_counts_of_an_inferred_span_stay_int64_as_it_grows(tmp_path):
-    sums = dataio._SensorSums(tmp_path / "sensors.csv", {"pb": _RawPatient(50, 12, None, 2)})
+    sums = ingest._SensorSums(tmp_path / "sensors.csv", {"pb": _RawPatient(50, 12, None, 2)})
     sums.add(b"pb,2021-02-10,3,light_level,0.1\n" * 300, 2, [])
     assert sums.counts["pb"].dtype == np.int64 and len(sums.counts["pb"]) == 1
     sums.add(b"pb,2021-01-01,4,light_level,2.5\n", 302, [])  # 40 days earlier: the arrays grow
-    light = dataio._SIGNAL_INDEX["light_level"]
+    light = ingest._SIGNAL_INDEX["light_level"]
     assert sums.counts["pb"].dtype == np.int64 and len(sums.counts["pb"]) == 41
     assert sums.counts["pb"][[0, -1], light].tolist() == [[0] * 4 + [1] + [0] * 19, [0] * 3 + [300] + [0] * 20]
     means = sums.means("pb", Date(2021, 1, 1), Date(2021, 2, 10))

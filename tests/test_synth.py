@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from relapsekit.dataio import load_dataset
+from relapsekit.ingest import load_dataset
 from relapsekit.model import SIGNALS, Signal
 from relapsekit.synth import DEFAULT_RHYTHMS, ProdromalSpec, RhythmSpec, SynthConfig, generate
 from relapsekit.templates import HOURS_PER_DAY
