@@ -686,24 +686,11 @@ def iforest_predict_many(model: IsolationForestModel, X: np.ndarray) -> tuple[np
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BaselineResult:
-    precision: float
-    recall: float
-    f2: float
-    precision_std: float
-    recall_std: float
-    f2_std: float
-    tp: float
-    fp: float
-    fn: float
-    tn: float
-
-
 def baseline_over_runs(
     labels: np.ndarray, ratios: np.ndarray, runs: int, rng: np.random.Generator
-) -> BaselineResult:
-    """Mean and std of (precision, recall, f2) over independent random runs.
+) -> tuple[tuple[float, float, float, float], tuple[float, float, float], dict[str, float]]:
+    """The mean (tp, fp, fn, tn), the mean (precision, recall, f2), and the
+    std of each of those three by name, over independent random runs.
 
     Each run predicts relapse for window i with probability ratios[i] (the
     training prevalence of that window's fold). Runs are drawn 64 at a time:
@@ -721,17 +708,6 @@ def baseline_over_runs(
     tn = (labels.size - n_pos) - fp
 
     per_run = np.array([f2_from_counts(t, f, m) for t, f, m in zip(tp, fp, fn)])
-    precision, recall, f2 = per_run.mean(axis=0)
-    p_std, r_std, f2_std = per_run.std(axis=0)
-    return BaselineResult(
-        precision=float(precision),
-        recall=float(recall),
-        f2=float(f2),
-        precision_std=float(p_std),
-        recall_std=float(r_std),
-        f2_std=float(f2_std),
-        tp=float(tp.mean()),
-        fp=float(fp.mean()),
-        fn=float(fn.mean()),
-        tn=float(tn.mean()),
-    )
+    counts = tuple(float(c.mean()) for c in (tp, fp, fn, tn))
+    std = dict(zip(("precision", "recall", "f2"), per_run.std(axis=0).tolist()))
+    return counts, tuple(per_run.mean(axis=0).tolist()), std

@@ -217,40 +217,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args: argparse.Namespace):
+@contextmanager
+def _files(args: argparse.Namespace, outputs: dict[str, Path]) -> Iterator[list[Path]]:
+    """Yield the four input paths (`--data` or their own flags), checked to
+    exist. Before any input is read, refuse two files (inputs or `outputs`,
+    keyed by flag) that resolve to one, and create missing output
+    directories. If the command then fails, remove those still empty."""
     base = args.data
-    paths = {name: getattr(args, name) or (base / file if base else None) for name, file in COHORT_FILES.items()}
-    missing = [f"--{name}" for name, path in paths.items() if path is None]
-    if missing:
+    inputs = {f"--{key}": getattr(args, key) or (base / file if base else None) for key, file in COHORT_FILES.items()}
+    if missing := [flag for flag, path in inputs.items() if path is None]:
         raise ValueError(f"missing input paths: pass --data DIR or {', '.join(missing)}")
-    for path in paths.values():
+    for path in inputs.values():
         if not path.exists():
             raise ValueError(f"input file not found: {path}")
-    dataset = load_dataset(*paths.values())
-    print(f"ingest_excluded={len(dataset.ingest_exclusions)}")
-    return dataset
-
-
-@contextmanager
-def _outputs(files: dict[str, Path]) -> Iterator[None]:
-    """Before the inputs are read, refuse two output files (keyed by flag)
-    that resolve to one, and create missing directories, so a bad output
-    fails at once. If the command then fails, remove those still empty."""
     seen: dict[Path, str] = {}
-    for flag, path in files.items():
+    for flag, path in {**inputs, **outputs}.items():
         if (first := seen.setdefault(path.resolve(), flag)) != flag:
             raise ValueError(f"{first} and {flag} name the same file: {path}")
     made: list[Path] = []
     try:
-        for directory in (path.parent for path in files.values()):
+        for directory in (path.parent for path in outputs.values()):
             made += [path for path in (directory, *directory.parents) if not path.exists()]
             directory.mkdir(parents=True, exist_ok=True)
-        yield
+        yield list(inputs.values())
     except BaseException:
         for path in sorted(made, key=lambda path: len(path.parts), reverse=True):
             with suppress(OSError):
                 path.rmdir()
         raise
+
+
+def _load(paths: list[Path]) -> Dataset:
+    dataset = load_dataset(*paths)
+    print(f"ingest_excluded={len(dataset.ingest_exclusions)}")
+    return dataset
 
 
 def _experiment_config(args: argparse.Namespace, rows: Flags) -> ExperimentConfig:
@@ -283,8 +283,8 @@ def _cmd_features(args: argparse.Namespace) -> int:
 
     config = _config(WindowingConfig, args, WINDOWING_FLAGS)
     exclusions = args.exclusions or args.out.with_name("exclusions.csv")
-    with _outputs({"--out": args.out, "--exclusions": exclusions}):
-        table, candidates = extract_cohort(_load(args), config)
+    with _files(args, {"--out": args.out, "--exclusions": exclusions}) as paths:
+        table, candidates = extract_cohort(_load(paths), config)
         write_feature_matrix(table, args.out)
         write_exclusions(candidates, exclusions)
     print(f"windows={len(table)}")
@@ -298,8 +298,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     from .features import extract_all
 
     config = _experiment_config(args, EXPERIMENT_FLAGS)
-    with _outputs({"--metrics": args.metrics, "--predictions": args.predictions}):
-        table = extract_all(_load(args), config.windowing)
+    with _files(args, {"--metrics": args.metrics, "--predictions": args.predictions}) as paths:
+        table = extract_all(_load(paths), config.windowing)
         report = run_lopo(table, config)
         write_metrics(report, args.metrics)
         write_predictions(report, args.predictions)
@@ -323,8 +323,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     outputs = {"--metrics": args.metrics}
     if args.predictions_dir is not None:
         outputs.update((f"--predictions-dir/{name}.csv", args.predictions_dir / f"{name}.csv") for name, _ in grid.arms)
-    with _outputs(outputs):
-        reports = run_grid(args.command, _load(args), config)
+    with _files(args, outputs) as paths:
+        reports = run_grid(args.command, _load(paths), config)
         write_metrics(reports, args.metrics)
         if args.predictions_dir is not None:
             for report in reports:

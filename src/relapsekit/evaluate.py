@@ -49,7 +49,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .config import CLASSIFIER_KINDS, GRIDS, KINDS, ExperimentConfig
+from .config import GRIDS, KINDS, ExperimentConfig
 from .dataio import Dataset
 from .features import WindowTable, extract_all
 from .metrics import f2_from_counts
@@ -223,12 +223,11 @@ def run_lopo(
         prevalence = np.divide(train_relapse, train_windows, out=np.zeros(n_folds), where=train_windows > 0)
         rng = np.random.default_rng(_fold_seed(config, n_folds))
         ratios = np.repeat(prevalence, held_out.sum(axis=1))
-        result = clf.baseline_over_runs(table.labels, ratios, config.baseline_runs, rng)
+        (tp, fp, fn, tn), (precision, recall, f2), metric_std = clf.baseline_over_runs(
+            table.labels, ratios, config.baseline_runs, rng
+        )
         specs, predicted, scores = (), np.empty(0, dtype=np.int64), np.empty(0)
         confusion, extras = [(0, 0, 0, 0)] * n_folds, [(None, None, None)] * n_folds
-        tp, fp, fn, tn = result.tp, result.fp, result.fn, result.tn
-        precision, recall, f2 = result.precision, result.recall, result.f2
-        metric_std = {"precision": result.precision_std, "recall": result.recall_std, "f2": result.f2_std}
     else:
         if folds is None:
             folds = _plan_folds(table, config)
@@ -293,7 +292,6 @@ def run_grid(experiment: str, dataset: Dataset, base_config: ExperimentConfig) -
 
 
 __all__ = [
-    "CLASSIFIER_KINDS",
     "EvalReport",
     "ExperimentConfig",
     "FoldReport",

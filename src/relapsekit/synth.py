@@ -157,9 +157,9 @@ def generate(config: SynthConfig, out_dir: str | Path | None = None) -> Dataset:
         base_p = 0.25
         shift_p = min(0.1 * config.prodrome.magnitude, 1.0 - base_p)
         answers = np.full((days, EMA_ITEM_COUNT), -1, dtype=np.int8)
-        for d in np.flatnonzero(responded).tolist():
-            p_item = base_p + (shift_p if prodromal[d] else 0.0)
-            answers[d] = rng.binomial(3, p_item, size=EMA_ITEM_COUNT)
+        # One draw for every answered day, row by row: the same stream as one call per day.
+        p_item = np.where(prodromal[responded], base_p + shift_p, base_p)
+        answers[responded] = rng.binomial(3, p_item[:, None], size=(p_item.size, EMA_ITEM_COUNT))
         ema[pid] = answers
 
         patients.append(

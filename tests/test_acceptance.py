@@ -17,8 +17,9 @@ import pytest
 
 from conftest import day, make_constant_dataset, make_patient
 from relapsekit.cli import main
-from relapsekit.evaluate import ExperimentConfig, run_grid, run_lopo
-from relapsekit.features import extract_all
+from relapsekit.dataio import COHORT_FILES
+from relapsekit.evaluate import EvalReport, ExperimentConfig, run_grid, run_lopo
+from relapsekit.features import WindowTable, extract_all
 from relapsekit.ingest import load_dataset
 from relapsekit.metrics import f2_from_counts, f2_score
 from relapsekit.model import FEATURE_INDEX, SIGNALS, canonical_feature_names
@@ -316,24 +317,34 @@ def test_criterion_8_determinism(tmp_path, capsys):
 DATASET_DIR = os.environ.get("RELAPSEKIT_DATASET_DIR")
 
 
+def criterion_9_run(data_dir) -> tuple[WindowTable, list[EvalReport]]:
+    """Criterion 9's pipeline on a directory of the four interchange files:
+    its window table and its seed-0 `compare-classifiers` reports."""
+    ds = load_dataset(*(os.path.join(data_dir, file) for file in COHORT_FILES.values()))
+    table = extract_all(ds, WindowingConfig())
+    return table, run_grid("compare-classifiers", ds, ExperimentConfig(seed=0))
+
+
+def test_criterion_9_pipeline_runs_on_a_synth_cohort_directory(tmp_path):
+    # Criterion 9 itself needs the real dataset; its calls run here on every
+    # test run, so a change to their signatures fails here too.
+    generate(SynthConfig(patient_count=6, days_per_patient=120, seed=3), out_dir=tmp_path)
+    table, reports = criterion_9_run(tmp_path)
+    n = len(table)
+    assert n > 0 and table.labels.any()
+    assert {r.arm: len(r.specs) for r in reports} == {"nb": n, "brf": n, "ee": n, "iforest": n, "random": 0}
+
+
 @pytest.mark.skipif(
     not DATASET_DIR, reason="set RELAPSEKIT_DATASET_DIR to a converted CrossCheck dataset"
 )
 def test_criterion_9_real_dataset_bands():
-    base = DATASET_DIR
-    ds = load_dataset(
-        os.path.join(base, "sensors.csv"),
-        os.path.join(base, "ema.csv"),
-        os.path.join(base, "patients.csv"),
-        os.path.join(base, "relapses.csv"),
-    )
-    table = extract_all(ds, WindowingConfig())
+    table, reports = criterion_9_run(DATASET_DIR)
     total = len(table)
     relapse = int(table.labels.sum())
     assert 2386 * 0.85 <= total <= 2386 * 1.15
     assert 19 <= relapse <= 27
 
-    reports = run_grid("compare-classifiers", ds, ExperimentConfig(seed=0))
     by_arm = {r.arm: r for r in reports}
     nb = by_arm["nb"]
     baseline = by_arm["random"]

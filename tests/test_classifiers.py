@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from relapsekit.classifiers import (
-    BaselineResult,
     average_path_length,
     balanced_bootstraps,
     baseline_over_runs,
@@ -362,22 +361,22 @@ def test_iforest_codes_past_2_53():
 
 def test_baseline_prevalence_zero_recalls_nothing():
     labels = np.array([1, 0, 0, 1])
-    result = baseline_over_runs(labels, np.full(4, 0.0), 50, np.random.default_rng(1))
-    assert result.recall == 0.0 and result.tp == 0.0
+    (tp, _, _, _), (_, recall, _), _ = baseline_over_runs(labels, np.full(4, 0.0), 50, np.random.default_rng(1))
+    assert recall == 0.0 and tp == 0.0
 
 
 def test_baseline_prevalence_one_recalls_everything():
     labels = np.array([1, 0, 0, 0, 1] * 4)
-    result = baseline_over_runs(labels, np.full(20, 1.0), 50, np.random.default_rng(1))
-    assert result.recall == 1.0
-    assert result.precision == pytest.approx(labels.mean())
+    _, (precision, recall, _), _ = baseline_over_runs(labels, np.full(20, 1.0), 50, np.random.default_rng(1))
+    assert recall == 1.0
+    assert precision == pytest.approx(labels.mean())
 
 
 def test_baseline_recall_tracks_prevalence_within_three_sigma():
     p = 0.3
     labels = np.array([1] * 40 + [0] * 160)
-    result = baseline_over_runs(labels, np.full(200, p), 1000, np.random.default_rng(3))
-    assert abs(result.recall - p) <= 3 * result.recall_std
+    _, (_, recall, _), std = baseline_over_runs(labels, np.full(200, p), 1000, np.random.default_rng(3))
+    assert abs(recall - p) <= 3 * std["recall"]
 
 
 def test_baseline_determinism():
@@ -387,8 +386,9 @@ def test_baseline_determinism():
     assert a == b
 
 
-def baseline_one_matrix(labels, ratios, runs, rng) -> BaselineResult:
-    """The random baseline drawn as one `(runs, windows)` matrix, confusion counts by masks."""
+def baseline_one_matrix(labels, ratios, runs, rng):
+    """The random baseline drawn as one `(runs, windows)` matrix, confusion
+    counts by masks, in `baseline_over_runs`'s (counts, metrics, std) form."""
     preds = rng.random((runs, labels.size)) < ratios
     pos = labels == 1
     tp = preds[:, pos].sum(axis=1)
@@ -397,17 +397,10 @@ def baseline_one_matrix(labels, ratios, runs, rng) -> BaselineResult:
     tn = (~preds[:, ~pos]).sum(axis=1)
     per_run = np.array([f2_from_counts(t, f, m) for t, f, m in zip(tp, fp, fn)])
     (precision, recall, f2), (p_std, r_std, f2_std) = per_run.mean(axis=0), per_run.std(axis=0)
-    return BaselineResult(
-        precision=float(precision),
-        recall=float(recall),
-        f2=float(f2),
-        precision_std=float(p_std),
-        recall_std=float(r_std),
-        f2_std=float(f2_std),
-        tp=float(tp.mean()),
-        fp=float(fp.mean()),
-        fn=float(fn.mean()),
-        tn=float(tn.mean()),
+    return (
+        (float(tp.mean()), float(fp.mean()), float(fn.mean()), float(tn.mean())),
+        (float(precision), float(recall), float(f2)),
+        {"precision": float(p_std), "recall": float(r_std), "f2": float(f2_std)},
     )
 
 

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import weakref
+from contextlib import nullcontext
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
@@ -139,7 +140,8 @@ def _config_of(monkeypatch, argv: list[str]):
         seen.extend(arg for arg in args if is_dataclass(arg))
         raise ValueError("stopped")
 
-    monkeypatch.setattr(cli, "_load", lambda args: None)
+    monkeypatch.setattr(cli, "_files", lambda args, outputs: nullcontext())
+    monkeypatch.setattr(cli, "_load", lambda paths: None)
     monkeypatch.setattr(relapsekit.features, "extract_all", lambda dataset, windowing: None)
     monkeypatch.setattr(relapsekit.features, "extract_cohort", stop)
     monkeypatch.setattr(evaluate, "run_grid", stop)
@@ -691,7 +693,7 @@ def test_output_path_under_a_file_exits_1_before_loading(cohort_dir, tmp_path, c
 
 
 @pytest.mark.parametrize(
-    "command, outputs, same",
+    "command, paths, same",
     [
         ("features", ["--out", "{d}/exclusions.csv"], "--out and --exclusions"),
         ("features", ["--out", "{d}/f.csv", "--exclusions", "{d}/../d/f.csv"], "--out and --exclusions"),
@@ -701,18 +703,47 @@ def test_output_path_under_a_file_exits_1_before_loading(cohort_dir, tmp_path, c
             ["--metrics", "{d}/nb.csv", "--predictions-dir", "{d}"],
             "--metrics and --predictions-dir/nb.csv",
         ),
+        (
+            "ablate-modality",
+            ["--predictions-dir", "{c}", "--metrics", "{d}/m.json"],
+            "--ema and --predictions-dir/ema.csv",
+        ),
+        ("features", ["--out", "{c}/sensors.csv", "--exclusions", "{d}/x.csv"], "--sensors and --out"),
+        ("evaluate", ["--metrics", "{c}/patients.csv", "--predictions", "{d}/p.csv"], "--patients and --metrics"),
+        (
+            "evaluate",
+            ["--relapses", "{t}/r.csv", "--predictions", "{t}/r.csv", "--metrics", "{d}/m.json"],
+            "--relapses and --predictions",
+        ),
+        ("features", ["--sensors", "{t}/s.csv", "--ema", "{t}/s.csv", "--out", "{d}/f.csv"], "--sensors and --ema"),
     ],
-    ids=["features-default-exclusions", "features-exclusions", "evaluate", "grid-arm"],
+    ids=[
+        "features-default-exclusions",
+        "features-exclusions",
+        "evaluate",
+        "grid-arm",
+        "grid-arm-over-input",
+        "features-over-input",
+        "metrics-over-input",
+        "output-over-input-flag",
+        "two-inputs",
+    ],
 )
-def test_two_outputs_in_one_file_exit_1_before_loading(cohort_dir, tmp_path, capsys, command, outputs, same):
-    # One output would overwrite the other: the command refuses before it
-    # reads any input or makes a directory.
-    outputs = [arg.format(d=tmp_path / "d") for arg in outputs]
-    assert main([command, "--data", str(cohort_dir), *outputs]) == 1
+def test_one_file_named_twice_exits_1_before_loading(cohort_dir, tmp_path, capsys, command, paths, same):
+    # A second output or an output over an input would overwrite that file,
+    # and one file read as two inputs is a mistake: the command refuses
+    # before it reads any input or makes a directory, and every input keeps
+    # its bytes. `c` is a copy of the cohort; `d` does not exist.
+    shutil.copytree(cohort_dir, tmp_path / "c")
+    shutil.copy(cohort_dir / "relapses.csv", tmp_path / "r.csv")
+    shutil.copy(cohort_dir / "sensors.csv", tmp_path / "s.csv")
+    before = {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")}
+    paths = [arg.format(c=tmp_path / "c", d=tmp_path / "d", t=tmp_path) for arg in paths]
+    assert main([command, "--data", str(tmp_path / "c"), *paths]) == 1
     out, err = capsys.readouterr()
     assert err.startswith(f"error: {same} name the same file: ")
     assert "ingest_excluded=" not in out
-    assert list(tmp_path.iterdir()) == []
+    assert {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")} == before
 
 
 @pytest.mark.parametrize(

@@ -8,9 +8,8 @@ import pytest
 
 from conftest import make_constant_dataset, make_patient
 from relapsekit import classifiers, evaluate
-from relapsekit.config import KINDS
+from relapsekit.config import CLASSIFIER_KINDS, KINDS
 from relapsekit.evaluate import (
-    CLASSIFIER_KINDS,
     ExperimentConfig,
     f2_from_counts,
     run_grid,
